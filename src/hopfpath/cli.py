@@ -87,6 +87,13 @@ def _grid(path: PiecewiseLinearPath, points: int) -> list[Fraction]:
     return [lo + (hi - lo) * Fraction(i, points - 1) for i in range(points)]
 
 
+def _single_forest(args, text: str):
+    comb = parse_expr(text, "forest", args.dim)
+    if len(comb) != 1 or next(iter(comb))[1] != 1:
+        raise ValueError(f"{args.command} expects a single forest, not a combination")
+    return next(iter(comb))[0]
+
+
 def _truncated(args, x: LinComb) -> TruncatedElement:
     return TruncatedElement.make(x, args.truncation, get_instance(args.algebra, args.dim))
 
@@ -223,10 +230,7 @@ def _dispatch(args) -> int:
         print(f"{homog_norm(_truncated(args, _parse(args, args.x))):.12g}")
         return 0
     if cmd == "cuts":
-        comb = parse_expr(args.forest, "forest", args.dim)
-        if len(comb) != 1 or next(iter(comb))[1] != 1:
-            raise ValueError("cuts expects a single forest, not a combination")
-        forest = next(iter(comb))[0]
+        forest = _single_forest(args, args.forest)
         rows = [
             {"crown": str(c.crown), "trunk": str(c.trunk), "multiplicity": c.multiplicity}
             for c in enumerate_cuts(forest)
@@ -264,8 +268,7 @@ def _dispatch(args) -> int:
         print(report.summary())
         return 0 if report.passed else 1
     if cmd == "qgamma":
-        comb = parse_expr(args.forest, "forest", args.dim)
-        forest = next(iter(comb))[0]
+        forest = _single_forest(args, args.forest)
         print(f"{q_gamma(forest, _gamma(args)):.12g}")
         return 0
     if cmd == "convert-lift":

@@ -177,12 +177,14 @@ class TensorComb:
         return cls({(left, right): c} if c else {}, _clean=True)
 
     @classmethod
-    def of(cls, a: LinComb, b: LinComb) -> "TensorComb":
-        """The outer product a (x) b."""
+    def of(cls, a: LinComb, b: LinComb, max_grade: int | None = None) -> "TensorComb":
+        """The outer product a (x) b; pairs beyond max_grade total are skipped."""
         acc: dict = {}
         for b1, c1 in a.terms.items():
+            room = None if max_grade is None else max_grade - b1.grade
             for b2, c2 in b.terms.items():
-                _accum(acc, (b1, b2), c1 * c2)
+                if room is None or b2.grade <= room:
+                    _accum(acc, (b1, b2), c1 * c2)
         return cls(acc, _clean=True)
 
     def is_zero(self) -> bool:

@@ -22,9 +22,118 @@ class TruncationError(ValueError):
     pass
 
 
+class _ProductTable:
+    """Integer structure constants of one instance below one truncation level.
+
+    A basis element gets a slot the first time it is seen, so nothing is
+    enumerated up front.  The row of a slot pair (i, j) lists the (slot k,
+    integer c) terms of ``product_basis`` and is filled on first use; pairs
+    whose grades sum past the level are never filled.
+    """
+
+    __slots__ = ("product_basis", "level", "slots", "basis", "grades", "rows")
+
+    def __init__(self, instance: HopfInstance, level: int):
+        self.product_basis = instance.product_basis
+        self.level = level
+        self.slots: dict = {}
+        self.basis: list = []
+        self.grades: list[int] = []
+        self.rows: list[dict] = []  # rows[i][j] -> ((k, c), ...)
+
+    def slot(self, b) -> int:
+        i = self.slots.get(b)
+        if i is None:
+            i = self.slots[b] = len(self.basis)
+            self.basis.append(b)
+            self.grades.append(b.grade)
+            self.rows.append({})
+        return i
+
+    def fill(self, i: int, j: int) -> tuple:
+        terms = []
+        for b, c in self.product_basis(self.basis[i], self.basis[j]):
+            if c != int(c):
+                raise ValueError(
+                    f"structure constant {c} of {self.basis[i]} * {self.basis[j]} "
+                    "is not an integer"
+                )
+            terms.append((self.slot(b), int(c)))
+        row = self.rows[i][j] = tuple(terms)
+        return row
+
+    def numerators(self, x: LinComb):
+        """(slot, numerator) pairs of x over the lcm of its denominators, and
+        that lcm; None when a coefficient is not rational (float mode)."""
+        items = x.terms.items()
+        try:
+            dens = [c.denominator for _, c in items]
+        except AttributeError:
+            return None
+        den = math.lcm(*dens)
+        slots = self.slots
+        out = []
+        for (b, c), q in zip(items, dens):
+            i = slots.get(b)
+            if i is None:
+                i = self.slot(b)
+            out.append((i, c.numerator * (den // q)))
+        return out, den
+
+    def product(self, x: LinComb, y: LinComb) -> LinComb | None:
+        """Truncated product x y, or None when either has a non-rational
+        coefficient.  Numerators accumulate as ints; each result coefficient
+        is divided by the product of the two shared denominators once."""
+        xs = self.numerators(x)
+        ys = self.numerators(y)
+        if xs is None or ys is None:
+            return None
+        (xs, xden), (ys, yden) = xs, ys
+        level, grades, rows = self.level, self.grades, self.rows
+        # y by grade, up to its own top grade so that no loop runs to the level
+        top = min(level, max((grades[j] for j, _ in ys), default=0))
+        by_grade: list[list] = [[] for _ in range(top + 1)]
+        for j, v in ys:
+            if grades[j] <= top:
+                by_grade[grades[j]].append((j, v))
+        basis = self.basis
+        acc = [0] * len(basis)
+        for i, u in xs:
+            row_i = rows[i]
+            for g in range(min(top, level - grades[i]) + 1):
+                for j, v in by_grade[g]:
+                    row = row_i.get(j)
+                    if row is None:
+                        row = self.fill(i, j)
+                        acc.extend([0] * (len(basis) - len(acc)))
+                    uv = u * v
+                    for k, c in row:
+                        acc[k] += c * uv
+        den = xden * yden
+        return LinComb({basis[k]: Fraction(n, den) for k, n in enumerate(acc) if n}, _clean=True)
+
+
+def _product_table(algebra: HopfInstance, level: int) -> _ProductTable:
+    # keyed by the product too: dataclasses.replace shares _memo unless told not to
+    tables = algebra._memo.setdefault("product_table", {})
+    key = (level, algebra.product_basis)
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = _ProductTable(algebra, level)
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class TruncatedElement:
-    """A LinComb together with a truncation level and its ambient algebra."""
+    """A LinComb together with a truncation level and its ambient algebra.
+
+    ``mul`` runs an exact integer kernel: the structure constants of the
+    (algebra, level) pair are tabulated once per instance (``_ProductTable``,
+    kept in the instance's ``_memo``), and each operand is read as integer
+    numerators over one shared denominator.  Elements with a float
+    coefficient take ``HopfInstance.product``, which is also the reference the
+    kernel is tested against.
+    """
 
     value: LinComb
     level: int
@@ -42,7 +151,9 @@ class TruncatedElement:
 
     def mul(self, other: "TruncatedElement") -> "TruncatedElement":
         self._check_compatible(other)
-        prod = self.algebra.product(self.value, other.value, max_grade=self.level)
+        prod = _product_table(self.algebra, self.level).product(self.value, other.value)
+        if prod is None:
+            prod = self.algebra.product(self.value, other.value, max_grade=self.level)
         return TruncatedElement(prod, self.level, self.algebra)
 
     def add(self, other: "TruncatedElement") -> "TruncatedElement":
@@ -151,8 +262,7 @@ def is_primitive(x: TruncatedElement) -> tuple[bool, TensorComb]:
 
 
 def grouplike_defect(g: TruncatedElement) -> TensorComb:
-    alg = g.algebra
-    return alg.coproduct(g.value) - TensorComb.of(g.value, g.value).truncate_total(g.level)
+    return g.algebra.coproduct(g.value) - TensorComb.of(g.value, g.value, max_grade=g.level)
 
 
 def is_grouplike(g: TruncatedElement) -> tuple[bool, TensorComb]:
@@ -241,8 +351,8 @@ def dynkin(x: LinComb, via_convolution: bool = False, dim: int | None = None) ->
 
 
 def grade_norm(x: LinComb, m: int) -> float:
-    """Euclidean norm of the grade-m slice."""
-    return math.sqrt(sum(float(c) ** 2 for b, c in x if b.grade == m))
+    """Euclidean norm of the grade-m slice, summed in basis order."""
+    return math.sqrt(sum(float(c) ** 2 for b, c in x.sorted_terms() if b.grade == m))
 
 
 def homog_norm(g: TruncatedElement) -> float:
@@ -250,13 +360,17 @@ def homog_norm(g: TruncatedElement) -> float:
 
     Word flavor: sum over m of the grade-m slice norm of log(g) to the power
     1/m.  Forest (Grossman-Larson) flavor: sum over the support of log(g) of
-    |coefficient|^(1/grade).
+    |coefficient|^(1/grade).  Sums run in basis order, so the float result does
+    not depend on the term order of g.  Connes-Kreimer forests have no norm
+    here: neither formula applies to them.
     """
+    if g.algebra.name == "ck":
+        raise TruncationError("homogeneous norm is not defined on the ck algebra")
     if g.counit() != 1:
         raise TruncationError("homogeneous norm needs counit 1")
     x = log_trunc(g)
     if g.algebra.name == "gl":
-        return sum(abs(float(c)) ** (1.0 / b.grade) for b, c in x.value)
+        return sum(abs(float(c)) ** (1.0 / b.grade) for b, c in x.value.sorted_terms())
     total = 0.0
     for m in range(1, g.level + 1):
         total += grade_norm(x.value, m) ** (1.0 / m)

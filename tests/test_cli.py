@@ -125,6 +125,16 @@ class TestErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_qgamma_rejects_combination(self, capsys):
+        code, out, err = run(capsys, "qgamma", "--gamma", "0.4", "[]_1 + [[]_1]_1")
+        assert code == 2 and out == "" and "single forest" in err
+
+    def test_norm_rejects_ck(self, capsys):
+        code, out, err = run(
+            capsys, "norm", "--algebra", "ck", "--truncation", "3", "1 + 2*[]_1 + [[]_1]_1"
+        )
+        assert code == 2 and out == "" and "ck" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "signature", "/nonexistent/x.csv")
         assert code == 2 and "error" in err

@@ -1,10 +1,17 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfpath.hopf_core import concat_deshuffle_instance, poly_instance, shuffle_deconcat_instance
+from hopfpath.hopf_core import (
+    concat_deshuffle_instance,
+    get_instance,
+    poly_instance,
+    shuffle_deconcat_instance,
+)
 from hopfpath.hopf_ck import ck_instance, gl_instance
 from hopfpath.linalg import LinComb, TensorComb
 from hopfpath.series import (
@@ -18,6 +25,7 @@ from hopfpath.series import (
     geo_norm_constants,
     grade_norm,
     group_inverse,
+    grouplike_defect,
     homog_norm,
     is_grouplike,
     is_primitive,
@@ -95,6 +103,75 @@ class TestTruncatedProduct:
             assert trunc_mul(trunc_mul(xs[0], xs[1]), xs[2]) == trunc_mul(
                 xs[0], trunc_mul(xs[1], xs[2])
             )
+
+
+@st.composite
+def sparse_elements(draw, counit_free=False):
+    """An algebra of the five, d in 1..3, level in 1..4, and two random sparse
+    Fraction combinations of basis elements up to that level."""
+    name = draw(st.sampled_from(("poly", "shuffle", "concat", "ck", "gl")))
+    d = draw(st.integers(min_value=1, max_value=3))
+    level = draw(st.integers(min_value=1, max_value=4))
+    inst = get_instance(name, d)
+    pool = [b for b in inst.basis_up_to(level) if b.grade or not counit_free]
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+    def element():
+        keys = draw(st.lists(st.sampled_from(pool), max_size=6))
+        return LinComb({b: draw(coeffs) for b in keys})
+
+    return inst, level, element(), element()
+
+
+class TestProductKernel:
+    @given(sparse_elements())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_product(self, case):
+        inst, level, x, y = case
+        got = elem(x, level, inst).mul(elem(y, level, inst))
+        assert got.value == inst.product(x, y, max_grade=level)
+
+    @given(sparse_elements(counit_free=True))
+    @settings(max_examples=100, deadline=None)
+    def test_log_exp_roundtrip(self, case):
+        inst, level, x, _ = case
+        x = elem(x, level, inst)
+        assert log_trunc(exp_trunc(x)) == x
+
+    def test_float_coefficients_take_reference(self):
+        inst = gl_instance(2)
+        x = LinComb({Forest(): 1.0, Tree(1).as_forest(): 0.5})
+        y = LinComb.term(Tree(2).as_forest(), Fraction(1, 3))
+        got = elem(x, 3, inst).mul(elem(y, 3, inst)).value
+        assert got == inst.product(x, y, max_grade=3)
+        assert all(isinstance(c, float) for _, c in got)
+
+    def test_basis_first_seen_mid_product(self):
+        inst = dataclasses.replace(concat_deshuffle_instance(2), _memo={})
+        x = LinComb.term(W(1), Fraction(1, 2)) + LinComb.term(W(2), Fraction(-2, 3))
+        y = LinComb.term(W(), 3) + LinComb.term(W(2, 1), Fraction(5, 7))
+        got = elem(x, 3, inst).mul(elem(y, 3, inst)).value
+        assert got == inst.product(x, y, max_grade=3)
+        assert W(1, 2, 1) in got.support()
+
+    def test_replaced_product_gets_own_table(self):
+        # dataclasses.replace without _memo={} shares the memo dict of the original
+        base = concat_deshuffle_instance(2)
+        doubled = dataclasses.replace(
+            base, product_basis=lambda u, v: LinComb.term(u.concat(v), 2)
+        )
+        x = LinComb.term(W(1)) + LinComb.term(W(2))
+        assert elem(x, 2, base).mul(elem(x, 2, base)).value == base.product(x, x, max_grade=2)
+        got = elem(x, 2, doubled).mul(elem(x, 2, doubled)).value
+        assert got == doubled.product(x, x, max_grade=2)
+
+    def test_fractional_structure_constant_rejected(self):
+        base = concat_deshuffle_instance(2)
+        half = dataclasses.replace(
+            base, product_basis=lambda u, v: LinComb.term(u.concat(v), Fraction(1, 2)), _memo={}
+        )
+        with pytest.raises(ValueError):
+            elem(LinComb.term(W(1)), 2, half).mul(elem(LinComb.term(W(2)), 2, half))
 
 
 class TestExpLog:
@@ -215,6 +292,19 @@ class TestPrimGrouplike:
         assert not ok
         assert defect == TensorComb.term(W(1), W(2))
 
+    def test_defect_equals_truncated_full_square(self):
+        # only pairs within the level are formed, in the order of the full g (x) g
+        rng = random.Random(3)
+        for inst in (concat_deshuffle_instance(2), gl_instance(2), shuffle_deconcat_instance(2)):
+            for level in (2, 3):
+                g = exp_trunc(random_primitive(inst, level, rng))
+                bent = g.add(elem(LinComb.term(next(iter(inst.basis(level)))), level, inst))
+                for h in (g, bent):
+                    full = inst.coproduct(h.value) - TensorComb.of(h.value, h.value).truncate_total(
+                        level
+                    )
+                    assert list(grouplike_defect(h).terms.items()) == list(full.terms.items())
+
     def test_exp_prim_iff_grouplike(self):
         rng = random.Random(8)
         for inst in (concat_deshuffle_instance(2), gl_instance(2), poly_instance(2)):
@@ -306,6 +396,18 @@ class TestNorms:
         )
         g = exp_trunc(elem(x, 2, inst))
         assert math.isclose(homog_norm(g), 0.25 + 3.0, rel_tol=1e-12)
+
+    def test_grade_norm_independent_of_term_order(self):
+        # tiny squares vanish when added after 1, not when added before it
+        tiny = Fraction(1, 2**27)
+        terms = [(W(1), Fraction(1)), *((W(i), tiny) for i in range(2, 9))]
+        forward, backward = LinComb(dict(terms)), LinComb(dict(reversed(terms)))
+        assert grade_norm(forward, 1) == grade_norm(backward, 1)
+
+    def test_norm_rejects_ck(self):
+        inst = ck_instance(2)
+        with pytest.raises(TruncationError):
+            homog_norm(elem(LinComb.term(Forest()) + LinComb.term(Tree(1).as_forest()), 2, inst))
 
     def test_norm_rejects_nonunital(self):
         inst = concat_deshuffle_instance(2)
