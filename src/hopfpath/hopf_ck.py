@@ -12,55 +12,52 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .hopf_core import HopfInstance, shuffle_tuples, deconcat_tuples
-from .linalg import LinComb, TensorComb
-from .symbols import EMPTY_FOREST, Forest, Tree, Word, check_dimension, forests
+from .hopf_core import HopfInstance, shuffle, shuffle_tuples
+from .linalg import LinComb, TensorComb, accum, bilinear
+from .symbols import (
+    EMPTY_FOREST,
+    EMPTY_WORD,
+    Forest,
+    Tree,
+    Word,
+    check_dimension,
+    forests,
+    multiplicative,
+)
 
 
 # ---------------------------------------------------------------------------
 # coproduct and cuts
 
 
-def _tensor_mul_forests(a: TensorComb, b: TensorComb) -> TensorComb:
+def _juxtapose(a: Forest, b: Forest):
+    return ((a.mul(b), 1),)
+
+
+def _pair_product(a, b) -> dict:
+    """Slot-wise juxtaposition of two families of forest pairs, as a dict."""
     acc: dict = {}
     for (l1, r1), c1 in a:
         for (l2, r2), c2 in b:
-            key = (l1.mul(l2), r1.mul(r2))
-            new = acc.get(key, 0) + c1 * c2
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
-    return TensorComb(acc, _clean=True)
-
-
-def _split_first_tree(f: Forest) -> tuple[Tree, Forest]:
-    tree, mult = f.items[0]
-    rest = list(f.items[1:])
-    if mult > 1:
-        rest.insert(0, (tree, mult - 1))
-    return tree, Forest(tuple(rest))
-
-
-@functools.lru_cache(maxsize=None)
-def ck_coproduct(f: Forest) -> TensorComb:
-    """Admissible-cut coproduct, by the defining recursion."""
-    if f.is_empty():
-        return TensorComb.term(EMPTY_FOREST, EMPTY_FOREST)
-    if f.tree_count() == 1:
-        tree = f.items[0][0]
-        inner = ck_coproduct(tree.children)
-        lifted = inner.map_right(lambda z: LinComb.term(z.graft(tree.label).as_forest()))
-        return lifted + TensorComb.term(f, EMPTY_FOREST)
-    tree, rest = _split_first_tree(f)
-    return _tensor_mul_forests(ck_coproduct(tree.as_forest()), ck_coproduct(rest))
-
-
-def ck_coproduct_lin(x: LinComb) -> TensorComb:
-    acc = TensorComb.zero()
-    for b, c in x:
-        acc = acc + ck_coproduct(b).scale(c)
+            accum(acc, (l1.mul(l2), r1.mul(r2)), c1 * c2)
     return acc
+
+
+def forest_product(x: LinComb, y: LinComb, max_grade: int | None = None) -> LinComb:
+    """Commutative product of forest combinations; pairs past max_grade are skipped."""
+    return LinComb(bilinear(x, y, _juxtapose, max_grade), _clean=True)
+
+
+@multiplicative(
+    TensorComb.term(EMPTY_FOREST, EMPTY_FOREST),
+    lambda a, b: TensorComb(_pair_product(a, b), _clean=True),
+)
+def ck_coproduct(tree: Tree) -> TensorComb:
+    """Admissible-cut coproduct, by the defining recursion."""
+    lifted = ck_coproduct(tree.children).map_right(
+        lambda z: LinComb.term(z.graft(tree.label).as_forest())
+    )
+    return lifted + TensorComb.term(tree.as_forest(), EMPTY_FOREST)
 
 
 def ck_reduced_coproduct(f: Forest) -> TensorComb:
@@ -77,25 +74,16 @@ class Cut:
     multiplicity: int
 
 
-@functools.lru_cache(maxsize=None)
-def _cuts_dict(f: Forest) -> tuple[tuple[tuple[Forest, Forest], int], ...]:
+@multiplicative(
+    (((EMPTY_FOREST, EMPTY_FOREST), 1),),
+    lambda a, b: tuple(_pair_product(a, b).items()),
+)
+def _cuts_dict(tree: Tree) -> tuple[tuple[tuple[Forest, Forest], int], ...]:
     """The cut family and multiplicities, by their own recursion (not Delta)."""
-    if f.is_empty():
-        return (((EMPTY_FOREST, EMPTY_FOREST), 1),)
-    if f.tree_count() == 1:
-        tree = f.items[0][0]
-        acc: dict = {}
-        for (c, t), m in _cuts_dict(tree.children):
-            acc[(c, t.graft(tree.label).as_forest())] = m
-        acc[(f, EMPTY_FOREST)] = acc.get((f, EMPTY_FOREST), 0) + 1
-        return tuple(acc.items())
-    tree, rest = _split_first_tree(f)
-    acc = {}
-    for (c1, t1), m1 in _cuts_dict(tree.as_forest()):
-        for (c2, t2), m2 in _cuts_dict(rest):
-            key = (c1.mul(c2), t1.mul(t2))
-            acc[key] = acc.get(key, 0) + m1 * m2
-    return tuple(acc.items())
+    grafted = tuple(
+        ((c, t.graft(tree.label).as_forest()), m) for (c, t), m in _cuts_dict(tree.children)
+    )
+    return grafted + (((tree.as_forest(), EMPTY_FOREST), 1),)
 
 
 def enumerate_cuts(f: Forest) -> list[Cut]:
@@ -109,52 +97,28 @@ def enumerate_cuts(f: Forest) -> list[Cut]:
 # antipode: recursion engine and split-representation engine
 
 
-@functools.lru_cache(maxsize=None)
-def _ck_antipode_tree(tree: Tree) -> LinComb:
+@multiplicative(LinComb.term(EMPTY_FOREST), forest_product)
+def _ck_antipode_rec(tree: Tree) -> LinComb:
     # S |z|_i = -m (S (x) |.|_i) Delta z
-    acc = LinComb.zero()
-    for (l, r), c in ck_coproduct(tree.children):
-        grafted = r.graft(tree.label).as_forest()
-        acc = acc + _ck_antipode_rec(l).map_basis(
-            lambda z, g=grafted: LinComb.term(z.mul(g))
-        ).scale(c)
-    return -acc
-
-
-@functools.lru_cache(maxsize=None)
-def _ck_antipode_rec(f: Forest) -> LinComb:
-    if f.is_empty():
-        return LinComb.term(EMPTY_FOREST)
-    acc = LinComb.term(EMPTY_FOREST)
-    for tree in f.trees():
-        part = _ck_antipode_tree(tree)
-        acc = acc.map_basis(
-            lambda z: part.map_basis(lambda w, z=z: LinComb.term(z.mul(w)))
+    return -ck_coproduct(tree.children).fold(
+        lambda l, r: forest_product(
+            _ck_antipode_rec(l), LinComb.term(r.graft(tree.label).as_forest())
         )
-    return acc
+    )
 
 
-@functools.lru_cache(maxsize=None)
-def splits(f: Forest) -> tuple[tuple[Forest, int], ...]:
+@multiplicative(((EMPTY_FOREST, 1),), lambda a, b: tuple(bilinear(a, b, _juxtapose).items()))
+def splits(tree: Tree) -> tuple[tuple[Forest, int], ...]:
     """The split family with integer coefficients, by its own recursion."""
-    if f.is_empty():
-        return ((EMPTY_FOREST, 1),)
-    if f.tree_count() == 1:
-        acc: dict = {}
-        for (c, t), m in _cuts_dict(f):
-            if t == f:
-                continue
+    f = tree.as_forest()
+    acc: dict = {}
+    for (c, t), m in _cuts_dict(f):
+        if t != f:
             for s, e in splits(t):
+                # partial sums may cancel; a key keeps its first position
                 key = c.mul(s)
                 acc[key] = acc.get(key, 0) - e * m
-        return tuple(acc.items())
-    tree, rest = _split_first_tree(f)
-    acc = {}
-    for s1, e1 in splits(tree.as_forest()):
-        for s2, e2 in splits(rest):
-            key = s1.mul(s2)
-            acc[key] = acc.get(key, 0) + e1 * e2
-    return tuple((k, v) for k, v in acc.items() if v)
+    return tuple(acc.items())
 
 
 def ck_antipode(f: Forest, engine: str = "recursion") -> LinComb:
@@ -164,13 +128,6 @@ def ck_antipode(f: Forest, engine: str = "recursion") -> LinComb:
     if engine == "splits":
         return LinComb({s: Fraction(e) for s, e in splits(f)})
     raise ValueError(f"unknown antipode engine {engine!r}")
-
-
-def split_coefficient(f: Forest, s: Forest) -> int:
-    for cand, e in splits(f):
-        if cand == s:
-            return e
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +184,7 @@ def gl_product(a: Forest, b: Forest) -> LinComb:
 
 
 def gl_product_lin(x: LinComb, y: LinComb) -> LinComb:
-    acc = LinComb.zero()
-    for b1, c1 in x:
-        for b2, c2 in y:
-            acc = acc + gl_product(b1, b2).scale(c1 * c2)
-    return acc
+    return LinComb(bilinear(x, y, gl_product), _clean=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -355,39 +308,16 @@ def treeword_shuffle(u: TreeWord, v: TreeWord) -> LinComb:
     )
 
 
-def treeword_deconcat(w: TreeWord) -> TensorComb:
-    return TensorComb(
-        {(TreeWord(l), TreeWord(r)): Fraction(1) for l, r in deconcat_tuples(w.letters)},
-        _clean=True,
-    )
-
-
 # ---------------------------------------------------------------------------
 # morphisms between words and forests
 
 
-@functools.lru_cache(maxsize=None)
-def phi(f: Forest) -> LinComb:
+@multiplicative(
+    LinComb.term(EMPTY_WORD), lambda a, b: LinComb(bilinear(a, b, shuffle), _clean=True)
+)
+def phi(tree: Tree) -> LinComb:
     """Forest-to-word Hopf homomorphism: graft becomes append, product shuffle."""
-    if f.is_empty():
-        return LinComb.term(Word())
-    if f.tree_count() == 1:
-        tree = f.items[0][0]
-        return phi(tree.children).map_basis(
-            lambda w: LinComb.term(w.concat(Word((tree.label,))))
-        )
-    tree, rest = _split_first_tree(f)
-    left, right = phi(tree.as_forest()), phi(rest)
-    acc = LinComb.zero()
-    for w1, c1 in left:
-        for w2, c2 in right:
-            acc = acc + LinComb(
-                {
-                    Word(w): Fraction(m)
-                    for w, m in shuffle_tuples(w1.letters, w2.letters).items()
-                }
-            ).scale(c1 * c2)
-    return acc
+    return phi(tree.children).map_basis(lambda w: LinComb.term(w.concat(Word((tree.label,)))))
 
 
 def phi_lin(x: LinComb) -> LinComb:
@@ -406,27 +336,18 @@ def phi_hat_lin(x: LinComb) -> LinComb:
     return x.map_basis(lambda w: LinComb.term(phi_hat(w)))
 
 
-@functools.lru_cache(maxsize=None)
-def psi(f: Forest) -> LinComb:
+@multiplicative(
+    LinComb.term(EMPTY_TREEWORD),
+    lambda a, b: LinComb(bilinear(a, b, treeword_shuffle), _clean=True),
+)
+def psi(tree: Tree) -> LinComb:
     """Hopf monomorphism into shuffle words over the tree alphabet."""
-    if f.is_empty():
-        return LinComb.term(EMPTY_TREEWORD)
-    if f.tree_count() == 1:
-        tree = f.items[0][0]
-        acc = LinComb.zero()
-        for (l, r), c in ck_coproduct(tree.children):
-            letter = r.graft(tree.label)
-            acc = acc + psi(l).map_basis(
-                lambda u, letter=letter: LinComb.term(u.concat(TreeWord((letter,))))
-            ).scale(c)
-        return acc
-    tree, rest = _split_first_tree(f)
-    left, right = psi(tree.as_forest()), psi(rest)
-    acc = LinComb.zero()
-    for u, c1 in left:
-        for v, c2 in right:
-            acc = acc + treeword_shuffle(u, v).scale(c1 * c2)
-    return acc
+
+    def term(l: Forest, r: Forest) -> LinComb:
+        letter = TreeWord((r.graft(tree.label),))
+        return psi(l).map_basis(lambda u: LinComb.term(u.concat(letter)))
+
+    return ck_coproduct(tree.children).fold(term)
 
 
 def psi_lin(x: LinComb) -> LinComb:

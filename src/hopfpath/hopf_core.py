@@ -12,9 +12,9 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
-from .linalg import LinComb, TensorComb
+from .linalg import LinComb, TensorComb, accum, bilinear
 from .symbols import (
     EMPTY_WORD,
     MultiIndex,
@@ -59,8 +59,7 @@ def shuffle_tuples(u: tuple, v: tuple) -> dict[tuple, int]:
         for p in range(n):
             if word[p] is None:
                 word[p] = next(rest)
-        key = tuple(word)
-        out[key] = out.get(key, 0) + 1
+        accum(out, tuple(word), 1)
     return out
 
 
@@ -73,8 +72,7 @@ def deshuffle_tuples(w: tuple) -> dict[tuple[tuple, tuple], int]:
             chosen = frozenset(subset)
             left = tuple(w[i] for i in range(n) if i in chosen)
             right = tuple(w[i] for i in range(n) if i not in chosen)
-            key = (left, right)
-            out[key] = out.get(key, 0) + 1
+            accum(out, (left, right), 1)
     return out
 
 
@@ -108,54 +106,43 @@ class HopfInstance:
     def one(self) -> LinComb:
         return LinComb.term(self.unit)
 
+    def memo(self, name: str) -> dict:
+        """A cache for data derived from the structure maps.
+
+        Keyed by the maps as well as the name: ``dataclasses.replace`` shares
+        ``_memo`` with the original, whose entries must not leak into a copy
+        with other maps.
+        """
+        return self._memo.setdefault((name, self.product_basis, self.coproduct_basis), {})
+
     def product(self, x: LinComb, y: LinComb, max_grade: int | None = None) -> LinComb:
         """Bilinear product; pairs beyond max_grade are skipped (grading)."""
-        acc: dict = {}
-        for b1, c1 in x:
-            for b2, c2 in y:
-                if max_grade is not None and b1.grade + b2.grade > max_grade:
-                    continue
-                c = c1 * c2
-                for b, c3 in self.product_basis(b1, b2):
-                    new = acc.get(b, 0) + c * c3
-                    if new:
-                        acc[b] = new
-                    else:
-                        acc.pop(b, None)
-        return LinComb(acc, _clean=True)
+        return LinComb(bilinear(x, y, self.product_basis, max_grade), _clean=True)
 
     def coproduct(self, x: LinComb) -> TensorComb:
-        acc = TensorComb.zero()
+        acc: dict = {}
         for b, c in x:
-            acc = acc + self.coproduct_basis(b).scale(c)
-        return acc
+            for lr, c2 in self.coproduct_basis(b):
+                accum(acc, lr, c * c2)
+        return TensorComb(acc, _clean=True)
 
     def reduced_coproduct(self, x: LinComb) -> TensorComb:
-        acc = self.coproduct(x)
-        acc = acc - TensorComb.of(self.one(), x)
-        acc = acc - TensorComb.of(x, self.one())
-        return acc
+        return self.coproduct(x) - TensorComb.of(self.one(), x) - TensorComb.of(x, self.one())
 
     def multiply_tensors(self, a: TensorComb, b: TensorComb) -> TensorComb:
         """Slot-wise product on tensors, (x1 (x) x2)(y1 (x) y2) = x1y1 (x) x2y2."""
-        acc: dict = {}
-        for (l1, r1), c1 in a:
-            for (l2, r2), c2 in b:
-                part = TensorComb.of(self.product_basis(l1, l2), self.product_basis(r1, r2))
-                for key, c in part:
-                    new = acc.get(key, 0) + c1 * c2 * c
-                    if new:
-                        acc[key] = new
-                    else:
-                        acc.pop(key, None)
-        return TensorComb(acc, _clean=True)
+
+        def pair_product(x: tuple, y: tuple) -> TensorComb:
+            return TensorComb.of(self.product_basis(x[0], y[0]), self.product_basis(x[1], y[1]))
+
+        return TensorComb(bilinear(a, b, pair_product), _clean=True)
 
     # -- antipodes ---------------------------------------------------------
 
     def antipode_basis(self, b, side: str = "right") -> LinComb:
         """Antipode by the reduced-coproduct recursion; memoized per basis element."""
         key = (b, side)
-        memo = self._memo.setdefault("antipode", {})
+        memo = self.memo("antipode")
         if key in memo:
             return memo[key]
         if b.grade == 0:
@@ -190,18 +177,6 @@ class HopfInstance:
         for k in range(n + 1):
             out.extend(self.basis(k))
         return tuple(out)
-
-
-def antipode_recursive(instance: HopfInstance, x: LinComb, side: str = "right") -> LinComb:
-    return instance.antipode(x, side)
-
-
-def antipode_closed(instance: HopfInstance, x: LinComb) -> LinComb:
-    return instance.antipode_closed(x)
-
-
-def reduced_coproduct(instance: HopfInstance, x: LinComb) -> TensorComb:
-    return instance.reduced_coproduct(x)
 
 
 def convolution(
@@ -362,14 +337,6 @@ def deconcat(w: Word) -> TensorComb:
     return shuffle_deconcat_instance(d).coproduct_basis(w)
 
 
-def poly_product(n: MultiIndex, m: MultiIndex) -> LinComb:
-    return LinComb.term(n + m)
-
-
-def poly_coproduct(n: MultiIndex) -> TensorComb:
-    return poly_instance(n.dim).coproduct_basis(n)
-
-
 def get_instance(name: str, d: int) -> HopfInstance:
     """Look up an instance by CLI name: poly, shuffle, concat, ck, gl."""
     if name in ("poly",):
@@ -397,10 +364,16 @@ class CheckEntry:
 
 
 @dataclass
-class AxiomReport:
-    instance: str
-    max_grade: int
+class CheckReport:
+    """Per-law outcome of one exact check run.
+
+    ``holder_ratios`` is filled by rough-path checks only; when it is
+    non-empty, the summary ends with its supremum.
+    """
+
+    title: str
     entries: list[CheckEntry] = field(default_factory=list)
+    holder_ratios: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -409,14 +382,22 @@ class AxiomReport:
     def failures(self) -> list[CheckEntry]:
         return [e for e in self.entries if not e.ok]
 
+    def run(self, law: str, failures: Iterator[str]):
+        """Record law as failed with the first witness the iterator yields, if any."""
+        witness = next(failures, None)
+        self.entries.append(CheckEntry(law, witness is None, witness or ""))
+
     def summary(self) -> str:
-        lines = [f"axiom check: {self.instance}, grade <= {self.max_grade}"]
+        lines = [self.title]
         for e in self.entries:
             status = "ok" if e.ok else "FAIL"
             line = f"  {e.law}: {status}"
             if not e.ok:
                 line += f"  witness: {e.witness}"
             lines.append(line)
+        if self.holder_ratios:
+            worst = max(self.holder_ratios.values())
+            lines.append(f"  empirical Hölder ratio sup (finite required): {worst:.6g}")
         return "\n".join(lines)
 
 
@@ -425,12 +406,7 @@ def _triple_left(instance: HopfInstance, x: LinComb) -> dict:
     acc: dict = {}
     for (l, r), c in instance.coproduct(x):
         for (l1, l2), c2 in instance.coproduct_basis(l):
-            key = (l1, l2, r)
-            new = acc.get(key, 0) + c * c2
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
+            accum(acc, (l1, l2, r), c * c2)
     return acc
 
 
@@ -438,12 +414,7 @@ def _triple_right(instance: HopfInstance, x: LinComb) -> dict:
     acc: dict = {}
     for (l, r), c in instance.coproduct(x):
         for (r1, r2), c2 in instance.coproduct_basis(r):
-            key = (l, r1, r2)
-            new = acc.get(key, 0) + c * c2
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
+            accum(acc, (l, r1, r2), c * c2)
     return acc
 
 
@@ -457,7 +428,7 @@ def random_lincomb(rng: random.Random, basis_pool: tuple, max_terms: int = 3) ->
 
 def check_axioms(
     instance: HopfInstance, max_grade: int, samples: int = 500, seed: int = 0
-) -> AxiomReport:
+) -> CheckReport:
     """Exact verification of the Hopf axioms up to a grade bound.
 
     Deterministic part: every law on all basis tuples whose total grade stays
@@ -466,7 +437,7 @@ def check_axioms(
     """
     if max_grade < 1:
         raise ValueError("max_grade must be >= 1")
-    report = AxiomReport(instance=instance.name, max_grade=max_grade)
+    report = CheckReport(f"axiom check: {instance.name}, grade <= {max_grade}")
     rng = random.Random(seed)
     one = instance.one()
 
@@ -476,10 +447,6 @@ def check_axioms(
     def lin(b) -> LinComb:
         return LinComb.term(b)
 
-    def run(law: str, failures_iter):
-        witness = next(failures_iter, None)
-        report.entries.append(CheckEntry(law, witness is None, witness or ""))
-
     # unit and counit
     def unit_failures():
         for b in all_basis:
@@ -487,7 +454,7 @@ def check_axioms(
             if instance.product(one, x) != x or instance.product(x, one) != x:
                 yield f"unit law fails on {b}"
 
-    run("unit", unit_failures())
+    report.run("unit", unit_failures())
 
     def counit_failures():
         for b in all_basis:
@@ -500,7 +467,7 @@ def check_axioms(
         if instance.counit_lin(one) != 1:
             yield "counit(1) != 1"
 
-    run("counit", counit_failures())
+    report.run("counit", counit_failures())
 
     # grading
     def grading_failures():
@@ -516,7 +483,7 @@ def check_axioms(
                 if l.grade + r.grade != b.grade:
                     yield f"coproduct not graded on {b}"
 
-    run("grading", grading_failures())
+    report.run("grading", grading_failures())
 
     # associativity on basis triples within the bound
     def assoc_failures():
@@ -526,7 +493,7 @@ def check_axioms(
             if lhs != rhs:
                 yield f"associativity fails on ({b1}, {b2}, {b3})"
 
-    run("associativity", assoc_failures())
+    report.run("associativity", assoc_failures())
 
     # coassociativity per basis element
     def coassoc_failures():
@@ -534,7 +501,7 @@ def check_axioms(
             if _triple_left(instance, lin(b)) != _triple_right(instance, lin(b)):
                 yield f"coassociativity fails on {b}"
 
-    run("coassociativity", coassoc_failures())
+    report.run("coassociativity", coassoc_failures())
 
     # compatibility 1-3
     def compat_failures():
@@ -551,7 +518,7 @@ def check_axioms(
             if instance.counit_lin(prod) != instance.counit(b1) * instance.counit(b2):
                 yield f"counit is not multiplicative on ({b1}, {b2})"
 
-    run("compatibility", compat_failures())
+    report.run("compatibility", compat_failures())
 
     # antipode law, both recursions, closed form
     def antipode_failures():
@@ -569,7 +536,7 @@ def check_axioms(
                 if instance.antipode_closed(x) != instance.antipode(x):
                     yield f"closed-form antipode disagrees on {b}"
 
-    run("antipode", antipode_failures())
+    report.run("antipode", antipode_failures())
 
     # randomized combinations
     def random_failures():
@@ -597,7 +564,7 @@ def check_axioms(
                 if left != one.scale(instance.counit_lin(x)):
                     yield f"random antipode failure (sample {i})"
 
-    run("random-combinations", random_failures())
+    report.run("random-combinations", random_failures())
     return report
 
 

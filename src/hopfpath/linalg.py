@@ -92,21 +92,21 @@ class LinComb:
         acc: dict = {}
         for b, c in self.terms.items():
             for b2, c2 in fn(b).terms.items():
-                _accum(acc, b2, c * c2)
+                accum(acc, b2, c * c2)
         return LinComb(acc, _clean=True)
 
     def __add__(self, other: "LinComb") -> "LinComb":
         self._check_compatible(other)
         acc = dict(self.terms)
         for b, c in other.terms.items():
-            _accum(acc, b, c)
+            accum(acc, b, c)
         return LinComb(acc, _clean=True)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         self._check_compatible(other)
         acc = dict(self.terms)
         for b, c in other.terms.items():
-            _accum(acc, b, -c)
+            accum(acc, b, -c)
         return LinComb(acc, _clean=True)
 
     def __neg__(self) -> "LinComb":
@@ -144,12 +144,29 @@ class LinComb:
         return format_lincomb(self)
 
 
-def _accum(acc: dict, key, value):
+def accum(acc: dict, key, value):
+    """Add value to acc[key] in place, dropping the key when the sum is zero."""
     new = acc.get(key, 0) + value
     if new:
         acc[key] = new
     else:
         acc.pop(key, None)
+
+
+def bilinear(x, y, fn: Callable, max_grade: int | None = None) -> dict:
+    """Bilinear extension of fn: (basis, basis) -> (basis, coeff) pairs.
+
+    x and y iterate as (basis, coeff) pairs; the result is the accumulated
+    coefficient dict.  Pairs whose grades sum past max_grade are skipped.
+    """
+    acc: dict = {}
+    for b1, c1 in x:
+        for b2, c2 in y:
+            if max_grade is None or b1.grade + b2.grade <= max_grade:
+                c = c1 * c2
+                for b, c3 in fn(b1, b2):
+                    accum(acc, b, c * c3)
+    return acc
 
 
 class TensorComb:
@@ -184,7 +201,7 @@ class TensorComb:
             room = None if max_grade is None else max_grade - b1.grade
             for b2, c2 in b.terms.items():
                 if room is None or b2.grade <= room:
-                    _accum(acc, (b1, b2), c1 * c2)
+                    accum(acc, (b1, b2), c1 * c2)
         return cls(acc, _clean=True)
 
     def is_zero(self) -> bool:
@@ -212,14 +229,14 @@ class TensorComb:
         acc: dict = {}
         for (l, r), c in self.terms.items():
             for l2, c2 in fn(l).terms.items():
-                _accum(acc, (l2, r), c * c2)
+                accum(acc, (l2, r), c * c2)
         return TensorComb(acc, _clean=True)
 
     def map_right(self, fn: Callable[[object], LinComb]) -> "TensorComb":
         acc: dict = {}
         for (l, r), c in self.terms.items():
             for r2, c2 in fn(r).terms.items():
-                _accum(acc, (l, r2), c * c2)
+                accum(acc, (l, r2), c * c2)
         return TensorComb(acc, _clean=True)
 
     def fold(self, fn: Callable[[object, object], LinComb]) -> LinComb:
@@ -227,19 +244,19 @@ class TensorComb:
         acc: dict = {}
         for (l, r), c in self.terms.items():
             for b, c2 in fn(l, r).terms.items():
-                _accum(acc, b, c * c2)
+                accum(acc, b, c * c2)
         return LinComb(acc, _clean=True)
 
     def __add__(self, other: "TensorComb") -> "TensorComb":
         acc = dict(self.terms)
         for bb, c in other.terms.items():
-            _accum(acc, bb, c)
+            accum(acc, bb, c)
         return TensorComb(acc, _clean=True)
 
     def __sub__(self, other: "TensorComb") -> "TensorComb":
         acc = dict(self.terms)
         for bb, c in other.terms.items():
-            _accum(acc, bb, -c)
+            accum(acc, bb, -c)
         return TensorComb(acc, _clean=True)
 
     def __neg__(self) -> "TensorComb":

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .hopf_ck import ck_coproduct
-from .linalg import LinComb, TensorComb
+from .hopf_core import CheckReport
+from .hopf_ck import ck_coproduct, ck_instance, forest_product
+from .linalg import LinComb, TensorComb, accum, bilinear
 from .roughpath import PiecewiseLinearPath, RoughLift, branched_lift_fn, to_fraction
 from .series import TruncatedElement, is_grouplike
 from .symbols import EMPTY_FOREST, Forest, forests_up_to, trees
@@ -117,24 +118,19 @@ def derivative_map(x: LinComb) -> LinComb:
     return x.map_basis(on_basis)
 
 
-def branched_comodule_coproduct(x: LinComb) -> TensorComb:
-    return comodule_coproduct(x)
-
-
 def comodule_coproduct(x: LinComb) -> TensorComb:
     """Coaction of the forest coalgebra on the model space (mixed tensor)."""
-    acc = TensorComb.zero()
+    acc: dict = {}
     for b, c in x:
         if isinstance(b, Forest):
-            acc = acc + ck_coproduct(b).scale(c)
+            part = ck_coproduct(b)
         elif isinstance(b, DottedForest):
-            part = {}
-            for (l, r), m in ck_coproduct(b.forest):
-                part[(l, DottedForest(r, b.letter))] = m
-            acc = acc + TensorComb(part, _clean=True).scale(c)
+            part = (((l, DottedForest(r, b.letter)), m) for (l, r), m in ck_coproduct(b.forest))
         else:
             raise SectorError(f"not a model-space symbol: {b!r}")
-    return acc
+        for lr, m in part:
+            accum(acc, lr, c * m)
+    return TensorComb(acc, _clean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -182,33 +178,22 @@ class Character:
 
 def struct_action(g: Character, x: LinComb, flavor: str = "left") -> LinComb:
     """(g (x) id) Delta (left) or (id (x) g) Delta (right) on forests."""
-    acc = LinComb.zero()
-    for b, c in x:
+
+    def on_basis(b) -> LinComb:
         if not isinstance(b, Forest):
             raise SectorError("struct_action acts on forest combinations")
-        cop = ck_coproduct(b)
         if flavor == "left":
-            part = cop.fold(lambda l, r: LinComb.term(r, g(l)))
-        elif flavor == "right":
-            part = cop.fold(lambda l, r: LinComb.term(l, g(r)))
-        else:
-            raise ValueError(f"unknown flavor {flavor!r}")
-        acc = acc + part.scale(c)
-    return acc
+            return ck_coproduct(b).fold(lambda l, r: LinComb.term(r, g(l)))
+        if flavor == "right":
+            return ck_coproduct(b).fold(lambda l, r: LinComb.term(l, g(r)))
+        raise ValueError(f"unknown flavor {flavor!r}")
+
+    return x.map_basis(on_basis)
 
 
 def comodule_action(g: Character, x: LinComb) -> LinComb:
     """(g (x) id) applied to the comodule coproduct; acts on the full model space."""
-    acc: dict = {}
-    for (l, r), c in comodule_coproduct(x):
-        v = c * g(l)
-        if v:
-            new = acc.get(r, 0) + v
-            if new:
-                acc[r] = new
-            else:
-                acc.pop(r, None)
-    return LinComb(acc, _clean=True)
+    return comodule_coproduct(x).fold(lambda l, r: LinComb.term(r, g(l)))
 
 
 def structure_map_witness(
@@ -256,15 +241,9 @@ def structure_map_witness(
             lhs = gamma_map(prod)
             ga = gamma_map(LinComb.term(a))
             gb = gamma_map(LinComb.term(b))
-            rhs: dict = {}
-            for fa, ca in ga:
-                for db, cb in gb:
-                    key = DottedForest(fa.mul(db.forest), db.letter)
-                    new = rhs.get(key, 0) + ca * cb
-                    if new:
-                        rhs[key] = new
-                    else:
-                        rhs.pop(key, None)
+            rhs = bilinear(
+                ga, gb, lambda fa, db: ((DottedForest(fa.mul(db.forest), db.letter), 1),)
+            )
             if lhs != LinComb(rhs, _clean=True):
                 return f"(iv) fails: Gamma not multiplicative on ({a}, {b})"
     return None
@@ -315,49 +294,20 @@ def model_from_lift(lift: RoughLift, gamma, grid: Sequence | None = None) -> Mod
     return Model(lift=lift, gamma=gamma, level=lift.level)
 
 
-@dataclass
-class ModelCheckEntry:
-    law: str
-    ok: bool
-    witness: str = ""
-
-
-@dataclass
-class ModelReport:
-    entries: list[ModelCheckEntry] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def summary(self) -> str:
-        lines = ["model check"]
-        for e in self.entries:
-            status = "ok" if e.ok else "FAIL"
-            line = f"  {e.law}: {status}"
-            if not e.ok:
-                line += f"  witness: {e.witness}"
-            lines.append(line)
-        return "\n".join(lines)
-
-
-def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> ModelReport:
+def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> CheckReport:
     """Exact verification of the model identities on all grid tuples."""
     grid = [to_fraction(u) for u in grid]
     max_grade = model.level if max_grade is None else max_grade
     basis = forests_up_to(model.lift.dim, max_grade)
-    report = ModelReport()
-
-    def run(law: str, failures_iter):
-        witness = next(failures_iter, None)
-        report.entries.append(ModelCheckEntry(law, witness is None, witness or ""))
+    ck = ck_instance(model.lift.dim)
+    report = CheckReport("model check")
 
     def evaluation_failures():
         for s in grid:
             if model.pi(s, LinComb.term(EMPTY_FOREST), grid[0]) != 1:
                 yield f"Pi_s 1 != 1 at s={s}"
 
-    run("unit-evaluation", evaluation_failures())
+    report.run("unit-evaluation", evaluation_failures())
 
     def translation_failures():
         # Pi_u Gamma_us = Pi_s, tested coefficient-wise on the basis
@@ -372,7 +322,7 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> M
                             yield f"Pi_u Gamma_us != Pi_s at (s,u,t)=({s},{u},{t}), {b}"
                             return
 
-    run("evaluation-translation", translation_failures())
+    report.run("evaluation-translation", translation_failures())
 
     def cocycle_failures():
         for s in grid:
@@ -388,7 +338,7 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> M
                             yield f"cocycle fails at ({s},{u},{t}) on {b}"
                             return
 
-    run("cocycle", cocycle_failures())
+    report.run("cocycle", cocycle_failures())
 
     def intertwining_failures():
         # Delta Gamma = (Gamma (x) id) Delta
@@ -396,15 +346,13 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> M
             for t in grid:
                 gm = model.gamma_st(s, t)
                 for b in basis:
-                    lhs = TensorComb.zero()
-                    for b2, c in gm(LinComb.term(b)):
-                        lhs = lhs + ck_coproduct(b2).scale(c)
+                    lhs = ck.coproduct(gm(LinComb.term(b)))
                     rhs = ck_coproduct(b).map_left(lambda l: gm(LinComb.term(l)))
                     if lhs != rhs:
                         yield f"intertwining fails at ({s},{t}) on {b}"
                         return
 
-    run("coproduct-intertwining", intertwining_failures())
+    report.run("coproduct-intertwining", intertwining_failures())
 
     def grading_failures():
         for s in grid:
@@ -416,7 +364,7 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> M
                         yield f"Gamma does not lower grade at ({s},{t}) on {b}"
                         return
 
-    run("grade-lowering", grading_failures())
+    report.run("grade-lowering", grading_failures())
     return report
 
 
@@ -536,21 +484,6 @@ class VectorField:
 # composition with a function (truncated Taylor series in the sector)
 
 
-def _forest_mul_lin(x: LinComb, y: LinComb, max_grade: int) -> LinComb:
-    acc: dict = {}
-    for a, ca in x:
-        for b, cb in y:
-            if a.grade + b.grade > max_grade:
-                continue
-            key = a.mul(b)
-            new = acc.get(key, 0) + ca * cb
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
-    return LinComb(acc, _clean=True)
-
-
 def compose_with_function(
     Y: LinComb, f: ScalarField, alpha, gamma, xi: int | None = None
 ) -> LinComb:
@@ -571,23 +504,21 @@ def compose_with_function(
     max_grade = max((k for k in range(order + 1) if gamma * k < alpha), default=0)
     y0 = Y.coeff(EMPTY_FOREST)
     pure = Y - LinComb.term(EMPTY_FOREST, y0) if y0 else Y
-    acc = LinComb.term(EMPTY_FOREST, f.derivative(0)(y0))
+    acc = dict(LinComb.term(EMPTY_FOREST, f.derivative(0)(y0)).terms)
     power = LinComb.term(EMPTY_FOREST)
     factorial = 1
     for n in range(1, order + 1):
-        power = _forest_mul_lin(power, pure, max_grade)
+        power = forest_product(power, pure, max_grade)
         if power.is_zero():
             break
         factorial *= n
         coeff = f.derivative(n)(y0) * Fraction(1, factorial)
-        scaled = {b: c * coeff for b, c in power.terms.items() if c * coeff != 0}
-        acc = acc + LinComb(scaled, _clean=True)
-    acc = acc.truncate(max_grade)
+        for b, c in power:
+            accum(acc, b, c * coeff)
+    out = LinComb(acc, _clean=True).truncate(max_grade)
     if xi is None:
-        return acc
-    return LinComb(
-        {DottedForest(b, xi): c for b, c in acc.terms.items()}, _clean=True
-    )
+        return out
+    return LinComb({DottedForest(b, xi): c for b, c in out.terms.items()}, _clean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +564,8 @@ def picard_solve(
     end = path.times[-1] if T is None else to_fraction(T)
     if end <= start:
         raise ValueError("T must exceed the path start time")
+    if end > path.times[-1]:
+        raise ValueError(f"T={end} is past the last knot of the path, t={path.times[-1]}")
 
     samples: list[tuple[Fraction, object]] = [(start, y0)]
     s, y = start, y0

@@ -12,11 +12,18 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .hopf_core import HopfInstance, concat_deshuffle_instance, shuffle_deconcat_instance
+from .hopf_core import (
+    CheckEntry,
+    CheckReport,
+    HopfInstance,
+    concat_deshuffle_instance,
+    shuffle_deconcat_instance,
+)
 from .hopf_ck import (
     ck_reduced_coproduct,
     gl_instance,
@@ -29,8 +36,11 @@ from .series import TruncatedElement, homog_norm, is_grouplike, trunc_one
 from .symbols import (
     EMPTY_WORD,
     Forest,
+    Tree,
     Word,
+    forests,
     forests_up_to,
+    multiplicative,
     words_up_to,
 )
 
@@ -186,7 +196,7 @@ def _word_segment(increment: tuple[Fraction, ...], level: int, d: int) -> LinCom
                 v = increment[i - 1]
                 if v == 0:
                     continue
-                nxt[letters + (i,)] = nxt.get(letters + (i,), Fraction(0)) + c * v
+                nxt[letters + (i,)] = c * v
         frontier = nxt
         fact = Fraction(1, math.factorial(k))
         for letters, c in frontier.items():
@@ -196,22 +206,12 @@ def _word_segment(increment: tuple[Fraction, ...], level: int, d: int) -> LinCom
 
 def _forest_segment(increment: tuple[Fraction, ...], level: int, d: int) -> LinComb:
     # coefficient recursion: a(|z|_i) = a(z) * v_i / (|z| + 1), multiplicative on forests
-    from .symbols import forests
-
-    @functools.lru_cache(maxsize=None)
-    def coefficient(f: Forest) -> Fraction:
-        if f.is_empty():
-            return Fraction(1)
-        if f.tree_count() == 1:
-            tree = f.items[0][0]
-            v = increment[tree.label - 1]
-            if v == 0:
-                return Fraction(0)
-            return coefficient(tree.children) * v / tree.grade
-        out = Fraction(1)
-        for tree in f.trees():
-            out *= coefficient(tree.as_forest())
-        return out
+    @multiplicative(Fraction(1), operator.mul)
+    def coefficient(tree: Tree) -> Fraction:
+        v = increment[tree.label - 1]
+        if v == 0:
+            return Fraction(0)
+        return coefficient(tree.children) * v / tree.grade
 
     terms = {}
     for k in range(level + 1):
@@ -271,39 +271,6 @@ def branched_lift(path: PiecewiseLinearPath, s, t, level: int) -> TruncatedEleme
 # axiom checking
 
 
-@dataclass
-class RoughCheckEntry:
-    law: str
-    ok: bool
-    witness: str = ""
-
-
-@dataclass
-class RoughAxiomReport:
-    flavor: str
-    gamma: float
-    level: int
-    entries: list[RoughCheckEntry] = field(default_factory=list)
-    holder_ratios: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def summary(self) -> str:
-        lines = [f"rough-path check: {self.flavor}, gamma={self.gamma}, level={self.level}"]
-        for e in self.entries:
-            status = "ok" if e.ok else "FAIL"
-            line = f"  {e.law}: {status}"
-            if not e.ok:
-                line += f"  witness: {e.witness}"
-            lines.append(line)
-        if self.holder_ratios:
-            worst = max(self.holder_ratios.values())
-            lines.append(f"  empirical Hölder ratio sup (finite required): {worst:.6g}")
-        return "\n".join(lines)
-
-
 def _nonunit_basis(lift: RoughLift) -> list:
     if lift.flavor == "geometric":
         pool = words_up_to(lift.dim, lift.level)
@@ -314,26 +281,24 @@ def _nonunit_basis(lift: RoughLift) -> list:
 
 def check_rough_axioms(
     lift: RoughLift, config: RoughPathConfig, grid: Sequence
-) -> RoughAxiomReport:
+) -> CheckReport:
     """Exact character/Chen/inverse verification plus empirical Hölder ratios."""
     grid = [to_fraction(u) for u in grid]
     if len(grid) < 3:
         raise ValueError("grid needs at least 3 points")
     level = lift.level
-    report = RoughAxiomReport(flavor=lift.flavor, gamma=float(config.gamma), level=level)
+    report = CheckReport(
+        f"rough-path check: {lift.flavor}, gamma={float(config.gamma)}, level={level}"
+    )
     basis = _nonunit_basis(lift)
     algebra = lift.algebra
-
-    def run(law: str, failures_iter):
-        witness = next(failures_iter, None)
-        report.entries.append(RoughCheckEntry(law, witness is None, witness or ""))
 
     def identity_failures():
         for t in grid:
             if lift.eval(t, t) != trunc_one(level, algebra):
                 yield f"X_tt != 1 at t={t}"
 
-    run("identity", identity_failures())
+    report.run("identity", identity_failures())
 
     def grouplike_failures():
         for s in grid:
@@ -344,7 +309,7 @@ def check_rough_axioms(
                     yield f"not group-like at (s,t)=({s},{t}); defect term {first[0]} (x) {first[1]}"
                     return
 
-    run("group-like", grouplike_failures())
+    report.run("group-like", grouplike_failures())
 
     def character_failures():
         for s in grid:
@@ -364,7 +329,7 @@ def check_rough_axioms(
                             yield f"character fails at ({s},{t}) on ({b1}, {b2})"
                             return
 
-    run("character", character_failures())
+    report.run("character", character_failures())
 
     def chen_failures():
         for s in grid:
@@ -374,7 +339,7 @@ def check_rough_axioms(
                         yield f"Chen fails on (s,u,t)=({s},{u},{t})"
                         return
 
-    run("chen", chen_failures())
+    report.run("chen", chen_failures())
 
     def inverse_failures():
         for s in grid:
@@ -383,7 +348,7 @@ def check_rough_axioms(
                     yield f"inverse law fails on (s,t)=({s},{t})"
                     return
 
-    run("inverse", inverse_failures())
+    report.run("inverse", inverse_failures())
 
     # empirical Hölder ratios (floats; a lower bound of the true sup)
     gamma = float(config.gamma)
@@ -399,7 +364,7 @@ def check_rough_axioms(
                 ratios[b] = max(ratios[b], c / dt ** (gamma * b.grade))
     report.holder_ratios = {str(b): r for b, r in ratios.items()}
     report.entries.append(
-        RoughCheckEntry(
+        CheckEntry(
             "holder-finite",
             all(math.isfinite(r) for r in report.holder_ratios.values()),
         )
@@ -430,21 +395,22 @@ class QGammaSingularity(ValueError):
 
 
 @functools.lru_cache(maxsize=None)
-def _q_gamma_cached(f: Forest, gamma: Fraction) -> float:
-    if f.grade * gamma <= 1:
-        return 1.0
-    if f.tree_count() > 1:
-        out = 1.0
-        for tree in f.trees():
-            out *= _q_gamma_cached(tree.as_forest(), gamma)
-        return out
-    denom = 2.0 ** (float(gamma) * f.grade) - 2.0
-    if denom == 0:
-        raise QGammaSingularity(f"2^(gamma*|z|) = 2 at grade {f.grade}")
-    total = 0.0
-    for (l, r), c in ck_reduced_coproduct(f):
-        total += float(c) * _q_gamma_cached(l, gamma) * _q_gamma_cached(r, gamma)
-    return total / denom
+def _q_gamma_map(gamma: Fraction):
+    """The forest map q_gamma for one gamma, multiplicative over trees."""
+
+    @multiplicative(1.0, operator.mul)
+    def q(tree: Tree) -> float:
+        if tree.grade * gamma <= 1:
+            return 1.0
+        denom = 2.0 ** (float(gamma) * tree.grade) - 2.0
+        if denom == 0:
+            raise QGammaSingularity(f"2^(gamma*|z|) = 2 at grade {tree.grade}")
+        total = 0.0
+        for (l, r), c in ck_reduced_coproduct(tree.as_forest()):
+            total += float(c) * q(l) * q(r)
+        return total / denom
+
+    return q
 
 
 def q_gamma(f: Forest, gamma) -> float:
@@ -452,7 +418,7 @@ def q_gamma(f: Forest, gamma) -> float:
     gamma = to_fraction(gamma)
     if not 0 < gamma < 1:
         raise ValueError("gamma must be in (0, 1)")
-    return _q_gamma_cached(f, gamma)
+    return _q_gamma_map(gamma)(f)
 
 
 # ---------------------------------------------------------------------------

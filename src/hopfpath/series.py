@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hopf_core import HopfInstance, concat_deshuffle_instance
-from .linalg import LinComb, TensorComb, nullspace
+from .linalg import LinComb, TensorComb, accum, nullspace
 from .symbols import Forest, Word, forests, trees
 
 
@@ -114,12 +114,10 @@ class _ProductTable:
 
 
 def _product_table(algebra: HopfInstance, level: int) -> _ProductTable:
-    # keyed by the product too: dataclasses.replace shares _memo unless told not to
-    tables = algebra._memo.setdefault("product_table", {})
-    key = (level, algebra.product_basis)
-    table = tables.get(key)
+    tables = algebra.memo("product_table")
+    table = tables.get(level)
     if table is None:
-        table = tables[key] = _ProductTable(algebra, level)
+        table = tables[level] = _ProductTable(algebra, level)
     return table
 
 
@@ -129,7 +127,7 @@ class TruncatedElement:
 
     ``mul`` runs an exact integer kernel: the structure constants of the
     (algebra, level) pair are tabulated once per instance (``_ProductTable``,
-    kept in the instance's ``_memo``), and each operand is read as integer
+    kept in ``HopfInstance.memo``), and each operand is read as integer
     numerators over one shared denominator.  Elements with a float
     coefficient take ``HopfInstance.product``, which is also the reference the
     kernel is tested against.
@@ -312,10 +310,11 @@ def _rnb_word(w: Word) -> LinComb:
     if w.grade == 1:
         return LinComb.term(w)
     head = Word(w.letters[:1])
-    acc = LinComb.zero()
+    acc: dict = {}
     for u, c in _rnb_word(Word(w.letters[1:])):
-        acc = acc + LinComb.term(head.concat(u), c) - LinComb.term(u.concat(head), c)
-    return acc
+        accum(acc, head.concat(u), c)
+        accum(acc, u.concat(head), -c)
+    return LinComb(acc, _clean=True)
 
 
 def right_norm_bracketing(x: LinComb) -> LinComb:

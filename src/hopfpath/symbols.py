@@ -277,13 +277,32 @@ class Forest:
 EMPTY_FOREST = Forest()
 
 
-def single_node(label: int) -> Tree:
-    return Tree(label)
+def multiplicative(one, mul):
+    """Decorator extending a map on trees multiplicatively over forests.
 
+    The decorated ``on_tree`` becomes a memoized forest map F with F(1) = one,
+    F(t) = on_tree(t) and F(t rest) = mul(on_tree(t), F(rest)) for t the first
+    tree in canonical order; ``on_tree`` is memoized as well.
+    """
 
-def canonical_sort(trees: Iterable[Tree]) -> Forest:
-    """Build the canonical forest of an arbitrary tree sequence."""
-    return Forest.of(*trees)
+    def extend(on_tree):
+        on_tree = functools.lru_cache(maxsize=None)(on_tree)
+
+        @functools.lru_cache(maxsize=None)
+        @functools.wraps(on_tree)
+        def on_forest(f: Forest):
+            if not f.items:
+                return one
+            (tree, mult), rest = f.items[0], f.items[1:]
+            if mult > 1:
+                rest = ((tree, mult - 1),) + rest
+            elif not rest:
+                return on_tree(tree)
+            return mul(on_tree(tree), on_forest(Forest(rest)))
+
+        return on_forest
+
+    return extend
 
 
 BasisElement = MultiIndex | Word | Forest

@@ -200,6 +200,10 @@ class TestRoughCommands:
         assert t_end == "1"
         assert abs(float(y_end) - 2.718281828) < 1e-6
 
+    def test_rde_end_time_past_path_exit_2(self, capsys, line_csv):
+        code, out, err = run(capsys, "rde", line_csv, "--step", "1/2", "--T", "2")
+        assert code == 2 and out == "" and "past the last knot" in err
+
     def test_byte_identical_reruns(self, capsys, path_csv):
         outs = set()
         for _ in range(2):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -368,3 +369,59 @@ class TestCheckAxioms:
         laws = {e.law for e in report.failures()}
         assert "coassociativity" in laws or "counit" in laws
         assert any(e.witness for e in report.failures())
+
+
+def doubled_product(base: HopfInstance):
+    """The product of base with every pair of non-units doubled."""
+
+    def product(u, v):
+        out = base.product_basis(u, v)
+        return out.scale(2) if u.grade and v.grade else out
+
+    return product
+
+
+class TestReplacedInstance:
+    def test_antipode_memo_not_shared_with_replaced_copy(self):
+        # dataclasses.replace shares _memo; the copy must not see the
+        # original's memoized antipodes
+        base = concat_deshuffle_instance(2)
+        x = LinComb.term(W(1, 2))
+        assert base.antipode(x) == LinComb.term(W(2, 1))
+        copy = dataclasses.replace(base, product_basis=doubled_product(base))
+        assert copy.antipode(x) == LinComb.term(W(1, 2)) + LinComb.term(W(2, 1), 2)
+        assert base.antipode(x) == LinComb.term(W(2, 1))
+
+
+class TestReportText:
+    """The exact summary() text, pinned so the report layer cannot drift."""
+
+    def test_passing_summary(self):
+        report = check_axioms(concat_deshuffle_instance(2), 3, samples=30)
+        assert report.summary() == (
+            "axiom check: concat_deshuffle, grade <= 3\n"
+            "  unit: ok\n"
+            "  counit: ok\n"
+            "  grading: ok\n"
+            "  associativity: ok\n"
+            "  coassociativity: ok\n"
+            "  compatibility: ok\n"
+            "  antipode: ok\n"
+            "  random-combinations: ok"
+        )
+
+    def test_failing_summary(self):
+        base = concat_deshuffle_instance(2)
+        broken = dataclasses.replace(base, product_basis=doubled_product(base), _memo={})
+        report = check_axioms(broken, 3, samples=30)
+        assert report.summary() == (
+            "axiom check: concat_deshuffle, grade <= 3\n"
+            "  unit: ok\n"
+            "  counit: ok\n"
+            "  grading: ok\n"
+            "  associativity: ok\n"
+            "  coassociativity: ok\n"
+            "  compatibility: FAIL  witness: Delta is not an algebra morphism on (1, 1)\n"
+            "  antipode: FAIL  witness: closed-form antipode disagrees on 11\n"
+            "  random-combinations: FAIL  witness: random compatibility failure (sample 1)"
+        )

@@ -234,6 +234,17 @@ class TestModel:
         report = check_model(MODEL, GRID[:4], 3)
         assert report.passed, report.summary()
 
+    def test_summary_text(self):
+        report = check_model(MODEL, GRID[:4], 3)
+        assert report.summary() == (
+            "model check\n"
+            "  unit-evaluation: ok\n"
+            "  evaluation-translation: ok\n"
+            "  cocycle: ok\n"
+            "  coproduct-intertwining: ok\n"
+            "  grade-lowering: ok"
+        )
+
     def test_gamma_tt_identity(self):
         gm = MODEL.gamma_st(Fraction(1, 4), Fraction(1, 4))
         for f in forests_up_to(2, 3):
@@ -365,6 +376,13 @@ class TestPicard:
         sol = picard_solve(LINE, vf, Fraction(0), Fraction(3, 10), 3, Fraction(5))
         assert sol == [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
 
+    def test_end_time_past_last_knot_rejected(self):
+        vf = VectorField.from_spec("const:1", 1)
+        with pytest.raises(ValueError, match="past the last knot"):
+            picard_solve(LINE, vf, Fraction(0), Fraction(3, 10), 3, Fraction(1, 2), T=2)
+        sol = picard_solve(LINE, vf, Fraction(0), Fraction(3, 10), 3, Fraction(1, 2), T=1)
+        assert sol[-1] == (Fraction(1), Fraction(1))
+
     def test_spec_parsing(self):
         assert VectorField.from_spec("const:3", 2).components[0](10) == 3
         assert VectorField.from_spec("poly:1,2", 1).components[0](Fraction(1, 2)) == 2
@@ -381,9 +399,3 @@ class TestInvariantRates:
             sol = picard_solve(LINE, vf, Fraction(1), Fraction(3, 10), 4, h)
             errs.append(abs(float(sol[-1][1]) - math.e) / math.e)
         assert errs[0] / errs[1] >= 2 ** (4 - 0.5)
-
-    def test_comodule_alias(self):
-        from hopfpath.model_rde import branched_comodule_coproduct
-
-        x = LinComb.term(DottedForest(dot1, 2))
-        assert branched_comodule_coproduct(x) == comodule_coproduct(x)

@@ -23,7 +23,7 @@ from hopfpath.roughpath import (
     signature,
     signature_lift,
 )
-from hopfpath.series import is_grouplike, trunc_one
+from hopfpath.series import TruncatedElement, is_grouplike, trunc_one
 from hopfpath.symbols import EMPTY_FOREST, Forest, Tree, Word, forests, words_up_to
 
 
@@ -211,6 +211,43 @@ class TestAxiomChecks:
         failing = {e.law: e.witness for e in report.entries if not e.ok}
         assert "chen" in failing
         assert "(s,u,t)" in failing["chen"]
+
+    def test_passing_summary_text(self):
+        cfg = RoughPathConfig.make(Fraction(2, 5), "geometric")
+        report = check_rough_axioms(signature_lift(PATH_2D, 2), cfg, GRID)
+        assert report.summary() == (
+            "rough-path check: geometric, gamma=0.4, level=2\n"
+            "  identity: ok\n"
+            "  group-like: ok\n"
+            "  character: ok\n"
+            "  chen: ok\n"
+            "  inverse: ok\n"
+            "  holder-finite: ok\n"
+            "  empirical Hölder ratio sup (finite required): 1.7411"
+        )
+
+    def test_failing_summary_text(self):
+        lift = signature_lift(PATH_2D, 2)
+        shift = LinComb.term(W(1, 2))
+
+        def perturbed(s, t):
+            elt = lift.eval(s, t)
+            if s == t:
+                return elt
+            return TruncatedElement(elt.value + shift, elt.level, elt.algebra)
+
+        cfg = RoughPathConfig.make(Fraction(2, 5), "geometric")
+        report = check_rough_axioms(RoughLift("geometric", 2, 2, perturbed), cfg, GRID)
+        assert report.summary() == (
+            "rough-path check: geometric, gamma=0.4, level=2\n"
+            "  identity: ok\n"
+            "  group-like: FAIL  witness: not group-like at (s,t)=(0,1/4); defect term 1 (x) 2\n"
+            "  character: FAIL  witness: character fails at (0,1/4) on (1, 2)\n"
+            "  chen: FAIL  witness: Chen fails on (s,u,t)=(0,1/4,0)\n"
+            "  inverse: FAIL  witness: inverse law fails on (s,t)=(0,1/4)\n"
+            "  holder-finite: ok\n"
+            "  empirical Hölder ratio sup (finite required): 3.78929"
+        )
 
     def test_grid_size_validated(self):
         cfg = RoughPathConfig.make(Fraction(2, 5), "geometric")

@@ -12,10 +12,10 @@ from hopfpath.symbols import (
     ParseError,
     Tree,
     Word,
-    canonical_sort,
     forests,
     grade,
     multi_indices,
+    multiplicative,
     parse_expr,
     trees,
     words,
@@ -54,8 +54,8 @@ class TestCanonicalForm:
         assert str(f) == "[]_1 [[]_1]_2"
 
     def test_idempotent(self):
-        f = canonical_sort([t(2), t(1), t(1)])
-        assert canonical_sort(f.trees()) == f
+        f = Forest.of(t(2), t(1), t(1))
+        assert Forest.of(*f.trees()) == f
 
     def test_multiplicities_merge(self):
         f = Forest.of(t(1)).mul(Forest.of(t(1)))
@@ -64,9 +64,27 @@ class TestCanonicalForm:
 
     def test_product_commutes_for_permuted_lists(self):
         parts = [t(1), t(2, t(1)), t(1, t(1), t(2))]
-        a = canonical_sort(parts)
-        b = canonical_sort(reversed(parts))
+        a = Forest.of(*parts)
+        b = Forest.of(*reversed(parts))
         assert a == b and hash(a) == hash(b)
+
+
+class TestMultiplicative:
+    def test_first_tree_times_rest_in_canonical_order(self):
+        calls = []
+
+        # string concatenation is not commutative, so the factor order shows
+        @multiplicative("", lambda a, b: a + b)
+        def labels(tree: Tree) -> str:
+            calls.append(tree)
+            return f"<{labels(tree.children)}{tree.label}>"
+
+        f = Forest.of(t(2, t(1)), t(1), t(2), t(1))
+        assert labels(EMPTY_FOREST) == ""
+        assert labels(f) == "<1><1><2><<1>2>"
+        assert labels(f) == "".join(labels(tree.as_forest()) for tree in f.trees())
+        # each distinct tree is evaluated once
+        assert sorted(calls) == sorted({t(1), t(2), t(2, t(1))})
 
 
 class TestParsing:
