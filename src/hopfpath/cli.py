@@ -22,7 +22,7 @@ from .linalg import (
     pair,
     tensorcomb_to_json,
 )
-from .model_rde import VectorField, picard_solve
+from .model_rde import ModelError, VectorField, picard_solve
 from .roughpath import (
     PiecewiseLinearPath,
     RoughPathConfig,
@@ -96,6 +96,24 @@ def _single_forest(args, text: str):
 
 def _truncated(args, x: LinComb) -> TruncatedElement:
     return TruncatedElement.make(x, args.truncation, get_instance(args.algebra, args.dim))
+
+
+def _emit_samples(samples):
+    """Print rde samples as CSV; name on stderr the first float after an exact start."""
+    if not samples:
+        return
+    print("t,y")
+    for t, y in samples:
+        try:
+            print(f"{float(t):.12g},{float(y):.12g}")
+        except OverflowError:
+            raise ModelError(
+                f"the exact state at t={float(t):.12g} is outside the floating range"
+            ) from None
+    floats = [t for t, y in samples if isinstance(y, float)]
+    if floats and not isinstance(samples[0][1], float):
+        print(f"note: the state left exact arithmetic at t={float(floats[0]):.12g}; "
+              "it and later samples are floats", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -286,18 +304,14 @@ def _dispatch(args) -> int:
     if cmd == "rde":
         path = PiecewiseLinearPath.from_csv(args.path)
         field = VectorField.from_spec(args.field, path.dim)
-        samples = picard_solve(
-            path,
-            field,
-            Fraction(args.y0),
-            _gamma(args),
-            args.level,
-            Fraction(args.step),
-            T=Fraction(args.T) if args.T is not None else None,
-        )
-        print("t,y")
-        for t, y in samples:
-            print(f"{float(t):.12g},{float(y):.12g}")
+        end = Fraction(args.T) if args.T is not None else None
+        try:
+            samples = picard_solve(path, field, Fraction(args.y0), _gamma(args), args.level,
+                                   Fraction(args.step), T=end)
+        except ModelError as exc:
+            _emit_samples(exc.samples)
+            raise
+        _emit_samples(samples)
         return 0
     raise ValueError(f"unknown command {cmd!r}")
 

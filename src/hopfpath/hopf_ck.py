@@ -161,11 +161,12 @@ def _attach_everywhere(base: Forest, tree: Tree) -> set[Forest]:
 
 
 @functools.lru_cache(maxsize=None)
-def _graft_candidates(crown: Forest, trunk: Forest) -> frozenset[Forest]:
+def _graft_candidates(crown: Forest, trunk: Forest) -> tuple[Forest, ...]:
+    """Forests made by grafting the crown's trees onto the trunk, in canonical order."""
     candidates = {trunk}
     for tree in crown.trees():
         candidates = {z for base in candidates for z in _attach_everywhere(base, tree)}
-    return frozenset(candidates)
+    return tuple(sorted(candidates, key=Forest.sort_key))
 
 
 @functools.lru_cache(maxsize=None)

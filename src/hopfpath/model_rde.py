@@ -2,10 +2,10 @@
 
 The model space for the rough ODE splits into a function-like sector spanned
 by the unit and single trees and a dotted sector of forest-times-noise
-symbols.  The Picard step iterates the abstract fixed point on symbol
-coefficients (nilpotent, so it stabilizes) and advances the state by
-evaluating the branched lift, which realizes the Heaviside-kernel convolution
-exactly on piecewise-linear drivers.
+symbols.  The Picard step takes the abstract fixed point on symbol
+coefficients in closed form (the elementary-differential recursion over trees)
+and advances the state by evaluating the branched lift, which realizes the
+Heaviside-kernel convolution exactly on piecewise-linear drivers.
 """
 from __future__ import annotations
 
@@ -24,7 +24,8 @@ from .symbols import EMPTY_FOREST, Forest, forests_up_to, trees
 
 
 class ModelError(ValueError):
-    pass
+    # the samples a solve computed before it failed, set by picard_solve
+    samples: Sequence = ()
 
 
 class SectorError(ValueError):
@@ -535,13 +536,15 @@ def picard_solve(
     T=None,
     lift: RoughLift | None = None,
 ) -> list[tuple[Fraction, object]]:
-    """Step-local Picard iteration for dy = sum_i f_i(y) dx^i.
+    """Step-local Picard solve of dy = sum_i f_i(y) dx^i.
 
-    Within each step the abstract fixed point is iterated on symbol
-    coefficients frozen at the step base; nilpotency makes it stationary in at
-    most level+1 sweeps.  The state is then advanced by evaluating the
-    coefficients against the exact branched lift (translation to the next base
-    point), which realizes the kernel convolution without quadrature.
+    Each step takes the fixed point of the abstract Picard map at the step
+    base in closed form (``_picard_step_coefficients``: one pass over trees up
+    to ``level``) and advances the state by evaluating those coefficients
+    against the exact branched lift over the step, which realizes the kernel
+    convolution without quadrature.  An exact state that outgrows
+    ``_EXACT_STATE_BITS`` continues as a float.  A ModelError raised during
+    the steps carries the samples computed so far in ``samples``.
     """
     gamma = to_fraction(gamma)
     if not 0 < gamma < 1:
@@ -569,23 +572,25 @@ def picard_solve(
 
     samples: list[tuple[Fraction, object]] = [(start, y0)]
     s, y = start, y0
-    while s < end:
-        if isinstance(y, float) and not math.isfinite(y):
-            raise ModelError(f"non-finite state at t={float(s)}")
-        t = min(s + step, end)
-        try:
-            coeffs = _picard_step_coefficients(field, y, level)
-            elt = lift.eval(s, t)
-            y_next = 0
-            for f, c in coeffs.items():
-                y_next = y_next + c * elt.coeff(f)
-        except OverflowError:
-            raise ModelError(f"non-finite state at t={float(t)}") from None
-        if isinstance(y_next, float) and not math.isfinite(y_next):
-            raise ModelError(f"non-finite state at t={float(t)}")
-        y_next = _demote_if_huge(y_next)
-        samples.append((t, y_next))
-        s, y = t, y_next
+    try:
+        while s < end:
+            if isinstance(y, float) and not math.isfinite(y):
+                raise ModelError(f"non-finite state at t={float(s)}")
+            t = min(s + step, end)
+            try:
+                coeffs = _picard_step_coefficients(field, y, level)
+                elt = lift.eval(s, t)
+                y_next = sum(c * elt.coeff(f) for f, c in coeffs.items())
+            except OverflowError:
+                raise ModelError(f"non-finite state at t={float(t)}") from None
+            if isinstance(y_next, float) and not math.isfinite(y_next):
+                raise ModelError(f"non-finite state at t={float(t)}")
+            y_next = _demote_if_huge(y_next)
+            samples.append((t, y_next))
+            s, y = t, y_next
+    except ModelError as exc:
+        exc.samples = samples
+        raise
     return samples
 
 
@@ -609,50 +614,30 @@ def _demote_if_huge(y):
     return y
 
 
-def _picard_step_coefficients(field: VectorField, y_base, level: int) -> dict:
-    """Fixed point of c -> y 1 + I(sum_i f_i(c) Xi_i) on symbol coefficients."""
-    derivs = []
-    for comp in field.components:
-        derivs.append([comp.derivative(n)(y_base) for n in range(level)])
+def _picard_step_coefficients(field: VectorField, y, level: int) -> dict:
+    """Fixed point of Y = y 1 + sum_i I(f_i(Y) Xi_i), in one pass over trees.
 
-    coeffs: dict = {EMPTY_FOREST: y_base}
-    for _sweep in range(level + 1):
-        new: dict = {EMPTY_FOREST: y_base}
-        pure = {f: c for f, c in coeffs.items() if not f.is_empty()}
-        for i, comp_derivs in enumerate(derivs, start=1):
-            taylor = _taylor_on_symbols(comp_derivs, pure, level - 1)
-            for f, c in taylor.items():
-                tree = f.graft(i).as_forest()
-                prev = new.get(tree, 0)
-                new[tree] = prev + c
-        new = {f: c for f, c in new.items() if c != 0 or f.is_empty()}
-        if new == coeffs:
-            return coeffs
-        coeffs = new
-    raise ModelError("Picard iteration did not stabilize in level + 1 sweeps")
+    Its coefficients are the elementary differentials of branched rough paths
+    (Gubinelli, "Ramification of rough paths", JDE 2010; Hairer and Kelly,
+    "Geometric versus non-geometric rough paths", 2015), with k = m_1+...+m_r:
 
+        c(|t_1^m_1 ... t_r^m_r|_i) = f_i^(k)(y) * prod_j c(t_j)^m_j / m_j!
 
-def _taylor_on_symbols(comp_derivs: list, pure: dict, max_grade: int) -> dict:
-    """sum_n f^(n)(y)/n! * (pure part)^n, truncated at max_grade."""
-    acc: dict = {EMPTY_FOREST: comp_derivs[0]}
-    power: dict = {EMPTY_FOREST: 1}
-    factorial = 1
-    for n in range(1, len(comp_derivs)):
-        nxt: dict = {}
-        for a, ca in power.items():
-            for b, cb in pure.items():
-                if a.grade + b.grade > max_grade:
-                    continue
-                key = a.mul(b)
-                nxt[key] = nxt.get(key, 0) + ca * cb
-        power = nxt
-        if not power:
-            break
-        factorial *= n
-        coeff = comp_derivs[n]
-        if coeff == 0:
-            continue
-        inv_fact = Fraction(1, factorial)
-        for f, c in power.items():
-            acc[f] = acc.get(f, 0) + coeff * c * inv_fact
-    return {f: c for f, c in acc.items() if c != 0}
+    Trees come in grade order, so children precede parents.  Returns
+    EMPTY_FOREST -> y plus every single-tree forest with non-zero coefficient.
+    """
+    derivs = [[comp.derivative(n)(y) for n in range(level)] for comp in field.components]
+    on_tree: dict = {}
+    coeffs: dict = {EMPTY_FOREST: y}
+    for g in range(1, level + 1):
+        for tree in trees(field.dim, g):
+            c = derivs[tree.label - 1][tree.children.tree_count()]
+            for child, m in tree.children.items:
+                if not c:
+                    break
+                c_child = on_tree.get(child, 0)
+                c = c * c_child if m == 1 else c * c_child**m / math.factorial(m)
+            if c:
+                on_tree[tree] = c
+                coeffs[tree.as_forest()] = c
+    return coeffs

@@ -229,12 +229,17 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
     algebra = concat_deshuffle_instance(d) if flavor == "geometric" else gl_instance(d)
     segment = _word_segment if flavor == "geometric" else _forest_segment
 
+    # memoized per lift by increment: equal steps on one linear piece share it
+    @functools.lru_cache(maxsize=None)
+    def closed_form(increment: tuple[Fraction, ...]) -> TruncatedElement:
+        return TruncatedElement.make(segment(increment, level, d), level, algebra)
+
+    # and by endpoints, which checks revisit often, to skip the positions
     @functools.lru_cache(maxsize=None)
     def piece(a: Fraction, b: Fraction) -> TruncatedElement:
-        increment = tuple(
-            x1 - x0 for x0, x1 in zip(path.position(a), path.position(b))
+        return closed_form(
+            tuple(x1 - x0 for x0, x1 in zip(path.position(a), path.position(b)))
         )
-        return TruncatedElement.make(segment(increment, level, d), level, algebra)
 
     def evaluate(s: Fraction, t: Fraction) -> TruncatedElement:
         s, t = path.clamp(s), path.clamp(t)

@@ -84,13 +84,6 @@ class MultiIndex:
         return "(" + ",".join(str(e) for e in self.entries) + ")"
 
 
-def multiindex_factorial(n: MultiIndex) -> int:
-    out = 1
-    for e in n.entries:
-        out *= _factorial(e)
-    return out
-
-
 def multiindex_binomial(n: MultiIndex, m: MultiIndex) -> int:
     """binom(n, m) coordinate-wise; requires m <= n."""
     out = 1

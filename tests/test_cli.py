@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,9 @@ def line_csv(tmp_path):
     p = tmp_path / "line.csv"
     p.write_text("t,x1\n0,0\n1,1\n")
     return str(p)
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -203,6 +207,51 @@ class TestRoughCommands:
     def test_rde_end_time_past_path_exit_2(self, capsys, line_csv):
         code, out, err = run(capsys, "rde", line_csv, "--step", "1/2", "--T", "2")
         assert code == 2 and out == "" and "past the last knot" in err
+
+    @pytest.mark.parametrize("name, field, y0, step, end", [
+        ("linear", "linear", "1", "1/20", None),
+        ("poly", "poly:0,0,1", "1/2", "1/100", "1/10"),
+        ("sin", "sin", "1/2", "1/20", None),
+        ("const", "const:2", "0", "1/10", None),
+    ])
+    @pytest.mark.parametrize("path", ["line", "path2"])
+    def test_rde_golden(self, capsys, line_csv, path_csv, path, name, field, y0, step, end):
+        # pinned text; poly:0,0,1 leaves exact arithmetic at t = 3/50 on both paths
+        argv = ["rde", line_csv if path == "line" else path_csv, "--f", field,
+                "--y0", y0, "--step", step] + (["--T", end] if end else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / "rde" / f"{path}-{name}.csv").read_text()
+        if name in ("linear", "const"):
+            assert err == ""
+
+    def test_rde_names_the_switch_to_floats(self, capsys, line_csv):
+        code, out, err = run(capsys, "rde", line_csv, "--f", "poly:0,0,1", "--y0", "1/2",
+                             "--step", "1/100", "--T", "1/10")
+        assert code == 0
+        assert err.splitlines() == [
+            "note: the state left exact arithmetic at t=0.06; it and later samples are floats"
+        ]
+        _, _, err = run(capsys, "rde", line_csv, "--f", "poly:0,0,1", "--y0", "0.5",
+                        "--step", "1/100", "--T", "1/20")
+        assert err == ""
+
+    def test_rde_blow_up_prints_partial_samples(self, capsys, line_csv):
+        code, out, err = run(capsys, "rde", line_csv, "--f", "poly:0,0,1", "--y0", "2",
+                             "--level", "3", "--step", "1/10")
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[:2] == ["t,y", "0,2"]
+        assert [row.split(",")[0] for row in lines[1:]] == [f"{k / 10:.12g}" for k in range(10)]
+        assert err.splitlines()[-1] == "error: non-finite state at t=1.0"
+        code, out, err = run(capsys, "rde", line_csv, "--f", "poly:0,0,1", "--y0", "1e200",
+                             "--step", "1/4")
+        assert code == 2
+        assert out == "t,y\n0,1e+200\n"
+        assert err == "error: the exact state at t=0.25 is outside the floating range\n"
+        code, out, err = run(capsys, "rde", line_csv, "--f", "const:1", "--y0", "1e400")
+        assert code == 2 and out == "t,y\n"
+        assert err == "error: the exact state at t=0 is outside the floating range\n"
 
     def test_byte_identical_reruns(self, capsys, path_csv):
         outs = set()

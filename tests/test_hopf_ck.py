@@ -220,6 +220,32 @@ class TestGrossmanLarson:
             assert gl_product(a, b) == gl_oracle(a, b)
             assert gl_product(b, a) == gl_oracle(b, a)
 
+    def test_term_order_independent_of_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "from hopfpath.hopf_ck import gl_product\n"
+            "from hopfpath.symbols import Forest, Tree, forests_up_to\n"
+            "print(list(gl_product(Forest.of(Tree(1)), Forest.of(Tree(1), Tree(2)))))\n"
+            "pool = forests_up_to(2, 2)\n"
+            "for a in pool:\n"
+            "    for b in pool:\n"
+            "        print([str(z) for z, _ in gl_product(a, b)])\n"
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            result = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        terms = [z for z, _ in gl_product(dot, Forest.of(t(1), t(2)))]
+        assert terms == sorted(terms)
+
     def test_dual_to_coproduct(self):
         for a in forests_up_to(2, 2):
             for b in forests_up_to(2, 2):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfpath.hopf_ck import ck_coproduct
 from hopfpath.linalg import LinComb, TensorComb
@@ -11,6 +12,7 @@ from hopfpath.model_rde import (
     ModelError,
     SectorError,
     VectorField,
+    _picard_step_coefficients,
     abstract_integration,
     check_model,
     comodule_coproduct,
@@ -383,11 +385,85 @@ class TestPicard:
         sol = picard_solve(LINE, vf, Fraction(0), Fraction(3, 10), 3, Fraction(1, 2), T=1)
         assert sol[-1] == (Fraction(1), Fraction(1))
 
+    def test_blow_up_keeps_the_samples_so_far(self):
+        vf = VectorField.from_spec("poly:0,0,1", 1)
+        with pytest.raises(ModelError, match="non-finite state at t=1.0") as info:
+            picard_solve(LINE, vf, Fraction(2), Fraction(3, 10), 3, Fraction(1, 10))
+        samples = info.value.samples
+        assert [tt for tt, _ in samples] == [Fraction(k, 10) for k in range(10)]
+        assert samples == picard_solve(
+            LINE, vf, Fraction(2), Fraction(3, 10), 3, Fraction(1, 10), T=Fraction(9, 10)
+        )
+
+    def test_errors_before_the_first_step_carry_no_samples(self):
+        from hopfpath.model_rde import ScalarField
+
+        f = ScalarField([lambda y: y * y], name="f")
+        with pytest.raises(ModelError) as info:
+            picard_solve(LINE, VectorField((f,)), Fraction(1), Fraction(3, 10), 4, Fraction(1, 10))
+        assert list(info.value.samples) == []
+
     def test_spec_parsing(self):
         assert VectorField.from_spec("const:3", 2).components[0](10) == 3
         assert VectorField.from_spec("poly:1,2", 1).components[0](Fraction(1, 2)) == 2
         with pytest.raises(ValueError):
             VectorField.from_spec("cubic", 1)
+
+
+@st.composite
+def picard_cases(draw):
+    """A field of every spec kind, d in 1..3, level in 1..5, an exact or float state."""
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    kind = draw(st.sampled_from(("linear", "sin", "const", "poly")))
+    if kind == "const":
+        spec = f"const:{draw(value)}"
+    elif kind == "poly":
+        spec = "poly:" + ",".join(str(c) for c in draw(st.lists(value, min_size=1, max_size=4)))
+    else:
+        spec = kind
+    d = draw(st.integers(min_value=1, max_value=3))
+    level = draw(st.integers(min_value=1, max_value=5))
+    y = draw(value | st.floats(min_value=-3, max_value=3, allow_subnormal=False))
+    return VectorField.from_spec(spec, d), level, y
+
+
+class TestStepCoefficients:
+    @given(picard_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_step_is_the_picard_fixed_point(self, case):
+        # Y = y 1 + sum_i I(f_i(Y) Xi_i), with f_i(Y) taken to grade level - 1;
+        # Y past that grade cannot reach it, so compose on the truncation
+        field, level, y = case
+        coeffs = _picard_step_coefficients(field, y, level)
+        assert all(f == EMPTY_FOREST or f.tree_count() == 1 for f in coeffs)
+        assert coeffs[EMPTY_FOREST] == y
+        assert all(c != 0 for f, c in coeffs.items() if f != EMPTY_FOREST)
+        Y = LinComb(coeffs)
+        low = Y.truncate(level - 1)
+        image = LinComb.term(EMPTY_FOREST, y)
+        for i, f in enumerate(field.components, start=1):
+            image = image + abstract_integration(compose_with_function(low, f, level, 1, xi=i))
+        if not any(isinstance(c, float) for c in coeffs.values()):
+            assert image == Y
+        else:
+            for b in set(image.support()) | set(Y.support()):
+                assert math.isclose(image.coeff(b), Y.coeff(b), rel_tol=1e-12)
+
+    def test_ladder_coefficients_of_the_linear_field(self):
+        y = Fraction(5, 3)
+        coeffs = _picard_step_coefficients(VectorField.from_spec("linear", 1), y, 4)
+        ladders = [EMPTY_FOREST]
+        for _ in range(4):
+            ladders.append(ladders[-1].graft(1).as_forest())
+        assert coeffs == {f: y for f in ladders}
+
+    def test_multiplicity_factorials(self):
+        # f = y^2: c([]) = y^2, c([[] []]) = f''(y) c([])^2 / 2! = y^4
+        y = Fraction(2, 3)
+        coeffs = _picard_step_coefficients(VectorField.from_spec("poly:0,0,1", 1), y, 3)
+        assert coeffs[t(1).as_forest()] == y**2
+        assert coeffs[t(1, t(1)).as_forest()] == 2 * y * y**2
+        assert coeffs[t(1, t(1), t(1)).as_forest()] == y**4
 
 
 class TestInvariantRates:

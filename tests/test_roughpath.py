@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfpath import roughpath
 from hopfpath.hopf_ck import phi_hat
 from hopfpath.linalg import LinComb
 from hopfpath.roughpath import (
@@ -365,3 +366,50 @@ class TestTreeFactorialOracle:
         for s, u in [(0, 1), (Fraction(1, 8), Fraction(7, 8))]:
             prod = lift.eval(s, u).mul(lift.eval(u, s))
             assert prod == trunc_one(3, lift.algebra)
+
+
+class TestSegmentMemo:
+    KNOTS = [(0, (0, 0)), (Fraction(1, 2), (1, Fraction(1, 3))), (1, (Fraction(1, 4), 1))]
+
+    @pytest.fixture
+    def segment_calls(self, monkeypatch):
+        """Record the increments the lifts ask the segment closed forms for."""
+        calls = []
+        for name in ("_forest_segment", "_word_segment"):
+            real = getattr(roughpath, name)
+
+            def counting(increment, level, d, real=real):
+                calls.append(increment)
+                return real(increment, level, d)
+
+            monkeypatch.setattr(roughpath, name, counting)
+        return calls
+
+    def test_equal_steps_on_a_line_compute_one_segment(self, segment_calls):
+        lift = branched_lift_fn(PiecewiseLinearPath.from_knots([(0, (0,)), (1, (1,))]), 4)
+        for k in range(100):
+            lift.eval(Fraction(k, 100), Fraction(k + 1, 100))
+        assert segment_calls == [(Fraction(1, 100),)]
+
+    @pytest.mark.parametrize("make, segment", [
+        (branched_lift_fn, roughpath._forest_segment),
+        (signature_lift, roughpath._word_segment),
+    ])
+    def test_memo_matches_unmemoized_segments(self, segment_calls, make, segment):
+        path = PiecewiseLinearPath.from_knots(self.KNOTS)
+        lift = make(path, 3)
+
+        def fresh(a, b):
+            increment = tuple(x1 - x0 for x0, x1 in zip(path.position(a), path.position(b)))
+            return TruncatedElement.make(segment(increment, 3, 2), 3, lift.algebra)
+
+        grid = [Fraction(k, 8) for k in range(9)]
+        for a, b in zip(grid, grid[1:]):
+            assert lift.eval(a, b) == fresh(a, b)
+            assert lift.eval(b, a) == fresh(b, a)
+        # one increment per direction on each of the two linear pieces
+        assert len(segment_calls) == len(set(segment_calls)) == 4
+        across = (Fraction(1, 3), Fraction(5, 6))
+        half = Fraction(1, 2)
+        assert lift.eval(*across) == fresh(across[0], half).mul(fresh(half, across[1]))
+        assert len(segment_calls) == len(set(segment_calls)) == 6
