@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -78,6 +79,15 @@ def _emit_tensor(args, x):
         print(format_tensorcomb(x, args.float, descending=True))
 
 
+def _emit_report(args, report, text: str) -> int:
+    """Print a check report as text or JSON; the exit code is 1 on any failure."""
+    if args.format == "json":
+        print(json.dumps(report.to_json(), ensure_ascii=False))
+    else:
+        print(text)
+    return 0 if report.passed else 1
+
+
 def _gamma(args) -> Fraction:
     return Fraction(args.gamma)
 
@@ -94,8 +104,47 @@ def _single_forest(args, text: str):
     return next(iter(comb))[0]
 
 
+# largest basis, over all grades up to the truncation level, a command will build
+_BASIS_CAP = 10**6
+
+
+def _basis_size(kind: str, d: int, level: int) -> int:
+    """Basis elements of grade <= level, counted without enumerating them.
+
+    The count of words and forests stops once it passes _BASIS_CAP.
+    """
+    if kind == "multiindex":
+        return math.comb(level + d, d)
+    if level >= _BASIS_CAP:
+        return level + 1  # every grade has an element
+    total = 0
+    forests, trees, divisor_sums = [1], [0], [0]
+    for n in range(level + 1):
+        if kind == "word":
+            size = d**n
+        elif n == 0:
+            size = 1
+        else:
+            # t_n = d f_{n-1}; f by the Euler transform n f_n = sum_k c_k f_{n-k},
+            # with c_k = sum_{j | k} j t_j
+            trees.append(d * forests[n - 1])
+            divisor_sums.append(sum(j * trees[j] for j in range(1, n + 1) if n % j == 0))
+            size = sum(divisor_sums[k] * forests[n - k] for k in range(1, n + 1)) // n
+            forests.append(size)
+        total += size
+        if total > _BASIS_CAP:
+            break
+    return total
+
+
 def _truncated(args, x: LinComb) -> TruncatedElement:
-    return TruncatedElement.make(x, args.truncation, get_instance(args.algebra, args.dim))
+    level = args.truncation
+    if level >= 0 and _basis_size(_KIND_BY_ALGEBRA[args.algebra], args.dim, level) > _BASIS_CAP:
+        raise ValueError(
+            f"truncation {level} is too large: the {args.algebra} basis up to that grade "
+            f"has more than {_BASIS_CAP} elements"
+        )
+    return TruncatedElement.make(x, level, get_instance(args.algebra, args.dim))
 
 
 def _emit_samples(samples):
@@ -229,11 +278,7 @@ def _dispatch(args) -> int:
     if cmd == "check-axioms":
         inst = get_instance(args.algebra, args.dim)
         report = check_axioms(inst, args.max_grade, args.samples, args.seed)
-        if report.passed:
-            print("OK")
-            return 0
-        print(report.summary())
-        return 1
+        return _emit_report(args, report, "OK" if report.passed else report.summary())
     if cmd == "exp":
         _emit_lincomb(args, exp_trunc(_truncated(args, _parse(args, args.x))).value)
         return 0
@@ -283,8 +328,7 @@ def _dispatch(args) -> int:
         make = signature_lift if args.flavor == "geometric" else branched_lift_fn
         lift = make(path, level)
         report = check_rough_axioms(lift, cfg, _grid(path, args.grid))
-        print(report.summary())
-        return 0 if report.passed else 1
+        return _emit_report(args, report, report.summary())
     if cmd == "qgamma":
         forest = _single_forest(args, args.forest)
         print(f"{q_gamma(forest, _gamma(args)):.12g}")

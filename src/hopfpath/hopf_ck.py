@@ -2,12 +2,19 @@
 
 The coproduct comes from the structural recursion; the admissible-cut and
 split representations are independent code paths used to cross-check it and
-the antipode.  The dual product is computed by grafting candidate forests and
-reading exact multiplicities back from the coproduct.
+the antipode.  The dual product counts graftings: the coefficient of z in the
+Grossman-Larson product a * b is the coefficient n(z) of a (x) b in Delta z,
+and n(z) = M(z) sigma(z) / (sigma(a) sigma(b)), where M(z) counts the ways to
+attach the trees of a to the vertices or the root level of b that give z and
+sigma is the symmetry factor (Panaite, "Relating the Connes-Kreimer and
+Grossman-Larson Hopf algebras built on rooted trees", Lett. Math. Phys. 2000;
+Hoffman, "Combinatorics of rooted trees and Hopf algebras", Trans. AMS 2003).
 """
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -131,57 +138,82 @@ def ck_antipode(f: Forest, engine: str = "recursion") -> LinComb:
 
 
 # ---------------------------------------------------------------------------
-# Grossman-Larson product by grafting
-
-
-def _attach_in_tree(host: Tree, tree: Tree) -> set[Tree]:
-    out = {Tree(host.label, host.children.mul(tree.as_forest()))}
-    for child, mult in host.children.items:
-        rest = list(host.children.items)
-        rest.remove((child, mult))
-        if mult > 1:
-            rest.append((child, mult - 1))
-        rest_forest = Forest(tuple(rest))
-        for new_child in _attach_in_tree(child, tree):
-            out.add(Tree(host.label, rest_forest.mul(new_child.as_forest())))
-    return out
-
-
-def _attach_everywhere(base: Forest, tree: Tree) -> set[Forest]:
-    out = {base.mul(tree.as_forest())}
-    for host, mult in base.items:
-        rest = list(base.items)
-        rest.remove((host, mult))
-        if mult > 1:
-            rest.append((host, mult - 1))
-        rest_forest = Forest(tuple(rest))
-        for new_host in _attach_in_tree(host, tree):
-            out.add(rest_forest.mul(new_host.as_forest()))
-    return out
+# Grossman-Larson product by counted grafting
 
 
 @functools.lru_cache(maxsize=None)
-def _graft_candidates(crown: Forest, trunk: Forest) -> tuple[Forest, ...]:
-    """Forests made by grafting the crown's trees onto the trunk, in canonical order."""
-    candidates = {trunk}
-    for tree in crown.trees():
-        candidates = {z for base in candidates for z in _attach_everywhere(base, tree)}
-    return tuple(sorted(candidates, key=Forest.sort_key))
+def symmetry_factor(f: Forest) -> int:
+    """sigma(f) = prod_t m_t! sigma(t)^m_t over the trees t of f, with sigma(|f|_i) = sigma(f)."""
+    out = 1
+    for tree, mult in f.items:
+        out *= math.factorial(mult) * symmetry_factor(tree.children) ** mult
+    return out
+
+
+def _graft_counts(a: Forest, b: Forest) -> dict:
+    """M(z) for every z: the ways to attach each tree of a (copies counted as
+    distinct) to a vertex of b or to its root level that give z."""
+    # b's vertices in preorder; vertex 0 is the root level
+    trees, kids = [None], [[]]
+
+    def walk(tree: Tree, up: int):
+        v = len(trees)
+        trees.append(tree)
+        kids.append([])
+        kids[up].append(v)
+        for child in tree.children.trees():
+            walk(child, v)
+
+    for tree in b.trees():
+        walk(tree, 0)
+
+    # per distinct tree of a, each multiset of targets with its multinomial weight
+    choices = []
+    for tree, mult in a.items:
+        options = []
+        for targets in itertools.combinations_with_replacement(range(len(trees)), mult):
+            weight = math.factorial(mult)
+            for _, run in itertools.groupby(targets):
+                weight //= math.factorial(len(tuple(run)))
+            options.append((tree, targets, weight))
+        choices.append(options)
+
+    counts: dict = {}
+    for combo in itertools.product(*choices):
+        placed: dict = {}
+        weight = 1
+        for tree, targets, w in combo:
+            weight *= w
+            for v in targets:
+                placed.setdefault(v, []).append(tree)
+
+        def build(v: int) -> Tree:
+            return Tree(trees[v].label, Forest.of(*map(build, kids[v]), *placed.get(v, ())))
+
+        z = Forest.of(*map(build, kids[0]), *placed.get(0, ()))
+        counts[z] = counts.get(z, 0) + weight
+    return counts
 
 
 @functools.lru_cache(maxsize=None)
 def gl_product(a: Forest, b: Forest) -> LinComb:
-    """C * T = sum over forests z with (C, T) a cut of z, with multiplicities.
+    """a * b = sum over forests z of n(z) z, n(z) the coefficient of a (x) b in Delta z.
 
-    Candidates z come from grafting C's trees onto T (or at root level); the
-    exact multiplicity is read back from the coproduct.
+    Counted grafting gives n(z) = M(z) sigma(z) / (sigma(a) sigma(b)), with M(z)
+    the number of ways to attach each tree of a (copies counted as distinct) to
+    a vertex of b or to its root level that give z, and sigma the symmetry
+    factor: the Connes-Kreimer/Grossman-Larson duality of Panaite (Lett. Math.
+    Phys. 2000) and Hoffman (Trans. AMS 2003).  Terms are in canonical order.
     """
+    scale = symmetry_factor(a) * symmetry_factor(b)
+    counts = _graft_counts(a, b)
     terms = {}
-    for z in _graft_candidates(a, b):
-        m = ck_coproduct(z).coeff(a, b)
-        if m:
-            terms[z] = m
-    return LinComb(terms)
+    for z in sorted(counts, key=Forest.sort_key):
+        n, rest = divmod(counts[z] * symmetry_factor(z), scale)
+        if rest:
+            raise ValueError(f"non-integer Grossman-Larson coefficient of {z} in {a} * {b}")
+        terms[z] = Fraction(n)
+    return LinComb(terms, _clean=True)
 
 
 def gl_product_lin(x: LinComb, y: LinComb) -> LinComb:

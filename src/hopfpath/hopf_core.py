@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -399,6 +400,23 @@ class CheckReport:
             worst = max(self.holder_ratios.values())
             lines.append(f"  empirical Hölder ratio sup (finite required): {worst:.6g}")
         return "\n".join(lines)
+
+    def to_json(self) -> dict:
+        """The report as JSON-ready data: title, verdict, per-law ok and witness
+        (null when ok) and, when Hölder ratios were taken, their supremum (null
+        when not finite)."""
+        out = {
+            "title": self.title,
+            "passed": self.passed,
+            "laws": [
+                {"law": e.law, "ok": e.ok, "witness": None if e.ok else e.witness}
+                for e in self.entries
+            ],
+        }
+        if self.holder_ratios:
+            worst = max(self.holder_ratios.values())
+            out["holder_ratio_sup"] = worst if math.isfinite(worst) else None
+        return out
 
 
 def _triple_left(instance: HopfInstance, x: LinComb) -> dict:

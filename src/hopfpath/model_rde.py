@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -261,21 +261,26 @@ class Model:
     lift: RoughLift
     gamma: Fraction
     level: int
+    # one Character per (s, t), so each lift value is checked group-like once
+    _characters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pi(self, s, x: LinComb, t) -> Fraction:
         """Evaluation map: the lift functional applied at (s, t)."""
         return self.lift.value(s, t, x)
 
     def character(self, s, t) -> Character:
-        return Character.from_element(self.lift.eval(s, t))
+        g = self._characters.get((s, t))
+        if g is None:
+            g = self._characters[(s, t)] = Character.from_element(self.lift.eval(s, t))
+        return g
 
     def gamma_st(self, s, t) -> Callable[[LinComb], LinComb]:
-        g = Character.from_element(self.lift.eval(t, s))
+        g = self.character(t, s)
         return lambda x: struct_action(g, x, "left")
 
     def gamma_st_model(self, s, t) -> Callable[[LinComb], LinComb]:
         """Translation on the full model space, through the comodule coaction."""
-        g = Character.from_element(self.lift.eval(t, s))
+        g = self.character(t, s)
         return lambda x: comodule_action(g, x)
 
 

@@ -2,8 +2,11 @@
 
 Every basis element is immutable, hashable, totally ordered via ``sort_key`` and
 prints to a canonical string that ``parse_expr`` reads back.  Forests are kept
-in a canonical form (trees sorted by grade, then label, then children), so two
-structurally equal forests always compare and hash equal.
+in a canonical form (trees sorted by grade, then label, then children).
+
+Trees and forests are hash-consed: construction normalizes, then returns the
+one existing object of that value, so equality is identity.  The intern
+tables live for the process, like the module-level ``lru_cache``s.
 """
 from __future__ import annotations
 
@@ -157,20 +160,37 @@ class Word:
 EMPTY_WORD = Word()
 
 
+# hash-consing tables: the one object of each tree and forest value
+_TREES: dict = {}
+_FORESTS: dict = {}
+
+
 class Tree:
     """A rooted tree with integer label at the root and a forest of children."""
 
-    __slots__ = ("label", "children", "grade", "_key", "_hash")
+    __slots__ = ("label", "children", "grade", "_key", "_hash", "_forest")
 
-    def __init__(self, label: int, children: "Forest | None" = None):
+    def __new__(cls, label: int, children: "Forest | None" = None):
         if label < 1:
             raise ValueError(f"tree label must be >= 1, got {label}")
+        label = int(label)
         children = EMPTY_FOREST if children is None else children
-        object.__setattr__(self, "label", int(label))
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "grade", children.grade + 1)
-        object.__setattr__(self, "_key", (self.grade, label, children.sort_key()))
-        object.__setattr__(self, "_hash", hash(("t", self._key)))
+        ident = (label, children)
+        self = _TREES.get(ident)
+        if self is None:
+            key = (children.grade + 1, label, children.sort_key())
+            self = object.__new__(cls)
+            object.__setattr__(self, "label", label)
+            object.__setattr__(self, "children", children)
+            object.__setattr__(self, "grade", key[0])
+            object.__setattr__(self, "_key", key)
+            object.__setattr__(self, "_hash", hash(("t", key)))
+            object.__setattr__(self, "_forest", None)
+            _TREES[ident] = self
+        return self
+
+    def __reduce__(self):
+        return Tree, (self.label, self.children)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Tree is immutable")
@@ -179,13 +199,14 @@ class Tree:
         return self._key
 
     def as_forest(self) -> "Forest":
-        return Forest(((self, 1),))
+        forest = self._forest
+        if forest is None:
+            forest = Forest(((self, 1),))
+            object.__setattr__(self, "_forest", forest)
+        return forest
 
     def __lt__(self, other: "Tree") -> bool:
         return self._key < other._key
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Tree) and self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash
@@ -201,13 +222,14 @@ class Tree:
 class Forest:
     """A multiset of trees, stored as sorted (tree, multiplicity) pairs.
 
-    The empty forest is the algebra unit.  Construction always normalizes, so
-    ``Forest.of(t2, t1) == Forest.of(t1, t2)``.
+    The empty forest is the algebra unit.  Construction always normalizes and
+    returns the one interned forest of that value, so
+    ``Forest.of(t2, t1) is Forest.of(t1, t2)``.
     """
 
     __slots__ = ("items", "grade", "_hash")
 
-    def __init__(self, items: Sequence[tuple[Tree, int]] = ()):
+    def __new__(cls, items: Sequence[tuple[Tree, int]] = ()):
         merged: dict[Tree, int] = {}
         for tree, mult in items:
             if mult < 0:
@@ -215,9 +237,17 @@ class Forest:
             if mult:
                 merged[tree] = merged.get(tree, 0) + mult
         norm = tuple(sorted(merged.items(), key=lambda tm: tm[0].sort_key()))
-        object.__setattr__(self, "items", norm)
-        object.__setattr__(self, "grade", sum(t.grade * m for t, m in norm))
-        object.__setattr__(self, "_hash", hash(("f", norm)))
+        self = _FORESTS.get(norm)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "items", norm)
+            object.__setattr__(self, "grade", sum(t.grade * m for t, m in norm))
+            object.__setattr__(self, "_hash", hash(("f", norm)))
+            _FORESTS[norm] = self
+        return self
+
+    def __reduce__(self):
+        return Forest, (self.items,)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Forest is immutable")
@@ -251,9 +281,6 @@ class Forest:
 
     def __lt__(self, other: "Forest") -> bool:
         return (self.grade, self.sort_key()) < (other.grade, other.sort_key())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Forest) and self.items == other.items
 
     def __hash__(self) -> int:
         return self._hash

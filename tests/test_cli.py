@@ -263,6 +263,61 @@ class TestRoughCommands:
         assert len(outs) == 1
 
 
+class TestCheckJson:
+    def test_check_axioms_json(self, capsys):
+        code, out, _ = run(
+            capsys, "check-axioms", "--algebra", "gl", "--max-grade", "3",
+            "--samples", "20", "--format", "json",
+        )
+        data = json.loads(out)
+        assert code == 0 and data["passed"] is True
+        assert data["title"] == "axiom check: gl, grade <= 3"
+        assert [e["law"] for e in data["laws"]] == [
+            "unit", "counit", "grading", "associativity", "coassociativity",
+            "compatibility", "antipode", "random-combinations",
+        ]
+        assert "holder_ratio_sup" not in data
+
+    def test_check_rough_json(self, capsys, path_csv):
+        argv = ["check-rough", path_csv, "--gamma", "2/5", "--grid", "5"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        _, text, _ = run(capsys, *argv)
+        data = json.loads(out)
+        assert code == 0 and data["passed"] is True
+        assert text.splitlines()[0] == data["title"]
+        assert all(e["ok"] and e["witness"] is None for e in data["laws"])
+        assert text.splitlines()[-1].endswith(f"{data['holder_ratio_sup']:.6g}")
+
+
+class TestSizeGuard:
+    def test_huge_truncation_exits_at_once(self, capsys):
+        code, out, err = run(capsys, "exp", "--algebra", "concat", "--truncation", "100000000", "1")
+        assert code == 2 and out == ""
+        assert "truncation 100000000 is too large" in err and "1000000" in err
+
+    @pytest.mark.parametrize("algebra, dim, level", [
+        ("concat", "1", "2000000"), ("shuffle", "2", "20"), ("ck", "2", "12"),
+        ("gl", "1", "100000000"), ("poly", "3", "200"),
+    ])
+    def test_each_basis_kind_guarded(self, capsys, algebra, dim, level):
+        x = "(1,0,0)" if algebra == "poly" else ("1" if algebra in ("concat", "shuffle") else "[]_1")
+        code, _, err = run(capsys, "exp", "--algebra", algebra, "--dim", dim,
+                           "--truncation", level, x)
+        assert code == 2 and "too large" in err
+
+    def test_sizes_below_the_cap_run(self, capsys):
+        from hopfpath.cli import _basis_size
+        from hopfpath.symbols import forests_up_to, multi_indices_up_to, words_up_to
+
+        for d in (1, 2, 3):
+            for n in range(6):
+                assert _basis_size("forest", d, n) == len(forests_up_to(d, n))
+                assert _basis_size("word", d, n) == len(words_up_to(d, n))
+                assert _basis_size("multiindex", d, n) == len(multi_indices_up_to(d, n))
+        code, out, _ = run(capsys, "exp", "--algebra", "ck", "--dim", "1", "--truncation", "2", "[]_1")
+        assert code == 0 and out.strip() == "1 + []_1 + 1/2*[]_1 []_1"
+
+
 class TestJsonRoundTrip:
     def test_lincomb_json_keys_reparse(self, capsys):
         from fractions import Fraction

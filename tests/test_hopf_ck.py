@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from hopfpath import hopf_ck
 
 from hopfpath.hopf_core import check_axioms, deconcat_tuples
 from hopfpath.hopf_ck import (
@@ -19,6 +22,7 @@ from hopfpath.hopf_ck import (
     phi_lin,
     psi,
     splits,
+    symmetry_factor,
     treeword_shuffle,
 )
 from hopfpath.linalg import LinComb, TensorComb, pair, pair_tensor
@@ -254,6 +258,63 @@ class TestGrossmanLarson:
                     lhs = pair(prod, LinComb.term(z))
                     rhs = pair_tensor(TensorComb.term(a, b), ck_coproduct(z))
                     assert lhs == rhs
+
+
+def gl_readback(a: Forest, b: Forest, d: int) -> LinComb:
+    """The read-back oracle: the coefficient of a (x) b in Delta z, over every z."""
+    terms = {}
+    for z in forests(d, a.grade + b.grade):
+        c = ck_coproduct(z).coeff(a, b)
+        if c:
+            terms[z] = c
+    return LinComb(terms)
+
+
+GL_TOP_GRADE = {1: 6, 2: 5, 3: 4}
+
+
+@st.composite
+def gl_pair(draw):
+    d = draw(st.integers(min_value=1, max_value=3))
+    total = draw(st.integers(min_value=0, max_value=GL_TOP_GRADE[d]))
+    ga = draw(st.integers(min_value=0, max_value=total))
+    a = draw(st.sampled_from(forests(d, ga)))
+    b = draw(st.sampled_from(forests(d, total - ga)))
+    return d, a, b
+
+
+class TestCountedGrafting:
+    @given(gl_pair())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_readback_term_for_term(self, case):
+        d, a, b = case
+        assert list(gl_product(a, b)) == list(gl_readback(a, b, d))
+
+    def test_every_grade_two_pair_against_readback(self):
+        for d in (1, 2, 3):
+            for a in forests_up_to(d, 2):
+                for b in forests_up_to(d, 2):
+                    assert list(gl_product(a, b)) == list(gl_readback(a, b, d))
+
+    def test_symmetry_factors(self):
+        cherry = t(1, t(1), t(1))
+        assert symmetry_factor(EMPTY_FOREST) == 1
+        assert symmetry_factor(dot) == 1
+        assert symmetry_factor(Forest.of(t(1), t(1))) == 2
+        assert symmetry_factor(Forest.of(t(1), t(2))) == 1
+        assert symmetry_factor(cherry.as_forest()) == 2
+        assert symmetry_factor(t(2, cherry, cherry).as_forest()) == 8
+        assert symmetry_factor(Forest.of(cherry, cherry, cherry)) == 6 * 2**3
+
+    def test_non_integer_coefficient_raises(self, monkeypatch):
+        real = hopf_ck.symmetry_factor
+        monkeypatch.setattr(hopf_ck, "symmetry_factor", lambda f: 2 if f is dot else real(f))
+        with pytest.raises(ValueError, match="non-integer"):
+            gl_product.__wrapped__(dot, dot)
+
+    def test_keeps_cache_info(self):
+        gl_product(dot, dot)
+        assert gl_product.cache_info().currsize >= 1
 
 
 class TestForestDeconcat:

@@ -425,3 +425,20 @@ class TestReportText:
             "  antipode: FAIL  witness: closed-form antipode disagrees on 11\n"
             "  random-combinations: FAIL  witness: random compatibility failure (sample 1)"
         )
+        assert report.to_json() == {
+            "title": "axiom check: concat_deshuffle, grade <= 3",
+            "passed": False,
+            "laws": [
+                {"law": "unit", "ok": True, "witness": None},
+                {"law": "counit", "ok": True, "witness": None},
+                {"law": "grading", "ok": True, "witness": None},
+                {"law": "associativity", "ok": True, "witness": None},
+                {"law": "coassociativity", "ok": True, "witness": None},
+                {"law": "compatibility", "ok": False,
+                 "witness": "Delta is not an algebra morphism on (1, 1)"},
+                {"law": "antipode", "ok": False,
+                 "witness": "closed-form antipode disagrees on 11"},
+                {"law": "random-combinations", "ok": False,
+                 "witness": "random compatibility failure (sample 1)"},
+            ],
+        }

@@ -274,6 +274,46 @@ class TestModel:
             model_from_lift(broken, Fraction(3, 10), GRID)
 
 
+class TestCharacterCache:
+    def test_one_character_per_pair(self):
+        model = model_from_lift(LIFT, Fraction(3, 10))
+        s, u = Fraction(1, 4), Fraction(3, 4)
+        g = model.character(s, u)
+        assert model.character(s, u) is g
+        assert model.character(u, s) is not g
+        gm = model.gamma_st(u, s)  # acts by the character at (s, u)
+        assert gm(LinComb.term(dot1)) == struct_action(g, LinComb.term(dot1), "left")
+        assert len(model._characters) == 2
+
+    def test_cache_not_part_of_value(self):
+        a = model_from_lift(LIFT, Fraction(3, 10))
+        b = model_from_lift(LIFT, Fraction(3, 10))
+        a.character(0, Fraction(1, 2))
+        assert a == b and "_characters" not in repr(a)
+
+    def test_non_grouplike_value_still_raises(self):
+        from hopfpath.model_rde import Model
+        from hopfpath.roughpath import RoughLift
+
+        base = branched_lift_fn(PATH, 2)
+
+        def tampered(s, u):
+            elt = base.eval(s, u)
+            if (s, u) == (Fraction(0), Fraction(1, 2)):
+                return type(elt).make(elt.value + LinComb.term(dot1), 2, base.algebra)
+            return elt
+
+        model = Model(lift=RoughLift("branched", 2, 2, tampered), gamma=Fraction(3, 10), level=2)
+        for _ in range(2):
+            with pytest.raises(ModelError):
+                model.character(0, Fraction(1, 2))
+        with pytest.raises(ModelError):
+            model.gamma_st(Fraction(1, 2), 0)
+        with pytest.raises(ModelError):
+            model.gamma_st_model(Fraction(1, 2), 0)
+        assert model.character(0, Fraction(1, 4)) is model.character(0, Fraction(1, 4))
+
+
 class TestCompose:
     def test_identity_returns_argument(self):
         Y = LinComb.term(EMPTY_FOREST, Fraction(5)) + LinComb.term(dot1, Fraction(2))

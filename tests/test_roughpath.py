@@ -249,6 +249,16 @@ class TestAxiomChecks:
             "  holder-finite: ok\n"
             "  empirical Hölder ratio sup (finite required): 3.78929"
         )
+        data = report.to_json()
+        assert data["title"] == "rough-path check: geometric, gamma=0.4, level=2"
+        assert data["passed"] is False
+        assert [(e["law"], e["ok"]) for e in data["laws"]] == [
+            ("identity", True), ("group-like", False), ("character", False),
+            ("chen", False), ("inverse", False), ("holder-finite", True),
+        ]
+        assert data["laws"][3]["witness"] == "Chen fails on (s,u,t)=(0,1/4,0)"
+        assert data["laws"][0]["witness"] is None
+        assert f"{data['holder_ratio_sup']:.6g}" == "3.78929"
 
     def test_grid_size_validated(self):
         cfg = RoughPathConfig.make(Fraction(2, 5), "geometric")

@@ -1,5 +1,10 @@
-import pytest
+import copy
+import json
+import pickle
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -193,6 +198,55 @@ class TestRoundTrip:
     @settings(max_examples=80, deadline=None)
     def test_commutativity_via_encoding(self, f, g):
         assert str(f.mul(g)) == str(g.mul(f))
+
+
+class TestInterning:
+    """Trees and forests are hash-consed: equal values are the same object."""
+
+    def test_of_in_any_order(self):
+        a, b, c = t(1), t(2, t(1)), t(1, t(1), t(2))
+        assert Forest.of(a, b, c) is Forest.of(c, a, b) is Forest.of(b, c, a)
+
+    def test_split_multiplicities(self):
+        a, b = t(1), t(2, t(1))
+        assert Forest(((a, 1), (b, 1), (a, 2))) is Forest(((b, 1), (a, 3)))
+        assert Forest(((a, 0), (b, 1))) is Forest.of(b)
+        assert Forest(((a, 2),)) is Forest.of(a).mul(Forest.of(a))
+
+    def test_parse_of_printed_text(self):
+        for k in range(5):
+            for f in forests(2, k):
+                (parsed, _), = parse_expr(str(f), "forest", 2)
+                assert parsed is f
+
+    @given(random_forest())
+    @settings(max_examples=100, deadline=None)
+    def test_parse_of_random_forest(self, f):
+        (parsed, _), = parse_expr(str(f), "forest", 3)
+        assert parsed is f
+
+    def test_graft(self):
+        for f in forests(2, 3):
+            assert f.graft(2) is Tree(2, f) is t(2, *f.trees())
+        assert EMPTY_FOREST.graft(1) is Tree(1) is Tree(1, EMPTY_FOREST)
+
+    def test_as_forest_stable(self):
+        for tree in trees(2, 4):
+            f = tree.as_forest()
+            assert tree.as_forest() is f is Forest.of(tree) is Forest(((tree, 1),))
+
+    def test_copies_keep_identity(self):
+        f = Forest.of(t(1), t(2, t(1)))
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.deepcopy(f) is f and copy.copy(f.items[0][0]) is f.items[0][0]
+
+
+def test_forest_enumeration_golden():
+    # written by the code before interning; text and order must not move
+    golden = json.loads((Path(__file__).parent / "golden" / "forests_d2.json").read_text())
+    assert {int(k): v for k, v in golden.items()} == {
+        k: [str(f) for f in forests(2, k)] for k in range(6)
+    }
 
 
 class TestWideAlphabet:
