@@ -137,14 +137,26 @@ def _basis_size(kind: str, d: int, level: int) -> int:
     return total
 
 
-def _truncated(args, x: LinComb) -> TruncatedElement:
-    level = args.truncation
-    if level >= 0 and _basis_size(_KIND_BY_ALGEBRA[args.algebra], args.dim, level) > _BASIS_CAP:
+def _check_size(option: str, level: int, basis: str, kind: str, d: int):
+    """Raise ValueError (exit 2) before building a basis of more than _BASIS_CAP elements."""
+    if level >= 0 and _basis_size(kind, d, level) > _BASIS_CAP:
         raise ValueError(
-            f"truncation {level} is too large: the {args.algebra} basis up to that grade "
+            f"{option} {level} is too large: the {basis} basis up to that grade "
             f"has more than {_BASIS_CAP} elements"
         )
-    return TruncatedElement.make(x, level, get_instance(args.algebra, args.dim))
+
+
+def _truncated(args, x: LinComb) -> TruncatedElement:
+    _check_size("truncation", args.truncation, args.algebra, _KIND_BY_ALGEBRA[args.algebra],
+                args.dim)
+    return TruncatedElement.make(x, args.truncation, get_instance(args.algebra, args.dim))
+
+
+def _check_level(level: int, d: int, *flavors: str):
+    """Guard --level for lifts of the given flavors over a d-dimensional path."""
+    for flavor in flavors:
+        kind = "word" if flavor == "geometric" else "forest"
+        _check_size("level", level, f"{flavor} ({kind})", kind, d)
 
 
 def _emit_samples(samples):
@@ -276,6 +288,8 @@ def _dispatch(args) -> int:
         print(format_scalar(value, args.float))
         return 0
     if cmd == "check-axioms":
+        _check_size("max-grade", args.max_grade, args.algebra, _KIND_BY_ALGEBRA[args.algebra],
+                    args.dim)
         inst = get_instance(args.algebra, args.dim)
         report = check_axioms(inst, args.max_grade, args.samples, args.seed)
         return _emit_report(args, report, "OK" if report.passed else report.summary())
@@ -315,6 +329,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd in ("signature", "branched-lift"):
         path = PiecewiseLinearPath.from_csv(args.path)
+        _check_level(args.level, path.dim, "geometric" if cmd == "signature" else "branched")
         make = signature_lift if cmd == "signature" else branched_lift_fn
         lift = make(path, args.level)
         s = Fraction(args.t_from) if args.t_from is not None else path.times[0]
@@ -325,6 +340,7 @@ def _dispatch(args) -> int:
         path = PiecewiseLinearPath.from_csv(args.path)
         cfg = RoughPathConfig.make(_gamma(args), args.flavor)
         level = args.level if args.level is not None else cfg.level
+        _check_level(level, path.dim, args.flavor)
         make = signature_lift if args.flavor == "geometric" else branched_lift_fn
         lift = make(path, level)
         report = check_rough_axioms(lift, cfg, _grid(path, args.grid))
@@ -335,6 +351,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "convert-lift":
         path = PiecewiseLinearPath.from_csv(args.path)
+        _check_level(args.level, path.dim, "geometric", "branched")
         s = Fraction(args.t_from) if args.t_from is not None else path.times[0]
         t = Fraction(args.t_to) if args.t_to is not None else path.times[-1]
         if args.direction == "g2b":
@@ -347,6 +364,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "rde":
         path = PiecewiseLinearPath.from_csv(args.path)
+        _check_level(args.level, path.dim, "branched")
         field = VectorField.from_spec(args.field, path.dim)
         end = Fraction(args.T) if args.T is not None else None
         try:

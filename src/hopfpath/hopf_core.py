@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .linalg import LinComb, TensorComb, accum, bilinear
+from .linalg import LinComb, TensorComb, accum, bilinear, linear
 from .symbols import (
     EMPTY_WORD,
     MultiIndex,
@@ -121,11 +121,7 @@ class HopfInstance:
         return LinComb(bilinear(x, y, self.product_basis, max_grade), _clean=True)
 
     def coproduct(self, x: LinComb) -> TensorComb:
-        acc: dict = {}
-        for b, c in x:
-            for lr, c2 in self.coproduct_basis(b):
-                accum(acc, lr, c * c2)
-        return TensorComb(acc, _clean=True)
+        return TensorComb(linear(x, self.coproduct_basis), _clean=True)
 
     def reduced_coproduct(self, x: LinComb) -> TensorComb:
         return self.coproduct(x) - TensorComb.of(self.one(), x) - TensorComb.of(x, self.one())
@@ -421,19 +417,19 @@ class CheckReport:
 
 def _triple_left(instance: HopfInstance, x: LinComb) -> dict:
     """(Delta (x) id) Delta x as a dict over basis triples."""
-    acc: dict = {}
-    for (l, r), c in instance.coproduct(x):
-        for (l1, l2), c2 in instance.coproduct_basis(l):
-            accum(acc, (l1, l2, r), c * c2)
-    return acc
+    cop = instance.coproduct_basis
+    return linear(
+        instance.coproduct(x),
+        lambda lr: (((l1, l2, lr[1]), c) for (l1, l2), c in cop(lr[0])),
+    )
 
 
 def _triple_right(instance: HopfInstance, x: LinComb) -> dict:
-    acc: dict = {}
-    for (l, r), c in instance.coproduct(x):
-        for (r1, r2), c2 in instance.coproduct_basis(r):
-            accum(acc, (l, r1, r2), c * c2)
-    return acc
+    cop = instance.coproduct_basis
+    return linear(
+        instance.coproduct(x),
+        lambda lr: (((lr[0], r1, r2), c) for (r1, r2), c in cop(lr[1])),
+    )
 
 
 def random_lincomb(rng: random.Random, basis_pool: tuple, max_terms: int = 3) -> LinComb:

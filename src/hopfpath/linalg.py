@@ -7,12 +7,15 @@ tensor slots are allowed only where a module explicitly builds them.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterator
 
 Scalar = Fraction
 
 FLOAT_TOLERANCE = 1e-9
+
+_ONE = Fraction(1)  # the default coefficient, built once
 
 
 class KindMismatchError(TypeError):
@@ -62,7 +65,7 @@ class LinComb:
         return cls({}, _clean=True)
 
     @classmethod
-    def term(cls, basis, coeff=1) -> "LinComb":
+    def term(cls, basis, coeff=_ONE) -> "LinComb":
         c = as_scalar(coeff)
         return cls({basis: c} if c else {}, _clean=True)
 
@@ -89,11 +92,7 @@ class LinComb:
 
     def map_basis(self, fn: Callable[[object], "LinComb"]) -> "LinComb":
         """Linear extension of a basis map fn: basis -> LinComb."""
-        acc: dict = {}
-        for b, c in self.terms.items():
-            for b2, c2 in fn(b).terms.items():
-                accum(acc, b2, c * c2)
-        return LinComb(acc, _clean=True)
+        return LinComb(linear(self, fn), _clean=True)
 
     def __add__(self, other: "LinComb") -> "LinComb":
         self._check_compatible(other)
@@ -153,20 +152,103 @@ def accum(acc: dict, key, value):
         acc.pop(key, None)
 
 
+def numerators(coeffs: list) -> tuple[list[int], int] | None:
+    """Integer numerators of exact coefficients over the lcm of their
+    denominators, and that lcm; None when a coefficient is a float."""
+    try:
+        dens = [c.denominator for c in coeffs]
+    except AttributeError:
+        return None
+    den = math.lcm(*dens)
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // q) for c, q in zip(coeffs, dens)], den
+
+
+class _FloatConstant(Exception):
+    """A float structure constant met operands scaled by a denominator."""
+
+
+def _accumulate(parts, den: int) -> dict:
+    """The one accumulation loop behind every linear extension.
+
+    Sums u * c over (terms, u) in parts and (key, c) in terms, adding and
+    dropping keys as ``accum`` does, then divides each sum by den.  Exact
+    operands arrive as integer numerators over den, so integral structure
+    constants keep the sums in ints and each output term makes one Fraction;
+    a non-integral constant (a character value, say) multiplies in as a
+    Fraction.  Float operands arrive as they are over den = 1 and are summed
+    in the same order, with the same operations, as a plain Fraction loop.
+    A float constant with den > 1 raises _FloatConstant, and the caller runs
+    the loop again on the unscaled coefficients, so float results never
+    depend on the scaling.
+    """
+    acc: dict = {}
+    get, pop = acc.get, acc.pop
+    for terms, u in parts:
+        for k, c in terms:
+            if type(c) is Fraction:
+                if c.denominator == 1:
+                    c = c.numerator
+            elif den != 1 and type(c) is float:
+                raise _FloatConstant
+            new = get(k, 0) + u * c
+            if new:
+                acc[k] = new
+            else:
+                pop(k, None)
+    if den == 1:
+        return {k: Fraction(v) if type(v) is int else v for k, v in acc.items()}
+    return {k: Fraction(v, den) if type(v) is int else v / den for k, v in acc.items()}
+
+
+def _extend(parts: Callable, *operands: list) -> dict:
+    """Run _accumulate on parts(*numerators) over the product of the operands'
+    denominators, or on parts(*operands) over 1 when floats are involved."""
+    scaled = [numerators(coeffs) for coeffs in operands]
+    if None not in scaled:
+        try:
+            return _accumulate(
+                parts(*(nums for nums, _ in scaled)), math.prod(den for _, den in scaled)
+            )
+        except _FloatConstant:
+            pass
+    return _accumulate(parts(*operands), 1)
+
+
+def linear(x, fn: Callable) -> dict:
+    """Linear extension of fn: basis -> (basis, coeff) pairs.
+
+    x iterates as (basis, coeff) pairs; the result is the accumulated
+    coefficient dict.
+    """
+    x = list(x)
+    keys = [b for b, _ in x]
+    return _extend(lambda nums: zip(map(fn, keys), nums), [c for _, c in x])
+
+
 def bilinear(x, y, fn: Callable, max_grade: int | None = None) -> dict:
     """Bilinear extension of fn: (basis, basis) -> (basis, coeff) pairs.
 
     x and y iterate as (basis, coeff) pairs; the result is the accumulated
     coefficient dict.  Pairs whose grades sum past max_grade are skipped.
+    A float in either operand leaves both unscaled.
     """
-    acc: dict = {}
-    for b1, c1 in x:
-        for b2, c2 in y:
-            if max_grade is None or b1.grade + b2.grade <= max_grade:
-                c = c1 * c2
-                for b, c3 in fn(b1, b2):
-                    accum(acc, b, c * c3)
-    return acc
+    x, y = list(x), list(y)
+
+    def parts(xn, yn):
+        ys = list(zip([b for b, _ in y], yn))
+        for (b1, _), u in zip(x, xn):
+            room = None if max_grade is None else max_grade - b1.grade
+            for b2, v in ys:
+                if room is None or b2.grade <= room:
+                    yield fn(b1, b2), u * v
+
+    return _extend(parts, [c for _, c in x], [c for _, c in y])
+
+
+def _outer(l, r):
+    return (((l, r), 1),)
 
 
 class TensorComb:
@@ -189,20 +271,14 @@ class TensorComb:
         return cls({}, _clean=True)
 
     @classmethod
-    def term(cls, left, right, coeff=1) -> "TensorComb":
+    def term(cls, left, right, coeff=_ONE) -> "TensorComb":
         c = as_scalar(coeff)
         return cls({(left, right): c} if c else {}, _clean=True)
 
     @classmethod
     def of(cls, a: LinComb, b: LinComb, max_grade: int | None = None) -> "TensorComb":
         """The outer product a (x) b; pairs beyond max_grade total are skipped."""
-        acc: dict = {}
-        for b1, c1 in a.terms.items():
-            room = None if max_grade is None else max_grade - b1.grade
-            for b2, c2 in b.terms.items():
-                if room is None or b2.grade <= room:
-                    accum(acc, (b1, b2), c1 * c2)
-        return cls(acc, _clean=True)
+        return cls(bilinear(a, b, _outer, max_grade), _clean=True)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -226,26 +302,18 @@ class TensorComb:
         )
 
     def map_left(self, fn: Callable[[object], LinComb]) -> "TensorComb":
-        acc: dict = {}
-        for (l, r), c in self.terms.items():
-            for l2, c2 in fn(l).terms.items():
-                accum(acc, (l2, r), c * c2)
-        return TensorComb(acc, _clean=True)
+        return TensorComb(
+            linear(self, lambda lr: (((l, lr[1]), c) for l, c in fn(lr[0]))), _clean=True
+        )
 
     def map_right(self, fn: Callable[[object], LinComb]) -> "TensorComb":
-        acc: dict = {}
-        for (l, r), c in self.terms.items():
-            for r2, c2 in fn(r).terms.items():
-                accum(acc, (l, r2), c * c2)
-        return TensorComb(acc, _clean=True)
+        return TensorComb(
+            linear(self, lambda lr: (((lr[0], r), c) for r, c in fn(lr[1]))), _clean=True
+        )
 
     def fold(self, fn: Callable[[object, object], LinComb]) -> LinComb:
         """Apply a bilinear-on-basis map m: (l, r) -> LinComb and sum."""
-        acc: dict = {}
-        for (l, r), c in self.terms.items():
-            for b, c2 in fn(l, r).terms.items():
-                accum(acc, b, c * c2)
-        return LinComb(acc, _clean=True)
+        return LinComb(linear(self, lambda lr: fn(*lr)), _clean=True)
 
     def __add__(self, other: "TensorComb") -> "TensorComb":
         acc = dict(self.terms)
@@ -377,39 +445,70 @@ def tensorcomb_to_json(x: TensorComb, float_mode: bool = False) -> dict[str, str
 # small exact linear algebra
 
 
-def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+def nullspace(rows: list, ncols: int | None = None) -> list[list[Fraction]]:
     """Basis of the right nullspace of a matrix over the rationals.
 
-    ``rows`` is a list of equal-length rows; the result is a list of vectors v
-    with M v = 0, via fraction-exact Gauss-Jordan elimination.
+    ``rows`` holds equal-length rows, or sparse rows as dicts column -> entry
+    when ``ncols`` is given; no rows give no vectors.  The result is the
+    basis read off the reduced row echelon form: one vector per free column,
+    with 1 there, 0 at the other free columns and minus the reduced entries
+    at the pivots, in free-column order.  That form is unique, so the basis
+    does not depend on the order of elimination.  Elimination is
+    fraction-free and sparse: each row is scaled to integers and kept as a
+    dict, row operations are integer combinations, and every row they make
+    is divided by its content.
     """
     if not rows:
         return []
-    ncols = len(rows[0])
-    mat = [list(map(Fraction, row)) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    if ncols is None:
+        ncols = len(rows[0])
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> integer row
+    for row in rows:
+        entries = list(row.items() if isinstance(row, dict) else enumerate(row))
+        values = [c for _, c in entries]
+        nums, _ = numerators(values) or numerators([Fraction(c) for c in values])
+        r = _primitive({j: n for (j, _), n in zip(entries, nums) if n})
+        while r:
+            lead = min(r)
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = r
+                break
+            r = _combine(r, p, lead)
+    # back substitution: clear every pivot column from the rows that lead left of it
+    order = sorted(pivots)
+    for i, lead in enumerate(order):
+        for other in order[:i]:
+            if lead in pivots[other]:
+                pivots[other] = _combine(pivots[other], pivots[lead], lead)
     basis = []
-    for fc in free:
+    for free in range(ncols):
+        if free in pivots:
+            continue
         v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
+        v[free] = Fraction(1)
+        for lead, row in pivots.items():
+            if free in row:
+                v[lead] = Fraction(-row[free], row[lead])
         basis.append(v)
     return basis
+
+
+def _combine(r: dict, p: dict, col: int) -> dict:
+    """p[col] r - r[col] p over their gcd, which is zero at col, divided by its content."""
+    g = math.gcd(p[col], r[col])
+    a, b = p[col] // g, r[col] // g
+    out = {j: a * c for j, c in r.items()}
+    for j, c in p.items():
+        new = out.get(j, 0) - b * c
+        if new:
+            out[j] = new
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+def _primitive(r: dict) -> dict:
+    """r divided by its content, the gcd of its entries."""
+    g = math.gcd(*r.values())
+    return r if g <= 1 else {j: c // g for j, c in r.items()}

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .hopf_core import CheckReport
 from .hopf_ck import ck_coproduct, ck_instance, forest_product
-from .linalg import LinComb, TensorComb, accum, bilinear
+from .linalg import LinComb, TensorComb, accum, bilinear, linear
 from .roughpath import PiecewiseLinearPath, RoughLift, branched_lift_fn, to_fraction
 from .series import TruncatedElement, is_grouplike
 from .symbols import EMPTY_FOREST, Forest, forests_up_to, trees
@@ -121,17 +121,15 @@ def derivative_map(x: LinComb) -> LinComb:
 
 def comodule_coproduct(x: LinComb) -> TensorComb:
     """Coaction of the forest coalgebra on the model space (mixed tensor)."""
-    acc: dict = {}
-    for b, c in x:
+
+    def part(b):
         if isinstance(b, Forest):
-            part = ck_coproduct(b)
-        elif isinstance(b, DottedForest):
-            part = (((l, DottedForest(r, b.letter)), m) for (l, r), m in ck_coproduct(b.forest))
-        else:
-            raise SectorError(f"not a model-space symbol: {b!r}")
-        for lr, m in part:
-            accum(acc, lr, c * m)
-    return TensorComb(acc, _clean=True)
+            return ck_coproduct(b)
+        if isinstance(b, DottedForest):
+            return (((l, DottedForest(r, b.letter)), m) for (l, r), m in ck_coproduct(b.forest))
+        raise SectorError(f"not a model-space symbol: {b!r}")
+
+    return TensorComb(linear(x, part), _clean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +261,8 @@ class Model:
     level: int
     # one Character per (s, t), so each lift value is checked group-like once
     _characters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the images Gamma_st(b) per (s, t), each computed on first use
+    _gamma_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pi(self, s, x: LinComb, t) -> Fraction:
         """Evaluation map: the lift functional applied at (s, t)."""
@@ -274,9 +274,23 @@ class Model:
             g = self._characters[(s, t)] = Character.from_element(self.lift.eval(s, t))
         return g
 
+    def gamma_row(self, s, t, b: Forest) -> LinComb:
+        """Gamma_st(b) = (g_ts (x) id) Delta b for one forest b, cached per (s, t)."""
+        rows = self._gamma_rows.setdefault((s, t), {})
+        image = rows.get(b)
+        if image is None:
+            if not isinstance(b, Forest):
+                raise SectorError("struct_action acts on forest combinations")
+            g = self.character(t, s)
+            image = LinComb(linear(ck_coproduct(b), lambda lr: ((lr[1], g(lr[0])),)), _clean=True)
+            rows[b] = image
+        return image
+
     def gamma_st(self, s, t) -> Callable[[LinComb], LinComb]:
-        g = self.character(t, s)
-        return lambda x: struct_action(g, x, "left")
+        """The left structure action of g_ts, applied through the cached rows;
+        ``struct_action`` is the reference it is tested against."""
+        self.character(t, s)  # a lift value that is not group-like raises here
+        return lambda x: x.map_basis(lambda b: self.gamma_row(s, t, b))
 
     def gamma_st_model(self, s, t) -> Callable[[LinComb], LinComb]:
         """Translation on the full model space, through the comodule coaction."""
@@ -319,10 +333,9 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
         # Pi_u Gamma_us = Pi_s, tested coefficient-wise on the basis
         for s in grid:
             for u in grid:
-                gm = model.gamma_st(u, s)
                 for t in grid:
                     for b in basis:
-                        lhs = model.pi(u, gm(LinComb.term(b)), t)
+                        lhs = model.pi(u, model.gamma_row(u, s, b), t)
                         rhs = model.pi(s, LinComb.term(b), t)
                         if lhs != rhs:
                             yield f"Pi_u Gamma_us != Pi_s at (s,u,t)=({s},{u},{t}), {b}"
@@ -334,13 +347,9 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
         for s in grid:
             for u in grid:
                 for t in grid:
-                    g_su, g_ut, g_st = (
-                        model.gamma_st(s, u),
-                        model.gamma_st(u, t),
-                        model.gamma_st(s, t),
-                    )
+                    g_su = model.gamma_st(s, u)
                     for b in basis:
-                        if g_su(g_ut(LinComb.term(b))) != g_st(LinComb.term(b)):
+                        if g_su(model.gamma_row(u, t, b)) != model.gamma_row(s, t, b):
                             yield f"cocycle fails at ({s},{u},{t}) on {b}"
                             return
 
@@ -350,10 +359,9 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
         # Delta Gamma = (Gamma (x) id) Delta
         for s in grid:
             for t in grid:
-                gm = model.gamma_st(s, t)
                 for b in basis:
-                    lhs = ck.coproduct(gm(LinComb.term(b)))
-                    rhs = ck_coproduct(b).map_left(lambda l: gm(LinComb.term(l)))
+                    lhs = ck.coproduct(model.gamma_row(s, t, b))
+                    rhs = ck_coproduct(b).map_left(lambda l: model.gamma_row(s, t, l))
                     if lhs != rhs:
                         yield f"intertwining fails at ({s},{t}) on {b}"
                         return
@@ -363,9 +371,8 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
     def grading_failures():
         for s in grid:
             for t in grid:
-                gm = model.gamma_st(s, t)
                 for b in basis:
-                    delta = gm(LinComb.term(b)) - LinComb.term(b)
+                    delta = model.gamma_row(s, t, b) - LinComb.term(b)
                     if any(b2.grade >= b.grade for b2 in delta.support() if b.grade > 0):
                         yield f"Gamma does not lower grade at ({s},{t}) on {b}"
                         return

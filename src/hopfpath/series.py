@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hopf_core import HopfInstance, concat_deshuffle_instance
-from .linalg import LinComb, TensorComb, accum, nullspace
+from .linalg import LinComb, TensorComb, accum, nullspace, numerators
 from .symbols import Forest, Word, forests, trees
 
 
@@ -62,33 +62,18 @@ class _ProductTable:
         row = self.rows[i][j] = tuple(terms)
         return row
 
-    def numerators(self, x: LinComb):
-        """(slot, numerator) pairs of x over the lcm of its denominators, and
-        that lcm; None when a coefficient is not rational (float mode)."""
-        items = x.terms.items()
-        try:
-            dens = [c.denominator for _, c in items]
-        except AttributeError:
-            return None
-        den = math.lcm(*dens)
-        slots = self.slots
-        out = []
-        for (b, c), q in zip(items, dens):
-            i = slots.get(b)
-            if i is None:
-                i = self.slot(b)
-            out.append((i, c.numerator * (den // q)))
-        return out, den
-
     def product(self, x: LinComb, y: LinComb) -> LinComb | None:
-        """Truncated product x y, or None when either has a non-rational
-        coefficient.  Numerators accumulate as ints; each result coefficient
-        is divided by the product of the two shared denominators once."""
-        xs = self.numerators(x)
-        ys = self.numerators(y)
+        """Truncated product x y, or None when either has a float coefficient.
+        Each operand becomes integer numerators over the lcm of its
+        denominators (``linalg.numerators``), products accumulate as ints,
+        and each result coefficient is divided by the two lcms once."""
+        xs, ys = numerators(list(x.terms.values())), numerators(list(y.terms.values()))
         if xs is None or ys is None:
             return None
         (xs, xden), (ys, yden) = xs, ys
+        slot = self.slot
+        xs = list(zip(map(slot, x.terms), xs))
+        ys = list(zip(map(slot, y.terms), ys))
         level, grades, rows = self.level, self.grades, self.rows
         # y by grade, up to its own top grade so that no loop runs to the level
         top = min(level, max((grades[j] for j, _ in ys), default=0))
@@ -271,32 +256,35 @@ def is_grouplike(g: TruncatedElement) -> tuple[bool, TensorComb]:
 
 
 def primitive_basis(instance: HopfInstance, k: int) -> list[LinComb]:
-    """Exact basis of the primitives of grade k, by a nullspace computation."""
+    """Exact basis of the primitives of grade k, by a nullspace computation.
+
+    Memoized per (instance, k); each call returns a fresh list.
+    """
+    memo = instance.memo("primitive_basis")
+    out = memo.get(k)
+    if out is None:
+        out = memo[k] = _primitive_basis(instance, k)
+    return list(out)
+
+
+def _primitive_basis(instance: HopfInstance, k: int) -> list[LinComb]:
     basis = instance.basis(k)
     if k == 0 or not basis:
         return []
     if k == 1:
         # the reduced coproduct vanishes on grade one, so the slice is primitive
         return [LinComb.term(b) for b in basis]
-    row_index: dict = {}
-    columns = []
-    for b in basis:
-        red = instance.reduced_coproduct(LinComb.term(b))
-        col = {}
-        for key, c in red:
-            row_index.setdefault(key, len(row_index))
-            col[row_index[key]] = c
-        columns.append(col)
-    if not row_index:
+    # one sparse row per tensor in the reduced coproducts, one column per basis element
+    rows: dict = {}
+    for j, b in enumerate(basis):
+        for key, c in instance.reduced_coproduct(LinComb.term(b)):
+            rows.setdefault(key, {})[j] = c
+    if not rows:
         return [LinComb.term(b) for b in basis]
-    rows = [[Fraction(0)] * len(basis) for _ in range(len(row_index))]
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            rows[i][j] = c
-    out = []
-    for vec in nullspace(rows):
-        out.append(LinComb({basis[j]: c for j, c in enumerate(vec) if c}))
-    return out
+    return [
+        LinComb({basis[j]: c for j, c in enumerate(vec) if c})
+        for vec in nullspace(list(rows.values()), len(basis))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,8 @@ def multiplicative(one, mul):
                 rest = ((tree, mult - 1),) + rest
             elif not rest:
                 return on_tree(tree)
-            return mul(on_tree(tree), on_forest(Forest(rest)))
+            # rest is already canonical: look it up before normalizing it again
+            return mul(on_tree(tree), on_forest(_FORESTS.get(rest) or Forest(rest)))
 
         return on_forest
 

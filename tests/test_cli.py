@@ -305,6 +305,27 @@ class TestSizeGuard:
                            "--truncation", level, x)
         assert code == 2 and "too large" in err
 
+    def test_signature_level_30_exits_at_once(self, capsys, path_csv):
+        import time
+
+        start = time.process_time()
+        code, out, err = run(capsys, "signature", path_csv, "--level", "30")
+        assert code == 2 and out == ""
+        assert "level 30 is too large" in err and "1000000" in err
+        assert time.process_time() - start < 2
+
+    @pytest.mark.parametrize("argv", [
+        ["branched-lift", "{path}", "--level", "12"],
+        ["convert-lift", "{path}", "--direction", "g2b", "--level", "14"],
+        ["check-rough", "{path}", "--level", "25"],
+        ["check-rough", "{path}", "--flavor", "branched", "--level", "13"],
+        ["check-axioms", "--algebra", "gl", "--max-grade", "13"],
+        ["rde", "{path}", "--level", "12"],
+    ])
+    def test_level_and_max_grade_guarded(self, capsys, path_csv, argv):
+        code, out, err = run(capsys, *(a.format(path=path_csv) for a in argv))
+        assert code == 2 and out == "" and "too large" in err
+
     def test_sizes_below_the_cap_run(self, capsys):
         from hopfpath.cli import _basis_size
         from hopfpath.symbols import forests_up_to, multi_indices_up_to, words_up_to

@@ -3,14 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hopfpath.hopf_core import get_instance
 from hopfpath.linalg import (
     KindMismatchError,
     LinComb,
     TensorComb,
+    bilinear,
     format_lincomb,
+    linear,
     lincomb_to_json,
     nullspace,
+    numerators,
     pair,
     pair_tensor,
     tensorcomb_to_json,
@@ -177,3 +182,200 @@ class TestForestPairing:
             x = LinComb({b: _F(rng.randint(-9, 9), rng.randint(1, 9)) for b in pool})
             assert pair(x, x) >= 0
             assert (pair(x, x) == 0) == x.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the integer accumulation loop against a plain Fraction/float reference
+
+
+def _ref_add(acc: dict, key, value):
+    new = acc.get(key, 0) + value
+    if new:
+        acc[key] = new
+    else:
+        acc.pop(key, None)
+
+
+def ref_linear(x, fn) -> dict:
+    acc: dict = {}
+    for b, c in x:
+        for k, c2 in fn(b):
+            _ref_add(acc, k, c * c2)
+    return acc
+
+
+def ref_bilinear(x, y, fn, max_grade=None) -> dict:
+    acc: dict = {}
+    for b1, c1 in x:
+        for b2, c2 in y:
+            if max_grade is None or b1.grade + b2.grade <= max_grade:
+                c = c1 * c2
+                for k, c3 in fn(b1, b2):
+                    _ref_add(acc, k, c * c3)
+    return acc
+
+
+def exactly(terms: dict) -> list:
+    """Keys in order with each value's type and value; floats by their bits."""
+    return [(k, type(c), c.hex() if isinstance(c, float) else c) for k, c in terms.items()]
+
+
+@st.composite
+def operands(draw):
+    """An algebra of the five, d in 1..3, a grade bound, and two combinations of
+    basis elements up to it: exact, float, mixed, zero or empty."""
+    name = draw(st.sampled_from(("poly", "shuffle", "concat", "ck", "gl")))
+    d = draw(st.integers(min_value=1, max_value=3))
+    level = draw(st.integers(min_value=0, max_value=3))
+    inst = get_instance(name, d)
+    pool = list(inst.basis_up_to(level))
+    mode = draw(st.sampled_from(("exact", "exact", "float", "mixed")))
+    exact = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    approx = st.floats(min_value=-5, max_value=5, allow_nan=False, allow_subnormal=False)
+
+    def element():
+        keys = draw(st.lists(st.sampled_from(pool), max_size=5, unique=True))
+        kinds = {"exact": exact, "float": approx, "mixed": st.one_of(exact, approx)}
+        return LinComb({b: draw(kinds[mode]) for b in keys})
+
+    return inst, level, element(), element()
+
+
+class TestAccumulator:
+    @given(operands())
+    @settings(max_examples=300, deadline=None)
+    def test_product_and_coproduct(self, case):
+        inst, level, x, y = case
+        got = bilinear(x, y, inst.product_basis, level)
+        assert exactly(got) == exactly(ref_bilinear(x, y, inst.product_basis, level))
+        assert exactly(inst.product(x, y).terms) == exactly(
+            ref_bilinear(x, y, inst.product_basis)
+        )
+        assert exactly(inst.coproduct(x).terms) == exactly(ref_linear(x, inst.coproduct_basis))
+
+    @given(operands())
+    @settings(max_examples=200, deadline=None)
+    def test_tensor_maps(self, case):
+        inst, level, x, y = case
+        t = inst.coproduct(x)
+        one_third = lambda b: LinComb.term(b, Fraction(b.grade + 1, 3))  # non-integer constants
+        assert exactly(TensorComb.of(x, y, level).terms) == exactly(
+            ref_bilinear(x, y, lambda l, r: (((l, r), 1),), level)
+        )
+        assert exactly(t.fold(lambda l, r: inst.product_basis(l, r)).terms) == exactly(
+            ref_linear(t, lambda lr: inst.product_basis(*lr))
+        )
+        assert exactly(t.map_left(one_third).terms) == exactly(
+            ref_linear(t, lambda lr: (((l, lr[1]), c) for l, c in one_third(lr[0])))
+        )
+        assert exactly(t.map_right(inst.antipode_basis).terms) == exactly(
+            ref_linear(t, lambda lr: (((lr[0], r), c) for r, c in inst.antipode_basis(lr[1])))
+        )
+        assert exactly(x.map_basis(one_third).terms) == exactly(ref_linear(x, one_third))
+        # float constants give float sums, bit for bit, whatever the operands
+        tenths = lambda b: LinComb({b: 0.1 * (b.grade + 1), inst.unit: Fraction(1, 3)})
+        assert exactly(x.map_basis(tenths).terms) == exactly(ref_linear(x, tenths))
+        assert exactly(bilinear(x, y, lambda a, b: tenths(a), level)) == exactly(
+            ref_bilinear(x, y, lambda a, b: tenths(a), level)
+        )
+
+    def test_empty_and_zero_operands(self):
+        inst = get_instance("shuffle", 2)
+        x = LinComb.term(W(1), Fraction(1, 2)) + LinComb.term(W(2), 3)
+        zero = LinComb.zero()
+        assert inst.product(x, zero).is_zero() and inst.product(zero, x).is_zero()
+        assert inst.coproduct(zero).is_zero() and TensorComb.of(x, zero).is_zero()
+        assert linear([], inst.coproduct_basis) == {}
+        # zero coefficients in a raw operand leave no key behind
+        raw = [(W(1), Fraction(0)), (W(2), Fraction(2, 3))]
+        got = bilinear(raw, x, inst.product_basis)
+        assert exactly(got) == exactly(ref_bilinear(raw, x, inst.product_basis))
+
+    def test_cancellation_drops_and_reinserts_keys(self):
+        # the running sum of k hits zero and k comes back at the end
+        fn = lambda b: [("k", b), ("m", 1)]
+        x = [(1, Fraction(1, 2)), (-1, Fraction(1, 2)), (2, Fraction(1, 3))]
+        got = linear(x, fn)
+        assert list(got) == ["m", "k"] and exactly(got) == exactly(ref_linear(x, fn))
+
+    def test_numerators(self):
+        assert numerators([Fraction(1, 2), Fraction(-2, 3), 4]) == ([3, -4, 24], 6)
+        assert numerators([]) == ([], 1)
+        assert numerators([Fraction(1, 2), 0.5]) is None
+
+
+# ---------------------------------------------------------------------------
+# the sparse fraction-free nullspace against dense Gauss-Jordan elimination
+
+
+def gauss_jordan_nullspace(rows):
+    """The dense Fraction Gauss-Jordan nullspace that linalg.nullspace replaced."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    mat = [list(map(Fraction, row)) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -mat[i][fc]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def sparse_matrices(draw):
+    ncols = draw(st.integers(min_value=1, max_value=9))
+    nonzero = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 8))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), nonzero)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    if rows and draw(st.booleans()):
+        # a combination of two rows makes the matrix rank-deficient
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        k = draw(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+        rows.append([p + k * q for p, q in zip(a, b)])
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * ncols)
+    return rows
+
+
+class TestSparseNullspace:
+    @given(sparse_matrices())
+    @settings(max_examples=250, deadline=None)
+    def test_matches_gauss_jordan(self, rows):
+        want = gauss_jordan_nullspace(rows)
+        got = nullspace(rows)
+        assert got == want
+        assert all(type(c) is Fraction for v in got for c in v)
+        # sparse dict rows give the same basis
+        sparse = [{j: c for j, c in enumerate(row) if c} for row in rows]
+        if rows:
+            assert nullspace(sparse, len(rows[0])) == want
+
+    def test_empty_and_zero(self):
+        assert nullspace([]) == gauss_jordan_nullspace([]) == []
+        zero = [[Fraction(0)] * 3, [Fraction(0)] * 3]
+        assert nullspace(zero) == gauss_jordan_nullspace(zero)
+        assert len(nullspace(zero)) == 3
+
+    def test_int_and_text_entries(self):
+        rows = [[1, 2, "1/2"], [0, "3", 1]]
+        assert nullspace(rows) == gauss_jordan_nullspace(rows)

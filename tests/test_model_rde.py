@@ -16,6 +16,7 @@ from hopfpath.model_rde import (
     abstract_integration,
     check_model,
     comodule_coproduct,
+    comodule_action,
     compose_with_function,
     constant_field,
     derivative_map,
@@ -312,6 +313,43 @@ class TestCharacterCache:
         with pytest.raises(ModelError):
             model.gamma_st_model(Fraction(1, 2), 0)
         assert model.character(0, Fraction(1, 4)) is model.character(0, Fraction(1, 4))
+
+
+class TestGammaRows:
+    @given(
+        st.sampled_from(GRID), st.sampled_from(GRID),
+        st.lists(
+            st.tuples(st.sampled_from(forests_up_to(2, 3)),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=6)),
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_struct_action_and_comodule_action(self, s, t, terms):
+        model = model_from_lift(LIFT, Fraction(3, 10))
+        g = model.character(t, s)
+        for b in forests_up_to(2, 3):
+            row = model.gamma_row(s, t, b)
+            ref = struct_action(g, LinComb.term(b), "left")
+            assert list(row.terms.items()) == list(ref.terms.items())
+            assert row == comodule_action(g, LinComb.term(b))
+        x = LinComb(dict(terms))
+        assert model.gamma_st(s, t)(x) == struct_action(g, x, "left") == comodule_action(g, x)
+
+    def test_rows_cached_per_pair(self):
+        model = model_from_lift(LIFT, Fraction(3, 10))
+        s, u = Fraction(1, 4), Fraction(3, 4)
+        row = model.gamma_row(s, u, dot1)
+        assert model.gamma_row(s, u, dot1) is row
+        assert model.gamma_row(u, s, dot1) is not row
+        assert set(model._gamma_rows) == {(s, u), (u, s)}
+        fresh = model_from_lift(LIFT, Fraction(3, 10))
+        assert model == fresh and "_gamma_rows" not in repr(model)
+
+    def test_rows_reject_dotted_symbols(self):
+        model = model_from_lift(LIFT, Fraction(3, 10))
+        with pytest.raises(SectorError):
+            model.gamma_st(0, Fraction(1, 2))(LinComb.term(DottedForest(dot1, 1)))
 
 
 class TestCompose:

@@ -345,6 +345,35 @@ class TestPrimGrouplike:
             assert ok
 
 
+class TestPrimitiveBasisMemo:
+    def test_mutating_the_result_leaves_the_memo_intact(self):
+        inst = dataclasses.replace(concat_deshuffle_instance(2), _memo={})
+        first = primitive_basis(inst, 3)
+        want = list(first)
+        first.clear()
+        again = primitive_basis(inst, 3)
+        assert again == want and again is not first
+        assert primitive_basis(inst, 3) is not again
+
+    def test_replaced_copy_does_not_read_the_memo(self):
+        base = concat_deshuffle_instance(2)
+        assert len(primitive_basis(base, 2)) == 1  # the bracket [1, 2]
+        # deconcatenation has no primitives above grade one; the copy shares _memo
+        copy = dataclasses.replace(
+            base, coproduct_basis=shuffle_deconcat_instance(2).coproduct_basis
+        )
+        assert primitive_basis(copy, 2) == []
+        assert len(primitive_basis(base, 2)) == 1
+
+    def test_same_bases_in_the_same_order_as_before(self):
+        # a few bases written out from the dense Gauss-Jordan elimination
+        inst = concat_deshuffle_instance(2)
+        assert [str(x) for x in primitive_basis(inst, 3)] == [
+            "112 + -2*121 + 211",
+            "122 + -2*212 + 221",
+        ]
+
+
 class TestDynkin:
     def test_base_cases(self):
         assert dynkin(LinComb.term(W(1))) == LinComb.term(W(1))

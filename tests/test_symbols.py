@@ -92,6 +92,32 @@ class TestMultiplicative:
         assert sorted(calls) == sorted({t(1), t(2), t(2, t(1))})
 
 
+    def test_interned_suffix_is_looked_up_not_rebuilt(self, monkeypatch):
+        import hopfpath.symbols as symbols
+
+        @multiplicative((), lambda a, b: a + b)
+        def leaves(tree: Tree) -> tuple:
+            return (tree.label,)
+
+        a, b, c = t(1), t(2), t(1, t(2))
+        f = Forest.of(a, b, c)
+        # interned: the suffixes of f after its first tree and after two trees
+        suffix, last = Forest.of(b, c), c.as_forest()
+        assert f.items[1:] == suffix.items
+        built = []
+        real = symbols.Forest
+        monkeypatch.setattr(
+            symbols, "Forest", lambda items=(): built.append(items) or real(items)
+        )
+        assert leaves(f) == (1, 2, 1)
+        assert built == []
+        hits = leaves.cache_info().hits
+        assert leaves(suffix) == (2, 1)  # the recursion cached the interned suffix
+        assert leaves.cache_info().hits == hits + 1
+        assert symbols._FORESTS.get(f.items[1:]) is suffix
+        assert symbols._FORESTS.get(f.items[2:]) is last
+
+
 class TestParsing:
     def test_tree_example(self):
         x = parse_expr("[[]_2 []_3]_1", "forest", 3)
