@@ -15,13 +15,13 @@ from fractions import Fraction
 from .hopf_core import check_axioms, get_instance
 from .hopf_ck import enumerate_cuts, phi_hat_lin, phi_lin, psi_lin
 from .linalg import (
+    Combination,
     LinComb,
+    TensorComb,
     format_lincomb,
     format_scalar,
-    format_tensorcomb,
     lincomb_to_json,
     pair,
-    tensorcomb_to_json,
 )
 from .model_rde import ModelError, VectorField, picard_solve
 from .roughpath import (
@@ -65,18 +65,13 @@ def _parse(args, text: str) -> LinComb:
     return parse_expr(text, _KIND_BY_ALGEBRA[args.algebra], args.dim)
 
 
-def _emit_lincomb(args, x: LinComb):
+def _emit(args, x: Combination):
+    """Print a LinComb or TensorComb as text or JSON; tensor text lists terms in
+    descending basis order."""
     if args.format == "json":
         print(json.dumps(lincomb_to_json(x, args.float), ensure_ascii=False))
     else:
-        print(format_lincomb(x, args.float))
-
-
-def _emit_tensor(args, x):
-    if args.format == "json":
-        print(json.dumps(tensorcomb_to_json(x, args.float), ensure_ascii=False))
-    else:
-        print(format_tensorcomb(x, args.float, descending=True))
+        print(format_lincomb(x, args.float, descending=isinstance(x, TensorComb)))
 
 
 def _emit_report(args, report, text: str) -> int:
@@ -93,6 +88,8 @@ def _gamma(args) -> Fraction:
 
 
 def _grid(path: PiecewiseLinearPath, points: int) -> list[Fraction]:
+    if points < 2:
+        raise ValueError(f"--grid must be at least 2, got {points}")
     lo, hi = path.times[0], path.times[-1]
     return [lo + (hi - lo) * Fraction(i, points - 1) for i in range(points)]
 
@@ -271,17 +268,17 @@ def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "product":
         inst = get_instance(args.algebra, args.dim)
-        _emit_lincomb(args, inst.product(_parse(args, args.x), _parse(args, args.y)))
+        _emit(args, inst.product(_parse(args, args.x), _parse(args, args.y)))
         return 0
     if cmd == "coproduct":
         inst = get_instance(args.algebra, args.dim)
-        _emit_tensor(args, inst.coproduct(_parse(args, args.x)))
+        _emit(args, inst.coproduct(_parse(args, args.x)))
         return 0
     if cmd == "antipode":
         inst = get_instance(args.algebra, args.dim)
         x = _parse(args, args.x)
         out = inst.antipode_closed(x) if args.engine == "closed" else inst.antipode(x)
-        _emit_lincomb(args, out)
+        _emit(args, out)
         return 0
     if cmd == "pair":
         value = pair(_parse(args, args.x), _parse(args, args.y))
@@ -294,14 +291,14 @@ def _dispatch(args) -> int:
         report = check_axioms(inst, args.max_grade, args.samples, args.seed)
         return _emit_report(args, report, "OK" if report.passed else report.summary())
     if cmd == "exp":
-        _emit_lincomb(args, exp_trunc(_truncated(args, _parse(args, args.x))).value)
+        _emit(args, exp_trunc(_truncated(args, _parse(args, args.x))).value)
         return 0
     if cmd == "log":
-        _emit_lincomb(args, log_trunc(_truncated(args, _parse(args, args.x))).value)
+        _emit(args, log_trunc(_truncated(args, _parse(args, args.x))).value)
         return 0
     if cmd == "bch":
         out = bch(_truncated(args, _parse(args, args.x)), _truncated(args, _parse(args, args.y)))
-        _emit_lincomb(args, out.value)
+        _emit(args, out.value)
         return 0
     if cmd == "norm":
         print(f"{homog_norm(_truncated(args, _parse(args, args.x))):.12g}")
@@ -325,7 +322,7 @@ def _dispatch(args) -> int:
             out = phi_hat_lin(parse_expr(args.x, "word", args.dim))
         else:
             out = psi_lin(parse_expr(args.x, "forest", args.dim))
-        _emit_lincomb(args, out)
+        _emit(args, out)
         return 0
     if cmd in ("signature", "branched-lift"):
         path = PiecewiseLinearPath.from_csv(args.path)
@@ -334,7 +331,7 @@ def _dispatch(args) -> int:
         lift = make(path, args.level)
         s = Fraction(args.t_from) if args.t_from is not None else path.times[0]
         t = Fraction(args.t_to) if args.t_to is not None else path.times[-1]
-        _emit_lincomb(args, lift.eval(s, t).value)
+        _emit(args, lift.eval(s, t).value)
         return 0
     if cmd == "check-rough":
         path = PiecewiseLinearPath.from_csv(args.path)
@@ -360,7 +357,7 @@ def _dispatch(args) -> int:
             out = branched_to_geo(
                 branched_lift_fn(path, args.level), _grid(path, args.grid)
             )
-        _emit_lincomb(args, out.eval(s, t).value)
+        _emit(args, out.eval(s, t).value)
         return 0
     if cmd == "rde":
         path = PiecewiseLinearPath.from_csv(args.path)

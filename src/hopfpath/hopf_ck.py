@@ -153,13 +153,15 @@ def symmetry_factor(f: Forest) -> int:
 def _graft_counts(a: Forest, b: Forest) -> dict:
     """M(z) for every z: the ways to attach each tree of a (copies counted as
     distinct) to a vertex of b or to its root level that give z."""
-    # b's vertices in preorder; vertex 0 is the root level
-    trees, kids = [None], [[]]
+    # b's vertices in preorder, each with the vertices from it up to the root
+    # level, which is vertex 0
+    trees, kids, lineage = [None], [[]], [()]
 
     def walk(tree: Tree, up: int):
         v = len(trees)
         trees.append(tree)
         kids.append([])
+        lineage.append((v, *lineage[up]))
         kids[up].append(v)
         for child in tree.children.trees():
             walk(child, v)
@@ -187,7 +189,12 @@ def _graft_counts(a: Forest, b: Forest) -> dict:
             for v in targets:
                 placed.setdefault(v, []).append(tree)
 
+        # only the vertices on a path from a placement up to the root change
+        touched = set().union(*(lineage[v] for v in placed))
+
         def build(v: int) -> Tree:
+            if v not in touched:
+                return trees[v]
             return Tree(trees[v].label, Forest.of(*map(build, kids[v]), *placed.get(v, ())))
 
         z = Forest.of(*map(build, kids[0]), *placed.get(0, ()))

@@ -451,6 +451,8 @@ def check_axioms(
     """
     if max_grade < 1:
         raise ValueError("max_grade must be >= 1")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     report = CheckReport(f"axiom check: {instance.name}, grade <= {max_grade}")
     rng = random.Random(seed)
     one = instance.one()

@@ -1,19 +1,17 @@
 """Free vector spaces over basis elements with exact rational scalars.
 
 LinComb and TensorComb are sparse maps from basis elements (resp. pairs) to
-``fractions.Fraction``.  Zero coefficients are never stored, so equality is
-structural.  All basis elements of one combination must be of one kind; mixed
-tensor slots are allowed only where a module explicitly builds them.
+``fractions.Fraction``; their shared algebra lives in ``Combination``, and
+one pairing loop, one formatter and one JSON form serve both.  Zero
+coefficients are never stored, so equality is structural.  All basis
+elements of one combination must be of one kind; mixed tensor slots are
+allowed only where a module explicitly builds them.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from typing import Callable, Iterator
-
-Scalar = Fraction
-
-FLOAT_TOLERANCE = 1e-9
 
 _ONE = Fraction(1)  # the default coefficient, built once
 
@@ -35,97 +33,75 @@ def as_scalar(x):
     raise TypeError(f"not a scalar: {x!r}")
 
 
-def _check_kinds(a, b):
-    if type(a) is not type(b):
-        raise KindMismatchError(
-            f"cannot mix basis kinds {type(a).__name__} and {type(b).__name__}"
-        )
+def _check_kinds(*basis):
+    """Raise KindMismatchError unless the basis elements are all of one kind."""
+    kinds = {type(b) for b in basis}
+    if len(kinds) > 1:
+        names = sorted(k.__name__ for k in kinds)
+        raise KindMismatchError(f"cannot mix basis kinds {', '.join(names)}")
 
 
-class LinComb:
-    """A finite linear combination of basis elements with rational coefficients."""
+class Combination:
+    """The algebra LinComb and TensorComb share: an immutable sparse map from
+    keys to nonzero scalars, with sums, differences, scaling and equality.
+
+    A subclass says how its terms sort (``_order``) and its keys print
+    (``_label``), and whether all keys must be of one basis kind.
+    """
 
     __slots__ = ("terms",)
+    _one_kind = False
 
     def __init__(self, terms: dict | None = None, _clean: bool = False):
         if terms is None:
             terms = {}
         if not _clean:
-            terms = {b: as_scalar(c) for b, c in terms.items() if c != 0}
-            kinds = {type(b) for b in terms}
-            if len(kinds) > 1:
-                raise KindMismatchError(f"mixed basis kinds {sorted(k.__name__ for k in kinds)}")
+            terms = {k: as_scalar(c) for k, c in terms.items() if c != 0}
+            if self._one_kind:
+                _check_kinds(*terms)
         object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("LinComb is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls) -> "LinComb":
+    def zero(cls):
         return cls({}, _clean=True)
-
-    @classmethod
-    def term(cls, basis, coeff=_ONE) -> "LinComb":
-        c = as_scalar(coeff)
-        return cls({basis: c} if c else {}, _clean=True)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, basis) -> Fraction:
-        return self.terms.get(basis, Fraction(0))
-
-    def support(self):
-        return self.terms.keys()
-
     def sorted_terms(self) -> list[tuple[object, Fraction]]:
-        return sorted(self.terms.items(), key=lambda bc: bc[0].sort_key())
+        return sorted(self.terms.items(), key=self._order)
 
-    def max_grade(self) -> int:
-        return max((b.grade for b in self.terms), default=0)
-
-    def truncate(self, max_grade: int) -> "LinComb":
-        return LinComb({b: c for b, c in self.terms.items() if b.grade <= max_grade}, _clean=True)
-
-    def grade_part(self, k: int) -> "LinComb":
-        return LinComb({b: c for b, c in self.terms.items() if b.grade == k}, _clean=True)
-
-    def map_basis(self, fn: Callable[[object], "LinComb"]) -> "LinComb":
-        """Linear extension of a basis map fn: basis -> LinComb."""
-        return LinComb(linear(self, fn), _clean=True)
-
-    def __add__(self, other: "LinComb") -> "LinComb":
-        self._check_compatible(other)
+    def _plus(self, other, sign: int):
+        if self._one_kind and self.terms and other.terms:
+            _check_kinds(next(iter(self.terms)), next(iter(other.terms)))
         acc = dict(self.terms)
-        for b, c in other.terms.items():
-            accum(acc, b, c)
-        return LinComb(acc, _clean=True)
+        for k, c in other.terms.items():
+            accum(acc, k, c if sign > 0 else -c)
+        return type(self)(acc, _clean=True)
 
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        self._check_compatible(other)
-        acc = dict(self.terms)
-        for b, c in other.terms.items():
-            accum(acc, b, -c)
-        return LinComb(acc, _clean=True)
+    def __add__(self, other):
+        return self._plus(other, 1)
 
-    def __neg__(self) -> "LinComb":
-        return LinComb({b: -c for b, c in self.terms.items()}, _clean=True)
+    def __sub__(self, other):
+        return self._plus(other, -1)
 
-    def scale(self, s) -> "LinComb":
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()}, _clean=True)
+
+    def scale(self, s):
         s = as_scalar(s)
         if s == 0:
-            return LinComb.zero()
-        return LinComb({b: s * c for b, c in self.terms.items()}, _clean=True)
+            return self.zero()
+        return type(self)({k: s * c for k, c in self.terms.items()}, _clean=True)
 
     __mul__ = scale
     __rmul__ = scale
 
-    def _check_compatible(self, other: "LinComb"):
-        if self.terms and other.terms:
-            _check_kinds(next(iter(self.terms)), next(iter(other.terms)))
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, LinComb) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
@@ -137,10 +113,46 @@ class LinComb:
         return len(self.terms)
 
     def __repr__(self) -> str:
-        return f"LinComb({self.terms!r})"
+        return f"{type(self).__name__}({self.terms!r})"
 
     def __str__(self) -> str:
         return format_lincomb(self)
+
+
+class LinComb(Combination):
+    """A finite linear combination of basis elements with rational coefficients."""
+
+    __slots__ = ()
+    _one_kind = True
+
+    @staticmethod
+    def _order(bc: tuple):
+        return bc[0].sort_key()
+
+    @staticmethod
+    def _label(b, sep: str) -> str:
+        return str(b)
+
+    @classmethod
+    def term(cls, basis, coeff=_ONE) -> "LinComb":
+        c = as_scalar(coeff)
+        return cls({basis: c} if c else {}, _clean=True)
+
+    def coeff(self, basis) -> Fraction:
+        return self.terms.get(basis, Fraction(0))
+
+    def support(self):
+        return self.terms.keys()
+
+    def max_grade(self) -> int:
+        return max((b.grade for b in self.terms), default=0)
+
+    def truncate(self, max_grade: int) -> "LinComb":
+        return LinComb({b: c for b, c in self.terms.items() if b.grade <= max_grade}, _clean=True)
+
+    def map_basis(self, fn: Callable[[object], "LinComb"]) -> "LinComb":
+        """Linear extension of a basis map fn: basis -> LinComb."""
+        return LinComb(linear(self, fn), _clean=True)
 
 
 def accum(acc: dict, key, value):
@@ -251,24 +263,19 @@ def _outer(l, r):
     return (((l, r), 1),)
 
 
-class TensorComb:
-    """A finite combination of two-fold tensors basis (x) basis."""
+class TensorComb(Combination):
+    """A finite combination of two-fold tensors basis (x) basis, keyed by pairs."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict | None = None, _clean: bool = False):
-        if terms is None:
-            terms = {}
-        if not _clean:
-            terms = {bb: as_scalar(c) for bb, c in terms.items() if c != 0}
-        object.__setattr__(self, "terms", terms)
+    @staticmethod
+    def _order(lrc: tuple):
+        return lrc[0][0].sort_key(), lrc[0][1].sort_key()
 
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("TensorComb is immutable")
-
-    @classmethod
-    def zero(cls) -> "TensorComb":
-        return cls({}, _clean=True)
+    @staticmethod
+    def _label(lr: tuple, sep: str) -> str:
+        """The text of a tensor: its two factors joined by sep."""
+        return f"{lr[0]}{sep}{lr[1]}"
 
     @classmethod
     def term(cls, left, right, coeff=_ONE) -> "TensorComb":
@@ -280,17 +287,8 @@ class TensorComb:
         """The outer product a (x) b; pairs beyond max_grade total are skipped."""
         return cls(bilinear(a, b, _outer, max_grade), _clean=True)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, left, right) -> Fraction:
         return self.terms.get((left, right), Fraction(0))
-
-    def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
-        return sorted(
-            self.terms.items(),
-            key=lambda bc: (bc[0][0].sort_key(), bc[0][1].sort_key()),
-        )
 
     def flip(self) -> "TensorComb":
         return TensorComb({(r, l): c for (l, r), c in self.terms.items()}, _clean=True)
@@ -315,48 +313,6 @@ class TensorComb:
         """Apply a bilinear-on-basis map m: (l, r) -> LinComb and sum."""
         return LinComb(linear(self, lambda lr: fn(*lr)), _clean=True)
 
-    def __add__(self, other: "TensorComb") -> "TensorComb":
-        acc = dict(self.terms)
-        for bb, c in other.terms.items():
-            accum(acc, bb, c)
-        return TensorComb(acc, _clean=True)
-
-    def __sub__(self, other: "TensorComb") -> "TensorComb":
-        acc = dict(self.terms)
-        for bb, c in other.terms.items():
-            accum(acc, bb, -c)
-        return TensorComb(acc, _clean=True)
-
-    def __neg__(self) -> "TensorComb":
-        return TensorComb({bb: -c for bb, c in self.terms.items()}, _clean=True)
-
-    def scale(self, s) -> "TensorComb":
-        s = as_scalar(s)
-        if s == 0:
-            return TensorComb.zero()
-        return TensorComb({bb: s * c for bb, c in self.terms.items()}, _clean=True)
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TensorComb) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __repr__(self) -> str:
-        return f"TensorComb({self.terms!r})"
-
-    def __str__(self) -> str:
-        return format_tensorcomb(self)
-
 
 def pair(a: LinComb, b: LinComb) -> Fraction:
     """Orthonormal duality pairing <a, b> = sum_x a_x b_x.
@@ -366,24 +322,21 @@ def pair(a: LinComb, b: LinComb) -> Fraction:
     """
     if a.terms and b.terms:
         _check_kinds(next(iter(a.terms)), next(iter(b.terms)))
-    small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-    total = Fraction(0)
-    for k, c in small.items():
-        c2 = large.get(k)
-        if c2 is not None:
-            total += c * c2
-    return total
+    return _dot(a.terms, b.terms)
 
 
 def pair_tensor(a: TensorComb, b: TensorComb) -> Fraction:
     """Induced pairing <x1 (x) x2, y1 (x) y2> = <x1,y1><x2,y2>, bilinearly."""
-    for (l1, r1) in a.terms:
-        for (l2, r2) in b.terms:
-            _check_kinds(l1, l2)
-            _check_kinds(r1, r2)
-            break
-        break
-    small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
+    if a.terms and b.terms:
+        (l1, r1), (l2, r2) = next(iter(a.terms)), next(iter(b.terms))
+        _check_kinds(l1, l2)
+        _check_kinds(r1, r2)
+    return _dot(a.terms, b.terms)
+
+
+def _dot(a: dict, b: dict) -> Fraction:
+    """sum_k a[k] b[k], looking the smaller dict's keys up in the larger."""
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
     total = Fraction(0)
     for k, c in small.items():
         c2 = large.get(k)
@@ -402,43 +355,23 @@ def format_scalar(c: Fraction, float_mode: bool = False) -> str:
     return str(c)
 
 
-def format_lincomb(x: LinComb, float_mode: bool = False, descending: bool = False) -> str:
-    if x.is_zero():
-        return "0"
+def format_lincomb(x: Combination, float_mode: bool = False, descending: bool = False) -> str:
+    """Text of a LinComb or TensorComb: terms in basis order, or reversed when
+    descending, as c*key with c omitted when 1, tensor factors joined by (x)."""
     items = x.sorted_terms()
     if descending:
-        items = items[::-1]
+        items.reverse()
     parts = []
-    for b, c in items:
-        if c == 1:
-            parts.append(str(b))
-        else:
-            parts.append(f"{format_scalar(c, float_mode)}*{b}")
-    return " + ".join(parts)
+    for key, c in items:
+        body = x._label(key, " (x) ")
+        parts.append(body if c == 1 else f"{format_scalar(c, float_mode)}*{body}")
+    return " + ".join(parts) or "0"
 
 
-def format_tensorcomb(x: TensorComb, float_mode: bool = False, descending: bool = False) -> str:
-    if x.is_zero():
-        return "0"
-    items = x.sorted_terms()
-    if descending:
-        items = items[::-1]
-    parts = []
-    for (l, r), c in items:
-        body = f"{l} (x) {r}"
-        if c == 1:
-            parts.append(body)
-        else:
-            parts.append(f"{format_scalar(c, float_mode)}*{body}")
-    return " + ".join(parts)
-
-
-def lincomb_to_json(x: LinComb, float_mode: bool = False) -> dict[str, str]:
-    return {str(b): format_scalar(c, float_mode) for b, c in x.sorted_terms()}
-
-
-def tensorcomb_to_json(x: TensorComb, float_mode: bool = False) -> dict[str, str]:
-    return {f"{l}⊗{r}": format_scalar(c, float_mode) for (l, r), c in x.sorted_terms()}
+def lincomb_to_json(x: Combination, float_mode: bool = False) -> dict[str, str]:
+    """JSON form of a LinComb or TensorComb: key text -> scalar text in basis
+    order, tensor factors joined by ⊗."""
+    return {x._label(k, "⊗"): format_scalar(c, float_mode) for k, c in x.sorted_terms()}
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .hopf_ck import (
     phi_hat,
     phi_kernel_basis,
 )
-from .linalg import LinComb
+from .linalg import LinComb, pair
 from .series import TruncatedElement, homog_norm, is_grouplike, trunc_one
 from .symbols import (
     EMPTY_WORD,
@@ -177,8 +177,7 @@ class RoughLift:
 
     def value(self, s, t, x: LinComb) -> Fraction:
         """Evaluate the lift as a functional on a linear combination."""
-        elt = self.eval(s, t)
-        return sum((c * elt.coeff(b) for b, c in x), Fraction(0))
+        return pair(x, self.eval(s, t).value)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +267,6 @@ def signature(path: PiecewiseLinearPath, s, t, level: int) -> TruncatedElement:
     return signature_lift(path, level).eval(s, t)
 
 
-def branched_lift(path: PiecewiseLinearPath, s, t, level: int) -> TruncatedElement:
-    return branched_lift_fn(path, level).eval(s, t)
-
-
 # ---------------------------------------------------------------------------
 # axiom checking
 
@@ -329,7 +324,7 @@ def check_rough_axioms(
                         else:
                             # character with respect to the shuffle product
                             sh = shuffle_deconcat_instance(lift.dim).product_basis(b1, b2)
-                            lhs = sum((c * elt.coeff(w) for w, c in sh), Fraction(0))
+                            lhs = pair(sh, elt.value)
                         if lhs != elt.coeff(b1) * elt.coeff(b2):
                             yield f"character fails at ({s},{t}) on ({b1}, {b2})"
                             return

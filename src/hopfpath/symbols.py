@@ -326,9 +326,6 @@ def multiplicative(one, mul):
     return extend
 
 
-BasisElement = MultiIndex | Word | Forest
-
-
 def grade(b) -> int:
     """Grade of a basis element: |n|, word length, or node count."""
     return b.grade

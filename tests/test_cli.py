@@ -143,6 +143,27 @@ class TestErrors:
         code, _, err = run(capsys, "signature", "/nonexistent/x.csv")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("grid", ["0", "1", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["check-rough", "{path}"],
+        ["convert-lift", "{path}", "--direction", "b2g"],
+    ])
+    def test_grid_below_two_exit_2(self, capsys, path_csv, argv, grid):
+        code, out, err = run(capsys, *(a.format(path=path_csv) for a in argv), "--grid", grid)
+        assert code == 2 and out == ""
+        assert err == f"error: --grid must be at least 2, got {grid}\n"
+
+    def test_check_rough_grid_two_keeps_library_error(self, capsys, path_csv):
+        code, out, err = run(capsys, "check-rough", path_csv, "--grid", "2")
+        assert code == 2 and out == "" and "grid needs at least 3 points" in err
+
+    def test_negative_samples_exit_2(self, capsys):
+        code, out, err = run(capsys, "check-axioms", "--algebra", "shuffle", "--samples", "-1")
+        assert code == 2 and out == "" and "samples must be >= 0" in err
+        code, out, _ = run(capsys, "check-axioms", "--algebra", "shuffle", "--max-grade", "2",
+                           "--samples", "0")
+        assert code == 0 and out == "OK\n"
+
 
 class TestRoughCommands:
     def test_signature_deterministic(self, capsys, path_csv):
@@ -380,3 +401,86 @@ class TestProcessDeterminism:
             assert result.returncode == 0
             outputs.add(result.stdout)
         assert len(outputs) == 1
+
+
+# Pinned stdout and exit code of typical invocations: name -> (argv, exit code).
+# "{path2}" and "{line}" stand for the CSV files next to the goldens.
+GOLDEN_CLI = GOLDEN / "cli"
+
+_ELEMENTS = {
+    "poly": ("(1,0) + 1/2*(0,1)", "(0,1) + (1,1)", "(0,0) + (1,0) + 1/2*(0,1)"),
+    "shuffle": ("12 + 1/2*2", "1", "ε + 1 + 1/2*12"),
+    "concat": ("12 + 1/2*2", "21", "ε + 2 + 1/3*11"),
+    "ck": ("[[]_1]_2 + 1/3*[]_1", "[]_2", "1 + []_1 + 1/2*[]_1 []_2"),
+    "gl": ("[[]_1]_2 + 1/3*[]_1", "[]_2", "1 + []_1 + 1/2*[[]_1]_2"),
+}
+
+
+def _golden_cases() -> dict:
+    cases = {}
+    for fmt in ("text", "json"):
+        f = ["--format", fmt]
+        for alg, (x, y, g) in _ELEMENTS.items():
+            a = ["--algebra", alg, *f]
+            cases[f"product-{alg}-{fmt}"] = (["product", *a, x, y], 0)
+            cases[f"coproduct-{alg}-{fmt}"] = (["coproduct", *a, x], 0)
+            cases[f"antipode-{alg}-{fmt}"] = (["antipode", *a, x], 0)
+            cases[f"exp-{alg}-{fmt}"] = (["exp", *a, "--truncation", "3", x], 0)
+            cases[f"log-{alg}-{fmt}"] = (["log", *a, "--truncation", "3", g], 0)
+            cases[f"bch-{alg}-{fmt}"] = (["bch", *a, "--truncation", "3", x, y], 0)
+            cases[f"check-axioms-{alg}-{fmt}"] = (
+                ["check-axioms", *a, "--max-grade", "3", "--samples", "20"], 0)
+        cases[f"antipode-closed-ck-{fmt}"] = (
+            ["antipode", "--algebra", "ck", "--engine", "closed", *f, "[[]_1 []_2]_1"], 0)
+        cases[f"cuts-{fmt}"] = (["cuts", *f, "[[]_1 []_2]_1"], 0)
+        cases[f"convert-phi-{fmt}"] = (["convert", "--via", "phi", *f, "[[]_1]_2 []_1"], 0)
+        cases[f"convert-phihat-{fmt}"] = (["convert", "--via", "phihat", *f, "12 + 1/2*1"], 0)
+        cases[f"convert-psi-{fmt}"] = (["convert", "--via", "psi", *f, "[[]_1]_2 []_1"], 0)
+        cases[f"signature-{fmt}"] = (["signature", "{path2}", "--level", "3", *f], 0)
+        cases[f"signature-window-{fmt}"] = (
+            ["signature", "{path2}", "--level", "2", "--from", "1/4", "--to", "3/4", *f], 0)
+        cases[f"branched-lift-{fmt}"] = (["branched-lift", "{path2}", "--level", "2", *f], 0)
+        cases[f"convert-lift-g2b-{fmt}"] = (
+            ["convert-lift", "{path2}", "--direction", "g2b", "--level", "2", *f], 0)
+        cases[f"convert-lift-b2g-{fmt}"] = (
+            ["convert-lift", "{line}", "--direction", "b2g", "--level", "3", *f], 0)
+        for flavor in ("geometric", "branched"):
+            cases[f"check-rough-{flavor}-{fmt}"] = (
+                ["check-rough", "{path2}", "--flavor", flavor, "--gamma", "2/5", "--grid", "4",
+                 *f], 0)
+    cases["exp-gl-float"] = (["exp", "--algebra", "gl", "--float", "--truncation", "3",
+                              "[]_1 + 1/3*[]_2"], 0)
+    cases["coproduct-ck-float-json"] = (["coproduct", "--algebra", "ck", "--float",
+                                         "--format", "json", "1/3*[[]_1]_2"], 0)
+    cases["pair-gl"] = (["pair", "--algebra", "gl", "[[]_1]_2 + 1/3*[]_1", "2*[[]_1]_2"], 0)
+    cases["product-parse-error"] = (["product", "--algebra", "shuffle", "[]_1", "1"], 2)
+    return cases
+
+
+GOLDEN_CASES = _golden_cases()
+
+
+def _golden_argv(argv: list) -> list:
+    files = {"path2": str(GOLDEN_CLI / "path2.csv"), "line": str(GOLDEN_CLI / "line.csv")}
+    return [a.format(**files) if a.startswith("{") else a for a in argv]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_stdout_and_exit_code(self, capsys, name):
+        argv, expected_code = GOLDEN_CASES[name]
+        code, out, _ = run(capsys, *_golden_argv(argv))
+        assert code == expected_code
+        assert out == (GOLDEN_CLI / f"{name}.out").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    # python tests/test_cli.py rewrites tests/golden/cli/*.out from the current code
+    import contextlib
+    import io
+
+    for name, (argv, _) in sorted(GOLDEN_CASES.items()):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            main(_golden_argv(argv))
+        (GOLDEN_CLI / f"{name}.out").write_text(buf.getvalue(), encoding="utf-8")

@@ -316,6 +316,22 @@ class TestCountedGrafting:
         gl_product(dot, dot)
         assert gl_product.cache_info().currsize >= 1
 
+    def test_untouched_subtrees_are_reused(self, monkeypatch):
+        # a dot grafted onto the root level or onto vertex k of a ladder of 3
+        # rebuilds only the k vertices on the path up to the root: 0+1+2+3 trees
+        ladder = t(1, t(2, t(1))).as_forest()
+        built = []
+        real = hopf_ck.Tree
+        monkeypatch.setattr(hopf_ck, "Tree", lambda *a: built.append(a) or real(*a))
+        counts = hopf_ck._graft_counts(dot, ladder)
+        assert len(built) == 6
+        assert counts == {
+            Forest.of(t(1), t(1, t(2, t(1)))): 1,
+            Forest.of(t(1, t(1), t(2, t(1)))): 1,
+            Forest.of(t(1, t(2, t(1), t(1)))): 1,
+            Forest.of(t(1, t(2, t(1, t(1))))): 1,
+        }
+
 
 class TestForestDeconcat:
     def test_two_dots(self):

@@ -346,6 +346,11 @@ class TestCheckAxioms:
         report = check_axioms(poly_instance(3), 6, samples=10, seed=0)
         assert report.passed
 
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples must be >= 0"):
+            check_axioms(poly_instance(2), 2, samples=-5)
+        assert check_axioms(poly_instance(2), 2, samples=0).passed
+
     def test_corrupted_coproduct_detected(self):
         base = shuffle_deconcat_instance(2)
         bad_word = W(1, 2)

@@ -18,7 +18,6 @@ from hopfpath.linalg import (
     numerators,
     pair,
     pair_tensor,
-    tensorcomb_to_json,
 )
 from hopfpath.symbols import MultiIndex, Tree, Word
 
@@ -129,6 +128,74 @@ class TestTensor:
         assert total == LinComb.term(W(1, 2)) + LinComb.term(W(2, 1))
 
 
+def _lin(c1, c2):
+    return LinComb({W(1): c1, W(2): c2})
+
+
+def _tensor(c1, c2):
+    return TensorComb({(W(1), W(2)): c1, (W(2), W(1)): c2})
+
+
+@pytest.mark.parametrize("make, cls, text", [
+    (_lin, LinComb, "1 + 1/2*2"),
+    (_tensor, TensorComb, "1 (x) 2 + 1/2*2 (x) 1"),
+])
+class TestSharedSemantics:
+    """The algebra LinComb and TensorComb have in common behaves alike in both."""
+
+    def test_sum_and_difference_drop_zeros(self, make, cls, text):
+        x, y = make(1, Fraction(1, 2)), make(-1, Fraction(1, 2))
+        total = x + y
+        assert type(total) is cls and len(total) == 1 and total == make(0, 1)
+        assert (x - x).is_zero() and type(x - x) is cls and (x - x).terms == {}
+        assert x - y == make(2, 0)
+
+    def test_scale_by_zero_is_zero_of_the_class(self, make, cls, text):
+        x = make(3, Fraction(-2, 7))
+        assert type(x.scale(0)) is cls and x.scale(0) == cls.zero()
+        assert 0 * x == cls.zero() and x * 0 == cls.zero()
+        assert x.scale(2) == make(6, Fraction(-4, 7)) == 2 * x == x * 2
+
+    def test_negation(self, make, cls, text):
+        x = make(3, Fraction(-2, 7))
+        assert -x == make(-3, Fraction(2, 7)) and type(-x) is cls
+        assert (x + -x).is_zero() and -cls.zero() == cls.zero()
+
+    def test_equality_and_hash(self, make, cls, text):
+        x, y = make(1, 2), make(Fraction(2, 2), Fraction(4, 2))
+        assert x == y and hash(x) == hash(y)
+        assert x != make(1, 3) and x != dict(x.terms)
+        assert LinComb.zero() != TensorComb.zero()
+        assert make(1, 0) != (TensorComb if cls is LinComb else LinComb).zero()
+
+    def test_immutable(self, make, cls, text):
+        x = make(1, 2)
+        with pytest.raises(AttributeError):
+            x.terms = {}
+        with pytest.raises(AttributeError):
+            x.other = 1
+
+    def test_iteration_length_and_repr(self, make, cls, text):
+        x = make(1, Fraction(1, 2))
+        assert len(x) == 2 and dict(iter(x)) == x.terms
+        assert repr(x).startswith(f"{cls.__name__}(")
+        assert repr(x) == f"{cls.__name__}({x.terms!r})"
+        assert str(x) == text and str(cls.zero()) == "0"
+
+
+class TestTensorPairingKinds:
+    def test_left_slot_mismatch(self):
+        with pytest.raises(KindMismatchError):
+            pair_tensor(TensorComb.term(W(1), W(2)), TensorComb.term(dot, W(2)))
+
+    def test_right_slot_mismatch(self):
+        with pytest.raises(KindMismatchError):
+            pair_tensor(TensorComb.term(W(1), W(2)), TensorComb.term(W(1), dot))
+
+    def test_zero_pairs_with_anything(self):
+        assert pair_tensor(TensorComb.zero(), TensorComb.term(dot, W(2))) == 0
+
+
 class TestSerialization:
     def test_lincomb_json(self):
         x = LinComb({dot: Fraction(3, 2), dot2: Fraction(-1)})
@@ -136,7 +203,7 @@ class TestSerialization:
 
     def test_tensor_json_separator(self):
         x = TensorComb.term(W(1), W(2), Fraction(1, 3))
-        data = tensorcomb_to_json(x)
+        data = lincomb_to_json(x)
         assert data == {"1⊗2": "1/3"}
         json.dumps(data)
 
