@@ -255,14 +255,18 @@ def forest_deconcat(f: Forest) -> TensorComb:
 
 def _gl_antipode_factory(d: int):
     @functools.lru_cache(maxsize=None)
+    def columns(g: int) -> dict:
+        # dual of the cut antipode, <S* f, z> = <f, S z>: the splits of every
+        # forest z of grade g, transposed in one pass
+        cols: dict = {f: {} for f in forests(d, g)}
+        for z in forests(d, g):
+            for s, e in splits(z):
+                if e:
+                    cols[s][z] = Fraction(e)
+        return {f: LinComb(terms, _clean=True) for f, terms in cols.items()}
+
     def gl_antipode(f: Forest) -> LinComb:
-        # dual of the cut antipode: <S* eta, z> = <eta, S z>
-        terms = {}
-        for z in forests(d, f.grade):
-            c = ck_antipode(z, engine="splits").coeff(f)
-            if c:
-                terms[z] = c
-        return LinComb(terms)
+        return columns(f.grade).get(f, LinComb.zero())
 
     return gl_antipode
 

@@ -4,8 +4,8 @@ LinComb and TensorComb are sparse maps from basis elements (resp. pairs) to
 ``fractions.Fraction``; their shared algebra lives in ``Combination``, and
 one pairing loop, one formatter and one JSON form serve both.  Zero
 coefficients are never stored, so equality is structural.  All basis
-elements of one combination must be of one kind; mixed tensor slots are
-allowed only where a module explicitly builds them.
+elements of one combination must be of one kind, and so must each slot of
+a tensor: the left slot may hold forests and the right words, say.
 """
 from __future__ import annotations
 
@@ -45,20 +45,20 @@ class Combination:
     """The algebra LinComb and TensorComb share: an immutable sparse map from
     keys to nonzero scalars, with sums, differences, scaling and equality.
 
-    A subclass says how its terms sort (``_order``) and its keys print
-    (``_label``), and whether all keys must be of one basis kind.
+    A subclass says how its terms sort (``_order``), how its keys print
+    (``_label``) and which keys may share a combination (``_check_keys``,
+    run on every key at construction and on one key of each operand of a
+    sum or difference).
     """
 
     __slots__ = ("terms",)
-    _one_kind = False
 
     def __init__(self, terms: dict | None = None, _clean: bool = False):
         if terms is None:
             terms = {}
         if not _clean:
             terms = {k: as_scalar(c) for k, c in terms.items() if c != 0}
-            if self._one_kind:
-                _check_kinds(*terms)
+            self._check_keys(*terms)
         object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
@@ -75,8 +75,8 @@ class Combination:
         return sorted(self.terms.items(), key=self._order)
 
     def _plus(self, other, sign: int):
-        if self._one_kind and self.terms and other.terms:
-            _check_kinds(next(iter(self.terms)), next(iter(other.terms)))
+        if self.terms and other.terms:
+            self._check_keys(next(iter(self.terms)), next(iter(other.terms)))
         acc = dict(self.terms)
         for k, c in other.terms.items():
             accum(acc, k, c if sign > 0 else -c)
@@ -123,7 +123,7 @@ class LinComb(Combination):
     """A finite linear combination of basis elements with rational coefficients."""
 
     __slots__ = ()
-    _one_kind = True
+    _check_keys = staticmethod(_check_kinds)
 
     @staticmethod
     def _order(bc: tuple):
@@ -263,10 +263,18 @@ def _outer(l, r):
     return (((l, r), 1),)
 
 
+def _check_slots(*tensors: tuple):
+    """Raise KindMismatchError unless the (left, right) keys are of one kind
+    in each slot."""
+    _check_kinds(*(l for l, _ in tensors))
+    _check_kinds(*(r for _, r in tensors))
+
+
 class TensorComb(Combination):
     """A finite combination of two-fold tensors basis (x) basis, keyed by pairs."""
 
     __slots__ = ()
+    _check_keys = staticmethod(_check_slots)
 
     @staticmethod
     def _order(lrc: tuple):
@@ -328,9 +336,7 @@ def pair(a: LinComb, b: LinComb) -> Fraction:
 def pair_tensor(a: TensorComb, b: TensorComb) -> Fraction:
     """Induced pairing <x1 (x) x2, y1 (x) y2> = <x1,y1><x2,y2>, bilinearly."""
     if a.terms and b.terms:
-        (l1, r1), (l2, r2) = next(iter(a.terms)), next(iter(b.terms))
-        _check_kinds(l1, l2)
-        _check_kinds(r1, r2)
+        _check_slots(next(iter(a.terms)), next(iter(b.terms)))
     return _dot(a.terms, b.terms)
 
 

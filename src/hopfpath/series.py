@@ -27,14 +27,14 @@ class _ProductTable:
 
     A basis element gets a slot the first time it is seen, so nothing is
     enumerated up front.  The row of a slot pair (i, j) lists the (slot k,
-    integer c) terms of ``product_basis`` and is filled on first use; pairs
-    whose grades sum past the level are never filled.
+    integer c) terms of ``HopfInstance.product_row`` and is filled on first
+    use; pairs whose grades sum past the level are never filled.
     """
 
-    __slots__ = ("product_basis", "level", "slots", "basis", "grades", "rows")
+    __slots__ = ("product_row", "level", "slots", "basis", "grades", "rows")
 
     def __init__(self, instance: HopfInstance, level: int):
-        self.product_basis = instance.product_basis
+        self.product_row = instance.product_row
         self.level = level
         self.slots: dict = {}
         self.basis: list = []
@@ -52,13 +52,13 @@ class _ProductTable:
 
     def fill(self, i: int, j: int) -> tuple:
         terms = []
-        for b, c in self.product_basis(self.basis[i], self.basis[j]):
-            if c != int(c):
+        for b, c in self.product_row(self.basis[i], self.basis[j]):
+            if type(c) is not int:
                 raise ValueError(
                     f"structure constant {c} of {self.basis[i]} * {self.basis[j]} "
                     "is not an integer"
                 )
-            terms.append((self.slot(b), int(c)))
+            terms.append((self.slot(b), c))
         row = self.rows[i][j] = tuple(terms)
         return row
 

@@ -4,9 +4,9 @@ Every basis element is immutable, hashable, totally ordered via ``sort_key`` and
 prints to a canonical string that ``parse_expr`` reads back.  Forests are kept
 in a canonical form (trees sorted by grade, then label, then children).
 
-Trees and forests are hash-consed: construction normalizes, then returns the
-one existing object of that value, so equality is identity.  The intern
-tables live for the process, like the module-level ``lru_cache``s.
+Words, trees and forests are hash-consed: construction normalizes, then
+returns the one existing object of that value, so equality is identity.  The
+intern tables live for the process, like the module-level ``lru_cache``s.
 """
 from __future__ import annotations
 
@@ -109,17 +109,38 @@ def _binomial(a: int, b: int) -> int:
     return _factorial(a) // (_factorial(b) * _factorial(a - b))
 
 
+# hash-consing tables: the one object of each word, tree and forest value
+_WORDS: dict = {}
+_TREES: dict = {}
+_FORESTS: dict = {}
+
+
 class Word:
-    """A word e_{i1...in} over the alphabet {1, ..., d}; the empty word is the unit."""
+    """A word e_{i1...in} over the alphabet {1, ..., d}; the empty word is the unit.
+
+    Words are hash-consed like trees and forests: ``Word((1, 2))`` returns the
+    one interned word with those letters, so equality is identity.
+    """
 
     __slots__ = ("letters", "_hash")
 
-    def __init__(self, letters: Iterable[int] = ()):
-        letters = tuple(int(i) for i in letters)
-        if any(i < 1 for i in letters):
-            raise ValueError(f"letters must be >= 1, got {letters}")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", hash(("w", letters)))
+    def __new__(cls, letters: Iterable[int] = ()):
+        # an interned tuple of letters needs no normalizing
+        self = _WORDS.get(letters) if type(letters) is tuple else None
+        if self is None:
+            letters = tuple(int(i) for i in letters)
+            if any(i < 1 for i in letters):
+                raise ValueError(f"letters must be >= 1, got {letters}")
+            self = _WORDS.get(letters)
+            if self is None:
+                self = object.__new__(cls)
+                object.__setattr__(self, "letters", letters)
+                object.__setattr__(self, "_hash", hash(("w", letters)))
+                _WORDS[letters] = self
+        return self
+
+    def __reduce__(self):
+        return Word, (self.letters,)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Word is immutable")
@@ -140,9 +161,6 @@ class Word:
     def __lt__(self, other: "Word") -> bool:
         return self.sort_key() < other.sort_key()
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -158,11 +176,6 @@ class Word:
 
 
 EMPTY_WORD = Word()
-
-
-# hash-consing tables: the one object of each tree and forest value
-_TREES: dict = {}
-_FORESTS: dict = {}
 
 
 class Tree:

@@ -371,7 +371,29 @@ class TestForestDeconcat:
                     assert lhs == rhs
 
 
+def gl_antipode_by_forest(d: int, f: Forest) -> LinComb:
+    """The dual of the cut antipode one forest at a time: <S* f, z> = <f, S z>
+    read off the split antipode of every forest z of f's grade."""
+    terms = {}
+    for z in forests(d, f.grade):
+        c = ck_antipode(z, engine="splits").coeff(f)
+        if c:
+            terms[z] = c
+    return LinComb(terms)
+
+
 class TestAntipodeDuality:
+    @pytest.mark.parametrize("d,max_grade", [(1, 6), (2, 4), (3, 3)])
+    def test_column_table_matches_per_forest_oracle(self, d, max_grade):
+        gl = gl_instance(d)
+        for f in forests_up_to(d, max_grade):
+            got, want = gl.antipode_closed_basis(f), gl_antipode_by_forest(d, f)
+            assert got == want
+            assert repr(got) == repr(want)  # same terms in the same order
+
+    def test_forest_outside_the_alphabet(self):
+        assert gl_instance(1).antipode_closed_basis(t(2).as_forest()).is_zero()
+
     def test_gl_antipode_dual_to_ck(self):
         gl = gl_instance(2)
         for eta in forests_up_to(2, 3):

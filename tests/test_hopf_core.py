@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfpath.hopf_core import (
     HopfInstance,
@@ -12,6 +14,7 @@ from hopfpath.hopf_core import (
     convolution,
     deconcat,
     deshuffle,
+    get_instance,
     identity_map,
     poly_instance,
     random_lincomb,
@@ -447,3 +450,81 @@ class TestReportText:
                  "witness": "random compatibility failure (sample 1)"},
             ],
         }
+
+
+ALGEBRAS = ("poly", "shuffle", "concat", "ck", "gl")
+
+
+@st.composite
+def basis_tuples(draw, arity: int):
+    """An instance of one of the five algebras with 1 <= d <= 3, and arity
+    basis elements of grade <= 3."""
+    instance = get_instance(draw(st.sampled_from(ALGEBRAS)), draw(st.integers(1, 3)))
+    pool = instance.basis_up_to(3)
+    return instance, tuple(draw(st.sampled_from(pool)) for _ in range(arity))
+
+
+def assert_row_of(row: tuple, comb):
+    """row lists the terms of comb in the same order, integral values as ints."""
+    assert [k for k, _ in row] == [k for k, _ in comb]
+    for (_, c), (_, want) in zip(row, comb):
+        assert c == want
+        assert type(c) is (int if want.denominator == 1 else Fraction)
+
+
+class TestRows:
+    """The memoized integer rows against the structure maps they are read from."""
+
+    @given(basis_tuples(2))
+    @settings(max_examples=150, deadline=None)
+    def test_product_row(self, case):
+        instance, (a, b) = case
+        assert_row_of(instance.product_row(a, b), instance.product_basis(a, b))
+        assert instance.product_row(a, b) is instance.product_row(a, b)
+
+    @given(basis_tuples(1))
+    @settings(max_examples=150, deadline=None)
+    def test_coproduct_row(self, case):
+        instance, (b,) = case
+        assert_row_of(instance.coproduct_row(b), instance.coproduct_basis(b))
+        assert instance.coproduct_row(b) is instance.coproduct_row(b)
+
+    def test_non_integral_constant_kept_as_fraction(self):
+        base = poly_instance(1)
+        halved = dataclasses.replace(
+            base, product_basis=lambda n, m: base.product_basis(n, m).scale(Fraction(1, 2))
+        )
+        x = MultiIndex((1,))
+        assert halved.product_row(x, x) == ((MultiIndex((2,)), Fraction(1, 2)),)
+
+    def test_replaced_copy_reads_its_own_rows(self):
+        base = concat_deshuffle_instance(2)
+        u, v = W(1), W(2)
+        assert base.product_row(u, v) == ((W(1, 2), 1),)
+        copy = dataclasses.replace(base, product_basis=doubled_product(base))
+        assert copy.product_row(u, v) == ((W(1, 2), 2),)
+        assert base.product_row(u, v) == ((W(1, 2), 1),)
+
+
+def counted(fn, calls: Counter):
+    def wrapped(*args):
+        calls[args] += 1
+        return fn(*args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("name", ["concat", "ck"])
+def test_check_axioms_calls_each_map_once_per_argument(name):
+    base = get_instance(name, 2)
+    products, coproducts = Counter(), Counter()
+    copy = dataclasses.replace(
+        base,
+        product_basis=counted(base.product_basis, products),
+        coproduct_basis=counted(base.coproduct_basis, coproducts),
+        _memo={},
+    )
+    report = check_axioms(copy, 3)
+    assert report.passed, report.summary()
+    assert products and max(products.values()) == 1
+    assert coproducts and max(coproducts.values()) == 1

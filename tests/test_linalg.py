@@ -196,6 +196,37 @@ class TestTensorPairingKinds:
         assert pair_tensor(TensorComb.zero(), TensorComb.term(dot, W(2))) == 0
 
 
+class TestTensorSumKinds:
+    """Sums check kinds slot by slot, as pair_tensor does."""
+
+    @pytest.mark.parametrize("op", [TensorComb.__add__, TensorComb.__sub__])
+    def test_left_slot_mismatch(self, op):
+        with pytest.raises(KindMismatchError):
+            op(TensorComb.term(W(1), W(1)), TensorComb.term(dot, dot))
+        with pytest.raises(KindMismatchError):
+            op(TensorComb.term(W(1), dot), TensorComb.term(dot, dot))
+
+    @pytest.mark.parametrize("op", [TensorComb.__add__, TensorComb.__sub__])
+    def test_right_slot_mismatch(self, op):
+        with pytest.raises(KindMismatchError):
+            op(TensorComb.term(W(1), W(1)), TensorComb.term(W(1), dot))
+
+    def test_construction_checks_each_slot(self):
+        with pytest.raises(KindMismatchError):
+            TensorComb({(W(1), W(1)): 1, (dot, dot): 1})
+        with pytest.raises(KindMismatchError):
+            TensorComb({(dot, W(1)): 1, (dot, dot): 1})
+        assert len(TensorComb({(dot, W(1)): 1, (dot2, W(2)): 1})) == 2
+
+    def test_slots_of_different_kinds(self):
+        x = TensorComb.term(dot, W(1)) + TensorComb.term(dot2, W(2)) - TensorComb.term(dot, W(2))
+        assert str(x) == "[]_1 (x) 1 + -1*[]_1 (x) 2 + []_2 (x) 2"
+
+    def test_zero_adds_to_anything(self):
+        x = TensorComb.term(dot, W(1))
+        assert TensorComb.zero() + x == x == x - TensorComb.zero()
+
+
 class TestSerialization:
     def test_lincomb_json(self):
         x = LinComb({dot: Fraction(3, 2), dot2: Fraction(-1)})

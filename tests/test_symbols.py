@@ -267,6 +267,38 @@ class TestInterning:
         assert copy.deepcopy(f) is f and copy.copy(f.items[0][0]) is f.items[0][0]
 
 
+class TestWordInterning:
+    """Words are hash-consed: equal letters give the same object."""
+
+    def test_tuple_list_and_generator(self):
+        w = Word((1, 2, 1))
+        assert Word([1, 2, 1]) is w and Word(i for i in (1, 2, 1)) is w
+        assert Word(()) is Word([]) is Word() is EMPTY_WORD
+
+    @pytest.mark.parametrize("letters", [(0,), [1, 0], (i for i in (2, -1))])
+    def test_letters_below_one_raise(self, letters):
+        with pytest.raises(ValueError, match="letters must be >= 1"):
+            Word(letters)
+
+    def test_concat_and_reverse(self):
+        assert Word((1, 2)).concat(Word((2,))) is Word((1, 2, 2))
+        assert Word((1, 2, 2)).reverse() is Word((2, 2, 1))
+
+    def test_parse_of_printed_text(self):
+        for k in range(4):
+            for w in words(3, k):
+                (parsed, _), = parse_expr(str(w), "word", 3)
+                assert parsed is w
+        w = Word((10, 1))
+        (parsed, _), = parse_expr(str(w), "word", 10)
+        assert parsed is w
+
+    def test_copies_keep_identity(self):
+        w = Word((2, 1))
+        assert pickle.loads(pickle.dumps(w)) is w
+        assert copy.deepcopy(w) is w and copy.copy(w) is w
+
+
 def test_forest_enumeration_golden():
     # written by the code before interning; text and order must not move
     golden = json.loads((Path(__file__).parent / "golden" / "forests_d2.json").read_text())
