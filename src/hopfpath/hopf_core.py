@@ -119,11 +119,19 @@ class HopfInstance:
     def product_row(self, a, b) -> tuple:
         """The terms of ``product_basis(a, b)`` as (basis, c) pairs, with an
         integral c as an int; the map is called once per pair of arguments."""
-        rows = self.memo("product_rows")
-        row = rows.get((a, b))
-        if row is None:
-            row = rows[a, b] = _row(self.product_basis(a, b))
-        return row
+        return self._product_rows()(a, b)
+
+    def _product_rows(self) -> Callable[[object, object], tuple]:
+        """``product_row`` with its memo looked up once, for loops over pairs."""
+        rows, product_basis = self.memo("product_rows"), self.product_basis
+
+        def product_row(a, b) -> tuple:
+            row = rows.get((a, b))
+            if row is None:
+                row = rows[a, b] = _row(product_basis(a, b))
+            return row
+
+        return product_row
 
     def coproduct_row(self, b) -> tuple:
         """The terms of ``coproduct_basis(b)`` as ((left, right), c) pairs, with
@@ -136,7 +144,7 @@ class HopfInstance:
 
     def product(self, x: LinComb, y: LinComb, max_grade: int | None = None) -> LinComb:
         """Bilinear product; pairs beyond max_grade are skipped (grading)."""
-        return LinComb(bilinear(x, y, self.product_row, max_grade), _clean=True)
+        return LinComb(bilinear(x, y, self._product_rows(), max_grade), _clean=True)
 
     def coproduct(self, x: LinComb) -> TensorComb:
         return TensorComb(linear(x, self.coproduct_row), _clean=True)
@@ -146,7 +154,7 @@ class HopfInstance:
 
     def multiply_tensors(self, a: TensorComb, b: TensorComb) -> TensorComb:
         """Slot-wise product on tensors, (x1 (x) x2)(y1 (x) y2) = x1y1 (x) x2y2."""
-        row = self.product_row
+        row = self._product_rows()
 
         def pair_product(x: tuple, y: tuple):
             right = row(x[1], y[1])

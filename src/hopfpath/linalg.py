@@ -199,11 +199,12 @@ def _accumulate(parts, den: int) -> dict:
     get, pop = acc.get, acc.pop
     for terms, u in parts:
         for k, c in terms:
-            if type(c) is Fraction:
-                if c.denominator == 1:
-                    c = c.numerator
-            elif den != 1 and type(c) is float:
-                raise _FloatConstant
+            if type(c) is not int:
+                if type(c) is Fraction:
+                    if c.denominator == 1:
+                        c = c.numerator
+                elif den != 1 and type(c) is float:
+                    raise _FloatConstant
             new = get(k, 0) + u * c
             if new:
                 acc[k] = new
@@ -243,18 +244,34 @@ def bilinear(x, y, fn: Callable, max_grade: int | None = None) -> dict:
     """Bilinear extension of fn: (basis, basis) -> (basis, coeff) pairs.
 
     x and y iterate as (basis, coeff) pairs; the result is the accumulated
-    coefficient dict.  Pairs whose grades sum past max_grade are skipped.
-    A float in either operand leaves both unscaled.
+    coefficient dict.  Pairs whose grades sum past max_grade are skipped:
+    each y grade is read once, and the loop over y stops after the last term
+    that can still fit, so y sorted by grade visits only the pairs kept.
+    Terms are visited in the operands' order whatever their grades, so the
+    result is that of the plain double loop, term order and float bits
+    included.  A float in either operand leaves both unscaled.
     """
     x, y = list(x), list(y)
+    if max_grade is None:  # every pair fits; tensor keys have no grade
+        xgrades, ygrades, max_grade = [0] * len(x), [0] * len(y), 0
+    else:
+        xgrades, ygrades = [b.grade for b, _ in x], [b.grade for b, _ in y]
+    # stop[r]: one past the last y term of grade <= r
+    stop = [0] * (max_grade + 1)
+    for j, g in enumerate(ygrades):
+        if g <= max_grade:
+            stop[g] = j + 1
+    for r in range(1, max_grade + 1):
+        stop[r] = max(stop[r], stop[r - 1])
 
     def parts(xn, yn):
-        ys = list(zip([b for b, _ in y], yn))
-        for (b1, _), u in zip(x, xn):
-            room = None if max_grade is None else max_grade - b1.grade
-            for b2, v in ys:
-                if room is None or b2.grade <= room:
-                    yield fn(b1, b2), u * v
+        ys = list(zip([b for b, _ in y], ygrades, yn))
+        for (b1, _), d, u in zip(x, xgrades, xn):
+            room = max_grade - d
+            if room >= 0:
+                for b2, g, v in ys[: stop[room]]:
+                    if g <= room:
+                        yield fn(b1, b2), u * v
 
     return _extend(parts, [c for _, c in x], [c for _, c in y])
 

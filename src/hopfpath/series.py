@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hopf_core import HopfInstance, concat_deshuffle_instance
-from .linalg import LinComb, TensorComb, accum, nullspace, numerators
+from .linalg import LinComb, TensorComb, accum, nullspace
 from .symbols import Forest, Word, forests, trees
 
 
@@ -22,100 +22,13 @@ class TruncationError(ValueError):
     pass
 
 
-class _ProductTable:
-    """Integer structure constants of one instance below one truncation level.
-
-    A basis element gets a slot the first time it is seen, so nothing is
-    enumerated up front.  The row of a slot pair (i, j) lists the (slot k,
-    integer c) terms of ``HopfInstance.product_row`` and is filled on first
-    use; pairs whose grades sum past the level are never filled.
-    """
-
-    __slots__ = ("product_row", "level", "slots", "basis", "grades", "rows")
-
-    def __init__(self, instance: HopfInstance, level: int):
-        self.product_row = instance.product_row
-        self.level = level
-        self.slots: dict = {}
-        self.basis: list = []
-        self.grades: list[int] = []
-        self.rows: list[dict] = []  # rows[i][j] -> ((k, c), ...)
-
-    def slot(self, b) -> int:
-        i = self.slots.get(b)
-        if i is None:
-            i = self.slots[b] = len(self.basis)
-            self.basis.append(b)
-            self.grades.append(b.grade)
-            self.rows.append({})
-        return i
-
-    def fill(self, i: int, j: int) -> tuple:
-        terms = []
-        for b, c in self.product_row(self.basis[i], self.basis[j]):
-            if type(c) is not int:
-                raise ValueError(
-                    f"structure constant {c} of {self.basis[i]} * {self.basis[j]} "
-                    "is not an integer"
-                )
-            terms.append((self.slot(b), c))
-        row = self.rows[i][j] = tuple(terms)
-        return row
-
-    def product(self, x: LinComb, y: LinComb) -> LinComb | None:
-        """Truncated product x y, or None when either has a float coefficient.
-        Each operand becomes integer numerators over the lcm of its
-        denominators (``linalg.numerators``), products accumulate as ints,
-        and each result coefficient is divided by the two lcms once."""
-        xs, ys = numerators(list(x.terms.values())), numerators(list(y.terms.values()))
-        if xs is None or ys is None:
-            return None
-        (xs, xden), (ys, yden) = xs, ys
-        slot = self.slot
-        xs = list(zip(map(slot, x.terms), xs))
-        ys = list(zip(map(slot, y.terms), ys))
-        level, grades, rows = self.level, self.grades, self.rows
-        # y by grade, up to its own top grade so that no loop runs to the level
-        top = min(level, max((grades[j] for j, _ in ys), default=0))
-        by_grade: list[list] = [[] for _ in range(top + 1)]
-        for j, v in ys:
-            if grades[j] <= top:
-                by_grade[grades[j]].append((j, v))
-        basis = self.basis
-        acc = [0] * len(basis)
-        for i, u in xs:
-            row_i = rows[i]
-            for g in range(min(top, level - grades[i]) + 1):
-                for j, v in by_grade[g]:
-                    row = row_i.get(j)
-                    if row is None:
-                        row = self.fill(i, j)
-                        acc.extend([0] * (len(basis) - len(acc)))
-                    uv = u * v
-                    for k, c in row:
-                        acc[k] += c * uv
-        den = xden * yden
-        return LinComb({basis[k]: Fraction(n, den) for k, n in enumerate(acc) if n}, _clean=True)
-
-
-def _product_table(algebra: HopfInstance, level: int) -> _ProductTable:
-    tables = algebra.memo("product_table")
-    table = tables.get(level)
-    if table is None:
-        table = tables[level] = _ProductTable(algebra, level)
-    return table
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedElement:
     """A LinComb together with a truncation level and its ambient algebra.
 
-    ``mul`` runs an exact integer kernel: the structure constants of the
-    (algebra, level) pair are tabulated once per instance (``_ProductTable``,
-    kept in ``HopfInstance.memo``), and each operand is read as integer
-    numerators over one shared denominator.  Elements with a float
-    coefficient take ``HopfInstance.product``, which is also the reference the
-    kernel is tested against.
+    ``mul`` is ``HopfInstance.product`` cut at the level: pairs whose grades
+    sum past it are never formed, exact operands multiply as integer
+    numerators over their denominators, and floats pass through as they are.
     """
 
     value: LinComb
@@ -134,9 +47,7 @@ class TruncatedElement:
 
     def mul(self, other: "TruncatedElement") -> "TruncatedElement":
         self._check_compatible(other)
-        prod = _product_table(self.algebra, self.level).product(self.value, other.value)
-        if prod is None:
-            prod = self.algebra.product(self.value, other.value, max_grade=self.level)
+        prod = self.algebra.product(self.value, other.value, max_grade=self.level)
         return TruncatedElement(prod, self.level, self.algebra)
 
     def add(self, other: "TruncatedElement") -> "TruncatedElement":

@@ -5,8 +5,11 @@ prints to a canonical string that ``parse_expr`` reads back.  Forests are kept
 in a canonical form (trees sorted by grade, then label, then children).
 
 Words, trees and forests are hash-consed: construction normalizes, then
-returns the one existing object of that value, so equality is identity.  The
-intern tables live for the process, like the module-level ``lru_cache``s.
+returns the one existing object of that value, so equality is identity and
+they hash by identity too (``object.__hash__``).  Hash values therefore differ
+from process to process; nothing may depend on the iteration order of a set
+of them.  The intern tables live for the process, like the module-level
+``lru_cache``s, and unpickling re-interns.
 """
 from __future__ import annotations
 
@@ -122,7 +125,7 @@ class Word:
     one interned word with those letters, so equality is identity.
     """
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ("letters", "grade")
 
     def __new__(cls, letters: Iterable[int] = ()):
         # an interned tuple of letters needs no normalizing
@@ -135,7 +138,7 @@ class Word:
             if self is None:
                 self = object.__new__(cls)
                 object.__setattr__(self, "letters", letters)
-                object.__setattr__(self, "_hash", hash(("w", letters)))
+                object.__setattr__(self, "grade", len(letters))
                 _WORDS[letters] = self
         return self
 
@@ -144,10 +147,6 @@ class Word:
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Word is immutable")
-
-    @property
-    def grade(self) -> int:
-        return len(self.letters)
 
     def sort_key(self):
         return (len(self.letters), self.letters)
@@ -160,9 +159,6 @@ class Word:
 
     def __lt__(self, other: "Word") -> bool:
         return self.sort_key() < other.sort_key()
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Word{self.letters}"
@@ -181,7 +177,7 @@ EMPTY_WORD = Word()
 class Tree:
     """A rooted tree with integer label at the root and a forest of children."""
 
-    __slots__ = ("label", "children", "grade", "_key", "_hash", "_forest")
+    __slots__ = ("label", "children", "grade", "_key", "_forest")
 
     def __new__(cls, label: int, children: "Forest | None" = None):
         if label < 1:
@@ -197,7 +193,6 @@ class Tree:
             object.__setattr__(self, "children", children)
             object.__setattr__(self, "grade", key[0])
             object.__setattr__(self, "_key", key)
-            object.__setattr__(self, "_hash", hash(("t", key)))
             object.__setattr__(self, "_forest", None)
             _TREES[ident] = self
         return self
@@ -221,9 +216,6 @@ class Tree:
     def __lt__(self, other: "Tree") -> bool:
         return self._key < other._key
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Tree({self.label}, {self.children!r})"
 
@@ -240,7 +232,7 @@ class Forest:
     ``Forest.of(t2, t1) is Forest.of(t1, t2)``.
     """
 
-    __slots__ = ("items", "grade", "_hash")
+    __slots__ = ("items", "grade")
 
     def __new__(cls, items: Sequence[tuple[Tree, int]] = ()):
         merged: dict[Tree, int] = {}
@@ -255,7 +247,6 @@ class Forest:
             self = object.__new__(cls)
             object.__setattr__(self, "items", norm)
             object.__setattr__(self, "grade", sum(t.grade * m for t, m in norm))
-            object.__setattr__(self, "_hash", hash(("f", norm)))
             _FORESTS[norm] = self
         return self
 
@@ -294,9 +285,6 @@ class Forest:
 
     def __lt__(self, other: "Forest") -> bool:
         return (self.grade, self.sort_key()) < (other.grade, other.sort_key())
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Forest({self.items!r})"

@@ -382,25 +382,34 @@ class TestJsonRoundTrip:
 
 class TestProcessDeterminism:
     def test_byte_identity_across_hash_seeds(self, tmp_path):
+        # words, trees and forests hash by identity, so their hashes differ
+        # between the two processes as well as between the two seeds
         import os
         import subprocess
         import sys
 
         csv = tmp_path / "p.csv"
         csv.write_text("t,x1,x2\n0,0,0\n1/2,1,1/3\n1,1/4,1\n")
-        outputs = set()
-        for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            result = subprocess.run(
-                [
-                    sys.executable, "-m", "hopfpath.cli",
-                    "signature", str(csv), "--level", "3", "--format", "json",
-                ],
-                capture_output=True, text=True, env=env,
-            )
-            assert result.returncode == 0
-            outputs.add(result.stdout)
-        assert len(outputs) == 1
+        commands = [
+            ["signature", str(csv), "--level", "3", "--format", "json"],
+            ["check-rough", str(csv), "--format", "json"],
+            ["rde", str(csv), "--f", "sin", "--y0", "1/2", "--step", "1/10"],
+            ["norm", "--algebra", "gl", "--truncation", "3", "1 + []_1 + 1/2*[]_1 []_2 + [[]_1]_2"],
+            ["check-axioms", "--algebra", "gl", "--max-grade", "3", "--samples", "10",
+             "--format", "json"],
+            ["branched-lift", str(csv), "--level", "3"],
+        ]
+        for argv in commands:
+            outputs = set()
+            for seed in ("1", "2"):
+                env = dict(os.environ, PYTHONHASHSEED=seed)
+                result = subprocess.run(
+                    [sys.executable, "-m", "hopfpath.cli", *argv],
+                    capture_output=True, text=True, env=env,
+                )
+                assert result.returncode == 0, (argv, result.stderr)
+                outputs.add(result.stdout)
+            assert len(outputs) == 1, argv
 
 
 # Pinned stdout and exit code of typical invocations: name -> (argv, exit code).

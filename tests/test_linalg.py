@@ -396,6 +396,25 @@ class TestAccumulator:
         got = linear(x, fn)
         assert list(got) == ["m", "k"] and exactly(got) == exactly(ref_linear(x, fn))
 
+    @pytest.mark.parametrize("order", ["descending", "interleaved"])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_max_grade_on_unsorted_right_operand(self, order, mode):
+        # the bounded loop stops after the last y term that fits, never reorders y
+        inst = get_instance("concat", 2)
+        ys = {
+            "descending": [W(1, 2, 1), W(2, 2, 2), W(1, 1), W(2, 1), W(2), W(1), W()],
+            "interleaved": [W(2, 1), W(), W(1, 2, 2), W(1), W(1, 1), W(2, 1, 1), W(2)],
+        }[order]
+        xs = [W(), W(1, 2), W(2), W(1, 1, 1)]
+        scalar = {"exact": lambda i: Fraction(i - 3, i + 2), "float": lambda i: 0.1 * i - 0.7}[mode]
+        x = [(b, scalar(i)) for i, b in enumerate(xs)]
+        y = [(b, scalar(i + 5)) for i, b in enumerate(ys)]
+        tenths = lambda a, b: [(a.concat(b), 0.1 * (a.grade + 1)), (b, Fraction(1, 3))]
+        for fn in (inst.product_basis, tenths):
+            for level in (-1, 0, 1, 2, 3, 4, 6):
+                got = bilinear(x, y, fn, level)
+                assert exactly(got) == exactly(ref_bilinear(x, y, fn, level))
+
     def test_numerators(self):
         assert numerators([Fraction(1, 2), Fraction(-2, 3), 4]) == ([3, -4, 24], 6)
         assert numerators([]) == ([], 1)

@@ -165,13 +165,18 @@ class TestProductKernel:
         got = elem(x, 2, doubled).mul(elem(x, 2, doubled)).value
         assert got == doubled.product(x, x, max_grade=2)
 
-    def test_fractional_structure_constant_rejected(self):
+    def test_fractional_structure_constant_multiplies_exactly(self):
         base = concat_deshuffle_instance(2)
         half = dataclasses.replace(
             base, product_basis=lambda u, v: LinComb.term(u.concat(v), Fraction(1, 2)), _memo={}
         )
-        with pytest.raises(ValueError):
-            elem(LinComb.term(W(1)), 2, half).mul(elem(LinComb.term(W(2)), 2, half))
+        x = LinComb.term(W()) + LinComb.term(W(1), Fraction(2, 3))
+        y = LinComb.term(W(2), 3) + LinComb.term(W(1, 2), Fraction(-1, 5))
+        got = elem(x, 2, half).mul(elem(y, 2, half)).value
+        want = half.product(x, y, max_grade=2)
+        assert list(got) == list(want)
+        assert all(type(c) is Fraction for _, c in got)
+        assert got == LinComb({W(2): Fraction(3, 2), W(1, 2): Fraction(9, 10)})
 
 
 class TestExpLog:

@@ -299,6 +299,34 @@ class TestWordInterning:
         assert copy.deepcopy(w) is w and copy.copy(w) is w
 
 
+class TestIdentityHash:
+    """Interned words, trees and forests hash by identity."""
+
+    ELEMENTS = {
+        "word": lambda: Word((2, 1, 2)),
+        "tree": lambda: t(2, t(1), t(1, t(2))),
+        "forest": lambda: Forest.of(t(1), t(1), t(2, t(1))),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ELEMENTS))
+    def test_dict_lookup_after_pickle_round_trip(self, kind):
+        x = self.ELEMENTS[kind]()
+        table = {x: kind, EMPTY_WORD if kind == "word" else EMPTY_FOREST: "unit"}
+        assert table[pickle.loads(pickle.dumps(x))] == kind
+        assert pickle.loads(pickle.dumps(table)) == table
+        assert pickle.loads(pickle.dumps(table))[x] == kind
+
+    @pytest.mark.parametrize("kind", sorted(ELEMENTS))
+    def test_hash_is_identity(self, kind):
+        x = self.ELEMENTS[kind]()
+        assert type(x).__hash__ is object.__hash__ and hash(x) == object.__hash__(x)
+        assert "_hash" not in type(x).__slots__
+
+    def test_word_grade_is_set_at_interning(self):
+        assert "grade" in Word.__slots__
+        assert [w.grade for w in (EMPTY_WORD, Word((3,)), Word((1, 2, 1)))] == [0, 1, 3]
+
+
 def test_forest_enumeration_golden():
     # written by the code before interning; text and order must not move
     golden = json.loads((Path(__file__).parent / "golden" / "forests_d2.json").read_text())
