@@ -7,6 +7,7 @@ print as p/q, floats with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -103,31 +104,39 @@ def _single_forest(args, text: str):
 
 # largest basis, over all grades up to the truncation level, a command will build
 _BASIS_CAP = 10**6
+# most basis pairs plus triples within the grade bound check-axioms will visit
+_WORK_CAP = 10**6
 
 
-def _basis_size(kind: str, d: int, level: int) -> int:
-    """Basis elements of grade <= level, counted without enumerating them.
-
-    The count of words and forests stops once it passes _BASIS_CAP.
-    """
-    if kind == "multiindex":
-        return math.comb(level + d, d)
-    if level >= _BASIS_CAP:
-        return level + 1  # every grade has an element
-    total = 0
+def _grade_sizes(kind: str, d: int):
+    """The number of basis elements of grade 0, 1, 2, ..., counted without
+    enumerating them; every grade has at least one."""
     forests, trees, divisor_sums = [1], [0], [0]
-    for n in range(level + 1):
-        if kind == "word":
-            size = d**n
+    for n in itertools.count():
+        if kind == "multiindex":
+            yield math.comb(n + d - 1, d - 1)
+        elif kind == "word":
+            yield d**n
         elif n == 0:
-            size = 1
+            yield 1
         else:
             # t_n = d f_{n-1}; f by the Euler transform n f_n = sum_k c_k f_{n-k},
             # with c_k = sum_{j | k} j t_j
             trees.append(d * forests[n - 1])
             divisor_sums.append(sum(j * trees[j] for j in range(1, n + 1) if n % j == 0))
-            size = sum(divisor_sums[k] * forests[n - k] for k in range(1, n + 1)) // n
-            forests.append(size)
+            forests.append(sum(divisor_sums[k] * forests[n - k] for k in range(1, n + 1)) // n)
+            yield forests[n]
+
+
+def _basis_size(kind: str, d: int, level: int) -> int:
+    """Basis elements of grade <= level, counted without enumerating them.
+
+    The count stops once it passes _BASIS_CAP.
+    """
+    if level >= _BASIS_CAP:
+        return level + 1  # every grade has an element
+    total = 0
+    for size in itertools.islice(_grade_sizes(kind, d), level + 1):
         total += size
         if total > _BASIS_CAP:
             break
@@ -141,6 +150,21 @@ def _check_size(option: str, level: int, basis: str, kind: str, d: int):
             f"{option} {level} is too large: the {basis} basis up to that grade "
             f"has more than {_BASIS_CAP} elements"
         )
+
+
+def _axiom_work(kind: str, d: int, max_grade: int) -> int:
+    """Basis pairs plus triples of total grade <= max_grade, the tuples the
+    exact laws of check-axioms visit, counted from the grade sizes (the grade-s
+    pairs are sum_i n_i n_{s-i}, and the triples convolve those with n once
+    more); the count stops once it passes _WORK_CAP."""
+    sizes, pairs, total = [], [], 0
+    for s, size in zip(range(max_grade + 1), _grade_sizes(kind, d)):
+        sizes.append(size)
+        pairs.append(sum(sizes[i] * sizes[s - i] for i in range(s + 1)))
+        total += pairs[s] + sum(pairs[i] * sizes[s - i] for i in range(s + 1))
+        if total > _WORK_CAP:
+            break
+    return total
 
 
 def _truncated(args, x: LinComb) -> TruncatedElement:
@@ -285,9 +309,13 @@ def _dispatch(args) -> int:
         print(format_scalar(value, args.float))
         return 0
     if cmd == "check-axioms":
-        _check_size("max-grade", args.max_grade, args.algebra, _KIND_BY_ALGEBRA[args.algebra],
-                    args.dim)
-        inst = get_instance(args.algebra, args.dim)
+        inst = get_instance(args.algebra, args.dim)  # rejects a dimension below 1
+        # the pairs include every (b, 1), so this also caps the basis
+        if _axiom_work(_KIND_BY_ALGEBRA[args.algebra], args.dim, args.max_grade) > _WORK_CAP:
+            raise ValueError(
+                f"max-grade {args.max_grade} is too large: the {args.algebra} axiom check up "
+                f"to that grade visits more than {_WORK_CAP} basis pairs and triples"
+            )
         report = check_axioms(inst, args.max_grade, args.samples, args.seed)
         return _emit_report(args, report, "OK" if report.passed else report.summary())
     if cmd == "exp":

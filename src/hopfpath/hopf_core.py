@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .linalg import LinComb, TensorComb, accum, bilinear, linear
+from .linalg import LinComb, Scaled, TensorComb, accum, bilinear, bilinear_scaled, linear
 from .symbols import (
     EMPTY_WORD,
     MultiIndex,
@@ -145,6 +145,11 @@ class HopfInstance:
     def product(self, x: LinComb, y: LinComb, max_grade: int | None = None) -> LinComb:
         """Bilinear product; pairs beyond max_grade are skipped (grading)."""
         return LinComb(bilinear(x, y, self._product_rows(), max_grade), _clean=True)
+
+    def scaled_product(self, x: Scaled, y: Scaled, max_grade: int | None = None) -> Scaled:
+        """``product`` on integer numerators over one denominator, as the same
+        form; a float structure constant raises TypeError."""
+        return bilinear_scaled(x, y, self._product_rows(), max_grade)
 
     def coproduct(self, x: LinComb) -> TensorComb:
         return TensorComb(linear(x, self.coproduct_row), _clean=True)
@@ -526,9 +531,7 @@ def check_axioms(
     # grading
     def grading_failures():
         for b1 in all_basis:
-            for b2 in all_basis:
-                if b1.grade + b2.grade > max_grade:
-                    continue
+            for b2 in (b for g in range(max_grade + 1 - b1.grade) for b in by_grade[g]):
                 prod = instance.product_row(b1, b2)
                 if any(b.grade != b1.grade + b2.grade for b, _ in prod):
                     yield f"product not graded on ({b1}, {b2})"

@@ -6,12 +6,14 @@ one pairing loop, one formatter and one JSON form serve both.  Zero
 coefficients are never stored, so equality is structural.  All basis
 elements of one combination must be of one kind, and so must each slot of
 a tensor: the left slot may hold forests and the right words, say.
+``Scaled`` is the exact form products chain in: integer numerators over one
+denominator, turned into Fractions only where a caller reads them.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 _ONE = Fraction(1)  # the default coefficient, built once
 
@@ -177,23 +179,23 @@ def numerators(coeffs: list) -> tuple[list[int], int] | None:
     return [c.numerator * (den // q) for c, q in zip(coeffs, dens)], den
 
 
-class _FloatConstant(Exception):
+class _FloatConstant(TypeError):
     """A float structure constant met operands scaled by a denominator."""
 
 
-def _accumulate(parts, den: int) -> dict:
+def _accumulate(parts, scaled: bool) -> dict:
     """The one accumulation loop behind every linear extension.
 
     Sums u * c over (terms, u) in parts and (key, c) in terms, adding and
-    dropping keys as ``accum`` does, then divides each sum by den.  Exact
-    operands arrive as integer numerators over den, so integral structure
-    constants keep the sums in ints and each output term makes one Fraction;
-    a non-integral constant (a character value, say) multiplies in as a
-    Fraction.  Float operands arrive as they are over den = 1 and are summed
-    in the same order, with the same operations, as a plain Fraction loop.
-    A float constant with den > 1 raises _FloatConstant, and the caller runs
-    the loop again on the unscaled coefficients, so float results never
-    depend on the scaling.
+    dropping keys as ``accum`` does, and returns the sums.  Exact operands
+    arrive scaled, as integer numerators over a denominator the caller
+    keeps, so integral structure constants keep the sums in ints; a
+    non-integral constant (a character value, say) multiplies in as a
+    Fraction.  Float operands arrive as they are, unscaled, and are summed in
+    the same order, with the same operations, as a plain Fraction loop.  A
+    float constant met by scaled operands raises _FloatConstant, a
+    TypeError; ``_extend`` then runs the loop again on the unscaled
+    coefficients, so float results never depend on the scaling.
     """
     acc: dict = {}
     get, pop = acc.get, acc.pop
@@ -203,13 +205,18 @@ def _accumulate(parts, den: int) -> dict:
                 if type(c) is Fraction:
                     if c.denominator == 1:
                         c = c.numerator
-                elif den != 1 and type(c) is float:
+                elif scaled and type(c) is float:
                     raise _FloatConstant
             new = get(k, 0) + u * c
             if new:
                 acc[k] = new
             else:
                 pop(k, None)
+    return acc
+
+
+def _divide(acc: dict, den: int) -> dict:
+    """The sums of _accumulate over den, one Fraction per integer sum."""
     if den == 1:
         return {k: Fraction(v) if type(v) is int else v for k, v in acc.items()}
     return {k: Fraction(v, den) if type(v) is int else v / den for k, v in acc.items()}
@@ -220,13 +227,44 @@ def _extend(parts: Callable, *operands: list) -> dict:
     denominators, or on parts(*operands) over 1 when floats are involved."""
     scaled = [numerators(coeffs) for coeffs in operands]
     if None not in scaled:
+        den = math.prod(den for _, den in scaled)
         try:
-            return _accumulate(
-                parts(*(nums for nums, _ in scaled)), math.prod(den for _, den in scaled)
-            )
+            return _divide(_accumulate(parts(*(nums for nums, _ in scaled)), den != 1), den)
         except _FloatConstant:
             pass
-    return _accumulate(parts(*operands), 1)
+    return _divide(_accumulate(parts(*operands), False), 1)
+
+
+class Scaled(NamedTuple):
+    """An exact combination as integer numerators over one positive
+    denominator: the coefficient of key k is nums[k] / den.
+
+    Built by ``of``, the gcd of the numerators and the denominator (the
+    content) is 1, so each form is unique.  A chain of ``bilinear_scaled``
+    products stays in ints and divides out the content once per product;
+    ``lincomb`` makes the Fractions a caller sees.
+    """
+
+    nums: dict
+    den: int
+
+    @classmethod
+    def of(cls, values: dict, den: int = 1) -> "Scaled":
+        """The combination values[k] / den, for int or Fraction values, with
+        its content divided out; a float value raises TypeError."""
+        scaled = numerators(list(values.values()))
+        if scaled is None:
+            raise TypeError("a scaled combination holds exact coefficients only")
+        nums, q = scaled
+        den *= q
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        return cls(dict(zip(values, nums)), den)
+
+    def lincomb(self) -> "LinComb":
+        return LinComb(_divide(self.nums, self.den), _clean=True)
 
 
 def linear(x, fn: Callable) -> dict:
@@ -240,22 +278,17 @@ def linear(x, fn: Callable) -> dict:
     return _extend(lambda nums: zip(map(fn, keys), nums), [c for _, c in x])
 
 
-def bilinear(x, y, fn: Callable, max_grade: int | None = None) -> dict:
-    """Bilinear extension of fn: (basis, basis) -> (basis, coeff) pairs.
-
-    x and y iterate as (basis, coeff) pairs; the result is the accumulated
-    coefficient dict.  Pairs whose grades sum past max_grade are skipped:
-    each y grade is read once, and the loop over y stops after the last term
-    that can still fit, so y sorted by grade visits only the pairs kept.
-    Terms are visited in the operands' order whatever their grades, so the
-    result is that of the plain double loop, term order and float bits
-    included.  A float in either operand leaves both unscaled.
-    """
-    x, y = list(x), list(y)
+def _pairs(xkeys: list, ykeys: list, fn: Callable, max_grade: int | None) -> Callable:
+    """parts(xc, yc) for _accumulate: (fn(b1, b2), u * v) over the pairs of
+    keys with coefficients u in xc and v in yc, skipping pairs whose grades
+    sum past max_grade.  Each y grade is read once, and the loop over y stops
+    after the last term that can still fit, so y sorted by grade visits only
+    the pairs kept.  Terms are visited in the operands' order whatever their
+    grades, so the result is that of the plain double loop."""
     if max_grade is None:  # every pair fits; tensor keys have no grade
-        xgrades, ygrades, max_grade = [0] * len(x), [0] * len(y), 0
+        xgrades, ygrades, max_grade = [0] * len(xkeys), [0] * len(ykeys), 0
     else:
-        xgrades, ygrades = [b.grade for b, _ in x], [b.grade for b, _ in y]
+        xgrades, ygrades = [b.grade for b in xkeys], [b.grade for b in ykeys]
     # stop[r]: one past the last y term of grade <= r
     stop = [0] * (max_grade + 1)
     for j, g in enumerate(ygrades):
@@ -264,16 +297,38 @@ def bilinear(x, y, fn: Callable, max_grade: int | None = None) -> dict:
     for r in range(1, max_grade + 1):
         stop[r] = max(stop[r], stop[r - 1])
 
-    def parts(xn, yn):
-        ys = list(zip([b for b, _ in y], ygrades, yn))
-        for (b1, _), d, u in zip(x, xgrades, xn):
+    def parts(xc, yc):
+        ys = list(zip(ykeys, ygrades, yc))
+        for b1, d, u in zip(xkeys, xgrades, xc):
             room = max_grade - d
             if room >= 0:
                 for b2, g, v in ys[: stop[room]]:
                     if g <= room:
                         yield fn(b1, b2), u * v
 
+    return parts
+
+
+def bilinear(x, y, fn: Callable, max_grade: int | None = None) -> dict:
+    """Bilinear extension of fn: (basis, basis) -> (basis, coeff) pairs.
+
+    x and y iterate as (basis, coeff) pairs; the result is the accumulated
+    coefficient dict of the plain double loop over the pairs kept (see
+    ``_pairs``), term order and float bits included.  A float in either
+    operand leaves both unscaled.
+    """
+    x, y = list(x), list(y)
+    parts = _pairs([b for b, _ in x], [b for b, _ in y], fn, max_grade)
     return _extend(parts, [c for _, c in x], [c for _, c in y])
+
+
+def bilinear_scaled(x: Scaled, y: Scaled, fn: Callable, max_grade: int | None = None) -> Scaled:
+    """``bilinear`` on scaled operands, as a scaled result: the same loop,
+    with the integer sums kept over x.den * y.den and the content divided
+    out, not turned into Fractions.  A float structure constant raises
+    TypeError."""
+    parts = _pairs(list(x.nums), list(y.nums), fn, max_grade)
+    return Scaled.of(_accumulate(parts(x.nums.values(), y.nums.values()), True), x.den * y.den)
 
 
 def _outer(l, r):

@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .hopf_core import (
     CheckEntry,
@@ -31,7 +31,7 @@ from .hopf_ck import (
     phi_hat,
     phi_kernel_basis,
 )
-from .linalg import LinComb, pair
+from .linalg import LinComb, Scaled, numerators, pair
 from .series import TruncatedElement, homog_norm, is_grouplike, trunc_one
 from .symbols import (
     EMPTY_WORD,
@@ -117,8 +117,8 @@ class PiecewiseLinearPath:
     def position(self, t) -> tuple[Fraction, ...]:
         t = self.clamp(t)
         idx = bisect.bisect_right(self.times, t) - 1
-        if idx == len(self.times) - 1:
-            return self.values[-1]
+        if t == self.times[idx]:
+            return self.values[idx]
         t0, t1 = self.times[idx], self.times[idx + 1]
         lam = (t - t0) / (t1 - t0)
         return tuple(
@@ -127,7 +127,8 @@ class PiecewiseLinearPath:
 
     def breakpoints_between(self, s: Fraction, t: Fraction) -> list[Fraction]:
         lo, hi = (s, t) if s <= t else (t, s)
-        inner = [u for u in self.times if lo < u < hi]
+        times = self.times
+        inner = list(times[bisect.bisect_right(times, lo) : bisect.bisect_left(times, hi)])
         return inner if s <= t else inner[::-1]
 
 
@@ -182,10 +183,19 @@ class RoughLift:
 
 # ---------------------------------------------------------------------------
 # closed forms on one linear segment
+#
+# On a segment with increment v the signature is v^{(x) k} / k! at level k,
+# and the branched lift gives a forest f the coefficient prod_i v_i^{n_i} / f!,
+# with n_i the number of nodes labelled i and f! the forest factorial: the
+# product of Butcher's tree factorials gamma(t) = |t| gamma(children of t)
+# over the trees of f (Hairer, Lubich & Wanner, Geometric Numerical
+# Integration, ch. III).  A word is the case f! = k!.  The lifts read these
+# from a table (``_segment_table``) in integer form; the two per-term
+# Fraction recursions below are the references the tests compare it with.
 
 
 def _word_segment(increment: tuple[Fraction, ...], level: int, d: int) -> LinComb:
-    # level-k slice of the signature of a line is increment^{(x) k} / k!
+    """Reference: the signature of a line, one Fraction per term."""
     terms = {EMPTY_WORD: Fraction(1)}
     frontier = {(): Fraction(1)}
     for k in range(1, level + 1):
@@ -204,7 +214,9 @@ def _word_segment(increment: tuple[Fraction, ...], level: int, d: int) -> LinCom
 
 
 def _forest_segment(increment: tuple[Fraction, ...], level: int, d: int) -> LinComb:
-    # coefficient recursion: a(|z|_i) = a(z) * v_i / (|z| + 1), multiplicative on forests
+    """Reference: the branched lift of a line, one Fraction per term, by the
+    recursion a(|z|_i) = a(z) v_i / (|z| + 1), multiplicative on forests."""
+
     @multiplicative(Fraction(1), operator.mul)
     def coefficient(tree: Tree) -> Fraction:
         v = increment[tree.label - 1]
@@ -221,34 +233,107 @@ def _forest_segment(increment: tuple[Fraction, ...], level: int, d: int) -> LinC
     return LinComb(terms)
 
 
+@multiplicative(1, operator.mul)
+def _forest_factorial(tree: Tree) -> int:
+    return tree.grade * _forest_factorial(tree.children)
+
+
+def _node_labels(forest: Forest) -> list[int]:
+    out = []
+    for tree in forest.trees():
+        out.append(tree.label)
+        out.extend(_node_labels(tree.children))
+    return out
+
+
+class _SegmentTable(NamedTuple):
+    """The closed form on a segment, up to a level, as integers.
+
+    ``rows`` lists (basis, j, w) in the references' term order: the basis
+    element, the index j of its label counts n in ``counts``, and the
+    weight w = lcm / f!, ``lcm`` being the lcm of the f! (or k!) over the
+    table.  With the increment written as v_i = a_i / Q, the coefficient of
+    a row is prod_i a_i^{n_i} Q^{level - k} w / (Q^level lcm), k = |n|.
+    """
+
+    level: int
+    counts: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[object, int, int], ...]
+    lcm: int
+
+
+def _segment_table(algebra: HopfInstance, flavor: str, level: int) -> _SegmentTable:
+    """The table for one (flavor, d, level), built once per algebra."""
+    memo = algebra.memo("segment_table")
+    table = memo.get((flavor, level))
+    if table is None:
+        d = algebra.dim
+        if flavor == "geometric":
+            rows = [(w, w.letters, math.factorial(w.grade)) for w in words_up_to(d, level)]
+        else:
+            rows = [(f, _node_labels(f), _forest_factorial(f)) for f in forests_up_to(d, level)]
+        lcm = math.lcm(*(fact for _, _, fact in rows))
+        counts: dict = {}  # label counts -> their index
+        table_rows = []
+        for b, labels, fact in rows:
+            n = tuple(labels.count(i) for i in range(1, d + 1))
+            table_rows.append((b, counts.setdefault(n, len(counts)), lcm // fact))
+        table = memo[(flavor, level)] = _SegmentTable(
+            level, tuple(counts), tuple(table_rows), lcm
+        )
+    return table
+
+
+def _tabled_segment(table: _SegmentTable, increment: tuple[Fraction, ...]) -> Scaled:
+    """The closed form on a segment with this increment, read off the table
+    with one power product per label-count vector."""
+    nums, q = numerators(increment)
+    level = table.level
+    q_powers = [q**e for e in range(level + 1)]
+    powers = [[a**e for e in range(level + 1)] for a in nums]
+    monomials = []
+    for n in table.counts:
+        m = q_powers[level - sum(n)]
+        for p, e in zip(powers, n):
+            m *= p[e]
+        monomials.append(m)
+    out = {}
+    for b, j, w in table.rows:
+        m = monomials[j]
+        if m:
+            out[b] = m * w
+    return Scaled.of(out, q_powers[level] * table.lcm)
+
+
 def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLift:
     if level < 1:
         raise ValueError("lift level must be >= 1")
     d = path.dim
     algebra = concat_deshuffle_instance(d) if flavor == "geometric" else gl_instance(d)
-    segment = _word_segment if flavor == "geometric" else _forest_segment
+    table = _segment_table(algebra, flavor, level)
 
     # memoized per lift by increment: equal steps on one linear piece share it
     @functools.lru_cache(maxsize=None)
-    def closed_form(increment: tuple[Fraction, ...]) -> TruncatedElement:
-        return TruncatedElement.make(segment(increment, level, d), level, algebra)
+    def closed_form(increment: tuple[Fraction, ...]) -> Scaled:
+        return _tabled_segment(table, increment)
 
     # and by endpoints, which checks revisit often, to skip the positions
     @functools.lru_cache(maxsize=None)
-    def piece(a: Fraction, b: Fraction) -> TruncatedElement:
+    def piece(a: Fraction, b: Fraction) -> Scaled:
         return closed_form(
             tuple(x1 - x0 for x0, x1 in zip(path.position(a), path.position(b)))
         )
 
     def evaluate(s: Fraction, t: Fraction) -> TruncatedElement:
+        """The Chen product of the pieces, kept scaled; Fractions at the end."""
         s, t = path.clamp(s), path.clamp(t)
         if s == t:
             return trunc_one(level, algebra)
         stops = [s, *path.breakpoints_between(s, t), t]
         acc = piece(stops[0], stops[1])
         for a, b in zip(stops[1:], stops[2:]):
-            acc = acc.mul(piece(a, b))
-        return acc
+            acc = algebra.scaled_product(acc, piece(a, b), level)
+        return TruncatedElement(acc.lincomb(), level, algebra)
 
     return RoughLift(flavor, d, level, evaluate)
 

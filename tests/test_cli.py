@@ -335,6 +335,20 @@ class TestSizeGuard:
         assert "level 30 is too large" in err and "1000000" in err
         assert time.process_time() - start < 2
 
+    def test_check_axioms_sized_by_work(self, capsys):
+        # 29,524 words, under the basis cap, but about 1.8 million pairs and triples
+        import time
+
+        start = time.process_time()
+        code, out, err = run(capsys, "check-axioms", "--algebra", "shuffle", "--dim", "3",
+                             "--max-grade", "9")
+        assert code == 2 and out == ""
+        assert "max-grade 9 is too large" in err and "1000000 basis pairs and triples" in err
+        # no grade is empty, so the count stops early, once the dimension is valid
+        code, _, err = run(capsys, "check-axioms", "--dim", "0", "--max-grade", "1000000000")
+        assert code == 2 and "alphabet size" in err
+        assert time.process_time() - start < 2
+
     @pytest.mark.parametrize("argv", [
         ["branched-lift", "{path}", "--level", "12"],
         ["convert-lift", "{path}", "--direction", "g2b", "--level", "14"],
@@ -348,7 +362,8 @@ class TestSizeGuard:
         assert code == 2 and out == "" and "too large" in err
 
     def test_sizes_below_the_cap_run(self, capsys):
-        from hopfpath.cli import _basis_size
+        from hopfpath.cli import _KIND_BY_ALGEBRA, _axiom_work, _basis_size
+        from hopfpath.hopf_core import _bounded_pairs, _bounded_triples, get_instance
         from hopfpath.symbols import forests_up_to, multi_indices_up_to, words_up_to
 
         for d in (1, 2, 3):
@@ -356,6 +371,12 @@ class TestSizeGuard:
                 assert _basis_size("forest", d, n) == len(forests_up_to(d, n))
                 assert _basis_size("word", d, n) == len(words_up_to(d, n))
                 assert _basis_size("multiindex", d, n) == len(multi_indices_up_to(d, n))
+            for algebra in ("poly", "shuffle", "gl"):
+                by_grade = {k: get_instance(algebra, d).basis(k) for k in range(5)}
+                for n in range(5):
+                    visited = sum(1 for _ in _bounded_pairs(by_grade, n))
+                    visited += sum(1 for _ in _bounded_triples(by_grade, n))
+                    assert _axiom_work(_KIND_BY_ALGEBRA[algebra], d, n) == visited
         code, out, _ = run(capsys, "exp", "--algebra", "ck", "--dim", "1", "--truncation", "2", "[]_1")
         assert code == 0 and out.strip() == "1 + []_1 + 1/2*[]_1 []_1"
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ from hopfpath.hopf_core import get_instance
 from hopfpath.linalg import (
     KindMismatchError,
     LinComb,
+    Scaled,
     TensorComb,
     bilinear,
+    bilinear_scaled,
     format_lincomb,
     linear,
     lincomb_to_json,
@@ -350,6 +353,27 @@ class TestAccumulator:
             ref_bilinear(x, y, inst.product_basis)
         )
         assert exactly(inst.coproduct(x).terms) == exactly(ref_linear(x, inst.coproduct_basis))
+
+    @given(operands())
+    @settings(max_examples=200, deadline=None)
+    def test_scaled_product(self, case):
+        inst, level, x, y = case
+        floaty = [z for z in (x, y) if any(isinstance(c, float) for _, c in z)]
+        if floaty:
+            with pytest.raises(TypeError):
+                Scaled.of(floaty[0].terms)
+            return
+        sx, sy = Scaled.of(x.terms), Scaled.of(y.terms)
+        assert sx.lincomb() == x and math.gcd(sx.den, *sx.nums.values()) == 1
+        halves = lambda a, b: [(k, c * Fraction(1, 2)) for k, c in inst.product_basis(a, b)]
+        for fn in (inst.product_basis, halves):
+            got = bilinear_scaled(sx, sy, fn, level)
+            assert exactly(got.lincomb().terms) == exactly(ref_bilinear(x, y, fn, level))
+            assert got.den > 0 and math.gcd(got.den, *got.nums.values()) == 1
+        if x and y:
+            tenths = lambda a, b: [(a, 0.1 * (a.grade + 1))]
+            with pytest.raises(TypeError):
+                bilinear_scaled(sx, sy, tenths)
 
     @given(operands())
     @settings(max_examples=200, deadline=None)

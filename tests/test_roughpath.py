@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfpath import roughpath
-from hopfpath.hopf_ck import phi_hat
+from hopfpath.hopf_core import concat_deshuffle_instance
+from hopfpath.hopf_ck import gl_instance, phi_hat
 from hopfpath.linalg import LinComb
 from hopfpath.roughpath import (
     KernelConditionError,
@@ -385,14 +387,13 @@ class TestSegmentMemo:
     def segment_calls(self, monkeypatch):
         """Record the increments the lifts ask the segment closed forms for."""
         calls = []
-        for name in ("_forest_segment", "_word_segment"):
-            real = getattr(roughpath, name)
+        real = roughpath._tabled_segment
 
-            def counting(increment, level, d, real=real):
-                calls.append(increment)
-                return real(increment, level, d)
+        def counting(table, increment):
+            calls.append(increment)
+            return real(table, increment)
 
-            monkeypatch.setattr(roughpath, name, counting)
+        monkeypatch.setattr(roughpath, "_tabled_segment", counting)
         return calls
 
     def test_equal_steps_on_a_line_compute_one_segment(self, segment_calls):
@@ -423,3 +424,104 @@ class TestSegmentMemo:
         half = Fraction(1, 2)
         assert lift.eval(*across) == fresh(across[0], half).mul(fresh(half, across[1]))
         assert len(segment_calls) == len(set(segment_calls)) == 6
+
+
+# zero, small, negative and large-denominator increments and knot values
+SCALARS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**15),
+)
+FLAVORS = {
+    "geometric": (concat_deshuffle_instance, roughpath._word_segment),
+    "branched": (gl_instance, roughpath._forest_segment),
+}
+
+
+@st.composite
+def flavor_dim_level(draw):
+    return (
+        draw(st.sampled_from(sorted(FLAVORS))),
+        draw(st.integers(min_value=1, max_value=3)),
+        draw(st.integers(min_value=1, max_value=4)),
+    )
+
+
+@st.composite
+def paths_and_windows(draw):
+    """A lift's flavor, d and level, knots with equal and distinct values, and a
+    window (s, t) at knots, between them or outside the path."""
+    flavor, d, level = draw(flavor_dim_level())
+    times = draw(
+        st.lists(st.fractions(min_value=0, max_value=4, max_denominator=8),
+                 min_size=2, max_size=5, unique=True)
+    )
+    times.sort()
+    values = [tuple(draw(SCALARS) for _ in range(d)) for _ in times]
+    point = st.one_of(st.sampled_from(times),
+                      st.fractions(min_value=-1, max_value=5, max_denominator=16))
+    return flavor, d, level, times, values, draw(point), draw(point)
+
+
+def interpolate(times, values, u):
+    u = min(max(u, times[0]), times[-1])
+    for t0, t1, x0, x1 in zip(times, times[1:], values, values[1:]):
+        if t0 <= u <= t1:
+            return tuple(a + (u - t0) / (t1 - t0) * (b - a) for a, b in zip(x0, x1))
+
+
+def chain_reference(times, values, flavor, level, s, t):
+    """The Chen product of the per-term Fraction closed forms over the knots
+    between s and t, with positions interpolated here."""
+    make_algebra, segment = FLAVORS[flavor]
+    d = len(values[0])
+    algebra = make_algebra(d)
+    s, t = (min(max(u, times[0]), times[-1]) for u in (s, t))
+    if s == t:
+        return trunc_one(level, algebra)
+    lo, hi = sorted((s, t))
+    stops = [s, *sorted((u for u in times if lo < u < hi), reverse=s > t), t]
+    acc = None
+    for a, b in zip(stops, stops[1:]):
+        x0, x1 = interpolate(times, values, a), interpolate(times, values, b)
+        elt = TruncatedElement.make(
+            segment(tuple(q - p for p, q in zip(x0, x1)), level, d), level, algebra
+        )
+        acc = elt if acc is None else acc.mul(elt)
+    return acc
+
+
+class TestScaledLifts:
+    @given(flavor_dim_level(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tabled_segment_matches_reference(self, case, data):
+        flavor, d, level = case
+        make_algebra, segment = FLAVORS[flavor]
+        increment = tuple(data.draw(SCALARS) for _ in range(d))
+        table = roughpath._segment_table(make_algebra(d), flavor, level)
+        got = roughpath._tabled_segment(table, increment).lincomb()
+        want = segment(increment, level, d)
+        assert list(got) == list(want)
+        assert all(type(c) is Fraction for _, c in got)
+
+    def test_table_lives_in_the_algebra_memo(self):
+        algebra = gl_instance(2)
+        table = roughpath._segment_table(algebra, "branched", 3)
+        assert algebra.memo("segment_table")[("branched", 3)] is table
+        assert roughpath._segment_table(algebra, "branched", 3) is table
+
+    @given(paths_and_windows())
+    @settings(max_examples=150, deadline=None)
+    def test_chain_matches_chen_product_of_reference_segments(self, case):
+        flavor, d, level, times, values, s, t = case
+        path = PiecewiseLinearPath.from_knots(zip(times, values))
+        lift = (signature_lift if flavor == "geometric" else branched_lift_fn)(path, level)
+        for a, b in ((s, t), (t, s)):
+            got = lift.eval(a, b)
+            want = chain_reference(times, values, flavor, level, a, b)
+            assert got == want and list(got.value) == list(want.value)
+            assert all(type(c) is Fraction for _, c in got.value)
+        for u in (*times, s, t):
+            x = path.position(u)
+            assert x == interpolate(times, values, u)
+            assert all(type(c) is Fraction for c in x)

@@ -108,13 +108,17 @@ class TestTruncatedProduct:
 @st.composite
 def sparse_elements(draw, counit_free=False):
     """An algebra of the five, d in 1..3, level in 1..4, and two random sparse
-    Fraction combinations of basis elements up to that level."""
+    Fraction combinations of basis elements up to that level, with zero,
+    negative and large-denominator coefficients."""
     name = draw(st.sampled_from(("poly", "shuffle", "concat", "ck", "gl")))
     d = draw(st.integers(min_value=1, max_value=3))
     level = draw(st.integers(min_value=1, max_value=4))
     inst = get_instance(name, d)
     pool = [b for b in inst.basis_up_to(level) if b.grade or not counit_free]
-    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    coeffs = st.one_of(
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**15),
+    )
 
     def element():
         keys = draw(st.lists(st.sampled_from(pool), max_size=6))
@@ -128,8 +132,10 @@ class TestProductKernel:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_product(self, case):
         inst, level, x, y = case
-        got = elem(x, level, inst).mul(elem(y, level, inst))
-        assert got.value == inst.product(x, y, max_grade=level)
+        got = elem(x, level, inst).mul(elem(y, level, inst)).value
+        want = inst.product(x, y, max_grade=level)
+        assert list(got) == list(want)
+        assert all(type(c) is Fraction for _, c in got)
 
     @given(sparse_elements(counit_free=True))
     @settings(max_examples=100, deadline=None)
