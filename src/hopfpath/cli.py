@@ -106,6 +106,8 @@ def _single_forest(args, text: str):
 _BASIS_CAP = 10**6
 # most basis pairs plus triples within the grade bound check-axioms will visit
 _WORK_CAP = 10**6
+# most subsets or placements the word maps of check-axioms will enumerate
+_ENUMERATION_CAP = 10**6
 
 
 def _grade_sizes(kind: str, d: int):
@@ -163,6 +165,39 @@ def _axiom_work(kind: str, d: int, max_grade: int) -> int:
         pairs.append(sum(sizes[i] * sizes[s - i] for i in range(s + 1)))
         total += pairs[s] + sum(pairs[i] * sizes[s - i] for i in range(s + 1))
         if total > _WORK_CAP:
+            break
+    return total
+
+
+def _enumeration_work(algebra: str, d: int, max_grade: int, samples: int) -> int:
+    """Subsets and placements the word maps of check-axioms enumerate, counted
+    from the grade sizes d^n; each map runs once per argument.
+
+    The deshuffle coproduct of ``concat`` takes all 2^n subsets of a grade-n
+    word, and the shuffle product of ``shuffle`` C(i+j, i) placements for a
+    pair of grades i and j.  The exact laws split every word, and multiply
+    every pair, of total grade <= max_grade.  The random samples draw words
+    of grade <= h = max(1, max_grade // 2): concat splits their products, of
+    grade <= 2h, and shuffle multiplies those products by a word of grade
+    <= h, either way round.  The other algebras enumerate nothing of this
+    kind: 0.  The count stops once it passes _ENUMERATION_CAP.
+    """
+    if algebra not in ("concat", "shuffle"):
+        return 0
+    h = max(1, max_grade // 2)
+    top = max_grade
+    if samples > 0:
+        top = max(top, 2 * h if algebra == "concat" else 3 * h)
+    total = 0
+    for s in range(top + 1):
+        if algebra == "concat":
+            total += d**s * 2**s
+        else:
+            total += d**s * sum(
+                math.comb(s, i) for i in range(s + 1)
+                if s <= max_grade or min(i, s - i) <= h and max(i, s - i) <= 2 * h
+            )
+        if total > _ENUMERATION_CAP:
             break
     return total
 
@@ -315,6 +350,14 @@ def _dispatch(args) -> int:
             raise ValueError(
                 f"max-grade {args.max_grade} is too large: the {args.algebra} axiom check up "
                 f"to that grade visits more than {_WORK_CAP} basis pairs and triples"
+            )
+        enumerated = _enumeration_work(args.algebra, args.dim, args.max_grade, args.samples)
+        if enumerated > _ENUMERATION_CAP:
+            maps = {"concat": "subsets in its deshuffle coproducts",
+                    "shuffle": "placements in its shuffle products"}
+            raise ValueError(
+                f"max-grade {args.max_grade} is too large: the {args.algebra} axiom check up "
+                f"to that grade enumerates more than {_ENUMERATION_CAP} {maps[args.algebra]}"
             )
         report = check_axioms(inst, args.max_grade, args.samples, args.seed)
         return _emit_report(args, report, "OK" if report.passed else report.summary())

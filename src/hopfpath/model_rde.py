@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .hopf_core import CheckReport
 from .hopf_ck import ck_coproduct, ck_instance, forest_product
-from .linalg import LinComb, TensorComb, accum, bilinear, linear
+from .linalg import LinComb, TensorComb, accum, bilinear, linear, numerators
 from .roughpath import PiecewiseLinearPath, RoughLift, branched_lift_fn, to_fraction
 from .series import TruncatedElement, is_grouplike
 from .symbols import EMPTY_FOREST, Forest, forests_up_to, trees
@@ -554,9 +554,14 @@ def picard_solve(
     base in closed form (``_picard_step_coefficients``: one pass over trees up
     to ``level``) and advances the state by evaluating those coefficients
     against the exact branched lift over the step, which realizes the kernel
-    convolution without quadrature.  An exact state that outgrows
-    ``_EXACT_STATE_BITS`` continues as a float.  A ModelError raised during
-    the steps carries the samples computed so far in ``samples``.
+    convolution without quadrature.  When the state, every derivative value
+    and every lift coefficient read are exact, the step is taken in integers
+    (``_exact_picard_step``): unreduced tree coefficients over one common
+    denominator, one gcd per step, and the same Fraction as the sum of
+    Fraction products.  Otherwise the step is that sum, with floats as they
+    come.  An exact state that outgrows ``_EXACT_STATE_BITS`` continues as a
+    float.  A ModelError raised during the steps carries the samples
+    computed so far in ``samples``.
     """
     gamma = to_fraction(gamma)
     if not 0 < gamma < 1:
@@ -590,9 +595,11 @@ def picard_solve(
                 raise ModelError(f"non-finite state at t={float(s)}")
             t = min(s + step, end)
             try:
-                coeffs = _picard_step_coefficients(field, y, level)
                 elt = lift.eval(s, t)
-                y_next = sum(c * elt.coeff(f) for f, c in coeffs.items())
+                y_next = _exact_picard_step(field, y, level, elt)
+                if y_next is None:
+                    coeffs = _picard_step_coefficients(field, y, level)
+                    y_next = sum(c * elt.coeff(f) for f, c in coeffs.items())
             except OverflowError:
                 raise ModelError(f"non-finite state at t={float(t)}") from None
             if isinstance(y_next, float) and not math.isfinite(y_next):
@@ -653,3 +660,44 @@ def _picard_step_coefficients(field: VectorField, y, level: int) -> dict:
                 on_tree[tree] = c
                 coeffs[tree.as_forest()] = c
     return coeffs
+
+
+def _exact_picard_step(field: VectorField, y, level: int, elt: TruncatedElement) -> Fraction | None:
+    """The step sum_tau c(tau) X_st(tau) for an exact state, in integers.
+
+    The recursion of ``_picard_step_coefficients`` runs on unreduced
+    (numerator, denominator) pairs, n <- n prod n_c^m and d <- d prod d_c^m m!,
+    with no gcd.  The nonzero terms, y among them, go over the lcm L of their
+    denominators, and the lift coefficients they meet over the lcm D of
+    theirs, so the step is one Fraction, sum / (L D), with one normalising
+    gcd.  Returns None when y, a derivative value or a lift coefficient read
+    is a float: mixed Fraction-float products round their own way, and the
+    caller keeps them.
+    """
+    try:  # a float has no numerator
+        terms = [(EMPTY_FOREST, y.numerator, y.denominator)]
+        derivs = [
+            [(v.numerator, v.denominator) for v in (comp.derivative(n)(y) for n in range(level))]
+            for comp in field.components
+        ]
+    except AttributeError:
+        return None
+    on_tree: dict = {}
+    for g in range(1, level + 1):
+        for tree in trees(field.dim, g):
+            n, d = derivs[tree.label - 1][tree.children.tree_count()]
+            for child, m in tree.children.items:
+                if not n:
+                    break
+                n_child, d_child = on_tree.get(child, (0, 1))
+                n, d = n * n_child**m, d * d_child**m * math.factorial(m)
+            if n:
+                on_tree[tree] = n, d
+                terms.append((tree.as_forest(), n, d))
+    scaled = numerators([elt.coeff(f) for f, _, _ in terms])
+    if scaled is None:
+        return None
+    lifted, den = scaled
+    met = [(n, d, a) for (_, n, d), a in zip(terms, lifted) if a]
+    lcm = math.lcm(*(d for _, d, _ in met))
+    return Fraction(sum(n * (lcm // d) * a for n, d, a in met), lcm * den)

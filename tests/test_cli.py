@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -348,6 +349,55 @@ class TestSizeGuard:
         code, _, err = run(capsys, "check-axioms", "--dim", "0", "--max-grade", "1000000000")
         assert code == 2 and "alphabet size" in err
         assert time.process_time() - start < 2
+
+    def test_check_axioms_sized_by_enumeration(self, capsys):
+        # under both tuple caps, but 2^100 subsets of one word, C(100, 50) placements of one pair
+        import time
+
+        start = time.process_time()
+        for algebra, enumerated in (
+            ("concat", "1000000 subsets in its deshuffle coproducts"),
+            ("shuffle", "1000000 placements in its shuffle products"),
+        ):
+            code, out, err = run(capsys, "check-axioms", "--algebra", algebra, "--dim", "1",
+                                 "--max-grade", "100")
+            assert code == 2 and out == ""
+            assert "max-grade 100 is too large" in err and enumerated in err
+        assert time.process_time() - start < 1
+
+    @pytest.mark.parametrize("algebra", ["concat", "shuffle"])
+    def test_enumeration_work_counts_the_enumerators(self, monkeypatch, algebra):
+        # the deshuffle and shuffle maps, counted as they run in check_axioms on fresh
+        # instances: every subset and placement with no samples, at most the weight with
+        from hopfpath import hopf_core
+        from hopfpath.cli import _enumeration_work
+
+        enumerated = [0]
+        deshuffle, shuffle = hopf_core.deshuffle_tuples, hopf_core.shuffle_tuples
+
+        def counted_deshuffle(w):
+            enumerated[0] += 2 ** len(w)
+            return deshuffle(w)
+
+        def counted_shuffle(u, v):
+            enumerated[0] += math.comb(len(u) + len(v), len(u))
+            return shuffle(u, v)
+
+        monkeypatch.setattr(hopf_core, "deshuffle_tuples", counted_deshuffle)
+        monkeypatch.setattr(hopf_core, "shuffle_tuples", counted_shuffle)
+        make = {"concat": hopf_core.concat_deshuffle_instance,
+                "shuffle": hopf_core.shuffle_deconcat_instance}[algebra].__wrapped__
+        for d in (1, 2):
+            for n in range(1, 5):
+                for samples in (0, 30):
+                    enumerated[0] = 0
+                    assert hopf_core.check_axioms(make(d), n, samples).passed
+                    weight = _enumeration_work(algebra, d, n, samples)
+                    if samples == 0:
+                        assert enumerated[0] == weight
+                    else:
+                        assert 0 < enumerated[0] <= weight
+        assert _enumeration_work("gl", 2, 100, 500) == _enumeration_work("poly", 2, 100, 500) == 0
 
     @pytest.mark.parametrize("argv", [
         ["branched-lift", "{path}", "--level", "12"],

@@ -10,8 +10,11 @@ from hopfpath.model_rde import (
     Character,
     DottedForest,
     ModelError,
+    ScalarField,
     SectorError,
     VectorField,
+    _demote_if_huge,
+    _exact_picard_step,
     _picard_step_coefficients,
     abstract_integration,
     check_model,
@@ -29,7 +32,8 @@ from hopfpath.model_rde import (
     struct_action,
     structure_map_witness,
 )
-from hopfpath.roughpath import PiecewiseLinearPath, branched_lift_fn
+from hopfpath.roughpath import PiecewiseLinearPath, RoughLift, branched_lift_fn
+from hopfpath.series import TruncatedElement
 from hopfpath.symbols import EMPTY_FOREST, Forest, Tree, forests_up_to, trees
 
 
@@ -489,8 +493,9 @@ class TestPicard:
 
 
 @st.composite
-def picard_cases(draw):
-    """A field of every spec kind, d in 1..3, level in 1..5, an exact or float state."""
+def picard_cases(draw, states=None):
+    """A field of every spec kind, d in 1..3, level in 1..5, and a state drawn
+    from ``states`` (default: an exact or float one)."""
     value = st.fractions(min_value=-3, max_value=3, max_denominator=7)
     kind = draw(st.sampled_from(("linear", "sin", "const", "poly")))
     if kind == "const":
@@ -501,8 +506,59 @@ def picard_cases(draw):
         spec = kind
     d = draw(st.integers(min_value=1, max_value=3))
     level = draw(st.integers(min_value=1, max_value=5))
-    y = draw(value | st.floats(min_value=-3, max_value=3, allow_subnormal=False))
-    return VectorField.from_spec(spec, d), level, y
+    if states is None:
+        states = value | st.floats(min_value=-3, max_value=3, allow_subnormal=False)
+    return VectorField.from_spec(spec, d), level, draw(states)
+
+
+# states of more than 10^4 bits in numerator and denominator alike
+huge_states = st.builds(
+    lambda sign, k, j: Fraction(sign * (2**10100 + k), 3**6400 + 2 * j),
+    st.sampled_from((-1, 1)), st.integers(0, 2**64), st.integers(0, 2**64),
+)
+
+
+@st.composite
+def lift_windows(draw, d: int, level: int):
+    """The branched lift at ``level`` of a random exact path in dimension d,
+    evaluated on a random exact window s < t inside it."""
+    value = st.fractions(min_value=-2, max_value=2, max_denominator=5)
+    inner = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=12),
+                          max_size=3, unique=True))
+    times = sorted({Fraction(0), Fraction(1), *inner})
+    path = PiecewiseLinearPath.from_knots(
+        [(u, tuple(draw(value) for _ in range(d))) for u in times]
+    )
+    s, t = sorted(draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=20),
+                                min_size=2, max_size=2, unique=True)))
+    return branched_lift_fn(path, level).eval(s, t)
+
+
+def fraction_step(field, y, level, elt):
+    """The Picard step as a chain of Fraction (or float) products and sums."""
+    coeffs = _picard_step_coefficients(field, y, level)
+    return sum(c * elt.coeff(f) for f, c in coeffs.items())
+
+
+def reference_solve(path, field, y0, gamma, level, step, lift):
+    """picard_solve with every step taken by ``fraction_step``."""
+    s, y = path.times[0], y0
+    samples = [(s, y)]
+    while s < path.times[-1]:
+        t = min(s + step, path.times[-1])
+        y = _demote_if_huge(fraction_step(field, y, level, lift.eval(s, t)))
+        samples.append((t, y))
+        s = t
+    return samples
+
+
+def same_samples(got, want) -> bool:
+    """Equal times, and states equal in type and value (floats to the bit)."""
+    def key(sample):
+        t, y = sample
+        return t, type(y), y.hex() if isinstance(y, float) else y
+
+    return [key(u) for u in got] == [key(u) for u in want]
 
 
 class TestStepCoefficients:
@@ -542,6 +598,88 @@ class TestStepCoefficients:
         assert coeffs[t(1).as_forest()] == y**2
         assert coeffs[t(1, t(1)).as_forest()] == 2 * y * y**2
         assert coeffs[t(1, t(1), t(1)).as_forest()] == y**4
+
+
+class TestExactStep:
+    """``_exact_picard_step`` against the Fraction chain it replaces."""
+
+    @staticmethod
+    def check(field, y, level, elt):
+        got = _exact_picard_step(field, y, level, elt)
+        if isinstance(y, float) or field.components[0].name == "sin":
+            assert got is None  # a float state or derivative keeps the Fraction-float path
+        else:
+            want = fraction_step(field, y, level, elt)
+            assert type(got) is Fraction and type(want) is Fraction and got == want
+
+    @given(picard_cases(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_fraction_sum(self, case, data):
+        field, level, y = case
+        self.check(field, y, level, data.draw(lift_windows(field.dim, level)))
+
+    @given(picard_cases(st.integers(-5, 5) | huge_states), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_int_and_huge_states(self, case, data):
+        field, level, y = case
+        if isinstance(y, Fraction):
+            assert min(y.numerator.bit_length(), y.denominator.bit_length()) >= 10**4
+        level = min(level, 3)  # keeps the Fraction reference fast on 10^4-bit states
+        self.check(field, y, level, data.draw(lift_windows(field.dim, level)))
+
+    def test_float_state_float_derivative_and_float_lift_keep_todays_samples(self):
+        square = VectorField.from_spec("poly:0,0,1", 1)
+        lift = branched_lift_fn(LINE, 4)
+        # a float state from the start
+        got = picard_solve(LINE, square, 0.5, Fraction(3, 10), 4, Fraction(1, 20))
+        want = reference_solve(LINE, square, 0.5, Fraction(3, 10), 4, Fraction(1, 20), lift)
+        assert same_samples(got, want) and isinstance(got[-1][1], float)
+        # float derivatives at an exact state: sin, and a table field with one float entry
+        table = ScalarField(
+            [lambda y: y * y, lambda y: 2 * y, lambda y: 2.0, lambda y: 0], name="half-float"
+        )
+        for field in (VectorField.from_spec("sin", 1), VectorField((table,))):
+            got = picard_solve(LINE, field, Fraction(1, 2), Fraction(3, 10), 4, Fraction(1, 20))
+            want = reference_solve(LINE, field, Fraction(1, 2), Fraction(3, 10), 4,
+                                   Fraction(1, 20), lift)
+            assert same_samples(got, want) and isinstance(got[1][1], float)
+        # a hand-made lift with float coefficients, from an exact state
+        def evaluate(s, t):
+            elt = lift.eval(s, t)
+            floats = LinComb({b: float(c) for b, c in elt.value})
+            return TruncatedElement(floats, elt.level, elt.algebra)
+
+        float_lift = RoughLift("branched", 1, 4, evaluate)
+        got = picard_solve(LINE, square, Fraction(1, 2), Fraction(3, 10), 4, Fraction(1, 20),
+                           lift=float_lift)
+        want = reference_solve(LINE, square, Fraction(1, 2), Fraction(3, 10), 4,
+                               Fraction(1, 20), float_lift)
+        assert same_samples(got, want) and isinstance(got[1][1], float)
+
+    def test_exact_solves_match_the_fraction_chain(self):
+        # 1 + y^2 from 0: c([.]) = f'(0) c(.) = 0, while its parent [[.] .] has f''(0) != 0
+        cases = (("linear", 1), ("poly:1,-1/2,1/3", Fraction(1, 3)), ("const:2/3", 0),
+                 ("poly:1,0,1", 0))
+        for spec, y0 in cases:
+            field = VectorField.from_spec(spec, 1)
+            got = picard_solve(LINE, field, y0, Fraction(3, 10), 4, Fraction(1, 8))
+            want = reference_solve(LINE, field, y0, Fraction(3, 10), 4, Fraction(1, 8),
+                                   branched_lift_fn(LINE, 4))
+            assert same_samples(got, want)
+
+    def test_exact_to_float_switch(self):
+        # y' = y^2 from 1/2: five exact states, then the first past the bit cap
+        # becomes the float nearest to it, and the solve goes on in floats
+        square = VectorField.from_spec("poly:0,0,1", 1)
+        sol = picard_solve(LINE, square, Fraction(1, 2), Fraction(3, 10), 4, Fraction(1, 100))
+        states = [y for _, y in sol[1:6]]
+        assert all(type(y) is Fraction for y in states)
+        assert [y.numerator.bit_length() + y.denominator.bit_length() for y in states] == [
+            63, 369, 1897, 9541, 47761
+        ]
+        assert sol[6] == (Fraction(3, 50), 0.5154639175153405)
+        assert type(sol[6][1]) is float
+        assert all(type(y) is float for _, y in sol[6:])
 
 
 class TestInvariantRates:
