@@ -108,6 +108,8 @@ _BASIS_CAP = 10**6
 _WORK_CAP = 10**6
 # most subsets or placements the word maps of check-axioms will enumerate
 _ENUMERATION_CAP = 10**6
+# most coproduct terms and term pairs the laws of check-axioms will multiply
+_TERM_CAP = 10**6
 
 
 def _grade_sizes(kind: str, d: int):
@@ -198,6 +200,51 @@ def _enumeration_work(algebra: str, d: int, max_grade: int, samples: int) -> int
                 if s <= max_grade or min(i, s - i) <= h and max(i, s - i) <= 2 * h
             )
         if total > _ENUMERATION_CAP:
+            break
+    return total
+
+
+def _coproduct_terms(algebra: str, d: int):
+    """Per grade n, bounds (c_n, t_n) on the coproduct terms of all the
+    grade-n basis elements and on the terms of (Delta (x) id) Delta over
+    them, counted from the grade sizes without enumerating.
+
+    A term of Delta b splits b in two, and one of (Delta (x) id) Delta b in
+    three.  poly: the ways to write a grade-n multi-index of d entries as a
+    sum of two or three (exact).  shuffle: the n + 1 cut points of a word
+    and the (n + 1)(n + 2)/2 pairs of them (exact).  concat: the ways to
+    split the letters into two or three subsequences, at most d^n distinct
+    for each split of the length n.  ck and gl: at most 2^n and 3^n per
+    element, vertices into cut-off and kept parts, trees into groups.
+    """
+    for n, size in enumerate(_grade_sizes(_KIND_BY_ALGEBRA[algebra], d)):
+        if algebra == "poly":
+            yield math.comb(n + 2 * d - 1, 2 * d - 1), math.comb(n + 3 * d - 1, 3 * d - 1)
+        elif algebra == "shuffle":
+            yield size * (n + 1), size * (n + 1) * (n + 2) // 2
+        elif algebra == "concat":
+            top = d**n
+            yield (
+                size * sum(min(math.comb(n, i), top) for i in range(n + 1)),
+                size * sum(min(math.comb(n, i) * math.comb(n - i, j), top)
+                           for i in range(n + 1) for j in range(n - i + 1)),
+            )
+        else:
+            yield size * 2**n, size * 3**n
+
+
+def _term_work(algebra: str, d: int, max_grade: int) -> int:
+    """Coproduct terms and term pairs the exact laws of check-axioms
+    multiply, from the bounds of ``_coproduct_terms``: compatibility
+    multiplies the c_i c_j term pairs over the grades i + j <= max_grade,
+    coassociativity walks the t_n terms on each side, and the antipode law
+    the c_n terms on each side.  The count stops once it passes _TERM_CAP.
+    """
+    total, cs = 0, []
+    for n, (c, t) in zip(range(max_grade + 1), _coproduct_terms(algebra, d)):
+        cs.append(c)
+        total += sum(cs[i] * cs[n - i] for i in range(n + 1)) + 2 * t + 2 * c
+        if total > _TERM_CAP:
             break
     return total
 
@@ -358,6 +405,11 @@ def _dispatch(args) -> int:
             raise ValueError(
                 f"max-grade {args.max_grade} is too large: the {args.algebra} axiom check up "
                 f"to that grade enumerates more than {_ENUMERATION_CAP} {maps[args.algebra]}"
+            )
+        if _term_work(args.algebra, args.dim, args.max_grade) > _TERM_CAP:
+            raise ValueError(
+                f"max-grade {args.max_grade} is too large: the {args.algebra} axiom check up "
+                f"to that grade multiplies more than {_TERM_CAP} coproduct terms and term pairs"
             )
         report = check_axioms(inst, args.max_grade, args.samples, args.seed)
         return _emit_report(args, report, "OK" if report.passed else report.summary())

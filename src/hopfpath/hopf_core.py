@@ -15,7 +15,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .linalg import LinComb, Scaled, TensorComb, accum, bilinear, bilinear_scaled, linear
+from .linalg import (
+    FloatConstantError,
+    LinComb,
+    Scaled,
+    TensorComb,
+    accum,
+    bilinear,
+    bilinear_scaled,
+    linear,
+    linear_scaled,
+)
 from .symbols import (
     EMPTY_WORD,
     MultiIndex,
@@ -154,11 +164,18 @@ class HopfInstance:
     def coproduct(self, x: LinComb) -> TensorComb:
         return TensorComb(linear(x, self.coproduct_row), _clean=True)
 
+    def scaled_coproduct(self, x: Scaled) -> Scaled:
+        """``coproduct`` on integer numerators over one denominator, as the
+        same form keyed by (left, right); a float structure constant raises
+        FloatConstantError, a TypeError."""
+        return linear_scaled(x, self.coproduct_row)
+
     def reduced_coproduct(self, x: LinComb) -> TensorComb:
         return self.coproduct(x) - TensorComb.of(self.one(), x) - TensorComb.of(x, self.one())
 
-    def multiply_tensors(self, a: TensorComb, b: TensorComb) -> TensorComb:
-        """Slot-wise product on tensors, (x1 (x) x2)(y1 (x) y2) = x1y1 (x) x2y2."""
+    def multiply_tensors(self, a: Scaled, b: Scaled) -> Scaled:
+        """Slot-wise product on scaled tensors, (x1 (x) x2)(y1 (x) y2) =
+        x1y1 (x) x2y2."""
         row = self._product_rows()
 
         def pair_product(x: tuple, y: tuple):
@@ -167,7 +184,7 @@ class HopfInstance:
                 for q, v in right:
                     yield (p, q), u * v
 
-        return TensorComb(bilinear(a, b, pair_product), _clean=True)
+        return bilinear_scaled(a, b, pair_product)
 
     # -- antipodes ---------------------------------------------------------
 
@@ -195,6 +212,15 @@ class HopfInstance:
             out = -LinComb.term(b) - rest
         memo[key] = out
         return out
+
+    def antipode_row(self, b, side: str = "right") -> tuple:
+        """The terms of ``antipode_basis(b, side)`` as (basis, c) pairs, with an
+        integral c as an int; memoized per basis element and side."""
+        rows = self.memo("antipode_rows")
+        row = rows.get((b, side))
+        if row is None:
+            row = rows[b, side] = _row(self.antipode_basis(b, side))
+        return row
 
     def antipode(self, x: LinComb, side: str = "right") -> LinComb:
         return x.map_basis(lambda b: self.antipode_basis(b, side))
@@ -458,29 +484,56 @@ class CheckReport:
         return out
 
 
-def _triple_left(instance: HopfInstance, x: LinComb) -> dict:
-    """(Delta (x) id) Delta x as a dict over basis triples."""
+def _triple_left(instance: HopfInstance, x: Scaled) -> Scaled:
+    """(Delta (x) id) Delta x, keyed by basis triples."""
     cop = instance.coproduct_row
-    return linear(
-        instance.coproduct(x),
+    return linear_scaled(
+        instance.scaled_coproduct(x),
         lambda lr: (((l1, l2, lr[1]), c) for (l1, l2), c in cop(lr[0])),
     )
 
 
-def _triple_right(instance: HopfInstance, x: LinComb) -> dict:
+def _triple_right(instance: HopfInstance, x: Scaled) -> Scaled:
+    """(id (x) Delta) Delta x, keyed by basis triples."""
     cop = instance.coproduct_row
-    return linear(
-        instance.coproduct(x),
+    return linear_scaled(
+        instance.scaled_coproduct(x),
         lambda lr: (((lr[0], r1, r2), c) for (r1, r2), c in cop(lr[1])),
     )
 
 
-def random_lincomb(rng: random.Random, basis_pool: tuple, max_terms: int = 3) -> LinComb:
-    terms = {}
+def _antipode_convolution(instance: HopfInstance, cop: Scaled, side: str) -> Scaled:
+    """m (S (x) id) on a scaled tensor when side is "left", m (id (x) S) when
+    it is "right", with S the recursive right antipode."""
+    row, antipode = instance._product_rows(), instance.antipode_row
+    if side == "left":
+        return linear_scaled(
+            cop, lambda lr: ((k, u * v) for p, u in antipode(lr[0]) for k, v in row(p, lr[1]))
+        )
+    return linear_scaled(
+        cop, lambda lr: ((k, u * v) for q, v in antipode(lr[1]) for k, u in row(lr[0], q))
+    )
+
+
+def random_scaled(rng: random.Random, basis_pool: tuple, max_terms: int = 3) -> Scaled:
+    """A sum of 1 to max_terms terms n/q * b, with b drawn from the pool, n
+    from -9..9 and q from 1..9, summed in integers over the lcm of the q."""
+    nums: dict = {}
+    den = 1
     for _ in range(rng.randint(1, max_terms)):
         b = rng.choice(basis_pool)
-        terms[b] = terms.get(b, Fraction(0)) + Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return LinComb(terms)
+        n, q = rng.randint(-9, 9), rng.randint(1, 9)
+        lcm = math.lcm(den, q)
+        if lcm != den:
+            nums = {k: v * (lcm // den) for k, v in nums.items()}
+            den = lcm
+        nums[b] = nums.get(b, 0) + n * (lcm // q)
+    return Scaled.of({k: v for k, v in nums.items() if v}, den)
+
+
+def random_lincomb(rng: random.Random, basis_pool: tuple, max_terms: int = 3) -> LinComb:
+    """``random_scaled`` from the same draws, as a LinComb."""
+    return random_scaled(rng, basis_pool, max_terms).lincomb()
 
 
 def check_axioms(
@@ -491,6 +544,10 @@ def check_axioms(
     Deterministic part: every law on all basis tuples whose total grade stays
     within ``max_grade`` (products and coproducts are graded, so the laws are
     grade-local).  Randomized part: ``samples`` seeded random combinations.
+    Both sides of each law are computed as ``Scaled`` forms, integer
+    numerators over one denominator with the content divided out, so they
+    are equal exactly when their canonical forms are.  A float structure
+    constant raises ValueError naming the basis element it lands on.
     """
     if max_grade < 1:
         raise ValueError("max_grade must be >= 1")
@@ -498,35 +555,51 @@ def check_axioms(
         raise ValueError(f"samples must be >= 0, got {samples}")
     report = CheckReport(f"axiom check: {instance.name}, grade <= {max_grade}")
     rng = random.Random(seed)
-    one = instance.one()
+    term, unit = Scaled.term, instance.unit
+    one, zero = term(unit), Scaled({}, 1)
+    rows, coproduct = instance._product_rows(), instance.scaled_coproduct
+
+    def product(x: Scaled, y: Scaled) -> Scaled:
+        return bilinear_scaled(x, y, rows)
 
     by_grade = {k: instance.basis(k) for k in range(max_grade + 1)}
     all_basis = [b for k in range(max_grade + 1) for b in by_grade[k]]
+    coproducts: dict = {}
 
-    def lin(b) -> LinComb:
-        return LinComb.term(b)
+    def basis_coproduct(b) -> Scaled:
+        out = coproducts.get(b)
+        if out is None:
+            out = coproducts[b] = coproduct(term(b))
+        return out
+
+    def run(law: str, failures: Iterator[str]):
+        try:
+            report.run(law, failures)
+        except FloatConstantError as exc:
+            raise ValueError(f"the exact {law} law cannot use a {exc}") from None
 
     # unit and counit
     def unit_failures():
         for b in all_basis:
-            x = lin(b)
-            if instance.product(one, x) != x or instance.product(x, one) != x:
+            x = term(b)
+            if product(one, x) != x or product(x, one) != x:
                 yield f"unit law fails on {b}"
 
-    report.run("unit", unit_failures())
+    run("unit", unit_failures())
 
     def counit_failures():
+        # the counit is 1 on grade 0 and 0 above
         for b in all_basis:
-            x = lin(b)
-            cop = instance.coproduct(x)
-            left = cop.fold(lambda l, r: lin(r).scale(instance.counit(l)))
-            right = cop.fold(lambda l, r: lin(l).scale(instance.counit(r)))
+            x = term(b)
+            cop = basis_coproduct(b)
+            left = linear_scaled(cop, lambda lr: () if lr[0].grade else ((lr[1], 1),))
+            right = linear_scaled(cop, lambda lr: () if lr[1].grade else ((lr[0], 1),))
             if left != x or right != x:
                 yield f"counit property fails on {b}"
-        if instance.counit_lin(one) != 1:
+        if instance.counit_lin(instance.one()) != 1:
             yield "counit(1) != 1"
 
-    report.run("counit", counit_failures())
+    run("counit", counit_failures())
 
     # grading
     def grading_failures():
@@ -540,88 +613,79 @@ def check_axioms(
                 if l.grade + r.grade != b.grade:
                     yield f"coproduct not graded on {b}"
 
-    report.run("grading", grading_failures())
+    run("grading", grading_failures())
 
     # associativity on basis triples within the bound
     def assoc_failures():
         for b1, b2, b3 in _bounded_triples(by_grade, max_grade):
-            lhs = instance.product(instance.product_row(b1, b2), lin(b3))
-            rhs = instance.product(lin(b1), instance.product_row(b2, b3))
-            if lhs != rhs:
+            x1, x2, x3 = term(b1), term(b2), term(b3)
+            if product(product(x1, x2), x3) != product(x1, product(x2, x3)):
                 yield f"associativity fails on ({b1}, {b2}, {b3})"
 
-    report.run("associativity", assoc_failures())
+    run("associativity", assoc_failures())
 
     # coassociativity per basis element
     def coassoc_failures():
         for b in all_basis:
-            if _triple_left(instance, lin(b)) != _triple_right(instance, lin(b)):
+            if _triple_left(instance, term(b)) != _triple_right(instance, term(b)):
                 yield f"coassociativity fails on {b}"
 
-    report.run("coassociativity", coassoc_failures())
+    run("coassociativity", coassoc_failures())
 
     # compatibility 1-3
     def compat_failures():
-        if instance.coproduct(one) != TensorComb.term(instance.unit, instance.unit):
+        if coproduct(one) != term((unit, unit)):
             yield "Delta(1) != 1 (x) 1"
         for b1, b2 in _bounded_pairs(by_grade, max_grade):
-            prod = instance.product_row(b1, b2)
-            lhs = instance.coproduct(prod)
-            rhs = instance.multiply_tensors(
-                instance.coproduct_row(b1), instance.coproduct_row(b2)
-            )
+            lhs = coproduct(product(term(b1), term(b2)))
+            rhs = instance.multiply_tensors(basis_coproduct(b1), basis_coproduct(b2))
             if lhs != rhs:
                 yield f"Delta is not an algebra morphism on ({b1}, {b2})"
-            if dict(prod).get(instance.unit, 0) != instance.counit(b1) * instance.counit(b2):
+            counit = 0 if b1.grade or b2.grade else 1
+            if dict(instance.product_row(b1, b2)).get(unit, 0) != counit:
                 yield f"counit is not multiplicative on ({b1}, {b2})"
 
-    report.run("compatibility", compat_failures())
+    run("compatibility", compat_failures())
 
     # antipode law, both recursions, closed form
     def antipode_failures():
         for b in all_basis:
-            x = lin(b)
-            target = one.scale(instance.counit(b))
-            cop = instance.coproduct(x)
-            left = cop.fold(lambda l, r: instance.product(instance.antipode_basis(l), lin(r)))
-            right = cop.fold(lambda l, r: instance.product(lin(l), instance.antipode_basis(r)))
+            x = term(b)
+            target = zero if b.grade else one
+            cop = basis_coproduct(b)
+            left = _antipode_convolution(instance, cop, "left")
+            right = _antipode_convolution(instance, cop, "right")
             if left != target or right != target:
                 yield f"antipode law fails on {b}"
-            if instance.antipode_basis(b, "left") != instance.antipode_basis(b, "right"):
+            if dict(instance.antipode_row(b, "left")) != dict(instance.antipode_row(b)):
                 yield f"left/right antipode recursions disagree on {b}"
             if instance.antipode_closed_basis is not None:
-                if instance.antipode_closed(x) != instance.antipode(x):
+                closed = linear_scaled(x, instance.antipode_closed_basis)
+                if closed != linear_scaled(x, instance.antipode_row):
                     yield f"closed-form antipode disagrees on {b}"
 
-    report.run("antipode", antipode_failures())
+    run("antipode", antipode_failures())
 
     # randomized combinations
     def random_failures():
         pool = tuple(b for b in all_basis if b.grade <= max(1, max_grade // 2))
         for i in range(samples):
-            x = random_lincomb(rng, pool)
-            y = random_lincomb(rng, pool)
-            z = random_lincomb(rng, pool)
+            x, y, z = (random_scaled(rng, pool) for _ in range(3))
             which = i % 3
             if which == 0:
-                lhs = instance.product(instance.product(x, y), z)
-                rhs = instance.product(x, instance.product(y, z))
-                if lhs != rhs:
+                if product(product(x, y), z) != product(x, product(y, z)):
                     yield f"random associativity failure (sample {i})"
             elif which == 1:
-                lhs = instance.coproduct(instance.product(x, y))
-                rhs = instance.multiply_tensors(instance.coproduct(x), instance.coproduct(y))
-                if lhs != rhs:
+                lhs = coproduct(product(x, y))
+                if lhs != instance.multiply_tensors(coproduct(x), coproduct(y)):
                     yield f"random compatibility failure (sample {i})"
             else:
-                cop = instance.coproduct(x)
-                left = cop.fold(
-                    lambda l, r: instance.product(instance.antipode_basis(l), lin(r))
-                )
-                if left != one.scale(instance.counit_lin(x)):
+                left = _antipode_convolution(instance, coproduct(x), "left")
+                c = x.nums.get(unit)
+                if left != Scaled.of({unit: c} if c else {}, x.den):
                     yield f"random antipode failure (sample {i})"
 
-    report.run("random-combinations", random_failures())
+    run("random-combinations", random_failures())
     return report
 
 

@@ -179,8 +179,13 @@ def numerators(coeffs: list) -> tuple[list[int], int] | None:
     return [c.numerator * (den // q) for c, q in zip(coeffs, dens)], den
 
 
-class _FloatConstant(TypeError):
+class FloatConstantError(TypeError):
     """A float structure constant met operands scaled by a denominator."""
+
+
+def _key_text(k) -> str:
+    """A basis element, or a tensor or triple of them joined by (x)."""
+    return " (x) ".join(map(str, k)) if type(k) is tuple else str(k)
 
 
 def _accumulate(parts, scaled: bool) -> dict:
@@ -193,9 +198,10 @@ def _accumulate(parts, scaled: bool) -> dict:
     non-integral constant (a character value, say) multiplies in as a
     Fraction.  Float operands arrive as they are, unscaled, and are summed in
     the same order, with the same operations, as a plain Fraction loop.  A
-    float constant met by scaled operands raises _FloatConstant, a
-    TypeError; ``_extend`` then runs the loop again on the unscaled
-    coefficients, so float results never depend on the scaling.
+    float constant met by scaled operands raises FloatConstantError, a
+    TypeError naming the key it lands on; ``_extend`` then runs the loop
+    again on the unscaled coefficients, so float results never depend on the
+    scaling.
     """
     acc: dict = {}
     get, pop = acc.get, acc.pop
@@ -206,7 +212,7 @@ def _accumulate(parts, scaled: bool) -> dict:
                     if c.denominator == 1:
                         c = c.numerator
                 elif scaled and type(c) is float:
-                    raise _FloatConstant
+                    raise FloatConstantError(f"float structure constant {c!r} on {_key_text(k)}")
             new = get(k, 0) + u * c
             if new:
                 acc[k] = new
@@ -230,7 +236,7 @@ def _extend(parts: Callable, *operands: list) -> dict:
         den = math.prod(den for _, den in scaled)
         try:
             return _divide(_accumulate(parts(*(nums for nums, _ in scaled)), den != 1), den)
-        except _FloatConstant:
+        except FloatConstantError:
             pass
     return _divide(_accumulate(parts(*operands), False), 1)
 
@@ -252,16 +258,23 @@ class Scaled(NamedTuple):
     def of(cls, values: dict, den: int = 1) -> "Scaled":
         """The combination values[k] / den, for int or Fraction values, with
         its content divided out; a float value raises TypeError."""
-        scaled = numerators(list(values.values()))
-        if scaled is None:
-            raise TypeError("a scaled combination holds exact coefficients only")
-        nums, q = scaled
-        den *= q
-        g = math.gcd(den, *nums)
-        if g != 1:
-            nums = [n // g for n in nums]
-            den //= g
-        return cls(dict(zip(values, nums)), den)
+        try:  # int values, as the accumulation loop leaves them
+            g = math.gcd(den, *values.values())
+        except TypeError:  # Fraction values: over the lcm of their denominators
+            scaled = numerators(list(values.values()))
+            if scaled is None:
+                raise TypeError("a scaled combination holds exact coefficients only") from None
+            nums, q = scaled
+            values, den = dict(zip(values, nums)), den * q
+            g = math.gcd(den, *nums)
+        if g == 1:
+            return cls(dict(values), den)
+        return cls({k: n // g for k, n in values.items()}, den // g)
+
+    @classmethod
+    def term(cls, key) -> "Scaled":
+        """The basis element key with coefficient 1."""
+        return cls({key: 1}, 1)
 
     def lincomb(self) -> "LinComb":
         return LinComb(_divide(self.nums, self.den), _clean=True)
@@ -322,16 +335,24 @@ def bilinear(x, y, fn: Callable, max_grade: int | None = None) -> dict:
     return _extend(parts, [c for _, c in x], [c for _, c in y])
 
 
+def linear_scaled(x: Scaled, fn: Callable) -> Scaled:
+    """``linear`` on a scaled operand, as a scaled result: the same loop,
+    with the integer sums kept over x.den and the content divided out once.
+    A float structure constant raises FloatConstantError, a TypeError."""
+    return Scaled.of(_accumulate(zip(map(fn, x.nums), x.nums.values()), True), x.den)
+
+
 def bilinear_scaled(x: Scaled, y: Scaled, fn: Callable, max_grade: int | None = None) -> Scaled:
     """``bilinear`` on scaled operands, as a scaled result: the same loop,
     with the integer sums kept over x.den * y.den and the content divided
     out, not turned into Fractions.  A float structure constant raises
-    TypeError."""
+    FloatConstantError, a TypeError."""
     parts = _pairs(list(x.nums), list(y.nums), fn, max_grade)
     return Scaled.of(_accumulate(parts(x.nums.values(), y.nums.values()), True), x.den * y.den)
 
 
-def _outer(l, r):
+def outer(l, r):
+    """The bilinear map (l, r) -> l (x) r on basis elements, for ``bilinear``."""
     return (((l, r), 1),)
 
 
@@ -365,7 +386,7 @@ class TensorComb(Combination):
     @classmethod
     def of(cls, a: LinComb, b: LinComb, max_grade: int | None = None) -> "TensorComb":
         """The outer product a (x) b; pairs beyond max_grade total are skipped."""
-        return cls(bilinear(a, b, _outer, max_grade), _clean=True)
+        return cls(bilinear(a, b, outer, max_grade), _clean=True)
 
     def coeff(self, left, right) -> Fraction:
         return self.terms.get((left, right), Fraction(0))

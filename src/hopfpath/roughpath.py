@@ -31,8 +31,8 @@ from .hopf_ck import (
     phi_hat,
     phi_kernel_basis,
 )
-from .linalg import LinComb, Scaled, numerators, pair
-from .series import TruncatedElement, homog_norm, is_grouplike, trunc_one
+from .linalg import LinComb, Scaled, bilinear_scaled, linear_scaled, numerators, outer, pair
+from .series import TruncatedElement, homog_norm, trunc_one
 from .symbols import (
     EMPTY_WORD,
     Forest,
@@ -312,17 +312,23 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
     algebra = concat_deshuffle_instance(d) if flavor == "geometric" else gl_instance(d)
     table = _segment_table(algebra, flavor, level)
 
+    def increment_between(a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
+        return tuple(x1 - x0 for x0, x1 in zip(path.position(a), path.position(b)))
+
     # memoized per lift by increment: equal steps on one linear piece share it
     @functools.lru_cache(maxsize=None)
     def closed_form(increment: tuple[Fraction, ...]) -> Scaled:
         return _tabled_segment(table, increment)
 
+    # and so does the element a window inside one piece returns
+    @functools.lru_cache(maxsize=None)
+    def closed_element(increment: tuple[Fraction, ...]) -> TruncatedElement:
+        return TruncatedElement(closed_form(increment).lincomb(), level, algebra)
+
     # and by endpoints, which checks revisit often, to skip the positions
     @functools.lru_cache(maxsize=None)
     def piece(a: Fraction, b: Fraction) -> Scaled:
-        return closed_form(
-            tuple(x1 - x0 for x0, x1 in zip(path.position(a), path.position(b)))
-        )
+        return closed_form(increment_between(a, b))
 
     def evaluate(s: Fraction, t: Fraction) -> TruncatedElement:
         """The Chen product of the pieces, kept scaled; Fractions at the end."""
@@ -330,6 +336,8 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
         if s == t:
             return trunc_one(level, algebra)
         stops = [s, *path.breakpoints_between(s, t), t]
+        if len(stops) == 2:
+            return closed_element(increment_between(s, t))
         acc = piece(stops[0], stops[1])
         for a, b in zip(stops[1:], stops[2:]):
             acc = algebra.scaled_product(acc, piece(a, b), level)
@@ -367,7 +375,12 @@ def _nonunit_basis(lift: RoughLift) -> list:
 def check_rough_axioms(
     lift: RoughLift, config: RoughPathConfig, grid: Sequence
 ) -> CheckReport:
-    """Exact character/Chen/inverse verification plus empirical Hölder ratios."""
+    """Exact character/Chen/inverse verification plus empirical Hölder ratios.
+
+    The identity, group-like, Chen and inverse laws compare canonical
+    ``Scaled`` forms of both sides, read once per (s, t) from the lift's
+    values; a float lift value raises ValueError naming (s, t).
+    """
     grid = [to_fraction(u) for u in grid]
     if len(grid) < 3:
         raise ValueError("grid needs at least 3 points")
@@ -377,21 +390,45 @@ def check_rough_axioms(
     )
     basis = _nonunit_basis(lift)
     algebra = lift.algebra
+    one = Scaled.term(algebra.unit)
+
+    def scaled(s: Fraction, t: Fraction) -> Scaled:
+        """The lift value X_st as integer numerators over one denominator."""
+        elt = lift.eval(s, t)
+        if elt.level != level or elt.algebra is not algebra:
+            raise ValueError(f"the lift value at (s,t)=({s},{t}) is not in the lift's "
+                             f"algebra at level {level}")
+        try:
+            return Scaled.of(elt.value.terms)
+        except TypeError:
+            raise ValueError(
+                f"exact laws need an exact lift value, not floats, at (s,t)=({s},{t})"
+            ) from None
+
+    # X[i][j] is the value at (grid[i], grid[j]), read once
+    X = [[scaled(s, t) for t in grid] for s in grid]
+    points = list(enumerate(grid))
 
     def identity_failures():
-        for t in grid:
-            if lift.eval(t, t) != trunc_one(level, algebra):
+        for i, t in points:
+            if X[i][i] != one:
                 yield f"X_tt != 1 at t={t}"
 
     report.run("identity", identity_failures())
 
     def grouplike_failures():
-        for s in grid:
-            for t in grid:
-                ok, defect = is_grouplike(lift.eval(s, t))
-                if not ok:
-                    first = next(iter(defect.terms))
-                    yield f"not group-like at (s,t)=({s},{t}); defect term {first[0]} (x) {first[1]}"
+        for i, s in points:
+            for j, t in points:
+                g = X[i][j]
+                cop = algebra.scaled_coproduct(g)
+                square = bilinear_scaled(g, g, outer, level)
+                if cop != square or g.nums.get(algebra.unit) != g.den:
+                    first = _first_difference(cop, square)
+                    if first is None:  # only X_st = 0 has no defect term, and counit 0
+                        yield f"not group-like at (s,t)=({s},{t}); counit 0"
+                    else:
+                        left, right = first
+                        yield f"not group-like at (s,t)=({s},{t}); defect term {left} (x) {right}"
                     return
 
     report.run("group-like", grouplike_failures())
@@ -417,19 +454,23 @@ def check_rough_axioms(
     report.run("character", character_failures())
 
     def chen_failures():
-        for s in grid:
-            for u in grid:
-                for t in grid:
-                    if lift.eval(s, u).mul(lift.eval(u, t)) != lift.eval(s, t):
+        for i, s in points:
+            for j, u in points:
+                for k, t in points:
+                    if algebra.scaled_product(X[i][j], X[j][k], level) != X[i][k]:
                         yield f"Chen fails on (s,u,t)=({s},{u},{t})"
                         return
 
     report.run("chen", chen_failures())
 
+    # the antipode is graded, so terms past the level map past it
+    antipode = algebra.antipode_row
+
     def inverse_failures():
-        for s in grid:
-            for t in grid:
-                if lift.eval(t, s) != lift.eval(s, t).antipode():
+        for i, s in points:
+            for j, t in points:
+                inverse = linear_scaled(X[i][j], lambda b: antipode(b) if b.grade <= level else ())
+                if X[j][i] != inverse:
                     yield f"inverse law fails on (s,t)=({s},{t})"
                     return
 
@@ -455,6 +496,15 @@ def check_rough_axioms(
         )
     )
     return report
+
+
+def _first_difference(x: Scaled, y: Scaled):
+    """The first key where x and y differ, in the term order of x - y: the
+    keys of x in order, then those only y has; None when x == y."""
+    for k, n in x.nums.items():
+        if n * y.den != y.nums.get(k, 0) * x.den:
+            return k
+    return next((k for k in y.nums if k not in x.nums), None)
 
 
 def holder_norm_estimate(lift: RoughLift, grid: Sequence, gamma) -> float:

@@ -399,6 +399,51 @@ class TestSizeGuard:
                         assert 0 < enumerated[0] <= weight
         assert _enumeration_work("gl", 2, 100, 500) == _enumeration_work("poly", 2, 100, 500) == 0
 
+    def test_check_axioms_sized_by_terms(self, capsys):
+        # under the tuple and enumeration caps, but about 4 million coproduct terms
+        # and term pairs to multiply: the parent ran it for 23 s
+        import time
+
+        from hopfpath.cli import _TERM_CAP, _term_work
+
+        start = time.process_time()
+        code, out, err = run(capsys, "check-axioms", "--algebra", "concat", "--dim", "2",
+                             "--max-grade", "9")
+        assert code == 2 and out == ""
+        assert err == ("error: max-grade 9 is too large: the concat axiom check up to that "
+                       "grade multiplies more than 1000000 coproduct terms and term pairs\n")
+        assert time.process_time() - start < 1
+        # every golden and test invocation, the README's and the benchmark's sizes run
+        for algebra in ("poly", "shuffle", "concat", "ck", "gl"):
+            for d in (1, 2, 3):
+                assert _term_work(algebra, d, 4) <= _TERM_CAP
+        for name, (argv, _) in GOLDEN_CASES.items():
+            if argv[0] == "check-axioms":
+                code, out, _ = run(capsys, *argv)
+                assert code == 0, name
+        assert _term_work("concat", 2, 7) <= _TERM_CAP  # runs in about 1.5 s
+        code, out, _ = run(capsys, "check-axioms", "--algebra", "gl")
+        assert code == 0 and out == "OK\n"
+
+    @pytest.mark.parametrize("algebra", ["poly", "shuffle", "concat", "ck", "gl"])
+    def test_coproduct_terms_bound_the_laws(self, algebra):
+        # c_n and t_n against the rows the laws walk; exact for poly, shuffle and
+        # one-letter words
+        from hopfpath.cli import _coproduct_terms
+        from hopfpath.hopf_core import get_instance
+
+        for d in (1, 2, 3):
+            inst = get_instance(algebra, d)
+            row = inst.coproduct_row
+            for n, (c, t) in zip(range(5), _coproduct_terms(algebra, d)):
+                terms = [lr for b in inst.basis(n) for lr, _ in row(b)]
+                left = sum(len(row(l)) for l, _ in terms)
+                right = sum(len(row(r)) for _, r in terms)
+                if algebra in ("poly", "shuffle") or algebra == "concat" and d == 1:
+                    assert (c, t) == (len(terms), left) == (len(terms), right)
+                else:
+                    assert c >= len(terms) and t >= max(left, right)
+
     @pytest.mark.parametrize("argv", [
         ["branched-lift", "{path}", "--level", "12"],
         ["convert-lift", "{path}", "--direction", "g2b", "--level", "14"],

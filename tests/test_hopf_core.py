@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -18,12 +20,22 @@ from hopfpath.hopf_core import (
     identity_map,
     poly_instance,
     random_lincomb,
+    random_scaled,
     shuffle,
     shuffle_deconcat_instance,
     shuffle_permutations,
     unit_counit_map,
 )
-from hopfpath.linalg import LinComb, TensorComb, pair, pair_tensor
+from hopfpath.linalg import (
+    FloatConstantError,
+    LinComb,
+    Scaled,
+    TensorComb,
+    linear,
+    linear_scaled,
+    pair,
+    pair_tensor,
+)
 from hopfpath.symbols import MultiIndex, Word, words, words_up_to
 
 
@@ -528,3 +540,118 @@ def test_check_axioms_calls_each_map_once_per_argument(name):
     assert report.passed, report.summary()
     assert products and max(products.values()) == 1
     assert coproducts and max(coproducts.values()) == 1
+
+
+def assert_canonical(x: Scaled):
+    """Content 1, a positive denominator and no zero numerator."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(n) is int and n for n in x.nums.values())
+    assert math.gcd(x.den, *x.nums.values()) == 1
+
+
+@st.composite
+def scaled_operands(draw):
+    """An instance of one of the five algebras with 1 <= d <= 3, and two
+    exact combinations of basis elements of grade <= 4, empty ones included."""
+    instance = get_instance(draw(st.sampled_from(ALGEBRAS)), draw(st.integers(1, 3)))
+    pool = instance.basis_up_to(draw(st.integers(0, 4)))
+    exact = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+    def element():
+        keys = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+        return LinComb({b: draw(exact) for b in keys})
+
+    return instance, element(), element()
+
+
+def tensor_product_reference(instance: HopfInstance, a: TensorComb, b: TensorComb) -> dict:
+    """(x1 (x) x2)(y1 (x) y2) = x1y1 (x) x2y2 by LinComb products, term pair by term pair."""
+    out = TensorComb.zero()
+    for (l1, r1), c1 in a:
+        for (l2, r2), c2 in b:
+            left = instance.product(LinComb.term(l1), LinComb.term(l2))
+            right = instance.product(LinComb.term(r1), LinComb.term(r2))
+            out = out + TensorComb.of(left, right).scale(c1 * c2)
+    return out.terms
+
+
+class TestScaledLaws:
+    """The scaled helpers of the exact laws against their LinComb references."""
+
+    @given(scaled_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_linear_scaled_and_coproduct(self, case):
+        instance, x, _ = case
+        sx = Scaled.of(x.terms)
+        cop = instance.scaled_coproduct(sx)
+        assert cop.lincomb().terms == instance.coproduct(x).terms
+        antipode = linear_scaled(sx, instance.antipode_row)
+        closed = linear_scaled(sx, instance.antipode_closed_basis)
+        assert antipode.lincomb() == instance.antipode(x) == closed.lincomb()
+        thirds = lambda b: LinComb.term(b, Fraction(b.grade + 1, 3))  # non-integral constants
+        assert linear_scaled(sx, thirds).lincomb().terms == linear(x, thirds)
+        for y in (cop, antipode, closed, linear_scaled(sx, thirds)):
+            assert_canonical(y)
+
+    @given(scaled_operands())
+    @settings(max_examples=100, deadline=None)
+    def test_multiply_tensors(self, case):
+        instance, x, y = case
+        a, b = instance.coproduct(x), instance.coproduct(y)
+        got = instance.multiply_tensors(Scaled.of(a.terms), Scaled.of(b.terms))
+        assert got.lincomb().terms == tensor_product_reference(instance, a, b)
+        assert_canonical(got)
+
+    @given(basis_tuples(1))
+    @settings(max_examples=100, deadline=None)
+    def test_antipode_rows(self, case):
+        instance, (b,) = case
+        for side in ("left", "right"):
+            assert_row_of(instance.antipode_row(b, side), instance.antipode_basis(b, side))
+            assert instance.antipode_row(b, side) is instance.antipode_row(b, side)
+
+    def test_random_draws_unchanged(self):
+        # the Fraction sums random_lincomb made before it was built on random_scaled
+        def reference(rng, pool, max_terms=3):
+            terms = {}
+            for _ in range(rng.randint(1, max_terms)):
+                b = rng.choice(pool)
+                terms[b] = terms.get(b, Fraction(0)) + Fraction(rng.randint(-9, 9),
+                                                                rng.randint(1, 9))
+            return LinComb(terms)
+
+        pool = words_up_to(2, 2)
+        for seed in range(20):
+            want_rng, rng = random.Random(seed), random.Random(seed)
+            for _ in range(30):
+                want = reference(want_rng, pool)
+                x = random_scaled(rng, pool)
+                assert_canonical(x)
+                assert x.lincomb() == want and list(x.lincomb()) == list(want)
+            assert rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("name", ALGEBRAS)
+    def test_float_constant_raises(self, name):
+        base = get_instance(name, 2)
+        floaty = dataclasses.replace(
+            base, product_basis=lambda a, b: base.product_basis(a, b).scale(1.0), _memo={}
+        )
+        with pytest.raises(ValueError, match="float structure constant 1.0 on "):
+            check_axioms(floaty, 2, samples=0)
+        sx = Scaled.of({base.unit: 1})
+        pair_text = re.escape(f"1.5 on {base.unit} (x) {base.unit}")
+        with pytest.raises(FloatConstantError, match=pair_text):
+            linear_scaled(sx, lambda b: (((b, b), 1.5),))
+        with pytest.raises(TypeError):
+            floaty.scaled_product(sx, sx)
+
+    def test_float_witness_names_the_law_and_element(self):
+        base = concat_deshuffle_instance(2)
+        floaty = dataclasses.replace(
+            base, antipode_closed_basis=lambda w: LinComb({w: 0.5}), _memo={}
+        )
+        with pytest.raises(ValueError) as exc:
+            check_axioms(floaty, 2, samples=0)
+        assert str(exc.value) == (
+            "the exact antipode law cannot use a float structure constant 0.5 on ε"
+        )

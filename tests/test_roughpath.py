@@ -426,6 +426,62 @@ class TestSegmentMemo:
         assert len(segment_calls) == len(set(segment_calls)) == 6
 
 
+    @pytest.mark.parametrize("make, segment", [
+        (branched_lift_fn, roughpath._forest_segment),
+        (signature_lift, roughpath._word_segment),
+    ])
+    def test_one_piece_windows_share_one_element(self, make, segment):
+        path = PiecewiseLinearPath.from_knots(self.KNOTS)
+        lift = make(path, 3)
+        first = lift.eval(0, Fraction(1, 4))
+        # an equal increment in the same piece, and in reverse order of evaluation
+        assert lift.eval(Fraction(1, 4), Fraction(1, 2)) is first
+        assert lift.eval(Fraction(1, 2), Fraction(1, 4)) is lift.eval(Fraction(1, 4), 0)
+        increment = tuple(x / 2 for x in path.values[1])
+        assert list(first.value) == list(segment(increment, 3, 2))
+        assert first == TruncatedElement.make(segment(increment, 3, 2), 3, lift.algebra)
+        # a window across a knot is a Chen product, built for that window
+        across = lift.eval(Fraction(1, 4), Fraction(3, 4))
+        assert across is not lift.eval(Fraction(1, 2), 1)
+
+
+class TestScaledChecks:
+    """The exact rough-path laws take exact lift values only."""
+
+    def test_float_lift_value_raises(self):
+        lift = signature_lift(PATH_2D, 2)
+
+        def floaty(s, t):
+            elt = lift.eval(s, t)
+            if (s, t) == (Fraction(1, 4), Fraction(1, 2)):
+                return TruncatedElement(elt.value.scale(1.0), elt.level, elt.algebra)
+            return elt
+
+        cfg = RoughPathConfig.make(Fraction(2, 5), "geometric")
+        with pytest.raises(ValueError, match=r"not floats, at \(s,t\)=\(1/4,1/2\)"):
+            check_rough_axioms(RoughLift("geometric", 2, 2, floaty), cfg, GRID)
+
+    def test_zero_value_is_not_group_like(self):
+        # no defect term: the witness names the counit
+        lift = signature_lift(PATH_2D, 2)
+
+        def vanishing(s, t):
+            elt = lift.eval(s, t)
+            return elt if s == t else TruncatedElement(LinComb.zero(), elt.level, elt.algebra)
+
+        cfg = RoughPathConfig.make(Fraction(2, 5), "geometric")
+        report = check_rough_axioms(RoughLift("geometric", 2, 2, vanishing), cfg, GRID)
+        failing = {e.law: e.witness for e in report.failures()}
+        assert failing["group-like"] == "not group-like at (s,t)=(0,1/4); counit 0"
+        assert failing["chen"] == "Chen fails on (s,u,t)=(0,1/4,0)"
+
+    def test_value_outside_the_lift_algebra_raises(self):
+        lift = signature_lift(PATH_2D, 3)
+        cfg = RoughPathConfig.make(Fraction(2, 5), "geometric")
+        with pytest.raises(ValueError, match=r"at \(s,t\)=\(0,0\) is not in the lift's algebra"):
+            check_rough_axioms(RoughLift("geometric", 2, 2, lift.eval), cfg, GRID)
+
+
 # zero, small, negative and large-denominator increments and knot values
 SCALARS = st.one_of(
     st.just(Fraction(0)),
