@@ -88,9 +88,20 @@ def _gamma(args) -> Fraction:
     return Fraction(args.gamma)
 
 
-def _grid(path: PiecewiseLinearPath, points: int) -> list[Fraction]:
+def _grid(path: PiecewiseLinearPath, points: int, flavor: str, level: int,
+          products: int) -> list[Fraction]:
+    """``points`` evenly spaced times on the path, for a command that makes
+    ``products`` products of lift values of this flavor and level; exit 2
+    for fewer than 2 points, or for products visiting more than _GRID_CAP
+    basis pairs in all."""
     if points < 2:
         raise ValueError(f"--grid must be at least 2, got {points}")
+    if _product_work("word" if flavor == "geometric" else "forest", path.dim, level,
+                     products) > _GRID_CAP:
+        raise ValueError(
+            f"--grid {points} is too large at level {level}: the {flavor} lift values on "
+            f"that grid take products visiting more than {_GRID_CAP} basis pairs"
+        )
     lo, hi = path.times[0], path.times[-1]
     return [lo + (hi - lo) * Fraction(i, points - 1) for i in range(points)]
 
@@ -110,6 +121,8 @@ _WORK_CAP = 10**6
 _ENUMERATION_CAP = 10**6
 # most coproduct terms and term pairs the laws of check-axioms will multiply
 _TERM_CAP = 10**6
+# most basis pairs the products of lift values on a --grid will visit
+_GRID_CAP = 10**6
 
 
 def _grade_sizes(kind: str, d: int):
@@ -167,6 +180,20 @@ def _axiom_work(kind: str, d: int, max_grade: int) -> int:
         pairs.append(sum(sizes[i] * sizes[s - i] for i in range(s + 1)))
         total += pairs[s] + sum(pairs[i] * sizes[s - i] for i in range(s + 1))
         if total > _WORK_CAP:
+            break
+    return total
+
+
+def _product_work(kind: str, d: int, level: int, products: int) -> int:
+    """Basis pairs that many products of two elements cut at the level visit:
+    products times the pairs of total grade <= level, sum over s <= level of
+    sum_i n_i n_{s-i}, from the grade sizes; the count stops once it passes
+    _GRID_CAP."""
+    sizes, total = [], 0
+    for s, size in zip(range(level + 1), _grade_sizes(kind, d)):
+        sizes.append(size)
+        total += products * sum(sizes[i] * sizes[s - i] for i in range(s + 1))
+        if total > _GRID_CAP:
             break
     return total
 
@@ -463,7 +490,12 @@ def _dispatch(args) -> int:
         _check_level(level, path.dim, args.flavor)
         make = signature_lift if args.flavor == "geometric" else branched_lift_fn
         lift = make(path, level)
-        report = check_rough_axioms(lift, cfg, _grid(path, args.grid))
+        # the Chen law's grid^3 products, and the Chen chains of the grid^2
+        # values, up to knots - 2 products each
+        knots = len(path.times)
+        grid = _grid(path, args.grid, args.flavor, level,
+                     args.grid**3 + args.grid**2 * (knots - 2))
+        report = check_rough_axioms(lift, cfg, grid)
         return _emit_report(args, report, report.summary())
     if cmd == "qgamma":
         forest = _single_forest(args, args.forest)
@@ -477,9 +509,11 @@ def _dispatch(args) -> int:
         if args.direction == "g2b":
             out = geo_to_branched(signature_lift(path, args.level))
         else:
-            out = branched_to_geo(
-                branched_lift_fn(path, args.level), _grid(path, args.grid)
-            )
+            # grid^2 values, each a Chen chain of up to knots - 2 products,
+            # then paired with the kernel of phi, weighed as one product more
+            grid = _grid(path, args.grid, "branched", args.level,
+                         args.grid**2 * (len(path.times) - 1))
+            out = branched_to_geo(branched_lift_fn(path, args.level), grid)
         _emit(args, out.eval(s, t).value)
         return 0
     if cmd == "rde":

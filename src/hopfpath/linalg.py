@@ -351,6 +351,17 @@ def bilinear_scaled(x: Scaled, y: Scaled, fn: Callable, max_grade: int | None = 
     return Scaled.of(_accumulate(parts(x.nums.values(), y.nums.values()), True), x.den * y.den)
 
 
+def scaled_sum(terms) -> Scaled:
+    """sum_i w_i x_i over (w_i, x_i) in terms, for exact weights w_i and
+    scaled x_i, as a scaled form: the one accumulation loop, with the
+    integer sums kept over the lcm of the w_i and x_i denominators, keys
+    added in the order a LinComb sum of the w_i x_i would add them."""
+    terms = [(w, x) for w, x in terms if w]
+    lcm = math.lcm(*(w.denominator * x.den for w, x in terms))
+    parts = ((x.nums.items(), w.numerator * (lcm // (w.denominator * x.den))) for w, x in terms)
+    return Scaled.of(_accumulate(parts, True), lcm)
+
+
 def outer(l, r):
     """The bilinear map (l, r) -> l (x) r on basis elements, for ``bilinear``."""
     return (((l, r), 1),)

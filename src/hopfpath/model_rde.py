@@ -9,6 +9,7 @@ Heaviside-kernel convolution exactly on piecewise-linear drivers.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 
 from .hopf_core import CheckReport
 from .hopf_ck import ck_coproduct, ck_instance, forest_product
-from .linalg import LinComb, TensorComb, accum, bilinear, linear, numerators
+from .linalg import LinComb, TensorComb, accum, bilinear, linear
 from .roughpath import PiecewiseLinearPath, RoughLift, branched_lift_fn, to_fraction
 from .series import TruncatedElement, is_grouplike
 from .symbols import EMPTY_FOREST, Forest, forests_up_to, trees
@@ -554,13 +555,15 @@ def picard_solve(
     base in closed form (``_picard_step_coefficients``: one pass over trees up
     to ``level``) and advances the state by evaluating those coefficients
     against the exact branched lift over the step, which realizes the kernel
-    convolution without quadrature.  When the state, every derivative value
-    and every lift coefficient read are exact, the step is taken in integers
-    (``_exact_picard_step``): unreduced tree coefficients over one common
-    denominator, one gcd per step, and the same Fraction as the sum of
-    Fraction products.  Otherwise the step is that sum, with floats as they
-    come.  An exact state that outgrows ``_EXACT_STATE_BITS`` continues as a
-    float.  A ModelError raised during the steps carries the samples
+    convolution without quadrature.  Each step reads the lift value as
+    integer numerators over one denominator (``RoughLift.eval_scaled``).
+    When the state and every derivative value are exact, the step is taken
+    in integers (``_exact_picard_step``): unreduced tree coefficients over
+    one common denominator, one gcd per step, and the same Fraction as the
+    sum of Fraction products.  Otherwise (``_float_picard_step``), and for a
+    lift value with floats, the step has the bits of that sum, with floats as
+    they come.  An exact state that outgrows ``_EXACT_STATE_BITS`` continues
+    as a float.  A ModelError raised during the steps carries the samples
     computed so far in ``samples``.
     """
     gamma = to_fraction(gamma)
@@ -595,11 +598,15 @@ def picard_solve(
                 raise ModelError(f"non-finite state at t={float(s)}")
             t = min(s + step, end)
             try:
-                elt = lift.eval(s, t)
-                y_next = _exact_picard_step(field, y, level, elt)
-                if y_next is None:
+                scaled = lift.eval_scaled(s, t)
+                if scaled is None:  # a lift value with floats
+                    elt = lift.eval(s, t)
                     coeffs = _picard_step_coefficients(field, y, level)
                     y_next = sum(c * elt.coeff(f) for f, c in coeffs.items())
+                else:
+                    y_next = _exact_picard_step(field, y, level, *scaled)
+                    if y_next is None:
+                        y_next = _float_picard_step(field, y, level, *scaled)
             except OverflowError:
                 raise ModelError(f"non-finite state at t={float(t)}") from None
             if isinstance(y_next, float) and not math.isfinite(y_next):
@@ -633,6 +640,19 @@ def _demote_if_huge(y):
     return y
 
 
+@functools.lru_cache(maxsize=None)
+def _step_plan(d: int, level: int) -> tuple:
+    """The trees of grades 1..level in grade order, so children precede
+    parents, as rows (tree, its forest, label - 1, number of children,
+    ((child, m, m!), ...)): what each Picard step reads of a tree."""
+    return tuple(
+        (tree, tree.as_forest(), tree.label - 1, tree.children.tree_count(),
+         tuple((child, m, math.factorial(m)) for child, m in tree.children.items))
+        for g in range(1, level + 1)
+        for tree in trees(d, g)
+    )
+
+
 def _picard_step_coefficients(field: VectorField, y, level: int) -> dict:
     """Fixed point of Y = y 1 + sum_i I(f_i(Y) Xi_i), in one pass over trees.
 
@@ -642,40 +662,39 @@ def _picard_step_coefficients(field: VectorField, y, level: int) -> dict:
 
         c(|t_1^m_1 ... t_r^m_r|_i) = f_i^(k)(y) * prod_j c(t_j)^m_j / m_j!
 
-    Trees come in grade order, so children precede parents.  Returns
-    EMPTY_FOREST -> y plus every single-tree forest with non-zero coefficient.
+    Trees come in grade order (``_step_plan``), so children precede parents.
+    Returns EMPTY_FOREST -> y plus every single-tree forest with non-zero
+    coefficient.
     """
     derivs = [[comp.derivative(n)(y) for n in range(level)] for comp in field.components]
     on_tree: dict = {}
     coeffs: dict = {EMPTY_FOREST: y}
-    for g in range(1, level + 1):
-        for tree in trees(field.dim, g):
-            c = derivs[tree.label - 1][tree.children.tree_count()]
-            for child, m in tree.children.items:
-                if not c:
-                    break
-                c_child = on_tree.get(child, 0)
-                c = c * c_child if m == 1 else c * c_child**m / math.factorial(m)
-            if c:
-                on_tree[tree] = c
-                coeffs[tree.as_forest()] = c
+    for tree, forest, i, k, children in _step_plan(field.dim, level):
+        c = derivs[i][k]
+        for child, m, fact in children:
+            if not c:
+                break
+            c_child = on_tree.get(child, 0)
+            c = c * c_child if m == 1 else c * c_child**m / fact
+        if c:
+            on_tree[tree] = c
+            coeffs[forest] = c
     return coeffs
 
 
-def _exact_picard_step(field: VectorField, y, level: int, elt: TruncatedElement) -> Fraction | None:
-    """The step sum_tau c(tau) X_st(tau) for an exact state, in integers.
+def _exact_picard_step(field: VectorField, y, level: int, nums: dict, den: int) -> Fraction | None:
+    """The step sum_tau c(tau) X_st(tau) for an exact state, in integers,
+    with the lift value X_st given as integer numerators over den.
 
     The recursion of ``_picard_step_coefficients`` runs on unreduced
     (numerator, denominator) pairs, n <- n prod n_c^m and d <- d prod d_c^m m!,
-    with no gcd.  The nonzero terms, y among them, go over the lcm L of their
-    denominators, and the lift coefficients they meet over the lcm D of
-    theirs, so the step is one Fraction, sum / (L D), with one normalising
-    gcd.  Returns None when y, a derivative value or a lift coefficient read
-    is a float: mixed Fraction-float products round their own way, and the
-    caller keeps them.
+    with no gcd.  The nonzero terms the lift meets, y among them, go over the
+    lcm L of their denominators, so the step is one Fraction,
+    sum / (L den), with one normalising gcd.  Returns None when y or a
+    derivative value is a float: ``_float_picard_step`` takes those.
     """
     try:  # a float has no numerator
-        terms = [(EMPTY_FOREST, y.numerator, y.denominator)]
+        met = [(y.numerator, y.denominator, nums.get(EMPTY_FOREST, 0))]
         derivs = [
             [(v.numerator, v.denominator) for v in (comp.derivative(n)(y) for n in range(level))]
             for comp in field.components
@@ -683,21 +702,28 @@ def _exact_picard_step(field: VectorField, y, level: int, elt: TruncatedElement)
     except AttributeError:
         return None
     on_tree: dict = {}
-    for g in range(1, level + 1):
-        for tree in trees(field.dim, g):
-            n, d = derivs[tree.label - 1][tree.children.tree_count()]
-            for child, m in tree.children.items:
-                if not n:
-                    break
-                n_child, d_child = on_tree.get(child, (0, 1))
-                n, d = n * n_child**m, d * d_child**m * math.factorial(m)
-            if n:
-                on_tree[tree] = n, d
-                terms.append((tree.as_forest(), n, d))
-    scaled = numerators([elt.coeff(f) for f, _, _ in terms])
-    if scaled is None:
-        return None
-    lifted, den = scaled
-    met = [(n, d, a) for (_, n, d), a in zip(terms, lifted) if a]
+    for tree, forest, i, k, children in _step_plan(field.dim, level):
+        n, d = derivs[i][k]
+        for child, m, fact in children:
+            if not n:
+                break
+            n_child, d_child = on_tree.get(child, (0, 1))
+            n, d = n * n_child**m, d * d_child**m * fact
+        if n:
+            on_tree[tree] = n, d
+            met.append((n, d, nums.get(forest, 0)))
+    met = [term for term in met if term[2]]
     lcm = math.lcm(*(d for _, d, _ in met))
     return Fraction(sum(n * (lcm // d) * a for n, d, a in met), lcm * den)
+
+
+def _float_picard_step(field: VectorField, y, level: int, nums: dict, den: int):
+    """The step sum_tau c(tau) X_st(tau) when y or a derivative value is a
+    float, with X_st given as integer numerators over den, summed in the
+    order and with the operations of the Fraction/float chain: a float c
+    meets n / den, which rounds as the float of the Fraction n / den does,
+    and an exact c meets that Fraction."""
+    return sum(
+        c * (nums.get(f, 0) / den) if type(c) is float else c * Fraction(nums.get(f, 0), den)
+        for f, c in _picard_step_coefficients(field, y, level).items()
+    )

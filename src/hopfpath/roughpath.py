@@ -152,13 +152,20 @@ class RoughPathConfig:
 
 
 class RoughLift:
-    """A two-parameter family of truncated group-likes with exact evaluation."""
+    """A two-parameter family of truncated group-likes with exact evaluation.
 
-    def __init__(self, flavor: str, dim: int, level: int, evaluate: Callable):
+    ``evaluate(s, t)`` gives the value as a TruncatedElement.  A lift that
+    can give it as a ``Scaled`` form directly passes ``evaluate_scaled``;
+    otherwise ``eval_scaled`` reads that form off ``eval``.
+    """
+
+    def __init__(self, flavor: str, dim: int, level: int, evaluate: Callable,
+                 evaluate_scaled: Callable | None = None):
         self.flavor = flavor
         self.dim = dim
         self.level = level
         self._evaluate = evaluate
+        self._evaluate_scaled = evaluate_scaled
         self._cache: dict = {}
 
     @property
@@ -172,6 +179,16 @@ class RoughLift:
         if key not in self._cache:
             self._cache[key] = self._evaluate(*key)
         return self._cache[key]
+
+    def eval_scaled(self, s, t) -> Scaled | None:
+        """The value at (s, t) as integer numerators over one denominator,
+        not cached; None when the value holds a float."""
+        if self._evaluate_scaled is not None:
+            return self._evaluate_scaled(to_fraction(s), to_fraction(t))
+        try:
+            return Scaled.of(self.eval(s, t).value.terms)
+        except TypeError:
+            return None
 
     def coeff(self, s, t, basis) -> Fraction:
         return self.eval(s, t).coeff(basis)
@@ -311,9 +328,28 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
     d = path.dim
     algebra = concat_deshuffle_instance(d) if flavor == "geometric" else gl_instance(d)
     table = _segment_table(algebra, flavor, level)
+    one = Scaled.term(algebra.unit)
+    times, values = path.times, path.values
+    # per linear piece: the increment over all of it, and its slope
+    rises = [tuple(x1 - x0 for x0, x1 in zip(v0, v1)) for v0, v1 in zip(values, values[1:])]
+    slopes = [tuple(x / (t1 - t0) for x in rise) for rise, t0, t1 in zip(rises, times, times[1:])]
 
-    def increment_between(a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
-        return tuple(x1 - x0 for x0, x1 in zip(path.position(a), path.position(b)))
+    def increments(s: Fraction, t: Fraction) -> list[tuple[Fraction, ...]]:
+        """X over each linear piece of the clamped window from s to t, in the
+        window's order; none when the window is empty."""
+        s, t = path.clamp(s), path.clamp(t)
+        if s == t:
+            return []
+        lo, hi = (s, t) if s < t else (t, s)
+        first = bisect.bisect_right(times, lo) - 1  # the piece lo lies in
+        last = bisect.bisect_left(times, hi, first) - 1  # and the one hi lies in
+        if first == last:
+            h = t - s
+            return [tuple(h * v for v in slopes[first])]
+        head, tail = times[first + 1] - lo, hi - times[last]
+        out = [tuple(head * v for v in slopes[first]), *rises[first + 1 : last],
+               tuple(tail * v for v in slopes[last])]
+        return out if s < t else [tuple(-x for x in rise) for rise in reversed(out)]
 
     # memoized per lift by increment: equal steps on one linear piece share it
     @functools.lru_cache(maxsize=None)
@@ -325,25 +361,27 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
     def closed_element(increment: tuple[Fraction, ...]) -> TruncatedElement:
         return TruncatedElement(closed_form(increment).lincomb(), level, algebra)
 
-    # and by endpoints, which checks revisit often, to skip the positions
-    @functools.lru_cache(maxsize=None)
-    def piece(a: Fraction, b: Fraction) -> Scaled:
-        return closed_form(increment_between(a, b))
+    def chain(pieces: list[tuple[Fraction, ...]]) -> Scaled:
+        """The Chen product of the pieces' closed forms, kept scaled."""
+        acc = closed_form(pieces[0])
+        for increment in pieces[1:]:
+            acc = algebra.scaled_product(acc, closed_form(increment), level)
+        return acc
+
+    def evaluate_scaled(s: Fraction, t: Fraction) -> Scaled:
+        pieces = increments(s, t)
+        return chain(pieces) if pieces else one
 
     def evaluate(s: Fraction, t: Fraction) -> TruncatedElement:
-        """The Chen product of the pieces, kept scaled; Fractions at the end."""
-        s, t = path.clamp(s), path.clamp(t)
-        if s == t:
+        """The scaled value with one Fraction per output term."""
+        pieces = increments(s, t)
+        if not pieces:
             return trunc_one(level, algebra)
-        stops = [s, *path.breakpoints_between(s, t), t]
-        if len(stops) == 2:
-            return closed_element(increment_between(s, t))
-        acc = piece(stops[0], stops[1])
-        for a, b in zip(stops[1:], stops[2:]):
-            acc = algebra.scaled_product(acc, piece(a, b), level)
-        return TruncatedElement(acc.lincomb(), level, algebra)
+        if len(pieces) == 1:
+            return closed_element(pieces[0])
+        return TruncatedElement(chain(pieces).lincomb(), level, algebra)
 
-    return RoughLift(flavor, d, level, evaluate)
+    return RoughLift(flavor, d, level, evaluate, evaluate_scaled)
 
 
 def signature_lift(path: PiecewiseLinearPath, level: int) -> RoughLift:
@@ -377,9 +415,11 @@ def check_rough_axioms(
 ) -> CheckReport:
     """Exact character/Chen/inverse verification plus empirical Hölder ratios.
 
-    The identity, group-like, Chen and inverse laws compare canonical
-    ``Scaled`` forms of both sides, read once per (s, t) from the lift's
-    values; a float lift value raises ValueError naming (s, t).
+    Every exact law works on the ``Scaled`` forms of the lift's values,
+    read once per (s, t): the identity, group-like, Chen and inverse laws
+    compare canonical forms of both sides, and the character law compares
+    integer numerators.  A float lift value raises ValueError naming (s, t).
+    The Hölder ratios read the same forms, one float per coefficient.
     """
     grid = [to_fraction(u) for u in grid]
     if len(grid) < 3:
@@ -433,23 +473,25 @@ def check_rough_axioms(
 
     report.run("group-like", grouplike_failures())
 
+    # the basis pairs within the level, with the shuffle row of each pair for
+    # the geometric flavor: nums[b1 b2] den = nums[b1] nums[b2] on branched
+    # forests, den sum_w c_w nums[w] = nums[b1] nums[b2] on words
+    pairs = [(b1, b2) for b1 in basis for b2 in basis if b1.grade + b2.grade <= level]
+    if lift.flavor == "geometric":
+        shuffle = shuffle_deconcat_instance(lift.dim)
+        pairs = [(b1, b2, shuffle.product_row(b1, b2)) for b1, b2 in pairs]
+    else:
+        pairs = [(b1, b2, ((b1.mul(b2), 1),)) for b1, b2 in pairs]
+
     def character_failures():
-        for s in grid:
-            for t in grid:
-                elt = lift.eval(s, t)
-                for b1 in basis:
-                    for b2 in basis:
-                        if b1.grade + b2.grade > level:
-                            continue
-                        if lift.flavor == "branched":
-                            lhs = elt.coeff(b1.mul(b2))
-                        else:
-                            # character with respect to the shuffle product
-                            sh = shuffle_deconcat_instance(lift.dim).product_basis(b1, b2)
-                            lhs = pair(sh, elt.value)
-                        if lhs != elt.coeff(b1) * elt.coeff(b2):
-                            yield f"character fails at ({s},{t}) on ({b1}, {b2})"
-                            return
+        for i, s in points:
+            for j, t in points:
+                nums, den = X[i][j]
+                for b1, b2, row in pairs:
+                    lhs = den * sum(c * nums.get(w, 0) for w, c in row)
+                    if lhs != nums.get(b1, 0) * nums.get(b2, 0):
+                        yield f"character fails at ({s},{t}) on ({b1}, {b2})"
+                        return
 
     report.run("character", character_failures())
 
@@ -479,14 +521,14 @@ def check_rough_axioms(
     # empirical Hölder ratios (floats; a lower bound of the true sup)
     gamma = float(config.gamma)
     ratios = {b: 0.0 for b in basis}
-    for i, s in enumerate(grid):
-        for t in grid[i + 1 :]:
+    for i, s in points:
+        for j, t in points[i + 1 :]:
             dt = abs(float(t - s))
             if dt == 0:
                 continue
-            elt = lift.eval(s, t)
+            nums, den = X[i][j]
             for b in basis:
-                c = abs(float(elt.coeff(b)))
+                c = abs(nums.get(b, 0) / den)  # rounds as float(Fraction) does
                 ratios[b] = max(ratios[b], c / dt ** (gamma * b.grade))
     report.holder_ratios = {str(b): r for b, r in ratios.items()}
     report.entries.append(

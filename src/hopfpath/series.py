@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hopf_core import HopfInstance, concat_deshuffle_instance
-from .linalg import LinComb, TensorComb, accum, nullspace
+from .linalg import LinComb, Scaled, TensorComb, accum, nullspace, scaled_sum
 from .symbols import Forest, Word, forests, trees
 
 
@@ -95,20 +95,43 @@ def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     return a.mul(b)
 
 
+def _power_series(x: TruncatedElement, weights: list) -> TruncatedElement:
+    """sum_k weights[k] x^k for k = 0..level, x^0 the unit, up to the first
+    power that vanishes.
+
+    For an exact x the powers chain as ``Scaled`` forms, each product cut at
+    the level, and ``scaled_sum`` adds them once, in integers over the lcm
+    of the weights' and the powers' denominators, in the order of the
+    LinComb sum.  A float coefficient or structure constant takes the
+    ``TruncatedElement`` chain instead, summed term by term.
+    """
+    level, algebra = x.level, x.algebra
+    try:
+        u = Scaled.of(x.value.terms)
+        power = Scaled.term(algebra.unit)
+        powers = [(weights[0], power)]
+        for k in range(1, level + 1):
+            power = algebra.scaled_product(power, u, level)
+            if not power.nums:
+                break
+            powers.append((weights[k], power))
+    except TypeError:  # a float coefficient or structure constant
+        power = trunc_one(level, algebra)
+        acc = power.scale(weights[0])
+        for k in range(1, level + 1):
+            power = power.mul(x)
+            if power.value.is_zero():
+                break
+            acc = acc.add(power.scale(weights[k]))
+        return acc
+    return TruncatedElement(scaled_sum(powers).lincomb(), level, algebra)
+
+
 def exp_trunc(x: TruncatedElement) -> TruncatedElement:
     """exp of an augmentation-ideal element, truncated at x's level."""
     if x.counit() != 0:
         raise TruncationError("exp needs a counit-free argument")
-    acc = trunc_one(x.level, x.algebra)
-    power = trunc_one(x.level, x.algebra)
-    factorial = 1
-    for k in range(1, x.level + 1):
-        power = power.mul(x)
-        if power.value.is_zero():
-            break
-        factorial *= k
-        acc = acc.add(power.scale(Fraction(1, factorial)))
-    return acc
+    return _power_series(x, [Fraction(1, math.factorial(k)) for k in range(x.level + 1)])
 
 
 def log_trunc(g: TruncatedElement) -> TruncatedElement:
@@ -116,14 +139,8 @@ def log_trunc(g: TruncatedElement) -> TruncatedElement:
     if g.counit() != 1:
         raise TruncationError("log needs counit 1")
     u = g.sub(trunc_one(g.level, g.algebra))
-    acc = TruncatedElement(LinComb.zero(), g.level, g.algebra)
-    power = trunc_one(g.level, g.algebra)
-    for k in range(1, g.level + 1):
-        power = power.mul(u)
-        if power.value.is_zero():
-            break
-        acc = acc.add(power.scale(Fraction((-1) ** (k - 1), k)))
-    return acc
+    weights = [Fraction(0)] + [Fraction((-1) ** (k - 1), k) for k in range(1, g.level + 1)]
+    return _power_series(u, weights)
 
 
 def bch(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:

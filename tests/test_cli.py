@@ -476,6 +476,44 @@ class TestSizeGuard:
         assert code == 0 and out.strip() == "1 + []_1 + 1/2*[]_1 []_1"
 
 
+    @pytest.mark.parametrize("argv", [
+        ["check-rough", "{path}", "--grid", "40"],
+        ["check-rough", "{path}", "--flavor", "branched", "--grid", "1000000000"],
+        ["check-rough", "{path}", "--flavor", "branched", "--gamma", "1/5"],
+        ["convert-lift", "{path}", "--direction", "b2g", "--grid", "70"],
+    ])
+    def test_grid_guarded(self, capsys, path_csv, argv):
+        # about 3 million Chen-product pairs at grid 40: 4 s of work before the guard
+        import time
+
+        start = time.process_time()
+        code, out, err = run(capsys, *(a.format(path=path_csv) for a in argv))
+        assert code == 2 and out == ""
+        assert "is too large at level" in err and "more than 1000000 basis pairs" in err
+        assert time.process_time() - start < 1
+
+    def test_product_work_counts_the_pairs_a_product_visits(self):
+        from hopfpath.cli import _product_work
+        from hopfpath.symbols import forests_up_to, words_up_to
+
+        for d in (1, 2, 3):
+            for kind, pool in (("word", words_up_to), ("forest", forests_up_to)):
+                for level in range(5):
+                    grades = [b.grade for b in pool(d, level)]
+                    visited = sum(1 for g in grades for h in grades if g + h <= level)
+                    assert _product_work(kind, d, level, 1) == visited
+                    assert _product_work(kind, d, level, 7) == 7 * visited
+
+    def test_grids_in_use_run(self, capsys, path_csv):
+        # the README's invocations; the goldens' and the other tests' grids are smaller
+        for argv in (["check-rough", path_csv, "--gamma", "2/5", "--grid", "9", "--flavor",
+                      "branched"],
+                     ["check-rough", path_csv, "--grid", "9"],
+                     ["convert-lift", path_csv, "--direction", "b2g", "--level", "3"]):
+            code, _, _ = run(capsys, *argv)
+            assert code == 0, argv
+
+
 class TestJsonRoundTrip:
     def test_lincomb_json_keys_reparse(self, capsys):
         from fractions import Fraction

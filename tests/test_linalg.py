@@ -21,6 +21,7 @@ from hopfpath.linalg import (
     numerators,
     pair,
     pair_tensor,
+    scaled_sum,
 )
 from hopfpath.symbols import MultiIndex, Tree, Word
 
@@ -443,6 +444,24 @@ class TestAccumulator:
         assert numerators([Fraction(1, 2), Fraction(-2, 3), 4]) == ([3, -4, 24], 6)
         assert numerators([]) == ([], 1)
         assert numerators([Fraction(1, 2), 0.5]) is None
+
+
+    @given(st.lists(st.tuples(
+        st.integers(-4, 4), st.integers(1, 9),
+        st.dictionaries(st.sampled_from([W(), W(1), W(2), W(1, 2), W(2, 1)]),
+                        st.tuples(st.integers(-5, 5), st.integers(1, 12)), max_size=4),
+    ), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_scaled_sum(self, terms):
+        # against the LinComb sum of the scaled terms: value, term order and canonical form
+        terms = [(Fraction(p, q), Scaled.of({k: Fraction(*c) for k, c in x.items() if c[0]}))
+                 for p, q, x in terms]
+        want = LinComb.zero()
+        for w, x in terms:
+            want = want + x.lincomb().scale(w)
+        got = scaled_sum(terms)
+        assert list(got.lincomb()) == list(want)
+        assert got == Scaled.of(want.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfpath.hopf_ck import ck_coproduct
-from hopfpath.linalg import LinComb, TensorComb
+from hopfpath.linalg import LinComb, Scaled, TensorComb
 from hopfpath.model_rde import (
     Character,
     DottedForest,
@@ -15,6 +15,7 @@ from hopfpath.model_rde import (
     VectorField,
     _demote_if_huge,
     _exact_picard_step,
+    _float_picard_step,
     _picard_step_coefficients,
     abstract_integration,
     check_model,
@@ -605,11 +606,13 @@ class TestExactStep:
 
     @staticmethod
     def check(field, y, level, elt):
-        got = _exact_picard_step(field, y, level, elt)
+        nums, den = Scaled.of(elt.value.terms)
+        got = _exact_picard_step(field, y, level, nums, den)
+        want = fraction_step(field, y, level, elt)
         if isinstance(y, float) or field.components[0].name == "sin":
-            assert got is None  # a float state or derivative keeps the Fraction-float path
+            assert got is None  # a float state or derivative keeps the Fraction-float sum
+            assert same_samples([(0, _float_picard_step(field, y, level, nums, den))], [(0, want)])
         else:
-            want = fraction_step(field, y, level, elt)
             assert type(got) is Fraction and type(want) is Fraction and got == want
 
     @given(picard_cases(), st.data())
@@ -680,6 +683,95 @@ class TestExactStep:
         assert sol[6] == (Fraction(3, 50), 0.5154639175153405)
         assert type(sol[6][1]) is float
         assert all(type(y) is float for _, y in sol[6:])
+
+
+def float_valued(elt):
+    """A lift value with every coefficient turned into a float."""
+    return TruncatedElement(LinComb({b: float(c) for b, c in elt.value}), elt.level, elt.algebra)
+
+
+@st.composite
+def solve_cases(draw):
+    """A const, sin, linear or quadratic field with small coefficients, d in
+    1..2, level in 1..4, an exact or float start, a random exact path on
+    [0, 1] with up to 3 inner knots, a step of 1/3 to 1/7, and a lift of one
+    of three kinds: the branched lift, a hand-made lift around its ``eval``
+    (no scaled evaluator), or a hand-made lift with float values."""
+    small = st.fractions(min_value=-1, max_value=1, max_denominator=4)
+    spec = draw(st.sampled_from(("const", "sin", "linear", "poly")))
+    if spec == "const":
+        spec = f"const:{draw(small)}"
+    elif spec == "poly":
+        spec = "poly:" + ",".join(str(draw(small)) for _ in range(3))
+    d = draw(st.integers(min_value=1, max_value=2))
+    level = draw(st.integers(min_value=1, max_value=4))
+    y0 = draw(small | st.floats(min_value=-1, max_value=1, allow_subnormal=False))
+    inner = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=12),
+                          max_size=3, unique=True))
+    times = sorted({Fraction(0), Fraction(1), *inner})
+    path = PiecewiseLinearPath.from_knots(
+        [(u, tuple(draw(small) for _ in range(d))) for u in times]
+    )
+    step = Fraction(1, draw(st.integers(min_value=3, max_value=7)))
+    base = branched_lift_fn(path, level)
+    kind = draw(st.sampled_from(("scaled", "wrapped", "float")))
+    if kind == "scaled":
+        lift = base
+    elif kind == "wrapped":
+        lift = RoughLift("branched", d, level, base.eval)
+    else:
+        lift = RoughLift("branched", d, level, lambda s, t: float_valued(base.eval(s, t)))
+    return path, VectorField.from_spec(spec, d), level, y0, step, lift
+
+
+class TestScaledSolve:
+    """Steps that read the lift as integer numerators over one denominator
+    give the samples of steps that read its Fractions."""
+
+    @given(solve_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_fraction_chain(self, case):
+        path, field, level, y0, step, lift = case
+        gamma = Fraction(1, level + 1)
+        try:
+            got = picard_solve(path, field, y0, gamma, level, step, lift=lift)
+        except ModelError:  # a blow-up; the reference has no such stop
+            assume(False)
+        want = reference_solve(path, field, y0, gamma, level, step, lift)
+        assert same_samples(got, want)
+
+    def test_each_kind_of_step(self):
+        # float and exact states; const and sin at exact and float y; the three lifts
+        path = PiecewiseLinearPath.from_knots(
+            [(0, (0, 0)), (Fraction(1, 3), (Fraction(1, 2), Fraction(-1, 4))), (1, (1, 1))]
+        )
+        base = branched_lift_fn(path, 4)
+        lifts = (base, RoughLift("branched", 2, 4, base.eval),
+                 RoughLift("branched", 2, 4, lambda s, t: float_valued(base.eval(s, t))))
+        for spec in ("const:2/3", "sin", "linear", "poly:1,-1/2,1/3"):
+            field = VectorField.from_spec(spec, 2)
+            for y0 in (Fraction(1, 3), 0.3):
+                for lift in lifts:
+                    got = picard_solve(path, field, y0, Fraction(3, 10), 4, Fraction(1, 5),
+                                       lift=lift)
+                    want = reference_solve(path, field, y0, Fraction(3, 10), 4,
+                                           Fraction(1, 5), lift)
+                    assert same_samples(got, want), (spec, y0)
+                    exact = spec != "sin" and lift is not lifts[2] and isinstance(y0, Fraction)
+                    assert type(got[1][1]) is (Fraction if exact else float)
+
+    def test_without_a_scaled_evaluator_the_lift_is_read_once_per_step(self):
+        base = branched_lift_fn(LINE, 3)
+        calls = []
+
+        def evaluate(s, t):
+            calls.append((s, t))
+            return base.eval(s, t)
+
+        lift = RoughLift("branched", 1, 3, evaluate)
+        sol = picard_solve(LINE, VectorField.from_spec("linear", 1), Fraction(1), Fraction(3, 10),
+                           3, Fraction(1, 4), lift=lift)
+        assert calls == [(t0, t1) for (t0, _), (t1, _) in zip(sol, sol[1:])]
 
 
 class TestInvariantRates:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hopfpath import roughpath
 from hopfpath.hopf_core import concat_deshuffle_instance
 from hopfpath.hopf_ck import gl_instance, phi_hat
-from hopfpath.linalg import LinComb
+from hopfpath.linalg import LinComb, Scaled
 from hopfpath.roughpath import (
     KernelConditionError,
     PathError,
@@ -581,3 +581,52 @@ class TestScaledLifts:
             x = path.position(u)
             assert x == interpolate(times, values, u)
             assert all(type(c) is Fraction for c in x)
+
+
+class TestEvalScaled:
+    """``eval_scaled`` gives the value ``eval`` gives, as integer numerators
+    over one denominator."""
+
+    @staticmethod
+    def check(lift, s, t):
+        got, elt = lift.eval_scaled(s, t), lift.eval(s, t)
+        assert got == Scaled.of(elt.value.terms)  # one canonical form, terms and denominator
+        assert list(got.lincomb()) == list(elt.value)
+
+    @given(paths_and_windows())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_eval(self, case):
+        flavor, d, level, times, values, s, t = case
+        path = PiecewiseLinearPath.from_knots(zip(times, values))
+        lift = (signature_lift if flavor == "geometric" else branched_lift_fn)(path, level)
+        for a, b in ((s, t), (t, s), (s, s)):
+            self.check(lift, a, b)
+
+    @pytest.mark.parametrize("make", [signature_lift, branched_lift_fn])
+    def test_windows(self, make):
+        lift = make(PATH_2D, 3)
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        windows = [
+            (Fraction(1, 8), Fraction(7, 8)),  # across two knots
+            (Fraction(7, 8), Fraction(1, 8)),  # reversed
+            (quarter, quarter),  # s == t
+            (quarter, half), (half, 1), (0, 1), (1, quarter),  # ending on knots
+            (Fraction(1, 8), quarter), (half, Fraction(3, 4)),  # inside one piece to a knot
+            (-2, Fraction(3, 8)), (Fraction(5, 8), 3), (3, -2),  # clamped
+            (-2, -1), (2, 5),  # empty once clamped
+        ]
+        for s, t in windows:
+            self.check(lift, s, t)
+        assert lift.eval_scaled(-2, -1) == Scaled.term(lift.algebra.unit)
+
+    def test_a_lift_without_a_scaled_evaluator_reads_eval(self):
+        base = branched_lift_fn(PATH_2D, 2)
+        lift = RoughLift("branched", 2, 2, base.eval)
+        for s, t in ((0, 1), (Fraction(3, 4), Fraction(1, 8)), (Fraction(1, 3), Fraction(1, 3))):
+            assert lift.eval_scaled(s, t) == base.eval_scaled(s, t)
+
+        def floaty(s, t):
+            elt = base.eval(s, t)
+            return TruncatedElement(elt.value.scale(1.0), elt.level, elt.algebra)
+
+        assert RoughLift("branched", 2, 2, floaty).eval_scaled(0, 1) is None

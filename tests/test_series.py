@@ -185,6 +185,80 @@ class TestProductKernel:
         assert got == LinComb({W(2): Fraction(3, 2), W(1, 2): Fraction(9, 10)})
 
 
+
+def reference_exp(x):
+    """exp as a chain of LinComb products and sums, one Fraction per term."""
+    acc = power = trunc_one(x.level, x.algebra)
+    factorial = 1
+    for k in range(1, x.level + 1):
+        power = power.mul(x)
+        if power.value.is_zero():
+            break
+        factorial *= k
+        acc = acc.add(power.scale(Fraction(1, factorial)))
+    return acc
+
+
+def reference_log(g):
+    """log as a chain of LinComb products and sums, one Fraction per term."""
+    u = g.sub(trunc_one(g.level, g.algebra))
+    acc = TruncatedElement(LinComb.zero(), g.level, g.algebra)
+    power = trunc_one(g.level, g.algebra)
+    for k in range(1, g.level + 1):
+        power = power.mul(u)
+        if power.value.is_zero():
+            break
+        acc = acc.add(power.scale(Fraction((-1) ** (k - 1), k)))
+    return acc
+
+
+def same_element(got, want) -> bool:
+    """Equal elements with their terms in one order and of one type each,
+    floats to the bit."""
+    def terms(x):
+        return [(b, type(c), c.hex() if isinstance(c, float) else c) for b, c in x.value]
+
+    return got == want and terms(got) == terms(want)
+
+
+class TestScaledSeries:
+    """exp and log of exact elements chain their powers as Scaled forms."""
+
+    @given(sparse_elements(counit_free=True))
+    @settings(max_examples=100, deadline=None)
+    def test_exp_and_log_match_the_lincomb_chain(self, case):
+        inst, level, x, y = case
+        x = elem(x, level, inst)
+        got = exp_trunc(x)
+        assert same_element(got, reference_exp(x))
+        assert all(type(c) is Fraction for _, c in got.value)
+        # log of a group-like, and of 1 + y, which need not be one
+        for g in (got, trunc_one(level, inst).add(elem(y, level, inst))):
+            assert same_element(log_trunc(g), reference_log(g))
+
+    def test_terms_past_the_level_are_cut_as_products_cut_them(self):
+        inst = concat_deshuffle_instance(2)
+        x = TruncatedElement(LinComb({W(1): 1, W(1, 2, 1): Fraction(1, 3)}), 2, inst)
+        assert same_element(exp_trunc(x), reference_exp(x))
+        assert W(1, 2, 1) not in exp_trunc(x).value.terms
+
+    def test_floats_keep_the_lincomb_chain(self):
+        inst = gl_instance(2)
+        x = elem(LinComb({Tree(1).as_forest(): 0.5, Tree(2).as_forest(): Fraction(1, 3)}), 3, inst)
+        got = exp_trunc(x)
+        assert same_element(got, reference_exp(x))
+        assert same_element(log_trunc(got), reference_log(got))
+        # exact operands, float structure constants
+        floaty = dataclasses.replace(
+            inst, product_basis=lambda a, b: inst.product_basis(a, b).scale(1.0), _memo={}
+        )
+        x = elem(LinComb({Tree(1).as_forest(): Fraction(1, 2)}), 3, floaty)
+        got = exp_trunc(x)
+        assert same_element(got, reference_exp(x))
+        assert any(isinstance(c, float) for _, c in got.value)
+        assert same_element(log_trunc(got), reference_log(got))
+
+
 class TestExpLog:
     def test_exp_single_letter(self):
         inst = concat_deshuffle_instance(2)
