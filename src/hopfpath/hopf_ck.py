@@ -25,6 +25,7 @@ from .symbols import (
     EMPTY_FOREST,
     EMPTY_WORD,
     Forest,
+    Interned,
     Tree,
     Word,
     check_dimension,
@@ -305,34 +306,22 @@ def gl_instance(d: int) -> HopfInstance:
 # words over the tree alphabet (codomain of psi)
 
 
-class TreeWord:
+class TreeWord(Interned):
     """A word whose letters are decorated trees."""
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ("letters", "grade")
 
-    def __init__(self, letters: Iterable[Tree] = ()):
-        letters = tuple(letters)
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", hash(("tw", letters)))
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("TreeWord is immutable")
-
-    @property
-    def grade(self) -> int:
-        return sum(t.grade for t in self.letters)
+    def __new__(cls, letters: Iterable[Tree] = ()):
+        ident = (tuple(letters),)
+        return cls._table.get(ident) or cls._build(
+            ident, letters=ident[0], grade=sum(t.grade for t in ident[0])
+        )
 
     def sort_key(self):
         return (self.grade, len(self.letters), tuple(t.sort_key() for t in self.letters))
 
     def concat(self, other: "TreeWord") -> "TreeWord":
         return TreeWord(self.letters + other.letters)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TreeWord) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"TreeWord{self.letters!r}"

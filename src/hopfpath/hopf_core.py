@@ -108,6 +108,11 @@ class HopfInstance:
     antipode_closed_basis: Callable[[object], LinComb] | None = None
     _memo: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        # every instance starts with an empty memo: dataclasses.replace passes
+        # the original's, whose entries must not leak into a copy with other maps
+        object.__setattr__(self, "_memo", {})
+
     def counit(self, b) -> Fraction:
         return Fraction(1) if b.grade == 0 else Fraction(0)
 
@@ -118,13 +123,8 @@ class HopfInstance:
         return LinComb.term(self.unit)
 
     def memo(self, name: str) -> dict:
-        """A cache for data derived from the structure maps.
-
-        Keyed by the maps as well as the name: ``dataclasses.replace`` shares
-        ``_memo`` with the original, whose entries must not leak into a copy
-        with other maps.
-        """
-        return self._memo.setdefault((name, self.product_basis, self.coproduct_basis), {})
+        """A cache for data derived from the structure maps."""
+        return self._memo.setdefault(name, {})
 
     def product_row(self, a, b) -> tuple:
         """The terms of ``product_basis(a, b)`` as (basis, c) pairs, with an

@@ -21,7 +21,7 @@ from .hopf_ck import ck_coproduct, ck_instance, forest_product
 from .linalg import LinComb, TensorComb, accum, bilinear, linear
 from .roughpath import PiecewiseLinearPath, RoughLift, branched_lift_fn, to_fraction
 from .series import TruncatedElement, is_grouplike
-from .symbols import EMPTY_FOREST, Forest, forests_up_to, trees
+from .symbols import EMPTY_FOREST, Forest, Interned, forests_up_to, trees
 
 
 class ModelError(ValueError):
@@ -37,37 +37,21 @@ class SectorError(ValueError):
 # symbols of the rough ODE model space
 
 
-class DottedForest:
+class DottedForest(Interned):
     """A forest juxtaposed with a noise symbol: the derivative-sector basis."""
 
-    __slots__ = ("forest", "letter", "_hash")
+    __slots__ = ("forest", "letter", "grade")
 
-    def __init__(self, forest: Forest, letter: int):
+    def __new__(cls, forest: Forest, letter: int):
         if letter < 1:
             raise ValueError("noise letter must be >= 1")
-        object.__setattr__(self, "forest", forest)
-        object.__setattr__(self, "letter", int(letter))
-        object.__setattr__(self, "_hash", hash(("dot", forest, letter)))
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("DottedForest is immutable")
-
-    @property
-    def grade(self) -> int:
-        return self.forest.grade + 1
+        ident = (forest, int(letter))
+        return cls._table.get(ident) or cls._build(
+            ident, forest=forest, letter=ident[1], grade=forest.grade + 1
+        )
 
     def sort_key(self):
         return (self.grade, self.letter, self.forest.sort_key())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DottedForest)
-            and self.letter == other.letter
-            and self.forest == other.forest
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"DottedForest({self.forest!r}, {self.letter})"

@@ -635,12 +635,18 @@ def kernel_condition_witness(lift: RoughLift, grid: Sequence):
     """First violation of vanishing on ker(phi), or None."""
     grid = [to_fraction(u) for u in grid]
     kernel = phi_kernel_basis(lift.dim, lift.level)
+    # whether <x, X_st> is zero does not depend on the scale of x or X_st, so
+    # the scan tests integer dot products and builds the Fraction of the
+    # witness only; a lift holding floats is paired as it is
+    kernel_nums = [dict(zip(x.terms, numerators(list(x.terms.values()))[0])) for x in kernel]
     for s in grid:
         for t in grid:
-            for x in kernel:
-                v = lift.value(s, t, x)
-                if v != 0:
-                    return (x, s, t, v)
+            value = lift.eval_scaled(s, t)
+            for x, x_nums in zip(kernel, kernel_nums):
+                if value is None or sum(c * value.nums.get(f, 0) for f, c in x_nums.items()):
+                    v = lift.value(s, t, x)
+                    if v != 0:
+                        return (x, s, t, v)
     return None
 
 

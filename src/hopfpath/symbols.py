@@ -4,12 +4,13 @@ Every basis element is immutable, hashable, totally ordered via ``sort_key`` and
 prints to a canonical string that ``parse_expr`` reads back.  Forests are kept
 in a canonical form (trees sorted by grade, then label, then children).
 
-Words, trees and forests are hash-consed: construction normalizes, then
-returns the one existing object of that value, so equality is identity and
-they hash by identity too (``object.__hash__``).  Hash values therefore differ
-from process to process; nothing may depend on the iteration order of a set
-of them.  The intern tables live for the process, like the module-level
-``lru_cache``s, and unpickling re-interns.
+Every basis kind is hash-consed through ``Interned``: multi-indices, words,
+trees and forests here, dotted forests (``model_rde``) and tree words
+(``hopf_ck``).  Construction normalizes, then returns the one existing object
+of that value, so equality is identity and they hash by identity too
+(``object.__hash__``).  Hash values therefore differ from process to process;
+nothing may depend on the iteration order of a set of them.  Unpickling
+re-interns.
 """
 from __future__ import annotations
 
@@ -35,24 +36,55 @@ def check_dimension(d: int) -> int:
     return d
 
 
-class MultiIndex:
-    """A tuple (n_1, ..., n_d) of non-negative integers; the monomial X^n."""
+class Interned:
+    """Base of every basis kind: one object per value, compared by identity.
 
-    __slots__ = ("entries", "_hash")
+    A kind's ``__new__`` normalizes its arguments to the identity key
+    ``ident``, a tuple with ``cls(*ident)`` the same object, and returns
+    ``cls._table.get(ident) or cls._build(ident, **fields)``.  Each subclass
+    has its own table, for the life of the process like the module-level
+    ``lru_cache``s.  Equality and hash are object identity; pickle and
+    ``copy`` rebuild through the constructor and so get the interned object.
+    """
 
-    def __init__(self, entries: Iterable[int]):
-        entries = tuple(int(e) for e in entries)
-        if not entries or any(e < 0 for e in entries):
-            raise ValueError(f"multi-index entries must be non-negative, got {entries}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hash", hash(("mi", entries)))
+    __slots__ = ("_ident",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._table = {}
+
+    @classmethod
+    def _build(cls, ident: tuple, **fields):
+        self = object.__new__(cls)
+        object.__setattr__(self, "_ident", ident)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        cls._table[ident] = self
+        return self
+
+    def __reduce__(self):
+        return type(self), self._ident
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("MultiIndex is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @property
-    def grade(self) -> int:
-        return sum(self.entries)
+
+class MultiIndex(Interned):
+    """A tuple (n_1, ..., n_d) of non-negative integers; the monomial X^n."""
+
+    __slots__ = ("entries", "grade")
+
+    def __new__(cls, entries: Iterable[int]):
+        # an interned tuple of entries needs no normalizing
+        self = cls._table.get((entries,)) if type(entries) is tuple else None
+        if self is None:
+            entries = tuple(int(e) for e in entries)
+            if not entries or any(e < 0 for e in entries):
+                raise ValueError(f"multi-index entries must be non-negative, got {entries}")
+            self = cls._table.get((entries,)) or cls._build(
+                (entries,), entries=entries, grade=sum(entries)
+            )
+        return self
 
     @property
     def dim(self) -> int:
@@ -64,24 +96,18 @@ class MultiIndex:
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         if len(self.entries) != len(other.entries):
             raise ValueError("multi-index dimension mismatch")
-        return MultiIndex(a + b for a, b in zip(self.entries, other.entries))
+        return MultiIndex(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "MultiIndex") -> "MultiIndex":
         if any(b > a for a, b in zip(self.entries, other.entries)):
             raise ValueError("multi-index subtraction needs other <= self")
-        return MultiIndex(a - b for a, b in zip(self.entries, other.entries))
+        return MultiIndex(tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __le__(self, other: "MultiIndex") -> bool:
         return all(a <= b for a, b in zip(self.entries, other.entries))
 
     def __lt__(self, other: "MultiIndex") -> bool:
         return self.sort_key() < other.sort_key()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiIndex) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"MultiIndex{self.entries}"
@@ -112,41 +138,22 @@ def _binomial(a: int, b: int) -> int:
     return _factorial(a) // (_factorial(b) * _factorial(a - b))
 
 
-# hash-consing tables: the one object of each word, tree and forest value
-_WORDS: dict = {}
-_TREES: dict = {}
-_FORESTS: dict = {}
-
-
-class Word:
-    """A word e_{i1...in} over the alphabet {1, ..., d}; the empty word is the unit.
-
-    Words are hash-consed like trees and forests: ``Word((1, 2))`` returns the
-    one interned word with those letters, so equality is identity.
-    """
+class Word(Interned):
+    """A word e_{i1...in} over the alphabet {1, ..., d}; the empty word is the unit."""
 
     __slots__ = ("letters", "grade")
 
     def __new__(cls, letters: Iterable[int] = ()):
         # an interned tuple of letters needs no normalizing
-        self = _WORDS.get(letters) if type(letters) is tuple else None
+        self = cls._table.get((letters,)) if type(letters) is tuple else None
         if self is None:
             letters = tuple(int(i) for i in letters)
             if any(i < 1 for i in letters):
                 raise ValueError(f"letters must be >= 1, got {letters}")
-            self = _WORDS.get(letters)
-            if self is None:
-                self = object.__new__(cls)
-                object.__setattr__(self, "letters", letters)
-                object.__setattr__(self, "grade", len(letters))
-                _WORDS[letters] = self
+            self = cls._table.get((letters,)) or cls._build(
+                (letters,), letters=letters, grade=len(letters)
+            )
         return self
-
-    def __reduce__(self):
-        return Word, (self.letters,)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("Word is immutable")
 
     def sort_key(self):
         return (len(self.letters), self.letters)
@@ -174,7 +181,7 @@ class Word:
 EMPTY_WORD = Word()
 
 
-class Tree:
+class Tree(Interned):
     """A rooted tree with integer label at the root and a forest of children."""
 
     __slots__ = ("label", "children", "grade", "_key", "_forest")
@@ -185,23 +192,13 @@ class Tree:
         label = int(label)
         children = EMPTY_FOREST if children is None else children
         ident = (label, children)
-        self = _TREES.get(ident)
+        self = cls._table.get(ident)
         if self is None:
             key = (children.grade + 1, label, children.sort_key())
-            self = object.__new__(cls)
-            object.__setattr__(self, "label", label)
-            object.__setattr__(self, "children", children)
-            object.__setattr__(self, "grade", key[0])
-            object.__setattr__(self, "_key", key)
-            object.__setattr__(self, "_forest", None)
-            _TREES[ident] = self
+            self = cls._build(
+                ident, label=label, children=children, grade=key[0], _key=key, _forest=None
+            )
         return self
-
-    def __reduce__(self):
-        return Tree, (self.label, self.children)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("Tree is immutable")
 
     def sort_key(self):
         return self._key
@@ -224,11 +221,10 @@ class Tree:
         return f"[{inner}]_{self.label}"
 
 
-class Forest:
+class Forest(Interned):
     """A multiset of trees, stored as sorted (tree, multiplicity) pairs.
 
-    The empty forest is the algebra unit.  Construction always normalizes and
-    returns the one interned forest of that value, so
+    The empty forest is the algebra unit.  Construction always normalizes, so
     ``Forest.of(t2, t1) is Forest.of(t1, t2)``.
     """
 
@@ -242,19 +238,9 @@ class Forest:
             if mult:
                 merged[tree] = merged.get(tree, 0) + mult
         norm = tuple(sorted(merged.items(), key=lambda tm: tm[0].sort_key()))
-        self = _FORESTS.get(norm)
-        if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "items", norm)
-            object.__setattr__(self, "grade", sum(t.grade * m for t, m in norm))
-            _FORESTS[norm] = self
-        return self
-
-    def __reduce__(self):
-        return Forest, (self.items,)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("Forest is immutable")
+        return cls._table.get((norm,)) or cls._build(
+            (norm,), items=norm, grade=sum(t.grade * m for t, m in norm)
+        )
 
     @classmethod
     def of(cls, *trees: Tree) -> "Forest":
@@ -320,16 +306,11 @@ def multiplicative(one, mul):
             elif not rest:
                 return on_tree(tree)
             # rest is already canonical: look it up before normalizing it again
-            return mul(on_tree(tree), on_forest(_FORESTS.get(rest) or Forest(rest)))
+            return mul(on_tree(tree), on_forest(type(f)._table.get((rest,)) or Forest(rest)))
 
         return on_forest
 
     return extend
-
-
-def grade(b) -> int:
-    """Grade of a basis element: |n|, word length, or node count."""
-    return b.grade
 
 
 # ---------------------------------------------------------------------------

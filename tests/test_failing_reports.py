@@ -86,7 +86,7 @@ for _g in (2, 3):
 
 def axiom_report(algebra: str, breakage: str) -> dict:
     base = get_instance(algebra, 2)
-    broken = dataclasses.replace(base, **BREAKAGES[breakage](base), _memo={})
+    broken = dataclasses.replace(base, **BREAKAGES[breakage](base))
     return check_axioms(broken, 3, samples=30).to_json()
 
 

@@ -403,8 +403,7 @@ def doubled_product(base: HopfInstance):
 
 class TestReplacedInstance:
     def test_antipode_memo_not_shared_with_replaced_copy(self):
-        # dataclasses.replace shares _memo; the copy must not see the
-        # original's memoized antipodes
+        # the copy must not see the original's memoized antipodes
         base = concat_deshuffle_instance(2)
         x = LinComb.term(W(1, 2))
         assert base.antipode(x) == LinComb.term(W(2, 1))
@@ -432,7 +431,7 @@ class TestReportText:
 
     def test_failing_summary(self):
         base = concat_deshuffle_instance(2)
-        broken = dataclasses.replace(base, product_basis=doubled_product(base), _memo={})
+        broken = dataclasses.replace(base, product_basis=doubled_product(base))
         report = check_axioms(broken, 3, samples=30)
         assert report.summary() == (
             "axiom check: concat_deshuffle, grade <= 3\n"
@@ -534,7 +533,6 @@ def test_check_axioms_calls_each_map_once_per_argument(name):
         base,
         product_basis=counted(base.product_basis, products),
         coproduct_basis=counted(base.coproduct_basis, coproducts),
-        _memo={},
     )
     report = check_axioms(copy, 3)
     assert report.passed, report.summary()
@@ -634,7 +632,7 @@ class TestScaledLaws:
     def test_float_constant_raises(self, name):
         base = get_instance(name, 2)
         floaty = dataclasses.replace(
-            base, product_basis=lambda a, b: base.product_basis(a, b).scale(1.0), _memo={}
+            base, product_basis=lambda a, b: base.product_basis(a, b).scale(1.0)
         )
         with pytest.raises(ValueError, match="float structure constant 1.0 on "):
             check_axioms(floaty, 2, samples=0)
@@ -648,7 +646,7 @@ class TestScaledLaws:
     def test_float_witness_names_the_law_and_element(self):
         base = concat_deshuffle_instance(2)
         floaty = dataclasses.replace(
-            base, antipode_closed_basis=lambda w: LinComb({w: 0.5}), _memo={}
+            base, antipode_closed_basis=lambda w: LinComb({w: 0.5})
         )
         with pytest.raises(ValueError) as exc:
             check_axioms(floaty, 2, samples=0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfpath import roughpath
 from hopfpath.hopf_core import concat_deshuffle_instance
-from hopfpath.hopf_ck import gl_instance, phi_hat
+from hopfpath.hopf_ck import gl_instance, phi_hat, phi_kernel_basis
 from hopfpath.linalg import LinComb, Scaled
 from hopfpath.roughpath import (
     KernelConditionError,
@@ -336,6 +336,30 @@ class TestConversion:
         with pytest.raises(KernelConditionError) as err:
             branched_to_geo(broken, GRID)
         assert err.value.value != 0
+
+    @pytest.mark.parametrize("scale", [Fraction(2, 3), 0.5])
+    def test_witness_is_the_first_violation_in_grid_order(self, scale):
+        # an exact bump is found by the integer scan, a float one by pairing
+        base = branched_lift_fn(PATH_2D, 2)
+        bump = LinComb.term(t(1, t(2)).as_forest()) + LinComb.term(Forest.of(t(1), t(2)), 3)
+
+        def tampered(s, u):
+            elt = base.eval(s, u)
+            if s < u and s > 0:
+                return type(elt).make(elt.value + bump.scale((u - s) * scale), 2, base.algebra)
+            return elt
+
+        broken = RoughLift("branched", 2, 2, tampered)
+        kernel = phi_kernel_basis(2, 2)
+        want = next(
+            (x, s, u, v)
+            for s in GRID
+            for u in GRID
+            for x in kernel
+            if (v := broken.value(s, u, x)) != 0
+        )
+        assert want[1:3] == (GRID[1], GRID[2])
+        assert kernel_condition_witness(broken, GRID) == want
 
 
 class TestDegenerateSegments:

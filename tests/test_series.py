@@ -35,7 +35,7 @@ from hopfpath.series import (
     trunc_mul,
     trunc_one,
 )
-from hopfpath.symbols import Forest, Tree, Word, trees, words_up_to
+from hopfpath.symbols import Forest, Tree, Word, trees, words, words_up_to
 
 
 W = lambda *ls: Word(ls)
@@ -153,7 +153,7 @@ class TestProductKernel:
         assert all(isinstance(c, float) for _, c in got)
 
     def test_basis_first_seen_mid_product(self):
-        inst = dataclasses.replace(concat_deshuffle_instance(2), _memo={})
+        inst = dataclasses.replace(concat_deshuffle_instance(2))
         x = LinComb.term(W(1), Fraction(1, 2)) + LinComb.term(W(2), Fraction(-2, 3))
         y = LinComb.term(W(), 3) + LinComb.term(W(2, 1), Fraction(5, 7))
         got = elem(x, 3, inst).mul(elem(y, 3, inst)).value
@@ -161,7 +161,6 @@ class TestProductKernel:
         assert W(1, 2, 1) in got.support()
 
     def test_replaced_product_gets_own_table(self):
-        # dataclasses.replace without _memo={} shares the memo dict of the original
         base = concat_deshuffle_instance(2)
         doubled = dataclasses.replace(
             base, product_basis=lambda u, v: LinComb.term(u.concat(v), 2)
@@ -174,7 +173,7 @@ class TestProductKernel:
     def test_fractional_structure_constant_multiplies_exactly(self):
         base = concat_deshuffle_instance(2)
         half = dataclasses.replace(
-            base, product_basis=lambda u, v: LinComb.term(u.concat(v), Fraction(1, 2)), _memo={}
+            base, product_basis=lambda u, v: LinComb.term(u.concat(v), Fraction(1, 2))
         )
         x = LinComb.term(W()) + LinComb.term(W(1), Fraction(2, 3))
         y = LinComb.term(W(2), 3) + LinComb.term(W(1, 2), Fraction(-1, 5))
@@ -250,7 +249,7 @@ class TestScaledSeries:
         assert same_element(log_trunc(got), reference_log(got))
         # exact operands, float structure constants
         floaty = dataclasses.replace(
-            inst, product_basis=lambda a, b: inst.product_basis(a, b).scale(1.0), _memo={}
+            inst, product_basis=lambda a, b: inst.product_basis(a, b).scale(1.0)
         )
         x = elem(LinComb({Tree(1).as_forest(): Fraction(1, 2)}), 3, floaty)
         got = exp_trunc(x)
@@ -432,7 +431,7 @@ class TestPrimGrouplike:
 
 class TestPrimitiveBasisMemo:
     def test_mutating_the_result_leaves_the_memo_intact(self):
-        inst = dataclasses.replace(concat_deshuffle_instance(2), _memo={})
+        inst = dataclasses.replace(concat_deshuffle_instance(2))
         first = primitive_basis(inst, 3)
         want = list(first)
         first.clear()
@@ -443,12 +442,19 @@ class TestPrimitiveBasisMemo:
     def test_replaced_copy_does_not_read_the_memo(self):
         base = concat_deshuffle_instance(2)
         assert len(primitive_basis(base, 2)) == 1  # the bracket [1, 2]
-        # deconcatenation has no primitives above grade one; the copy shares _memo
+        # deconcatenation has no primitives above grade one
         copy = dataclasses.replace(
             base, coproduct_basis=shuffle_deconcat_instance(2).coproduct_basis
         )
         assert primitive_basis(copy, 2) == []
         assert len(primitive_basis(base, 2)) == 1
+
+    def test_copy_with_another_basis_does_not_read_the_memo(self):
+        base = concat_deshuffle_instance(2)
+        assert len(primitive_basis(base, 2)) == 1
+        # the first two words of grade two, 11 and 12, span no primitive
+        copy = dataclasses.replace(base, basis=lambda k: words(2, k)[:2])
+        assert primitive_basis(copy, 2) == []
 
     def test_same_bases_in_the_same_order_as_before(self):
         # a few bases written out from the dense Gauss-Jordan elimination

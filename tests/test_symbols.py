@@ -8,7 +8,9 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from hopfpath.hopf_ck import TreeWord
 from hopfpath.linalg import LinComb
+from hopfpath.model_rde import DottedForest
 from hopfpath.symbols import (
     EMPTY_FOREST,
     EMPTY_WORD,
@@ -18,7 +20,6 @@ from hopfpath.symbols import (
     Tree,
     Word,
     forests,
-    grade,
     multi_indices,
     multiplicative,
     parse_expr,
@@ -33,20 +34,20 @@ def t(label, *children):
 
 class TestGrading:
     def test_unit_grade_zero(self):
-        assert grade(EMPTY_FOREST) == 0
-        assert grade(EMPTY_WORD) == 0
-        assert grade(MultiIndex((0, 0))) == 0
+        assert EMPTY_FOREST.grade == 0
+        assert EMPTY_WORD.grade == 0
+        assert MultiIndex((0, 0)).grade == 0
 
     def test_graft_adds_one(self):
         f = Forest.of(t(1), t(2))
-        assert grade(f.graft(3)) == 3
+        assert f.graft(3).grade == 3
 
     def test_word_grade_is_length(self):
-        assert grade(Word((2, 1, 3))) == 3
+        assert Word((2, 1, 3)).grade == 3
 
     def test_multiplicative_under_juxtaposition(self):
         a, b = Forest.of(t(1, t(2))), Forest.of(t(1))
-        assert grade(a.mul(b)) == grade(a) + grade(b)
+        assert a.mul(b).grade == a.grade + b.grade
 
 
 class TestCanonicalForm:
@@ -114,8 +115,8 @@ class TestMultiplicative:
         hits = leaves.cache_info().hits
         assert leaves(suffix) == (2, 1)  # the recursion cached the interned suffix
         assert leaves.cache_info().hits == hits + 1
-        assert symbols._FORESTS.get(f.items[1:]) is suffix
-        assert symbols._FORESTS.get(f.items[2:]) is last
+        assert Forest._table.get((f.items[1:],)) is suffix
+        assert Forest._table.get((f.items[2:],)) is last
 
 
 class TestParsing:
@@ -300,12 +301,15 @@ class TestWordInterning:
 
 
 class TestIdentityHash:
-    """Interned words, trees and forests hash by identity."""
+    """Every basis kind is interned and hashes by identity."""
 
     ELEMENTS = {
+        "multiindex": lambda: MultiIndex((2, 0, 1)),
         "word": lambda: Word((2, 1, 2)),
         "tree": lambda: t(2, t(1), t(1, t(2))),
         "forest": lambda: Forest.of(t(1), t(1), t(2, t(1))),
+        "dotted": lambda: DottedForest(Forest.of(t(1), t(2, t(1))), 2),
+        "treeword": lambda: TreeWord((t(2, t(1)), t(1), t(2, t(1)))),
     }
 
     @pytest.mark.parametrize("kind", sorted(ELEMENTS))
@@ -322,9 +326,21 @@ class TestIdentityHash:
         assert type(x).__hash__ is object.__hash__ and hash(x) == object.__hash__(x)
         assert "_hash" not in type(x).__slots__
 
+    @pytest.mark.parametrize("kind", sorted(ELEMENTS))
+    def test_copies_are_the_interned_object(self, kind):
+        x = self.ELEMENTS[kind]()
+        assert self.ELEMENTS[kind]() is x
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+
     def test_word_grade_is_set_at_interning(self):
         assert "grade" in Word.__slots__
         assert [w.grade for w in (EMPTY_WORD, Word((3,)), Word((1, 2, 1)))] == [0, 1, 3]
+
+    def test_grade_is_set_at_interning_for_every_kind(self):
+        assert all("grade" in kind.__slots__ for kind in (MultiIndex, DottedForest, TreeWord))
+        kinds = ("multiindex", "dotted", "treeword")
+        assert [self.ELEMENTS[k]().grade for k in kinds] == [3, 4, 5]
 
 
 def test_forest_enumeration_golden():
