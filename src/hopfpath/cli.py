@@ -24,7 +24,7 @@ from .linalg import (
     lincomb_to_json,
     pair,
 )
-from .model_rde import ModelError, VectorField, picard_solve
+from .model_rde import ModelError, VectorField, check_model, model_from_lift, picard_solve
 from .roughpath import (
     PiecewiseLinearPath,
     RoughPathConfig,
@@ -366,6 +366,11 @@ def main(argv=None) -> int:
     p.add_argument("--grid", type=int, default=9)
     p.add_argument("--level", type=int, default=None)
 
+    p = add("check-model", help="model identities of the branched lift on a grid")
+    p.add_argument("path")
+    p.add_argument("--grid", type=int, default=4)
+    p.add_argument("--level", type=int, default=None)
+
     p = add("qgamma", help="growth weight q_gamma of a forest")
     p.add_argument("forest")
 
@@ -496,6 +501,19 @@ def _dispatch(args) -> int:
         grid = _grid(path, args.grid, args.flavor, level,
                      args.grid**3 + args.grid**2 * (knots - 2))
         report = check_rough_axioms(lift, cfg, grid)
+        return _emit_report(args, report, report.summary())
+    if cmd == "check-model":
+        path = PiecewiseLinearPath.from_csv(args.path)
+        cfg = RoughPathConfig.make(_gamma(args), "branched")
+        level = args.level if args.level is not None else cfg.level
+        _check_level(level, path.dim, "branched")
+        # per grid triple, the translation and cocycle laws visit 3.4, 5.2 and
+        # 8.2 times the basis pairs of one product at levels 2, 3 and 4 (d = 2):
+        # 5 products; and the Chen chains of the grid^2 values, up to knots - 2
+        # products each
+        grid = _grid(path, args.grid, "branched", level,
+                     5 * args.grid**3 + args.grid**2 * (len(path.times) - 2))
+        report = check_model(model_from_lift(branched_lift_fn(path, level), cfg.gamma), grid)
         return _emit_report(args, report, report.summary())
     if cmd == "qgamma":
         forest = _single_forest(args, args.forest)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .hopf_core import CheckReport
 from .hopf_ck import ck_coproduct, ck_instance, forest_product
-from .linalg import LinComb, TensorComb, accum, bilinear, linear
+from .linalg import LinComb, Scaled, TensorComb, accum, bilinear, bilinear_scaled, linear, outer
 from .roughpath import PiecewiseLinearPath, RoughLift, branched_lift_fn, to_fraction
 from .series import TruncatedElement, is_grouplike
 from .symbols import EMPTY_FOREST, Forest, Interned, forests_up_to, trees
@@ -299,54 +299,136 @@ def model_from_lift(lift: RoughLift, gamma, grid: Sequence | None = None) -> Mod
     return Model(lift=lift, gamma=gamma, level=lift.level)
 
 
+def _gamma_table(lift: RoughLift, grid: list) -> tuple[list, Callable]:
+    """The lift's values on the grid and the structure-group rows they give,
+    in integers.
+
+    X[i][j] is the value at (grid[i], grid[j]) as a ``Scaled`` form, read once
+    through ``RoughLift.eval_scaled``; a float value raises ValueError naming
+    (s, t).  row(i, j, b) is Gamma_st(b) = (X_ts (x) id) Delta b for
+    (s, t) = (grid[i], grid[j]), as unreduced integer numerators over
+    X[j][i].den, built on first use and kept per grid index.  Building it
+    checks X_ts group-like at its first use as a character, as
+    ``Model.character`` does, and raises ModelError as that does for a value
+    off the group or for a grade past the lift level with no value.
+    """
+    level, algebra, unit = lift.level, lift.algebra, lift.algebra.unit
+    cop = ck_instance(lift.dim).coproduct_row
+
+    def exact(s: Fraction, t: Fraction) -> Scaled:
+        x = lift.eval_scaled(s, t)
+        if x is None:
+            raise ValueError(
+                f"exact laws need an exact lift value, not floats, at (s,t)=({s},{t})"
+            )
+        return x
+
+    X = [[exact(s, t) for t in grid] for s in grid]
+    grouplike = [[False] * len(grid) for _ in grid]
+    rows = [[{} for _ in grid] for _ in grid]
+
+    def character(i: int, j: int) -> dict:
+        x = X[i][j]
+        if not grouplike[i][j]:
+            if x.nums.get(unit) != x.den or (
+                algebra.scaled_coproduct(x) != bilinear_scaled(x, x, outer, level)
+            ):
+                raise ModelError("characters come from group-like elements")
+            grouplike[i][j] = True
+        return x.nums
+
+    def row(i: int, j: int, b: Forest) -> dict:
+        image = rows[i][j].get(b)
+        if image is None:
+            g, image = character(j, i), {}
+            for (l, r), c in cop(b):
+                if l in g:
+                    accum(image, r, c * g[l])
+                elif l.grade > level:
+                    raise ModelError(f"character table has no entry for grade {l.grade}")
+            rows[i][j][b] = image
+        return image
+
+    return X, row
+
+
 def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> CheckReport:
-    """Exact verification of the model identities on all grid tuples."""
+    """Exact verification of the model identities on all grid tuples.
+
+    The laws work in integers (``_gamma_table``): each lift value is read
+    once per grid pair as numerators over one denominator, and each Gamma
+    row is an int dict over the denominator of its character, keyed by grid
+    index; the Model's LinComb caches are not read.  Unit evaluation reads
+    the unit's numerator, translation is one integer dot product
+    cross-multiplied with X_st, the cocycle composes rows in integers and
+    compares canonical ``Scaled`` forms, intertwining compares two tensor
+    dicts over one denominator, and grade lowering reads a row's keys and its
+    own coefficient.  A lift value is checked group-like at its first use as
+    a character, so a value off the group raises ModelError; a float lift
+    value raises ValueError naming (s, t).
+    """
     grid = [to_fraction(u) for u in grid]
     max_grade = model.level if max_grade is None else max_grade
     basis = forests_up_to(model.lift.dim, max_grade)
-    ck = ck_instance(model.lift.dim)
+    cop = ck_instance(model.lift.dim).coproduct_row
+    X, row = _gamma_table(model.lift, grid)
+    points = list(enumerate(grid))
     report = CheckReport("model check")
 
     def evaluation_failures():
-        for s in grid:
-            if model.pi(s, LinComb.term(EMPTY_FOREST), grid[0]) != 1:
+        for i, s in points:
+            nums, den = X[i][0]
+            if nums.get(EMPTY_FOREST) != den:
                 yield f"Pi_s 1 != 1 at s={s}"
 
     report.run("unit-evaluation", evaluation_failures())
 
     def translation_failures():
-        # Pi_u Gamma_us = Pi_s, tested coefficient-wise on the basis
-        for s in grid:
-            for u in grid:
-                for t in grid:
+        # Pi_u Gamma_us = Pi_s, tested coefficient-wise on the basis:
+        # <Gamma_us b, X_ut> den_st = X_st(b) den_su den_ut
+        for i, s in points:
+            for k, u in points:
+                for j, t in points:
+                    (ut, den_ut), (st, den_st) = X[k][j], X[i][j]
+                    scale = X[i][k].den * den_ut
                     for b in basis:
-                        lhs = model.pi(u, model.gamma_row(u, s, b), t)
-                        rhs = model.pi(s, LinComb.term(b), t)
-                        if lhs != rhs:
+                        lhs = sum(c * ut.get(f, 0) for f, c in row(k, i, b).items())
+                        if lhs * den_st != st.get(b, 0) * scale:
                             yield f"Pi_u Gamma_us != Pi_s at (s,u,t)=({s},{u},{t}), {b}"
                             return
 
     report.run("evaluation-translation", translation_failures())
 
     def cocycle_failures():
-        for s in grid:
-            for u in grid:
-                for t in grid:
-                    g_su = model.gamma_st(s, u)
+        # Gamma_su Gamma_ut b over den_us den_tu against Gamma_st b over den_ts
+        for i, s in points:
+            for k, u in points:
+                for j, t in points:
+                    scale, den = X[k][i].den * X[j][k].den, X[j][i].den
                     for b in basis:
-                        if g_su(model.gamma_row(u, t, b)) != model.gamma_row(s, t, b):
+                        lhs: dict = {}
+                        for f, c in row(k, j, b).items():
+                            for f2, c2 in row(i, k, f).items():
+                                accum(lhs, f2, c * c2)
+                        if Scaled.of(lhs, scale) != Scaled.of(row(i, j, b), den):
                             yield f"cocycle fails at ({s},{u},{t}) on {b}"
                             return
 
     report.run("cocycle", cocycle_failures())
 
     def intertwining_failures():
-        # Delta Gamma = (Gamma (x) id) Delta
-        for s in grid:
-            for t in grid:
+        # Delta Gamma = (Gamma (x) id) Delta, both sides over den_ts
+        for i, s in points:
+            for j, t in points:
                 for b in basis:
-                    lhs = ck.coproduct(model.gamma_row(s, t, b))
-                    rhs = ck_coproduct(b).map_left(lambda l: model.gamma_row(s, t, l))
+                    lhs: dict = {}
+                    for f, c in row(i, j, b).items():
+                        for lr, c2 in cop(f):
+                            accum(lhs, lr, c * c2)
+                    rhs: dict = {}
+                    for (l, r), c in cop(b):
+                        for f, c2 in row(i, j, l).items():
+                            accum(rhs, (f, r), c * c2)
                     if lhs != rhs:
                         yield f"intertwining fails at ({s},{t}) on {b}"
                         return
@@ -354,11 +436,13 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
     report.run("coproduct-intertwining", intertwining_failures())
 
     def grading_failures():
-        for s in grid:
-            for t in grid:
+        for i, s in points:
+            for j, t in points:
+                den = X[j][i].den
                 for b in basis:
-                    delta = model.gamma_row(s, t, b) - LinComb.term(b)
-                    if any(b2.grade >= b.grade for b2 in delta.support() if b.grade > 0):
+                    image = row(i, j, b)
+                    if b.grade and (image.get(b) != den
+                                    or any(f.grade >= b.grade for f in image if f is not b)):
                         yield f"Gamma does not lower grade at ({s},{t}) on {b}"
                         return
 

@@ -148,6 +148,7 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["check-rough", "{path}"],
         ["convert-lift", "{path}", "--direction", "b2g"],
+        ["check-model", "{path}"],
     ])
     def test_grid_below_two_exit_2(self, capsys, path_csv, argv, grid):
         code, out, err = run(capsys, *(a.format(path=path_csv) for a in argv), "--grid", grid)
@@ -276,13 +277,13 @@ class TestRoughCommands:
         assert err == "error: the exact state at t=0 is outside the floating range\n"
 
     def test_byte_identical_reruns(self, capsys, path_csv):
-        outs = set()
-        for _ in range(2):
-            _, out, _ = run(
-                capsys, "check-rough", path_csv, "--gamma", "2/5", "--grid", "5"
-            )
-            outs.add(out)
-        assert len(outs) == 1
+        for argv in (["check-rough", path_csv, "--gamma", "2/5", "--grid", "5"],
+                     ["check-model", path_csv, "--grid", "5"]):
+            outs = set()
+            for _ in range(2):
+                _, out, _ = run(capsys, *argv)
+                outs.add(out)
+            assert len(outs) == 1, argv
 
 
 class TestCheckJson:
@@ -309,6 +310,19 @@ class TestCheckJson:
         assert text.splitlines()[0] == data["title"]
         assert all(e["ok"] and e["witness"] is None for e in data["laws"])
         assert text.splitlines()[-1].endswith(f"{data['holder_ratio_sup']:.6g}")
+
+    def test_check_model_json(self, capsys, path_csv):
+        argv = ["check-model", path_csv, "--grid", "3", "--level", "2"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        _, text, _ = run(capsys, *argv)
+        data = json.loads(out)
+        assert code == 0 and data["passed"] is True
+        assert text.splitlines()[0] == data["title"] == "model check"
+        assert [e["law"] for e in data["laws"]] == [
+            "unit-evaluation", "evaluation-translation", "cocycle", "coproduct-intertwining",
+            "grade-lowering",
+        ]
+        assert "holder_ratio_sup" not in data
 
 
 class TestSizeGuard:
@@ -481,6 +495,8 @@ class TestSizeGuard:
         ["check-rough", "{path}", "--flavor", "branched", "--grid", "1000000000"],
         ["check-rough", "{path}", "--flavor", "branched", "--gamma", "1/5"],
         ["convert-lift", "{path}", "--direction", "b2g", "--grid", "70"],
+        ["check-model", "{path}", "--grid", "30"],
+        ["check-model", "{path}", "--grid", "1000000000", "--level", "2"],
     ])
     def test_grid_guarded(self, capsys, path_csv, argv):
         # about 3 million Chen-product pairs at grid 40: 4 s of work before the guard
@@ -509,7 +525,8 @@ class TestSizeGuard:
         for argv in (["check-rough", path_csv, "--gamma", "2/5", "--grid", "9", "--flavor",
                       "branched"],
                      ["check-rough", path_csv, "--grid", "9"],
-                     ["convert-lift", path_csv, "--direction", "b2g", "--level", "3"]):
+                     ["convert-lift", path_csv, "--direction", "b2g", "--level", "3"],
+                     ["check-model", path_csv, "--grid", "5"]):
             code, _, _ = run(capsys, *argv)
             assert code == 0, argv
 
@@ -552,6 +569,8 @@ class TestProcessDeterminism:
             ["check-axioms", "--algebra", "gl", "--max-grade", "3", "--samples", "10",
              "--format", "json"],
             ["branched-lift", str(csv), "--level", "3"],
+            ["check-model", str(csv), "--format", "json"],
+            ["check-model", str(csv), "--grid", "3"],
         ]
         for argv in commands:
             outputs = set()
@@ -611,6 +630,7 @@ def _golden_cases() -> dict:
             cases[f"check-rough-{flavor}-{fmt}"] = (
                 ["check-rough", "{path2}", "--flavor", flavor, "--gamma", "2/5", "--grid", "4",
                  *f], 0)
+        cases[f"check-model-{fmt}"] = (["check-model", "{path2}", "--grid", "4", *f], 0)
     cases["exp-gl-float"] = (["exp", "--algebra", "gl", "--float", "--truncation", "3",
                               "[]_1 + 1/3*[]_2"], 0)
     cases["coproduct-ck-float-json"] = (["coproduct", "--algebra", "ck", "--float",

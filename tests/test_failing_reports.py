@@ -2,8 +2,11 @@
 
 ``tests/golden/failing_reports.json`` holds ``to_json()`` of ``check_axioms``
 on broken copies of the five algebras and of ``check_rough_axioms`` on lifts
-with a perturbed level-2 or level-3 term, as the LinComb laws wrote them.  Every law,
-verdict and first witness must stay as pinned.
+with a perturbed level-2 or level-3 term, as the LinComb laws wrote them.  Its
+``check_model`` section holds ``to_json()`` of ``check_model`` on branched
+lifts with one window broken, or the text of the ModelError it raised, as the
+LinComb model laws wrote them.  Every law, verdict, first witness and error
+text must stay as pinned.
 
     python tests/test_failing_reports.py
 
@@ -20,6 +23,7 @@ import pytest
 
 from hopfpath.hopf_core import check_axioms, get_instance
 from hopfpath.linalg import LinComb, TensorComb
+from hopfpath.model_rde import ModelError, check_model, model_from_lift
 from hopfpath.roughpath import (
     PiecewiseLinearPath,
     RoughLift,
@@ -136,6 +140,57 @@ def _rough_name(flavor: str, level: int, late: bool) -> str:
     return f"{flavor}-level{level}-{'late' if late else 'all'}"
 
 
+MODEL_GRID = [Fraction(i, 3) for i in range(4)]
+OTHER = PiecewiseLinearPath.from_knots(
+    [(0, (0, 0)), (Fraction(1, 2), (-1, Fraction(1, 2))), (1, (Fraction(1, 3), -1))]
+)
+# broken windows (s, t) of MODEL_GRID, two of them with t = MODEL_GRID[0]
+WINDOWS = [(Fraction(1, 3), Fraction(2, 3)), (Fraction(0), Fraction(1)),
+           (Fraction(2, 3), Fraction(0)), (Fraction(1), Fraction(0))]
+
+
+def broken_lift(kind: str, window, level: int) -> RoughLift:
+    """The branched lift of PATH with its value on one window replaced: by
+    OTHER's value there for kind "swap" (still group-like, so Chen breaks),
+    by PATH's value plus a single node for "off-group", and not at all for
+    "clean"."""
+    lift, other = branched_lift_fn(PATH, level), branched_lift_fn(OTHER, level)
+
+    def evaluate(s, t):
+        if kind == "clean" or (s, t) != window:
+            return lift.eval(s, t)
+        if kind == "swap":
+            return other.eval(s, t)
+        elt = lift.eval(s, t)
+        return TruncatedElement(elt.value + LinComb.term(Forest.of(_LEAF)), elt.level, elt.algebra)
+
+    return RoughLift("branched", 2, level, evaluate)
+
+
+def model_report(kind: str, window, level: int, max_grade) -> dict:
+    """to_json() of check_model on the broken lift, or {"error": text} of the
+    ModelError it raises."""
+    model = model_from_lift(broken_lift(kind, window, level), Fraction(1, level + 1))
+    try:
+        return check_model(model, MODEL_GRID, max_grade).to_json()
+    except ModelError as exc:
+        return {"error": str(exc)}
+
+
+MODEL_CASES = (
+    [("swap", w, level, max_grade) for w in WINDOWS for level in (2, 3) for max_grade in (None, 2)]
+    + [("off-group", w, level, None) for w in (WINDOWS[0], WINDOWS[3]) for level in (2, 3)]
+    # max_grade past the level: which ModelError comes first
+    + [("swap", WINDOWS[0], 2, 3), ("clean", None, 2, 3), ("clean", None, 3, 4),
+       ("off-group", WINDOWS[0], 2, 3), ("off-group", (Fraction(0), Fraction(0)), 2, 3)]
+)
+
+
+def _model_name(kind: str, window, level: int, max_grade) -> str:
+    where = "" if window is None else f"-({window[0]},{window[1]})"
+    return f"{kind}{where}-level{level}-max{max_grade}"
+
+
 def current_reports() -> dict:
     return {
         "check_axioms": {
@@ -143,6 +198,7 @@ def current_reports() -> dict:
             for algebra in ALGEBRAS for breakage in BREAKAGES
         },
         "check_rough_axioms": {_rough_name(*case): rough_report(*case) for case in ROUGH_CASES},
+        "check_model": {_model_name(*case): model_report(*case) for case in MODEL_CASES},
     }
 
 
@@ -162,6 +218,24 @@ def test_rough_report_pinned(case):
     report = rough_report(*case)
     assert not report["passed"]
     assert report == PINNED["check_rough_axioms"][_rough_name(*case)]
+
+
+@pytest.mark.parametrize("case", MODEL_CASES, ids=lambda c: _model_name(*c))
+def test_model_report_pinned(case):
+    report = model_report(*case)
+    assert "error" in report or not report["passed"]
+    assert report == PINNED["check_model"][_model_name(*case)]
+
+
+def test_model_errors_pinned():
+    # a lift value off the group fails at its first use as a character, and
+    # a grade past the lift level has no character value
+    errors = {name: r["error"] for name, r in PINNED["check_model"].items() if "error" in r}
+    assert errors["off-group-(1/3,2/3)-level2-maxNone"] == (
+        "characters come from group-like elements")
+    assert errors["clean-level2-max3"] == "character table has no entry for grade 3"
+    assert errors["clean-level3-max4"] == "character table has no entry for grade 4"
+    assert errors["off-group-(0,0)-level2-max3"] == "characters come from group-like elements"
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hopfpath.hopf_ck import ck_coproduct
+from hopfpath.hopf_core import CheckReport
+from hopfpath.hopf_ck import ck_coproduct, ck_instance
 from hopfpath.linalg import LinComb, Scaled, TensorComb
 from hopfpath.model_rde import (
     Character,
@@ -16,6 +17,7 @@ from hopfpath.model_rde import (
     _demote_if_huge,
     _exact_picard_step,
     _float_picard_step,
+    _gamma_table,
     _picard_step_coefficients,
     abstract_integration,
     check_model,
@@ -355,6 +357,141 @@ class TestGammaRows:
         model = model_from_lift(LIFT, Fraction(3, 10))
         with pytest.raises(SectorError):
             model.gamma_st(0, Fraction(1, 2))(LinComb.term(DottedForest(dot1, 1)))
+
+
+def reference_check_model(model, grid, max_grade=None) -> CheckReport:
+    """The five model laws on LinComb, through Model.pi and Model.gamma_row:
+    the reference check_model is tested against."""
+    grid = [Fraction(u) for u in grid]
+    max_grade = model.level if max_grade is None else max_grade
+    basis = forests_up_to(model.lift.dim, max_grade)
+    ck = ck_instance(model.lift.dim)
+    report = CheckReport("model check")
+
+    def evaluation_failures():
+        for s in grid:
+            if model.pi(s, LinComb.term(EMPTY_FOREST), grid[0]) != 1:
+                yield f"Pi_s 1 != 1 at s={s}"
+
+    def translation_failures():
+        for s in grid:
+            for u in grid:
+                for t in grid:
+                    for b in basis:
+                        if model.pi(u, model.gamma_row(u, s, b), t) != model.pi(s, LinComb.term(b), t):
+                            yield f"Pi_u Gamma_us != Pi_s at (s,u,t)=({s},{u},{t}), {b}"
+                            return
+
+    def cocycle_failures():
+        for s in grid:
+            for u in grid:
+                for t in grid:
+                    g_su = model.gamma_st(s, u)
+                    for b in basis:
+                        if g_su(model.gamma_row(u, t, b)) != model.gamma_row(s, t, b):
+                            yield f"cocycle fails at ({s},{u},{t}) on {b}"
+                            return
+
+    def intertwining_failures():
+        for s in grid:
+            for t in grid:
+                for b in basis:
+                    lhs = ck.coproduct(model.gamma_row(s, t, b))
+                    rhs = ck_coproduct(b).map_left(lambda l: model.gamma_row(s, t, l))
+                    if lhs != rhs:
+                        yield f"intertwining fails at ({s},{t}) on {b}"
+                        return
+
+    def grading_failures():
+        for s in grid:
+            for t in grid:
+                for b in basis:
+                    delta = model.gamma_row(s, t, b) - LinComb.term(b)
+                    if any(b2.grade >= b.grade for b2 in delta.support() if b.grade > 0):
+                        yield f"Gamma does not lower grade at ({s},{t}) on {b}"
+                        return
+
+    report.run("unit-evaluation", evaluation_failures())
+    report.run("evaluation-translation", translation_failures())
+    report.run("cocycle", cocycle_failures())
+    report.run("coproduct-intertwining", intertwining_failures())
+    report.run("grade-lowering", grading_failures())
+    return report
+
+
+MODEL_GRID = GRID[::2]
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def broken_lifts(draw):
+    """The branched lift of PATH at level 2 or 3 with the value on one window
+    s != t of MODEL_GRID swapped for that of a random second path (group-like, so
+    Chen breaks), or moved off the group by a single node."""
+    level = draw(st.sampled_from((2, 3)))
+    other = branched_lift_fn(PiecewiseLinearPath.from_knots(
+        [(0, (0, 0)), (Fraction(1, 2), (draw(_small), draw(_small))),
+         (1, (draw(_small), draw(_small)))]), level)
+    window = tuple(draw(st.permutations(MODEL_GRID))[:2])
+    off_group = draw(st.integers(0, 4)) == 0
+    base = branched_lift_fn(PATH, level)
+
+    def evaluate(s, t):
+        if (s, t) != window:
+            return base.eval(s, t)
+        if off_group:
+            elt = base.eval(s, t)
+            return TruncatedElement(elt.value + LinComb.term(dot2), level, elt.algebra)
+        return other.eval(s, t)
+
+    return RoughLift("branched", 2, level, evaluate)
+
+
+def _outcome(check, lift, max_grade):
+    try:
+        return check(model_from_lift(lift, Fraction(3, 10)), MODEL_GRID, max_grade).to_json()
+    except ModelError as exc:
+        return {"error": str(exc)}
+
+
+class TestIntegerModelCheck:
+    @given(st.integers(0, len(GRID) - 1), st.integers(0, len(GRID) - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_integer_rows_match_gamma_row_and_struct_action(self, i, j):
+        X, row = _gamma_table(LIFT, GRID)
+        model = model_from_lift(LIFT, Fraction(3, 10))
+        s, t = GRID[i], GRID[j]
+        g = model.character(t, s)
+        for b in forests_up_to(2, 3):
+            back = Scaled(row(i, j, b), X[j][i].den).lincomb()
+            assert back == model.gamma_row(s, t, b) == struct_action(g, LinComb.term(b), "left")
+
+    @given(broken_lifts(), st.sampled_from((None, 1, 2, 3, 4)))
+    @settings(max_examples=25, deadline=None)
+    def test_reports_match_the_lincomb_reference(self, lift, max_grade):
+        assert _outcome(check_model, lift, max_grade) == _outcome(
+            reference_check_model, lift, max_grade)
+
+    def test_model_caches_not_read(self):
+        model = model_from_lift(LIFT, Fraction(3, 10))
+        assert check_model(model, GRID[:3]).passed
+        assert model._characters == {} and model._gamma_rows == {}
+
+    def test_float_lift_value_refused_by_name(self):
+        base = branched_lift_fn(PATH, 2)
+
+        def evaluate(s, t):
+            elt = base.eval(s, t)
+            if (s, t) == (Fraction(1, 4), Fraction(3, 4)):
+                return TruncatedElement(elt.value.scale(1.0), 2, elt.algebra)
+            return elt
+
+        model = model_from_lift(RoughLift("branched", 2, 2, evaluate), Fraction(3, 10))
+        with pytest.raises(ValueError) as exc:
+            check_model(model, GRID)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == (
+            "exact laws need an exact lift value, not floats, at (s,t)=(1/4,3/4)")
 
 
 class TestCompose:
