@@ -12,6 +12,7 @@ Hoffman, "Combinatorics of rooted trees and Hopf algebras", Trans. AMS 2003).
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -151,67 +152,77 @@ def symmetry_factor(f: Forest) -> int:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _sub_forests(f: Forest) -> tuple[tuple[Forest, Forest, int], ...]:
+    """Every split f = left + right into sub-multisets, each once, with the
+    number prod_t binom(m_t, k_t) of ways to pick left's copies of f's trees."""
+    out = []
+    for ks in itertools.product(*(range(m + 1) for _, m in f.items)):
+        left = Forest(tuple((t, k) for (t, _), k in zip(f.items, ks) if k))
+        right = Forest(tuple((t, m - k) for (t, m), k in zip(f.items, ks) if m - k))
+        out.append((left, right, math.prod(map(math.comb, (m for _, m in f.items), ks))))
+    return tuple(out)
+
+
+def _join(tree: Tree, f: Forest) -> Forest:
+    """The canonical forest tree f, by one insertion into f's sorted items."""
+    items = f.items
+    i = bisect.bisect_left(items, tree._key, key=lambda tm: tm[0]._key)
+    if i < len(items) and items[i][0] is tree:
+        items = (*items[:i], (tree, items[i][1] + 1), *items[i + 1 :])
+    else:
+        items = (*items[:i], (tree, 1), *items[i:])
+    return Forest._table.get((items,)) or Forest(items)
+
+
 def _graft_counts(a: Forest, b: Forest) -> dict:
-    """M(z) for every z: the ways to attach each tree of a (copies counted as
-    distinct) to a vertex of b or to its root level that give z."""
-    # b's vertices in preorder, each with the vertices from it up to the root
-    # level, which is vertex 0
-    trees, kids, lineage = [None], [[]], [()]
+    """M(z) for every z, by the placement recursion: the ways to send each
+    tree of a (copies counted as distinct) into a tree of b or to b's root
+    level that give z.
 
-    def walk(tree: Tree, up: int):
-        v = len(trees)
-        trees.append(tree)
-        kids.append([])
-        lineage.append((v, *lineage[up]))
-        kids[up].append(v)
-        for child in tree.children.trees():
-            walk(child, v)
-
-    for tree in b.trees():
-        walk(tree, 0)
-
-    # per distinct tree of a, each multiset of targets with its multinomial weight
-    choices = []
-    for tree, mult in a.items:
-        options = []
-        for targets in itertools.combinations_with_replacement(range(len(trees)), mult):
-            weight = math.factorial(mult)
-            for _, run in itertools.groupby(targets):
-                weight //= math.factorial(len(tuple(run)))
-            options.append((tree, targets, weight))
-        choices.append(options)
-
+    With b empty, a stays at the root level.  Otherwise, with s the first tree
+    of b and b = s rest, each split a = a1 + a2, weighted by the
+    prod_t binom(m_t, k_t) ways to pick a1's copies, sends a1 into s
+    (``_place_tree``) and a2 into the rest, and z joins each tree of the one
+    to each forest of the other.  The placements into one tree are memoized,
+    so products share them."""
+    if not a.items:
+        return {b: 1}
+    if not b.items:
+        return {a: 1}
+    (s, m), rest = b.items[0], b.items[1:]
+    if m > 1:
+        rest = ((s, m - 1),) + rest
+    rest = Forest._table.get((rest,)) or Forest(rest)
     counts: dict = {}
-    for combo in itertools.product(*choices):
-        placed: dict = {}
-        weight = 1
-        for tree, targets, w in combo:
-            weight *= w
-            for v in targets:
-                placed.setdefault(v, []).append(tree)
-
-        # only the vertices on a path from a placement up to the root change
-        touched = set().union(*(lineage[v] for v in placed))
-
-        def build(v: int) -> Tree:
-            if v not in touched:
-                return trees[v]
-            return Tree(trees[v].label, Forest.of(*map(build, kids[v]), *placed.get(v, ())))
-
-        z = Forest.of(*map(build, kids[0]), *placed.get(0, ()))
-        counts[z] = counts.get(z, 0) + weight
+    for a1, a2, w in _sub_forests(a):
+        below = _graft_counts(a2, rest)
+        for t, m1 in _place_tree(a1, s):
+            for z, m2 in below.items():
+                z = _join(t, z)
+                counts[z] = counts.get(z, 0) + w * m1 * m2
     return counts
+
+
+@functools.lru_cache(maxsize=None)
+def _place_tree(a: Forest, tree: Tree) -> tuple[tuple[Tree, int], ...]:
+    """The trees, with counts, from placing the trees of a into tree: a goes
+    into tree's children, and what stays at their root level hangs from
+    tree's root."""
+    return tuple((Tree(tree.label, z), m) for z, m in _graft_counts(a, tree.children).items())
 
 
 @functools.lru_cache(maxsize=None)
 def gl_product(a: Forest, b: Forest) -> LinComb:
     """a * b = sum over forests z of n(z) z, n(z) the coefficient of a (x) b in Delta z.
 
-    Counted grafting gives n(z) = M(z) sigma(z) / (sigma(a) sigma(b)), with M(z)
-    the number of ways to attach each tree of a (copies counted as distinct) to
-    a vertex of b or to its root level that give z, and sigma the symmetry
-    factor: the Connes-Kreimer/Grossman-Larson duality of Panaite (Lett. Math.
-    Phys. 2000) and Hoffman (Trans. AMS 2003).  Terms are in canonical order.
+    Counted grafting gives n(z) = M(z) sigma(z) / (sigma(a) sigma(b)), with
+    sigma the symmetry factor and M(z) the count of ``_graft_counts``'s
+    placement recursion: each tree of a (copies counted as distinct) goes
+    into b's first tree or on to the rest of b, and what reaches the end stays
+    at the root level.  This is the Connes-Kreimer/Grossman-Larson duality of
+    Panaite (Lett. Math. Phys. 2000) and Hoffman (Trans. AMS 2003).  Terms
+    are in canonical order.
     """
     scale = symmetry_factor(a) * symmetry_factor(b)
     counts = _graft_counts(a, b)
@@ -231,27 +242,7 @@ def gl_product_lin(x: LinComb, y: LinComb) -> LinComb:
 @functools.lru_cache(maxsize=None)
 def forest_deconcat(f: Forest) -> TensorComb:
     """Split a forest into ordered pairs of sub-multisets, each pair once."""
-    acc = {}
-    choices = [(tree, mult) for tree, mult in f.items]
-
-    def build(idx: int, left: list, right: list):
-        if idx == len(choices):
-            acc[(Forest(tuple(left)), Forest(tuple(right)))] = Fraction(1)
-            return
-        tree, mult = choices[idx]
-        for k in range(mult + 1):
-            if k:
-                left.append((tree, k))
-            if mult - k:
-                right.append((tree, mult - k))
-            build(idx + 1, left, right)
-            if k:
-                left.pop()
-            if mult - k:
-                right.pop()
-
-    build(0, [], [])
-    return TensorComb(acc, _clean=True)
+    return TensorComb({(l, r): Fraction(1) for l, r, _ in _sub_forests(f)}, _clean=True)
 
 
 def _gl_antipode_factory(d: int):

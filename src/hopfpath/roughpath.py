@@ -416,9 +416,10 @@ def check_rough_axioms(
     """Exact character/Chen/inverse verification plus empirical Hölder ratios.
 
     Every exact law works on the ``Scaled`` forms of the lift's values,
-    read once per (s, t): the identity, group-like, Chen and inverse laws
-    compare canonical forms of both sides, and the character law compares
-    integer numerators.  A float lift value raises ValueError naming (s, t).
+    read once per (s, t), through ``RoughLift.eval_scaled`` when the lift has
+    a scaled evaluator and off ``eval`` otherwise: the identity, group-like,
+    Chen and inverse laws compare canonical forms of both sides, and the
+    character law compares integer numerators.  A float lift value raises ValueError naming (s, t).
     The Hölder ratios read the same forms, one float per coefficient.
     """
     grid = [to_fraction(u) for u in grid]
@@ -433,7 +434,10 @@ def check_rough_axioms(
     one = Scaled.term(algebra.unit)
 
     def scaled(s: Fraction, t: Fraction) -> Scaled:
-        """The lift value X_st as integer numerators over one denominator."""
+        """The lift value X_st as integer numerators over one denominator,
+        from the lift's scaled evaluator when it has one."""
+        if lift._evaluate_scaled is not None:
+            return lift.eval_scaled(s, t)
         elt = lift.eval(s, t)
         if elt.level != level or elt.algebra is not algebra:
             raise ValueError(f"the lift value at (s,t)=({s},{t}) is not in the lift's "

@@ -316,21 +316,43 @@ class TestCountedGrafting:
         gl_product(dot, dot)
         assert gl_product.cache_info().currsize >= 1
 
-    def test_untouched_subtrees_are_reused(self, monkeypatch):
-        # a dot grafted onto the root level or onto vertex k of a ladder of 3
-        # rebuilds only the k vertices on the path up to the root: 0+1+2+3 trees
+    def test_untouched_subtrees_are_reused(self):
+        # the placements of each part of a (1 or the dot) into each subtree
+        # of a ladder of 3 are built once: 2 * 3 misses on a cleared cache
         ladder = t(1, t(2, t(1))).as_forest()
-        built = []
-        real = hopf_ck.Tree
-        monkeypatch.setattr(hopf_ck, "Tree", lambda *a: built.append(a) or real(*a))
+        hopf_ck._place_tree.cache_clear()
         counts = hopf_ck._graft_counts(dot, ladder)
-        assert len(built) == 6
+        info = hopf_ck._place_tree.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 6, 6)
         assert counts == {
             Forest.of(t(1), t(1, t(2, t(1)))): 1,
             Forest.of(t(1, t(1), t(2, t(1)))): 1,
             Forest.of(t(1, t(2, t(1), t(1)))): 1,
             Forest.of(t(1, t(2, t(1, t(1))))): 1,
         }
+        # a second product whose b is a subtree of the ladder adds no miss
+        assert hopf_ck._graft_counts(dot, t(2, t(1)).as_forest()) == {
+            Forest.of(t(1), t(2, t(1))): 1,
+            Forest.of(t(2, t(1), t(1))): 1,
+            Forest.of(t(2, t(1, t(1)))): 1,
+        }
+        assert hopf_ck._place_tree.cache_info().misses == 6
+
+    def test_every_one_letter_pair_against_readback(self):
+        for a in forests_up_to(1, 6):
+            for b in forests_up_to(1, 6 - a.grade):
+                assert list(gl_product(a, b)) == list(gl_readback(a, b, 1))
+
+    def test_repeated_trees_against_readback(self):
+        # the binomial split weights and the (s, m - 1) rest of b only act
+        # where a tree occurs more than once
+        def repeats(f):
+            return any(m > 1 for _, m in f.items)
+
+        for a in forests_up_to(2, 5):
+            for b in forests_up_to(2, 5 - a.grade):
+                if repeats(a) or repeats(b):
+                    assert list(gl_product(a, b)) == list(gl_readback(a, b, 2))
 
 
 class TestForestDeconcat:

@@ -499,6 +499,20 @@ class TestScaledChecks:
         assert failing["group-like"] == "not group-like at (s,t)=(0,1/4); counit 0"
         assert failing["chen"] == "Chen fails on (s,u,t)=(0,1/4,0)"
 
+    @pytest.mark.parametrize("make", [signature_lift, branched_lift_fn])
+    def test_scaled_evaluator_gives_the_report_eval_gives(self, make):
+        # a lift with a scaled evaluator is read through it, not through eval
+        lift = make(PATH_2D, 3)
+        cfg = RoughPathConfig.make(Fraction(2, 5), lift.flavor)
+
+        def unread(s, t):
+            raise AssertionError(f"eval read at ({s},{t})")
+
+        scaled_only = RoughLift(lift.flavor, 2, 3, unread, lift.eval_scaled)
+        report = check_rough_axioms(scaled_only, cfg, GRID)
+        via_eval = RoughLift(lift.flavor, 2, 3, lift.eval)
+        assert report.to_json() == check_rough_axioms(via_eval, cfg, GRID).to_json()
+
     def test_value_outside_the_lift_algebra_raises(self):
         lift = signature_lift(PATH_2D, 3)
         cfg = RoughPathConfig.make(Fraction(2, 5), "geometric")
