@@ -543,7 +543,10 @@ def check_axioms(
 
     Deterministic part: every law on all basis tuples whose total grade stays
     within ``max_grade`` (products and coproducts are graded, so the laws are
-    grade-local).  Randomized part: ``samples`` seeded random combinations.
+    grade-local).  Randomized part: ``samples`` seeded random combinations
+    of basis elements of grade <= max(1, max_grade // 2), multiplied with no
+    grade cap: the triple products reach grade 3 max(1, max_grade // 2), 6
+    at ``max_grade`` 4, past ``max_grade`` for every bound but 3.
     Both sides of each law are computed as ``Scaled`` forms, integer
     numerators over one denominator with the content divided out, so they
     are equal exactly when their canonical forms are.  A float structure

@@ -6,7 +6,10 @@ with a perturbed level-2 or level-3 term, as the LinComb laws wrote them.  Its
 ``check_model`` section holds ``to_json()`` of ``check_model`` on branched
 lifts with one window broken, or the text of the ModelError it raised, as the
 LinComb model laws wrote them.  Every law, verdict, first witness and error
-text must stay as pinned.
+text must stay as pinned.  ``tests/golden/outside_table_reports.json`` holds
+``to_json()`` of ``check_rough_axioms`` on lifts whose values hold a key
+outside the segment table (a foreign letter, or a key past the level), as
+the generic Chen products wrote them; it is not rewritten.
 
     python tests/test_failing_reports.py
 
@@ -36,6 +39,7 @@ from hopfpath.series import TruncatedElement
 from hopfpath.symbols import Forest, Tree, Word
 
 FIXTURE = Path(__file__).parent / "golden" / "failing_reports.json"
+OUTSIDE_FIXTURE = Path(__file__).parent / "golden" / "outside_table_reports.json"
 ALGEBRAS = ("poly", "shuffle", "concat", "ck", "gl")
 
 
@@ -236,6 +240,47 @@ def test_model_errors_pinned():
     assert errors["clean-level2-max3"] == "character table has no entry for grade 3"
     assert errors["clean-level3-max4"] == "character table has no entry for grade 4"
     assert errors["off-group-(0,0)-level2-max3"] == "characters come from group-like elements"
+
+
+_LEAF3 = Tree(3, Forest.of())
+OUTSIDE = {  # (flavor, kind) -> a key outside the level-2 table with d = 2
+    ("geometric", "foreign"): Word((3,)),
+    ("geometric", "past"): Word((1, 2, 1)),
+    ("branched", "foreign"): Forest.of(_LEAF3),
+    ("branched", "past"): Forest.of(Tree(2, Forest.of(_LEAF)), _LEAF),
+}
+OUTSIDE_WINDOWS = {"all": None, "(1/4,3/4)": (Fraction(1, 4), Fraction(3, 4))}
+
+
+def outside_lift(flavor: str, kind: str, window) -> RoughLift:
+    """The level-2 canonical lift of PATH plus 1/3 of a key outside its
+    segment table on every window s != t, or on one window only."""
+    base = (signature_lift if flavor == "geometric" else branched_lift_fn)(PATH, 2)
+    extra = LinComb.term(OUTSIDE[flavor, kind], Fraction(1, 3))
+
+    def evaluate(s, t):
+        elt = base.eval(s, t)
+        if (s == t) if window is None else ((s, t) != window):
+            return elt
+        return TruncatedElement(elt.value + extra, elt.level, elt.algebra)
+
+    return RoughLift(flavor, 2, 2, evaluate)
+
+
+OUTSIDE_CASES = [(flavor, kind, w) for flavor in ("geometric", "branched")
+                 for kind in ("foreign", "past") for w in OUTSIDE_WINDOWS]
+
+
+@pytest.mark.parametrize("case", OUTSIDE_CASES, ids=lambda c: "-".join(c))
+def test_outside_table_report_pinned(case):
+    # the Chen law multiplies such values through scaled_product, and its
+    # verdict and witness stay those of the generic products
+    flavor, kind, window = case
+    cfg = RoughPathConfig.make(Fraction(1, 3), flavor)
+    report = check_rough_axioms(outside_lift(flavor, kind, OUTSIDE_WINDOWS[window]), cfg, GRID)
+    pinned = json.loads(OUTSIDE_FIXTURE.read_text(encoding="utf-8"))
+    assert not report.passed
+    assert report.to_json() == pinned["-".join(case)]
 
 
 if __name__ == "__main__":

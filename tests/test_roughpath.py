@@ -1,5 +1,6 @@
-import math
+import dataclasses
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -564,24 +565,27 @@ def interpolate(times, values, u):
             return tuple(a + (u - t0) / (t1 - t0) * (b - a) for a, b in zip(x0, x1))
 
 
+def window_increments(times, values, s, t):
+    """The increments over the knots between s and t, in the window's order,
+    with positions interpolated here; none when the clamped window is empty."""
+    s, t = (min(max(u, times[0]), times[-1]) for u in (s, t))
+    if s == t:
+        return []
+    lo, hi = sorted((s, t))
+    stops = [s, *sorted((u for u in times if lo < u < hi), reverse=s > t), t]
+    points = [interpolate(times, values, u) for u in stops]
+    return [tuple(q - p for p, q in zip(x0, x1)) for x0, x1 in zip(points, points[1:])]
+
+
 def chain_reference(times, values, flavor, level, s, t):
     """The Chen product of the per-term Fraction closed forms over the knots
     between s and t, with positions interpolated here."""
     make_algebra, segment = FLAVORS[flavor]
     d = len(values[0])
     algebra = make_algebra(d)
-    s, t = (min(max(u, times[0]), times[-1]) for u in (s, t))
-    if s == t:
-        return trunc_one(level, algebra)
-    lo, hi = sorted((s, t))
-    stops = [s, *sorted((u for u in times if lo < u < hi), reverse=s > t), t]
-    acc = None
-    for a, b in zip(stops, stops[1:]):
-        x0, x1 = interpolate(times, values, a), interpolate(times, values, b)
-        elt = TruncatedElement.make(
-            segment(tuple(q - p for p, q in zip(x0, x1)), level, d), level, algebra
-        )
-        acc = elt if acc is None else acc.mul(elt)
+    acc = trunc_one(level, algebra)
+    for increment in window_increments(times, values, s, t):
+        acc = acc.mul(TruncatedElement.make(segment(increment, level, d), level, algebra))
     return acc
 
 
@@ -592,8 +596,10 @@ class TestScaledLifts:
         flavor, d, level = case
         make_algebra, segment = FLAVORS[flavor]
         increment = tuple(data.draw(SCALARS) for _ in range(d))
-        table = roughpath._segment_table(make_algebra(d), flavor, level)
-        got = roughpath._tabled_segment(table, increment).lincomb()
+        algebra = make_algebra(d)
+        table = roughpath._segment_table(algebra, flavor, level)
+        plan = roughpath._chen_plan(algebra, flavor, level)
+        got = plan.scaled(roughpath._tabled_segment(table, increment)).lincomb()
         want = segment(increment, level, d)
         assert list(got) == list(want)
         assert all(type(c) is Fraction for _, c in got)
@@ -610,10 +616,13 @@ class TestScaledLifts:
         flavor, d, level, times, values, s, t = case
         path = PiecewiseLinearPath.from_knots(zip(times, values))
         lift = (signature_lift if flavor == "geometric" else branched_lift_fn)(path, level)
+        keys = roughpath._segment_table(lift.algebra, flavor, level).keys
         for a, b in ((s, t), (t, s)):
             got = lift.eval(a, b)
             want = chain_reference(times, values, flavor, level, a, b)
-            assert got == want and list(got.value) == list(want.value)
+            assert got == want
+            # terms come in basis order, the order of the segment table
+            assert list(got.value.terms) == [k for k in keys if k in got.value.terms]
             assert all(type(c) is Fraction for _, c in got.value)
         for u in (*times, s, t):
             x = path.position(u)
@@ -668,3 +677,127 @@ class TestEvalScaled:
             return TruncatedElement(elt.value.scale(1.0), elt.level, elt.algebra)
 
         assert RoughLift("branched", 2, 2, floaty).eval_scaled(0, 1) is None
+
+
+@st.composite
+def axis_paths(draw):
+    """A lift's flavor, d and level, a path whose pieces are zero, move one
+    coordinate or move all of them, and a window (s, t)."""
+    flavor, d, level = draw(flavor_dim_level())
+    times = draw(
+        st.lists(st.fractions(min_value=0, max_value=4, max_denominator=8),
+                 min_size=2, max_size=6, unique=True)
+    )
+    times.sort()
+    values = [tuple(draw(SCALARS) for _ in range(d))]
+    for _ in times[1:]:
+        kind = draw(st.sampled_from(["zero", "axis", "generic"]))
+        rise = [Fraction(0)] * d
+        if kind == "axis":
+            rise[draw(st.integers(min_value=0, max_value=d - 1))] = draw(SCALARS)
+        elif kind == "generic":
+            rise = [draw(SCALARS) for _ in range(d)]
+        values.append(tuple(x + r for x, r in zip(values[-1], rise)))
+    point = st.one_of(st.sampled_from(times),
+                      st.fractions(min_value=-1, max_value=5, max_denominator=16))
+    return flavor, d, level, times, values, draw(point), draw(point)
+
+
+def scaled_chain_reference(times, values, flavor, level, s, t) -> Scaled:
+    """A fold of ``scaled_product`` over the reference closed forms of the
+    window's pieces."""
+    make_algebra, segment = FLAVORS[flavor]
+    d = len(values[0])
+    algebra = make_algebra(d)
+    acc = Scaled.term(algebra.unit)
+    for increment in window_increments(times, values, s, t):
+        acc = algebra.scaled_product(acc, Scaled.of(segment(increment, level, d).terms), level)
+    return acc
+
+
+@pytest.fixture
+def fresh_algebras(monkeypatch):
+    """The lifts' algebras as copies with empty memos, so that each test
+    starts with no segment table and no Chen plan; calling the fixture's
+    value makes new copies for the lifts made after it."""
+    made: dict = {}
+
+    def copies(make):
+        return lambda d: made.setdefault((make, d), dataclasses.replace(make(d)))
+
+    monkeypatch.setattr(roughpath, "concat_deshuffle_instance", copies(concat_deshuffle_instance))
+    monkeypatch.setattr(roughpath, "gl_instance", copies(gl_instance))
+    return made.clear
+
+
+# each piece moves one coordinate: 1, 2, 3, then 1 again
+AXIS_PATH = PiecewiseLinearPath.from_knots(
+    [(0, (0, 0, 0)), (Fraction(1, 4), (2, 0, 0)), (Fraction(1, 2), (2, Fraction(-1, 3), 0)),
+     (Fraction(3, 4), (2, Fraction(-1, 3), Fraction(5, 2))),
+     (1, (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 2)))]
+)
+
+
+class TestChenPlan:
+    """Multi-piece values multiply on the segment table's positions
+    (``roughpath._ChenPlan``)."""
+
+    @given(axis_paths())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_fold_of_scaled_product(self, case):
+        flavor, d, level, times, values, s, t = case
+        path = PiecewiseLinearPath.from_knots(zip(times, values))
+        lift = (signature_lift if flavor == "geometric" else branched_lift_fn)(path, level)
+        for a, b in ((s, t), (t, s)):
+            want = scaled_chain_reference(times, values, flavor, level, a, b)
+            assert lift.eval_scaled(a, b) == want
+            assert lift.eval(a, b).value == want.lincomb()
+
+    @pytest.mark.parametrize("make", [signature_lift, branched_lift_fn])
+    def test_term_order_does_not_depend_on_earlier_evaluations(self, make, fresh_algebras):
+        window = (Fraction(1, 8), Fraction(7, 8))
+        first = list(make(PATH_2D, 3).eval_scaled(*window).nums)  # on a cold plan
+        fresh_algebras()
+        # other paths and levels first: rows for other supports and grades
+        make(AXIS_PATH, 3).eval(0, 1)
+        make(PiecewiseLinearPath.from_knots([(0, (0, 0)), (1, (0, 1)), (2, (1, 1))]), 3).eval(0, 2)
+        make(PATH_2D, 4).eval(*window)
+        make(PATH_2D, 2).eval(*window)
+        lift = make(PATH_2D, 3)
+        again = list(lift.eval_scaled(*window).nums)
+        keys = roughpath._segment_table(lift.algebra, lift.flavor, 3).keys
+        assert again == first == [k for k in keys if k in first]
+        assert list(lift.eval(*window).value.terms) == first
+
+    @pytest.mark.parametrize("flavor", ["geometric", "branched"])
+    def test_rows_only_for_pairs_of_nonzero_terms(self, flavor, monkeypatch):
+        make_algebra, segment = FLAVORS[flavor]
+        base = make_algebra(3)
+        computed = set()
+
+        def recording(a, b):
+            computed.add((a, b))
+            return base.product_basis(a, b)
+
+        algebra = dataclasses.replace(base, product_basis=recording)
+        name = "concat_deshuffle_instance" if flavor == "geometric" else "gl_instance"
+        monkeypatch.setattr(roughpath, name, lambda d: algebra)
+        level = 3
+        make = signature_lift if flavor == "geometric" else branched_lift_fn
+        lift = make(AXIS_PATH, level)
+        times, values = AXIS_PATH.times, AXIS_PATH.values
+        windows = [(0, 1), (1, 0), (Fraction(1, 8), Fraction(7, 8))]
+        visited = set()  # the pairs of nonzero terms whose grades fit the level
+        for s, u in windows:
+            lift.eval_scaled(s, u)
+            acc = LinComb.term(base.unit)
+            for increment in window_increments(times, values, s, u):
+                piece = segment(increment, level, 3)
+                visited |= {(a, b) for a, _ in acc for b, _ in piece if a.grade + b.grade <= level}
+                acc = base.product(acc, piece, level)
+        assert computed and computed <= visited
+        # no piece after the one moving coordinate 2 moves it again, so an
+        # eager row of the letter 2 would hold a pair whose right term vanishes
+        two = Word((2,)) if flavor == "geometric" else t(2).as_forest()
+        assert (two, two) not in visited
+        assert any(a is two for a, _ in computed)
