@@ -123,6 +123,8 @@ _ENUMERATION_CAP = 10**6
 _TERM_CAP = 10**6
 # most basis pairs the products of lift values on a --grid will visit
 _GRID_CAP = 10**6
+# most Picard steps rde will take, each sample kept in memory
+_STEP_CAP = 10**5
 
 
 def _grade_sizes(kind: str, d: int):
@@ -166,6 +168,15 @@ def _check_size(option: str, level: int, basis: str, kind: str, d: int):
         raise ValueError(
             f"{option} {level} is too large: the {basis} basis up to that grade "
             f"has more than {_BASIS_CAP} elements"
+        )
+
+
+def _check_steps(step: Fraction, start: Fraction, end: Fraction):
+    """Raise ValueError (exit 2) before a solve of more than _STEP_CAP steps."""
+    if step > 0 and end > start and math.ceil((end - start) / step) > _STEP_CAP:
+        raise ValueError(
+            f"--step {step} is too small: the solve up to T={end} takes more than "
+            f"{_STEP_CAP} steps"
         )
 
 
@@ -539,9 +550,11 @@ def _dispatch(args) -> int:
         _check_level(args.level, path.dim, "branched")
         field = VectorField.from_spec(args.field, path.dim)
         end = Fraction(args.T) if args.T is not None else None
+        step = Fraction(args.step)
+        _check_steps(step, path.times[0], path.times[-1] if end is None else end)
         try:
             samples = picard_solve(path, field, Fraction(args.y0), _gamma(args), args.level,
-                                   Fraction(args.step), T=end)
+                                   step, T=end)
         except ModelError as exc:
             _emit_samples(exc.samples)
             raise

@@ -458,10 +458,15 @@ class ScalarField:
     """A scalar function of the solution with derivatives up to some order.
 
     ``derivatives`` is either a finite table [f, f', f'', ...] or a maker
-    function n -> n-th derivative for closed-form fields.
+    function n -> n-th derivative for closed-form fields.  ``coeffs``, when
+    given, are exact polynomial coefficients (ints or Fractions) c_0, c_1, ...
+    of f(y) = sum_k c_k y^k, which the derivatives must agree with; an exact
+    Picard step then reads them instead of the derivatives
+    (``_polynomial_plan``).  None for any other field.
     """
 
-    def __init__(self, derivatives, order: int | None = None, name: str = "f"):
+    def __init__(self, derivatives, order: int | None = None, name: str = "f",
+                 coeffs: Sequence | None = None):
         if callable(derivatives):
             self._maker = derivatives
             self._order = order
@@ -470,6 +475,7 @@ class ScalarField:
             self._maker = lambda n: stack[n]
             self._order = len(stack) - 1 if order is None else order
         self.name = name
+        self.coeffs = None if coeffs is None else tuple(coeffs)
 
     @property
     def order(self) -> int | None:
@@ -494,7 +500,7 @@ def constant_field(c) -> ScalarField:
     def deriv(n):
         return (lambda y: c) if n == 0 else (lambda y: 0)
 
-    return ScalarField(deriv, name=f"const:{c}")
+    return ScalarField(deriv, name=f"const:{c}", coeffs=None if type(c) is float else (c,))
 
 
 def identity_field() -> ScalarField:
@@ -505,7 +511,7 @@ def identity_field() -> ScalarField:
             return lambda y: 1
         return lambda y: 0
 
-    return ScalarField(deriv, name="linear")
+    return ScalarField(deriv, name="linear", coeffs=(0, 1))
 
 
 def polynomial_field(*coeffs) -> ScalarField:
@@ -523,7 +529,9 @@ def polynomial_field(*coeffs) -> ScalarField:
 
         return ev
 
-    return ScalarField(deriv, name="poly:" + ",".join(str(c) for c in coeffs))
+    exact = all(isinstance(c, Fraction) for c in cs)
+    return ScalarField(deriv, name="poly:" + ",".join(str(c) for c in coeffs),
+                       coeffs=cs if exact else None)
 
 
 def sine_field() -> ScalarField:
@@ -625,14 +633,19 @@ def picard_solve(
     against the exact branched lift over the step, which realizes the kernel
     convolution without quadrature.  Each step reads the lift value as
     integer numerators over one denominator (``RoughLift.eval_scaled``).
-    When the state and every derivative value are exact, the step is taken
-    in integers (``_exact_picard_step``): unreduced tree coefficients over
-    one common denominator, one gcd per step, and the same Fraction as the
-    sum of Fraction products.  Otherwise (``_float_picard_step``), and for a
-    lift value with floats, the step has the bits of that sum, with floats as
-    they come.  An exact state that outgrows ``_EXACT_STATE_BITS`` continues
-    as a float.  A ModelError raised during the steps carries the samples
-    computed so far in ``samples``.
+    An exact state meets a field with exact polynomial components
+    (``ScalarField.coeffs``: the const, linear and poly fields) through a plan
+    made once per solve (``_polynomial_plan``): each step is one integer
+    polynomial in the state, evaluated by Horner and reduced by one gcd with
+    a small operand (``_polynomial_step``).  Any other exact field, with the
+    state and every derivative value exact, takes the step in integers
+    (``_exact_picard_step``): unreduced tree coefficients over one common
+    denominator and one gcd per step.  Both give the same Fraction as the sum
+    of Fraction products.  Otherwise (``_float_picard_step``), and for a lift
+    value with floats, the step has the bits of that sum, with floats as they
+    come.  An exact state that outgrows ``_EXACT_STATE_BITS`` continues as a
+    float.  A ModelError raised during the steps carries the samples computed
+    so far in ``samples``.
     """
     gamma = to_fraction(gamma)
     if not 0 < gamma < 1:
@@ -658,6 +671,7 @@ def picard_solve(
     if end > path.times[-1]:
         raise ValueError(f"T={end} is past the last knot of the path, t={path.times[-1]}")
 
+    plan = _polynomial_plan(field, level)
     samples: list[tuple[Fraction, object]] = [(start, y0)]
     s, y = start, y0
     try:
@@ -671,6 +685,8 @@ def picard_solve(
                     elt = lift.eval(s, t)
                     coeffs = _picard_step_coefficients(field, y, level)
                     y_next = sum(c * elt.coeff(f) for f, c in coeffs.items())
+                elif plan is not None and isinstance(y, (int, Fraction)):
+                    y_next = _polynomial_step(plan, y, *scaled)
                 else:
                     y_next = _exact_picard_step(field, y, level, *scaled)
                     if y_next is None:
@@ -795,3 +811,96 @@ def _float_picard_step(field: VectorField, y, level: int, nums: dict, den: int):
         c * (nums.get(f, 0) / den) if type(c) is float else c * Fraction(nums.get(f, 0), den)
         for f, c in _picard_step_coefficients(field, y, level).items()
     )
+
+
+def _polynomial_plan(field: VectorField, level: int) -> tuple | None:
+    """The step coefficients c(tau) of a field with exact polynomial
+    components, as integer polynomials in the state over one common
+    denominator.
+
+    The recursion of ``_picard_step_coefficients`` runs once on integer
+    coefficient lists over unreduced denominators, the derivatives read off
+    ``ScalarField.coeffs``.  Returns (C, rows, top): rows of
+    (forest, ((j, n_j), ...)) with c(forest)(y) = sum_j n_j y^j / C,
+    EMPTY_FOREST -> y among them, and top the highest degree; None when a
+    component has no ``coeffs``.
+    """
+    derivs = []
+    for comp in field.components:
+        if comp.coeffs is None:
+            return None
+        den = math.lcm(*(c.denominator for c in comp.coeffs))
+        poly = [c.numerator * (den // c.denominator) for c in comp.coeffs]
+        while poly and not poly[-1]:
+            poly.pop()
+        row = []
+        for _ in range(level):
+            row.append((poly, den))
+            poly = [j * c for j, c in enumerate(poly)][1:]
+        derivs.append(row)
+
+    def mul(a: list, b: list) -> list:  # trimmed, so the product is too
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, z in enumerate(b):
+                out[i + j] += x * z
+        return out
+
+    on_tree: dict = {}
+    polys: dict = {EMPTY_FOREST: ([0, 1], 1)}
+    for tree, forest, i, k, children in _step_plan(field.dim, level):
+        c, d = derivs[i][k]
+        for child, m, fact in children:
+            c_child, d_child = on_tree.get(child, ([], 1))
+            for _ in range(m):
+                c = mul(c, c_child)
+            d *= d_child**m * fact
+        if c:
+            on_tree[tree] = polys[forest] = c, d
+    C = math.lcm(*(d for _, d in polys.values()))
+    rows = tuple(
+        (forest, tuple((j, n * (C // d)) for j, n in enumerate(c) if n))
+        for forest, (c, d) in polys.items()
+    )
+    return C, rows, max(len(c) for c, _ in polys.values()) - 1
+
+
+def _polynomial_step(plan: tuple, y, nums: dict, den: int) -> Fraction:
+    """The step sum_tau c(tau) X_st(tau) of a polynomial field at an exact
+    state y = p/q, as one integer polynomial in the state.
+
+    With X_st given as integer numerators over den and c(tau) from
+    ``_polynomial_plan``, the step is A(y) / (C den) with small integer
+    coefficients a_j = sum_tau nums[tau] n_j(tau), trimmed to the true degree
+    K, so it is M / (C den q^K) with M = sum_j a_j p^j q^(K-j) by homogeneous
+    Horner.  M = a_K p^K mod q and gcd(p, q) = 1 give gcd(M, q^K) at any
+    prime of q as that of gcd(a_K, q)^K (M = 0 makes q divide a_K), so the
+    gcd that reduces the fraction has one small operand, and the Fraction is
+    built from coprime ints with no second gcd.
+    """
+    C, rows, top = plan
+    a = [0] * (top + 1)
+    for forest, terms in rows:
+        n = nums.get(forest)
+        if n:
+            for j, c in terms:
+                a[j] += n * c
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    p, q = y.numerator, y.denominator
+    K = len(a) - 1
+    M, qk = a[K], 1
+    for j in range(K - 1, -1, -1):
+        qk *= q
+        M = M * p + a[j] * qk
+    g = math.gcd(M, C * den * math.gcd(a[K], q) ** K)
+    return _coprime_fraction(M // g, C * den * qk // g)
+
+
+# n / d from coprime ints with d > 0, without the normalising gcd where Python allows
+if hasattr(Fraction, "_from_coprime_ints"):  # 3.12+
+    _coprime_fraction = Fraction._from_coprime_ints
+elif sys.version_info < (3, 12):
+    _coprime_fraction = functools.partial(Fraction, _normalize=False)
+else:
+    _coprime_fraction = Fraction

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,28 @@ class TestSizeGuard:
         assert code == 2 and out == ""
         assert "level 30 is too large" in err and "1000000" in err
         assert time.process_time() - start < 2
+
+    def test_rde_step_count_exits_at_once(self, capsys, line_csv, path_csv):
+        # 10^8 steps: without the guard this solve runs until memory runs out
+        import time
+
+        from hopfpath.cli import _STEP_CAP, _check_steps
+
+        start = time.process_time()
+        code, out, err = run(capsys, "rde", line_csv, "--step", "1/100000000")
+        assert code == 2 and out == ""
+        assert err == ("error: --step 1/100000000 is too small: the solve up to T=1 takes "
+                       "more than 100000 steps\n")
+        assert time.process_time() - start < 2
+        code, _, err = run(capsys, "rde", path_csv, "--step", "1/1000", "--T", "101")
+        assert code == 2 and "--step 1/1000" in err
+        # exactly the cap passes; the goldens' steps run in test_rde_golden, the README's here
+        _check_steps(Fraction(1, _STEP_CAP), Fraction(0), Fraction(1))
+        with pytest.raises(ValueError, match="--step"):
+            _check_steps(Fraction(1, _STEP_CAP), Fraction(0), Fraction(_STEP_CAP + 1, _STEP_CAP))
+        code, out, _ = run(capsys, "rde", path_csv, "--f", "linear", "--y0", "1", "--gamma",
+                           "0.3", "--level", "4", "--step", "1/100")
+        assert code == 0 and len(out.splitlines()) == 102
 
     def test_check_axioms_sized_by_work(self, capsys):
         # 29,524 words, under the basis cap, but about 1.8 million pairs and triples

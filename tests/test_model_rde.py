@@ -1,8 +1,9 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hopfpath.hopf_core import CheckReport
 from hopfpath.hopf_ck import ck_coproduct, ck_instance
@@ -14,11 +15,14 @@ from hopfpath.model_rde import (
     ScalarField,
     SectorError,
     VectorField,
+    _coprime_fraction,
     _demote_if_huge,
     _exact_picard_step,
     _float_picard_step,
     _gamma_table,
     _picard_step_coefficients,
+    _polynomial_plan,
+    _polynomial_step,
     abstract_integration,
     check_model,
     comodule_coproduct,
@@ -657,10 +661,12 @@ huge_states = st.builds(
 
 
 @st.composite
-def lift_windows(draw, d: int, level: int):
+def lift_windows(draw, d: int, level: int, value=None):
     """The branched lift at ``level`` of a random exact path in dimension d,
-    evaluated on a random exact window s < t inside it."""
-    value = st.fractions(min_value=-2, max_value=2, max_denominator=5)
+    with knot values drawn from ``value``, evaluated on a random exact window
+    s < t inside it."""
+    if value is None:
+        value = st.fractions(min_value=-2, max_value=2, max_denominator=5)
     inner = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=12),
                           max_size=3, unique=True))
     times = sorted({Fraction(0), Fraction(1), *inner})
@@ -738,19 +744,30 @@ class TestStepCoefficients:
         assert coeffs[t(1, t(1), t(1)).as_forest()] == y**4
 
 
+def assert_reduced_equal(got, want):
+    """got is the Fraction want, built with coprime terms and a positive denominator."""
+    assert type(got) is Fraction and type(want) is Fraction and got == want
+    assert math.gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
+
+
 class TestExactStep:
-    """``_exact_picard_step`` against the Fraction chain it replaces."""
+    """The exact steps against the Fraction chain they replace:
+    ``_polynomial_step`` for the const, linear and poly fields, and
+    ``_exact_picard_step``, which takes any exact field."""
 
     @staticmethod
     def check(field, y, level, elt):
         nums, den = Scaled.of(elt.value.terms)
         got = _exact_picard_step(field, y, level, nums, den)
         want = fraction_step(field, y, level, elt)
-        if isinstance(y, float) or field.components[0].name == "sin":
+        plan = _polynomial_plan(field, level)
+        assert (plan is None) == (field.components[0].name == "sin")
+        if isinstance(y, float) or plan is None:
             assert got is None  # a float state or derivative keeps the Fraction-float sum
             assert same_samples([(0, _float_picard_step(field, y, level, nums, den))], [(0, want)])
         else:
             assert type(got) is Fraction and type(want) is Fraction and got == want
+            assert_reduced_equal(_polynomial_step(plan, y, nums, den), want)
 
     @given(picard_cases(), st.data())
     @settings(max_examples=80, deadline=None)
@@ -820,6 +837,132 @@ class TestExactStep:
         assert sol[6] == (Fraction(3, 50), 0.5154639175153405)
         assert type(sol[6][1]) is float
         assert all(type(y) is float for _, y in sol[6:])
+
+
+@st.composite
+def polynomial_cases(draw, states, max_level=5):
+    """A const, linear or poly field with Fraction coefficients, d in 1..3,
+    level in 1..max_level, a state drawn from ``states``, and a lift window
+    of a random path or, with some draws, of a constant one (zero increments:
+    the value is the unit)."""
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    kind = draw(st.sampled_from(("const", "linear", "poly")))
+    if kind == "const":
+        field = constant_field(draw(value))
+    elif kind == "linear":
+        field = identity_field()
+    else:
+        field = polynomial_field(*draw(st.lists(value, min_size=1, max_size=4)))
+    d = draw(st.integers(min_value=1, max_value=3))
+    level = draw(st.integers(min_value=1, max_value=max_level))
+    still = st.just(Fraction(draw(st.integers(-2, 2))))
+    elt = draw(lift_windows(d, level, still) if draw(st.booleans()) else lift_windows(d, level))
+    return VectorField.uniform(field, d), level, draw(states), elt
+
+
+# states p / (2^a 5^b), as the square solve's states are, p of 10^4 bits; a
+# small a leaves q's power of 2 a divisor of a_K for many fields and windows
+decimal_states = st.builds(
+    lambda sign, k, a, b: Fraction(sign * (3**6400 + 2 * k), 2**a * 5**b),
+    st.sampled_from((-1, 1)), st.integers(0, 2**64),
+    st.integers(0, 8) | st.integers(4000, 5000), st.integers(4000, 5000),
+)
+
+
+class TestPolynomialStep:
+    """``_polynomial_step`` against the Fraction chain, and the gcd identity
+    it reduces with."""
+
+    @staticmethod
+    def check(field, level, y, elt):
+        nums, den = Scaled.of(elt.value.terms)
+        got = _polynomial_step(_polynomial_plan(field, level), y, nums, den)
+        assert_reduced_equal(got, fraction_step(field, y, level, elt))
+
+    @given(polynomial_cases(st.integers(-5, 5) | st.fractions(-3, 3, max_denominator=50)))
+    @settings(max_examples=80, deadline=None)
+    def test_int_and_small_states(self, case):
+        self.check(*case)
+
+    @given(polynomial_cases(decimal_states | huge_states, max_level=3))
+    @settings(max_examples=40, deadline=None)
+    def test_huge_states_sharing_primes_with_the_top_coefficient(self, case):
+        self.check(*case)
+
+    def test_state_twos_against_the_top_coefficient(self):
+        # y' = y^2 over (0, 1/2) at level 4 has a_5 = 48 = 2^4 * 3: states over
+        # 2^i 5^4000 for i <= 4 have q's power of 2 dividing a_K, and i > 4 not
+        field = VectorField.from_spec("poly:0,0,1", 1)
+        elt = branched_lift_fn(LINE, 4).eval(0, Fraction(1, 2))
+        for i in range(7):
+            for p in (3**6400 + 2, -(3**6400) - 2, 3):
+                self.check(field, 4, Fraction(p, 2**i * 5**4000), elt)
+
+    def test_a_step_to_zero_from_a_fraction(self):
+        # 1/2 - 1/2 over the unit line: M = 0, and the gcd is the whole denominator
+        field = VectorField.from_spec("const:-1/2", 1)
+        self.check(field, 2, Fraction(1, 2), branched_lift_fn(LINE, 2).eval(0, 1))
+
+    def test_whole_solves_match_the_fraction_chain(self):
+        # the square solve leaves exact arithmetic at t = 3/50; the cubic has
+        # Fraction coefficients; the exact line solve stays exact throughout
+        cubic = polynomial_field(Fraction(1, 2), Fraction(-1, 3), 0, Fraction(-2, 7))
+        cases = ((VectorField.from_spec("poly:0,0,1", 1), Fraction(1, 2), Fraction(1, 100)),
+                 (VectorField((cubic,)), Fraction(1, 3), Fraction(1, 20)),
+                 (VectorField.from_spec("linear", 1), Fraction(1), Fraction(1, 400)))
+        lift = branched_lift_fn(LINE, 4)
+        for field, y0, h in cases:
+            got = picard_solve(LINE, field, y0, Fraction(3, 10), 4, h)
+            want = reference_solve(LINE, field, y0, Fraction(3, 10), 4, h, lift)
+            assert same_samples(got, want)
+        assert type(got[-1][1]) is Fraction
+        square = picard_solve(LINE, cases[0][0], Fraction(1, 2), Fraction(3, 10), 4,
+                              Fraction(1, 100))
+        assert [type(y) for _, y in square[5:7]] == [Fraction, float]
+
+    @given(st.integers(-2**300, 2**300),
+           st.builds(lambda i, j, r: 2**i * 5**j * r, st.integers(0, 40), st.integers(0, 40),
+                     st.integers(1, 2**64)),
+           st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=8),
+           st.builds(lambda i, j, r: 2**i * 5**j * r, st.integers(0, 12), st.integers(0, 12),
+                     st.integers(-2**20, 2**20).filter(bool)),
+           st.integers(1, 10**6), st.integers(1, 10**6))
+    @example(1, 2, [-1], 2, 3, 5)  # M = 0: 1/2 is a root of 2y - 1
+    @example(-3, 4 * 25, [7, 0, 5], 8, 6, 10)
+    @settings(max_examples=200, deadline=None)
+    def test_reduction_identity(self, p, q, low, top, C, den):
+        # gcd(M, C den q^K) = gcd(M, C den gcd(a_K, q)^K) for coprime p, q and
+        # a_K != 0; M = 0 only at a root p/q of A, and then q divides a_K
+        q = q if p else 1
+        g = math.gcd(p, q)
+        while g > 1:
+            p //= g
+            g = math.gcd(p, q)
+        a = low + [top]
+        K = len(a) - 1
+        M = sum(c * p**j * q ** (K - j) for j, c in enumerate(a))
+        assert math.gcd(M, C * den * q**K) == math.gcd(M, C * den * math.gcd(top, q) ** K)
+
+    def test_coprime_fraction(self):
+        for n, d in ((0, 1), (3, 4), (-7, 12), (2**200 + 1, 3**150), (-(3**100), 2**90 * 5)):
+            got, want = _coprime_fraction(n, d), Fraction(n, d)
+            assert type(got) is Fraction and got == want
+            assert (got.numerator, got.denominator) == (n, d)
+            assert hash(got) == hash(want) and str(got) == str(want)
+        if (3, 10) <= sys.version_info[:2] <= (3, 13):
+            assert _coprime_fraction is not Fraction  # not the normalising fallback
+
+    def test_fields_carry_their_exact_coefficients(self):
+        assert constant_field(Fraction(2, 3)).coeffs == (Fraction(2, 3),)
+        assert constant_field(0.5).coeffs is None
+        assert identity_field().coeffs == (0, 1)
+        assert polynomial_field(1, "1/2").coeffs == (1, Fraction(1, 2))
+        assert polynomial_field(1, 0.5).coeffs is None
+        assert sine_field().coeffs is None
+        assert _polynomial_plan(VectorField((identity_field(), sine_field())), 3) is None
+        # a custom exact field keeps the integer-pair step
+        table = ScalarField([lambda y: y * y, lambda y: 2 * y, lambda y: 2, lambda y: 0])
+        assert table.coeffs is None
 
 
 def float_valued(elt):
