@@ -631,8 +631,12 @@ def picard_solve(
     base in closed form (``_picard_step_coefficients``: one pass over trees up
     to ``level``) and advances the state by evaluating those coefficients
     against the exact branched lift over the step, which realizes the kernel
-    convolution without quadrature.  Each step reads the lift value as
-    integer numerators over one denominator (``RoughLift.eval_scaled``).
+    convolution without quadrature.  The steps read the lift values as
+    integer numerators over one denominator from ``RoughLift.steps``: a
+    factory lift walks the knots once, with one value per linear piece and
+    step length, and any other lift is read window by window through
+    ``RoughLift.eval_scaled``.  A lift that is not branched, of another
+    dimension than the path or below ``level`` raises ValueError.
     An exact state meets a field with exact polynomial components
     (``ScalarField.coeffs``: the const, linear and poly fields) through a plan
     made once per solve (``_polynomial_plan``): each step is one integer
@@ -664,6 +668,11 @@ def picard_solve(
             )
     if lift is None:
         lift = branched_lift_fn(path, level)
+    elif lift.flavor != "branched" or lift.dim != path.dim or lift.level < level:
+        raise ValueError(
+            f"the solve needs a branched lift of dim {path.dim} and level >= {level}, "
+            f"got a {lift.flavor} lift of dim {lift.dim} and level {lift.level}"
+        )
     start = path.times[0]
     end = path.times[-1] if T is None else to_fraction(T)
     if end <= start:
@@ -675,12 +684,10 @@ def picard_solve(
     samples: list[tuple[Fraction, object]] = [(start, y0)]
     s, y = start, y0
     try:
-        while s < end:
-            if isinstance(y, float) and not math.isfinite(y):
-                raise ModelError(f"non-finite state at t={float(s)}")
-            t = min(s + step, end)
+        if isinstance(y, float) and not math.isfinite(y):
+            raise ModelError(f"non-finite state at t={float(s)}")
+        for t, scaled in lift.steps(start, step, end):
             try:
-                scaled = lift.eval_scaled(s, t)
                 if scaled is None:  # a lift value with floats
                     elt = lift.eval(s, t)
                     coeffs = _picard_step_coefficients(field, y, level)

@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .hopf_core import (
     CheckEntry,
@@ -157,16 +157,20 @@ class RoughLift:
 
     ``evaluate(s, t)`` gives the value as a TruncatedElement.  A lift that
     can give it as a ``Scaled`` form directly passes ``evaluate_scaled``;
-    otherwise ``eval_scaled`` reads that form off ``eval``.
+    otherwise ``eval_scaled`` reads that form off ``eval``.  A lift that can
+    serve a run of equal steps faster than window by window passes ``walk``,
+    which ``steps`` then calls; it must yield what the window-by-window loop
+    yields.
     """
 
     def __init__(self, flavor: str, dim: int, level: int, evaluate: Callable,
-                 evaluate_scaled: Callable | None = None):
+                 evaluate_scaled: Callable | None = None, walk: Callable | None = None):
         self.flavor = flavor
         self.dim = dim
         self.level = level
         self._evaluate = evaluate
         self._evaluate_scaled = evaluate_scaled
+        self._walk = walk
         self._cache: dict = {}
 
     @property
@@ -190,6 +194,26 @@ class RoughLift:
             return Scaled.of(self.eval(s, t).value.terms)
         except TypeError:
             return None
+
+    def steps(self, start, step, end) -> Iterator[tuple[Fraction, Scaled | None]]:
+        """The windows of equal steps from start to end, lazily: (t, value)
+        for t = min(start + k step, end), k = 1, 2, ..., with value the
+        window's ``eval_scaled`` form from the previous t (start for the
+        first) to t, or None when it holds a float.  Without a walker the
+        windows are read one at a time and in order through ``eval_scaled``.
+        """
+        start, step, end = to_fraction(start), to_fraction(step), to_fraction(end)
+        if step <= 0:
+            raise ValueError("step must be positive")
+        if self._walk is not None:
+            return self._walk(start, step, end)
+        return self._windows(start, step, end)
+
+    def _windows(self, s: Fraction, step: Fraction, end: Fraction):
+        while s < end:
+            t = min(s + step, end)
+            yield t, self.eval_scaled(s, t)
+            s = t
 
     def coeff(self, s, t, basis) -> Fraction:
         return self.eval(s, t).coeff(basis)
@@ -297,8 +321,10 @@ def _segment_table(algebra: HopfInstance, flavor: str, level: int) -> _SegmentTa
         counts: dict = {}  # label counts -> their index
         table_rows = []
         for _, labels, fact in rows:
-            n = tuple(labels.count(i) for i in range(1, d + 1))
-            table_rows.append((counts.setdefault(n, len(counts)), lcm // fact))
+            n = [0] * d
+            for i in labels:
+                n[i - 1] += 1
+            table_rows.append((counts.setdefault(tuple(n), len(counts)), lcm // fact))
         table = memo[(flavor, level)] = _SegmentTable(
             level, tuple(counts), tuple(b for b, _, _ in rows), tuple(table_rows), lcm
         )
@@ -506,7 +532,38 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
             return closed_element(pieces[0])
         return TruncatedElement(chain(pieces).lincomb(), level, algebra)
 
-    return RoughLift(flavor, d, level, evaluate, evaluate_scaled)
+    def walk(start: Fraction, step: Fraction, end: Fraction):
+        """``RoughLift.steps`` with the knots walked once: the times as ints
+        over one common denominator, a piece cursor that only moves forward,
+        and one value per (piece, window length) for the windows inside one
+        piece; a window across knots is the Chen chain of ``increments``."""
+        den = math.lcm(start.denominator, step.denominator, end.denominator,
+                       *(u.denominator for u in times))
+        ticks = [u.numerator * (den // u.denominator) for u in times]
+        first, last = ticks[0], ticks[-1]
+        s, h, e = (u.numerator * (den // u.denominator) for u in (start, step, end))
+        piece = 0
+        inside: dict = {}  # (piece, window length) -> the window's value
+        while s < e:
+            t = min(s + h, e)
+            lo, hi = max(s, first), min(t, last)  # the window clamped to the path
+            if lo >= hi:
+                value = one
+            else:
+                while ticks[piece + 1] <= lo:
+                    piece += 1
+                if hi <= ticks[piece + 1]:
+                    value = inside.get((piece, hi - lo))
+                    if value is None:
+                        u = Fraction(hi - lo, den)
+                        value = inside[piece, hi - lo] = closed_scaled(
+                            tuple(u * v for v in slopes[piece]))
+                else:
+                    value = chain(increments(Fraction(lo, den), Fraction(hi, den)))
+            yield Fraction(t, den), value
+            s = t
+
+    return RoughLift(flavor, d, level, evaluate, evaluate_scaled, walk)
 
 
 def signature_lift(path: PiecewiseLinearPath, level: int) -> RoughLift:

@@ -335,7 +335,10 @@ def multi_indices(d: int, k: int) -> tuple[MultiIndex, ...]:
 def words(d: int, k: int) -> tuple[Word, ...]:
     """All words of length k over {1, ..., d}, canonically ordered."""
     check_dimension(d)
-    return tuple(Word(p) for p in itertools.product(range(1, d + 1), repeat=k))
+    # the letters come as a tuple of ints in 1..d, so a new word needs no normalizing
+    table, build = Word._table, Word._build
+    return tuple(table.get((p,)) or build((p,), letters=p, grade=k)
+                 for p in itertools.product(range(1, d + 1), repeat=k))
 
 
 @functools.lru_cache(maxsize=None)

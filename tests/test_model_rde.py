@@ -39,7 +39,7 @@ from hopfpath.model_rde import (
     struct_action,
     structure_map_witness,
 )
-from hopfpath.roughpath import PiecewiseLinearPath, RoughLift, branched_lift_fn
+from hopfpath.roughpath import PiecewiseLinearPath, RoughLift, branched_lift_fn, signature_lift
 from hopfpath.series import TruncatedElement
 from hopfpath.symbols import EMPTY_FOREST, Forest, Tree, forests_up_to, trees
 
@@ -608,6 +608,21 @@ class TestPicard:
             picard_solve(LINE, vf, Fraction(0), Fraction(3, 10), 3, Fraction(1, 2), T=2)
         sol = picard_solve(LINE, vf, Fraction(0), Fraction(3, 10), 3, Fraction(1, 2), T=1)
         assert sol[-1] == (Fraction(1), Fraction(1))
+
+    def test_a_lift_the_solve_cannot_use_is_refused(self):
+        vf = VectorField.from_spec("linear", 1)
+        want = Fraction(44521, 16384)  # level 4, h = 1/2 on the unit line
+        assert picard_solve(LINE, vf, Fraction(1), Fraction(1, 5), 4, Fraction(1, 2))[-1][1] == want
+        plane = PiecewiseLinearPath.from_knots([(0, (0, 0)), (1, (1, 1))])
+        for lift in (signature_lift(LINE, 4),  # the wrong flavor
+                     branched_lift_fn(LINE, 2),  # below the solve's level
+                     branched_lift_fn(plane, 4)):  # the wrong dimension
+            with pytest.raises(ValueError, match="needs a branched lift of dim 1 and level >= 4"):
+                picard_solve(LINE, vf, Fraction(1), Fraction(1, 5), 4, Fraction(1, 2), lift=lift)
+        # a lift above the level serves the solve
+        sol = picard_solve(LINE, vf, Fraction(1), Fraction(1, 5), 4, Fraction(1, 2),
+                           lift=branched_lift_fn(LINE, 5))
+        assert sol[-1][1] == want
 
     def test_blow_up_keeps_the_samples_so_far(self):
         vf = VectorField.from_spec("poly:0,0,1", 1)

@@ -5,12 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfpath import roughpath
 from hopfpath.hopf_core import concat_deshuffle_instance
 from hopfpath.hopf_ck import gl_instance, phi_hat, phi_kernel_basis
 from hopfpath.linalg import LinComb, Scaled
+from hopfpath.model_rde import VectorField, picard_solve
 from hopfpath.roughpath import (
     KernelConditionError,
     PathError,
@@ -427,6 +428,17 @@ class TestSegmentMemo:
             lift.eval(Fraction(k, 100), Fraction(k + 1, 100))
         assert segment_calls == [(Fraction(1, 100),)]
 
+    def test_an_equal_step_solve_computes_one_segment_and_one_value(self, segment_calls):
+        line = PiecewiseLinearPath.from_knots([(0, (0,)), (1, (1,))])
+        lift = branched_lift_fn(line, 4)
+        sol = picard_solve(line, VectorField.from_spec("linear", 1), Fraction(1),
+                           Fraction(1, 5), 4, Fraction(1, 100), lift=lift)
+        assert len(sol) == 101
+        assert segment_calls == [(Fraction(1, 100),)]
+        windows = list(lift.steps(0, Fraction(1, 100), 1))
+        assert [t for t, _ in windows] == [t for t, _ in sol[1:]]
+        assert all(value is windows[0][1] for _, value in windows)
+
     @pytest.mark.parametrize("make, segment", [
         (branched_lift_fn, roughpath._forest_segment),
         (signature_lift, roughpath._word_segment),
@@ -701,6 +713,63 @@ def axis_paths(draw):
     point = st.one_of(st.sampled_from(times),
                       st.fractions(min_value=-1, max_value=5, max_denominator=16))
     return flavor, d, level, times, values, draw(point), draw(point)
+
+
+@st.composite
+def walks(draw):
+    """A lift's flavor, d and level, a path with zero, axis-aligned and
+    generic pieces, and a walk (start, step, end) with start and end at
+    knots, inside pieces or outside the path, so the last step may be short;
+    the step either lands on a knot past the start after 1 to 4 steps, or is
+    any step up to 6, which may outlast a piece or the whole path."""
+    flavor, d, level, times, values, s, t = draw(axis_paths())
+    assume(s != t)
+    start, end = min(s, t), max(s, t)
+    later = [u for u in times if u > start]
+    if later and draw(st.booleans()):
+        step = (draw(st.sampled_from(later)) - start) / draw(st.integers(min_value=1, max_value=4))
+    else:
+        step = draw(st.fractions(min_value=Fraction(1, 16), max_value=6, max_denominator=16))
+    return flavor, d, level, times, values, start, step, end
+
+
+class TestSteps:
+    """A factory lift's walker yields what the window-by-window loop yields."""
+
+    @given(walks())
+    @settings(max_examples=150, deadline=None)
+    def test_walker_matches_the_window_loop(self, case):
+        flavor, d, level, times, values, start, step, end = case
+        path = PiecewiseLinearPath.from_knots(zip(times, values))
+        lift = (signature_lift if flavor == "geometric" else branched_lift_fn)(path, level)
+        plain = RoughLift(flavor, d, level, lift._evaluate, lift._evaluate_scaled)
+        got, want = list(lift.steps(start, step, end)), list(plain.steps(start, step, end))
+        assert [t for t, _ in got] == [t for t, _ in want]
+        assert all(type(t) is Fraction for t, _ in got)
+        assert [value for _, value in got] == [value for _, value in want]
+        ends, u = [], start
+        while u < end:
+            u = min(u + step, end)
+            ends.append(u)
+        assert [t for t, _ in want] == ends
+        assert want[0][1] == lift.eval_scaled(start, ends[0])
+
+    def test_windows_at_knots_across_knots_and_past_the_path(self):
+        lift = branched_lift_fn(PATH_2D, 3)
+        plain = RoughLift("branched", 2, 3, lift._evaluate, lift._evaluate_scaled)
+        for start, step, end in ((0, Fraction(1, 4), 1), (0, Fraction(3, 8), Fraction(7, 8)),
+                                 (-1, Fraction(1, 2), 2), (0, 5, 1), (-3, 1, -1)):
+            assert list(lift.steps(start, step, end)) == list(plain.steps(start, step, end))
+        assert list(lift.steps(1, Fraction(1, 4), 1)) == []
+        one = Scaled.term(lift.algebra.unit)
+        assert list(lift.steps(2, 1, 3)) == [(Fraction(3), one)]
+
+    @pytest.mark.parametrize("step", [0, Fraction(-1, 4)])
+    def test_step_must_be_positive(self, step):
+        lift = branched_lift_fn(PATH_2D, 2)
+        for lifted in (lift, RoughLift("branched", 2, 2, lift.eval)):
+            with pytest.raises(ValueError, match="step must be positive"):
+                lifted.steps(0, step, 1)
 
 
 def scaled_chain_reference(times, values, flavor, level, s, t) -> Scaled:

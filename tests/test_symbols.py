@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import pickle
 from fractions import Fraction
@@ -158,6 +159,16 @@ class TestParsing:
 class TestEnumeration:
     def test_word_counts(self):
         assert len(words(3, 4)) == 81
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_words_are_the_interned_words_in_product_order(self, d):
+        for k in range(5):
+            got = words(d, k)
+            letters = list(itertools.product(range(1, d + 1), repeat=k))
+            assert [w.letters for w in got] == letters
+            assert all(w.grade == k for w in got)
+            assert all(w is Word(p) for w, p in zip(got, letters))
+            assert words(d, k) == got
 
     def test_multiindex_counts(self):
         assert len(multi_indices(3, 4)) == 15
