@@ -20,6 +20,7 @@ from .linalg import (
     LinComb,
     Scaled,
     TensorComb,
+    _accumulate,
     accum,
     bilinear,
     bilinear_scaled,
@@ -189,38 +190,62 @@ class HopfInstance:
     # -- antipodes ---------------------------------------------------------
 
     def antipode_basis(self, b, side: str = "right") -> LinComb:
-        """Antipode by the reduced-coproduct recursion; memoized per basis element."""
-        key = (b, side)
+        """The recursive antipode of b as a LinComb: ``antipode_row(b, side)``
+        with its ints as Fractions, memoized per basis element and side.  The
+        recursion itself runs on integer rows (see ``antipode_row``)."""
         memo = self.memo("antipode")
-        if key in memo:
-            return memo[key]
-        if b.grade == 0:
-            out = LinComb.term(b)
-        else:
-            red = self.reduced_coproduct(LinComb.term(b))
-            if side == "right":
-                # S h = -h - m(id (x) S) reduced(h)
-                rest = red.fold(
-                    lambda l, r: self.product(LinComb.term(l), self.antipode_basis(r, side))
-                )
-            elif side == "left":
-                rest = red.fold(
-                    lambda l, r: self.product(self.antipode_basis(l, side), LinComb.term(r))
-                )
-            else:
-                raise ValueError(f"unknown antipode side {side!r}")
-            out = -LinComb.term(b) - rest
-        memo[key] = out
+        out = memo.get((b, side))
+        if out is None:
+            row = self.antipode_row(b, side)
+            out = memo[b, side] = LinComb(
+                {k: Fraction(c) if type(c) is int else c for k, c in row}, _clean=True
+            )
         return out
 
     def antipode_row(self, b, side: str = "right") -> tuple:
-        """The terms of ``antipode_basis(b, side)`` as (basis, c) pairs, with an
-        integral c as an int; memoized per basis element and side."""
+        """The recursive antipode of b as (basis, c) pairs, with an integral c
+        as an int; memoized per basis element and side, and a side other
+        than "left" or "right" raises ValueError.
+
+        The reduced-coproduct recursion runs on integer rows: S 1 = 1 and
+        S h = -h - sum c h' S(h'') over the terms c h' (x) h'' of
+        Delta h - 1 (x) h - h (x) 1 for side "right", and -h - sum c S(h') h''
+        for side "left", with products read from ``product_row``.  Each side
+        recurses on its own rows, so the two recursions stay independent of
+        each other and of ``antipode_closed_basis``.  A non-integral structure
+        constant makes coefficients Fractions and a float one floats; each
+        product h' S(h'') is summed before it is scaled by c, so floats round
+        as in the LinComb products that define the recursion.
+        """
         rows = self.memo("antipode_rows")
         row = rows.get((b, side))
         if row is None:
-            row = rows[b, side] = _row(self.antipode_basis(b, side))
+            if side not in ("left", "right"):
+                raise ValueError(f"unknown antipode side {side!r}")
+            row = rows[b, side] = self._antipode_recursion(b, side)
         return row
+
+    def _antipode_recursion(self, b, side: str) -> tuple:
+        """``antipode_row(b, side)`` from the rows of the smaller basis
+        elements, summed by the one accumulation loop of ``linalg``."""
+        if b.grade == 0:
+            return ((b, 1),)
+        product_row, antipode, unit = self._product_rows(), self.antipode_row, self.unit
+        # the coproduct less exactly one 1 (x) b and one b (x) 1
+        units = (((unit, b), 1), ((b, unit), 1))
+        reduced = _accumulate(((self.coproduct_row(b), 1), (units, -1)), False)
+
+        def product(l, r):
+            """l S(r) (right) or S(l) r (left), summed before it is scaled."""
+            if side == "right":
+                parts = ((product_row(l, q), v) for q, v in antipode(r, side))
+            else:
+                parts = ((product_row(p, r), u) for p, u in antipode(l, side))
+            return _accumulate(parts, False).items()
+
+        rest = _accumulate(((product(l, r), c) for (l, r), c in reduced.items()), False)
+        out = _accumulate(((((b, 1),), -1), (rest.items(), -1)), False)  # -b - rest
+        return _row(out.items())
 
     def antipode(self, x: LinComb, side: str = "right") -> LinComb:
         return x.map_basis(lambda b: self.antipode_basis(b, side))
@@ -549,8 +574,14 @@ def check_axioms(
     at ``max_grade`` 4, past ``max_grade`` for every bound but 3.
     Both sides of each law are computed as ``Scaled`` forms, integer
     numerators over one denominator with the content divided out, so they
-    are equal exactly when their canonical forms are.  A float structure
-    constant raises ValueError naming the basis element it lands on.
+    are equal exactly when their canonical forms are.  Each basis pair is
+    multiplied once per check: the unit, associativity and compatibility
+    laws read its product from a memo that lives for this call only, so a
+    later check of another instance multiplies afresh.  The antipode law
+    reads ``antipode_row``, whose recursions run on integer rows; the left
+    and the right recursion and the closed form stay three independent
+    oracles.  A float structure constant raises ValueError naming the basis
+    element it lands on.
     """
     if max_grade < 1:
         raise ValueError("max_grade must be >= 1")
@@ -568,6 +599,13 @@ def check_axioms(
     by_grade = {k: instance.basis(k) for k in range(max_grade + 1)}
     all_basis = [b for k in range(max_grade + 1) for b in by_grade[k]]
     coproducts: dict = {}
+    pairs: dict = {}  # this check's basis pair products, gone when it returns
+
+    def pair(b1, b2) -> Scaled:
+        out = pairs.get((b1, b2))
+        if out is None:
+            out = pairs[b1, b2] = product(term(b1), term(b2))
+        return out
 
     def basis_coproduct(b) -> Scaled:
         out = coproducts.get(b)
@@ -585,7 +623,7 @@ def check_axioms(
     def unit_failures():
         for b in all_basis:
             x = term(b)
-            if product(one, x) != x or product(x, one) != x:
+            if pair(unit, b) != x or pair(b, unit) != x:
                 yield f"unit law fails on {b}"
 
     run("unit", unit_failures())
@@ -620,9 +658,10 @@ def check_axioms(
 
     # associativity on basis triples within the bound
     def assoc_failures():
+        # (b1 b2) b3 and b1 (b2 b3), each a pair product times one basis element
         for b1, b2, b3 in _bounded_triples(by_grade, max_grade):
-            x1, x2, x3 = term(b1), term(b2), term(b3)
-            if product(product(x1, x2), x3) != product(x1, product(x2, x3)):
+            left = linear_scaled(pair(b1, b2), lambda k: rows(k, b3))
+            if left != linear_scaled(pair(b2, b3), lambda k: rows(b1, k)):
                 yield f"associativity fails on ({b1}, {b2}, {b3})"
 
     run("associativity", assoc_failures())
@@ -640,7 +679,7 @@ def check_axioms(
         if coproduct(one) != term((unit, unit)):
             yield "Delta(1) != 1 (x) 1"
         for b1, b2 in _bounded_pairs(by_grade, max_grade):
-            lhs = coproduct(product(term(b1), term(b2)))
+            lhs = coproduct(pair(b1, b2))
             rhs = instance.multiply_tensors(basis_coproduct(b1), basis_coproduct(b2))
             if lhs != rhs:
                 yield f"Delta is not an algebra morphism on ({b1}, {b2})"

@@ -360,8 +360,8 @@ def forests(d: int, k: int) -> tuple[Forest, ...]:
             return
         for idx in range(start, len(pool)):
             t = pool[idx]
-            if t.grade > remaining:
-                continue
+            if t.grade > remaining:  # the pool is sorted by grade first
+                break
             acc.append(t)
             build(remaining - t.grade, idx, acc)
             acc.pop()

@@ -1,8 +1,12 @@
 import dataclasses
+import functools
 import itertools
+import json
 import math
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -653,3 +657,180 @@ class TestScaledLaws:
         assert str(exc.value) == (
             "the exact antipode law cannot use a float structure constant 0.5 on ε"
         )
+
+
+# ---------------------------------------------------------------------------
+# the antipode recursion on rows against the LinComb recursion
+
+
+def antipode_reference(instance: HopfInstance, b, side: str, memo: dict) -> LinComb:
+    """The recursive antipode as LinCombs of Fractions, the arithmetic
+    ``antipode_basis`` used before the recursion ran on rows: each product
+    l S(r) (right) or S(l) r (left) is a LinComb product, folded over the
+    LinComb reduced coproduct and subtracted from -b."""
+    key = (b, side)
+    if key not in memo:
+        if b.grade == 0:
+            out = LinComb.term(b)
+        else:
+            red = instance.reduced_coproduct(LinComb.term(b))
+            if side == "right":
+                rest = red.fold(lambda l, r: instance.product(
+                    LinComb.term(l), antipode_reference(instance, r, side, memo)))
+            else:
+                rest = red.fold(lambda l, r: instance.product(
+                    antipode_reference(instance, l, side, memo), LinComb.term(r)))
+            out = -LinComb.term(b) - rest
+        memo[key] = out
+    return memo[key]
+
+
+_REFERENCE_MEMOS: dict = {}  # instance -> its reference memo, kept across examples
+
+
+def assert_matches_reference(instance: HopfInstance, b, side: str):
+    """antipode_row and antipode_basis list the reference's terms in its
+    order, exact values equal (an integral one as an int in the row), float
+    values bit for bit."""
+    want = list(antipode_reference(instance, b, side, _REFERENCE_MEMOS.setdefault(instance, {})))
+    row = instance.antipode_row(b, side)
+    assert [k for k, _ in row] == [k for k, _ in want]
+    for (_, c), (_, w) in zip(row, want):
+        if type(w) is float:
+            assert type(c) is float and c.hex() == w.hex()
+        else:
+            assert c == w and type(c) is (int if w.denominator == 1 else Fraction)
+    got = list(instance.antipode_basis(b, side))
+    assert [k for k, _ in got] == [k for k, _ in want]
+    assert all(type(c) is type(w) and repr(c) == repr(w) for (_, c), (_, w) in zip(got, want))
+
+
+BROKEN = ("doubled-product-2", "doubled-product-3", "halved-product-2", "halved-product-3",
+          "dropped-coproduct-term-2", "dropped-coproduct-term-3")
+
+
+@functools.lru_cache(maxsize=None)
+def broken_instance(algebra: str, breakage: str) -> HopfInstance:
+    """The broken d = 2 copy the pinned failing reports are written from."""
+    from test_failing_reports import BREAKAGES
+
+    base = get_instance(algebra, 2)
+    return dataclasses.replace(base, **BREAKAGES[breakage](base))
+
+
+@functools.lru_cache(maxsize=None)
+def unit_slot_instance(algebra: str) -> HopfInstance:
+    """The d = 2 algebra with 1 (x) f + f (x) 1 added to the coproduct of
+    every basis element but the first of its grade, f being that first one:
+    subtracting exactly one 1 (x) b and one b (x) 1 leaves both terms in the
+    reduced coproduct."""
+    base = get_instance(algebra, 2)
+
+    def coproduct(b):
+        out = base.coproduct_basis(b)
+        first = base.basis(b.grade)[0]
+        if b.grade and b is not first:
+            out = out + TensorComb({(base.unit, first): 1, (first, base.unit): 1})
+        return out
+
+    return dataclasses.replace(base, coproduct_basis=coproduct)
+
+
+def float_instance() -> HopfInstance:
+    """gl at d = 2 with float constants: every product of two non-units
+    times 0.1, every coproduct term with two non-unit slots times 0.7."""
+    base = get_instance("gl", 2)
+
+    def product(u, v):
+        out = base.product_basis(u, v)
+        return out.scale(0.1) if u.grade and v.grade else out
+
+    def coproduct(b):
+        return TensorComb({lr: c * 0.7 if lr[0].grade and lr[1].grade else c
+                           for lr, c in base.coproduct_basis(b)}, _clean=True)
+
+    return dataclasses.replace(base, product_basis=product, coproduct_basis=coproduct)
+
+
+@st.composite
+def antipode_cases(draw):
+    """One of the five algebras with 1 <= d <= 3, or a broken d = 2 copy of
+    one, and a basis element of grade <= 4."""
+    algebra = draw(st.sampled_from(ALGEBRAS))
+    breakage = draw(st.sampled_from((None, "unit-slot-terms") + BROKEN))
+    if breakage is None:
+        instance = get_instance(algebra, draw(st.integers(1, 3)))
+    elif breakage == "unit-slot-terms":
+        instance = unit_slot_instance(algebra)
+    else:
+        instance = broken_instance(algebra, breakage)
+    return instance, draw(st.sampled_from(instance.basis_up_to(4)))
+
+
+class TestAntipodeRecursion:
+    @given(antipode_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_the_lincomb_recursion(self, case):
+        instance, b = case
+        for side in ("left", "right"):
+            assert_matches_reference(instance, b, side)
+
+    def test_other_unit_slot_terms_stay_in_the_reduced_coproduct(self):
+        instance = unit_slot_instance("concat")
+        for side in ("left", "right"):
+            assert_matches_reference(instance, W(1, 2), side)
+            # the extra 1 (x) 11 + 11 (x) 1 takes S(11) + 11 = 2 * 11 (right) or
+            # 11 + S(11) (left) off the unbroken S(12) = 21
+            want = {W(2, 1): 1, W(1, 1): -2}
+            assert dict(instance.antipode_row(W(1, 2), side)) == want
+
+    def test_halved_products_stay_exact(self):
+        instance = broken_instance("concat", "halved-product-2")
+        b = W(1, 2, 1)
+        assert_matches_reference(instance, b, "right")
+        assert any(type(c) is Fraction for _, c in instance.antipode_row(b))
+
+    def test_float_constants_round_as_the_lincomb_recursion(self):
+        instance = float_instance()
+        for b in instance.basis_up_to(4):
+            for side in ("left", "right"):
+                assert_matches_reference(instance, b, side)
+        # trees are primitive in gl, so only forests of several trees see floats
+        floats = [b for b in instance.basis_up_to(4)
+                  if any(type(c) is float for _, c in instance.antipode_row(b))]
+        assert len(floats) == 70
+
+    @pytest.mark.parametrize("name", ALGEBRAS)
+    def test_unknown_side_rejected_on_every_element(self, name):
+        instance = dataclasses.replace(get_instance(name, 2))
+        for b in instance.basis_up_to(2):
+            with pytest.raises(ValueError, match="unknown antipode side 'middle'"):
+                instance.antipode_basis(b, "middle")
+            with pytest.raises(ValueError, match="unknown antipode side 'middle'"):
+                instance.antipode_row(b, "middle")
+        assert not [key for key in instance.memo("antipode") if key[1] == "middle"]
+        assert not [key for key in instance.memo("antipode_rows") if key[1] == "middle"]
+
+
+def test_pair_memo_lives_for_one_call():
+    # the checks-cold probe's shape: a passing check, then a broken copy in
+    # the same process, which must fail as it does in a fresh process
+    base = concat_deshuffle_instance(2)
+    assert check_axioms(base, 3, samples=30).passed
+    copy = dataclasses.replace(base, product_basis=doubled_product(base))
+    got = check_axioms(copy, 3, samples=30).to_json()
+    script = (
+        "import dataclasses, json\n"
+        "from hopfpath.hopf_core import check_axioms, concat_deshuffle_instance\n"
+        "base = concat_deshuffle_instance(2)\n"
+        "def doubled(u, v):\n"
+        "    out = base.product_basis(u, v)\n"
+        "    return out.scale(2) if u.grade and v.grade else out\n"
+        "copy = dataclasses.replace(base, product_basis=doubled)\n"
+        "print(json.dumps(check_axioms(copy, 3, samples=30).to_json()))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert got == json.loads(result.stdout)
+    laws = {e["law"]: e["ok"] for e in got["laws"]}
+    assert not (laws["associativity"] and laws["compatibility"])

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import json
 import pickle
@@ -360,6 +361,46 @@ def test_forest_enumeration_golden():
     assert {int(k): v for k, v in golden.items()} == {
         k: [str(f) for f in forests(2, k)] for k in range(6)
     }
+
+
+def grade_partitions(k: int, largest: int):
+    """The partitions of k into parts <= largest, as {part: multiplicity}."""
+    if k == 0:
+        yield {}
+        return
+    for g in range(min(k, largest), 0, -1):
+        for m in range(1, k // g + 1):
+            for rest in grade_partitions(k - g * m, g - 1):
+                yield {g: m, **rest}
+
+
+@functools.lru_cache(maxsize=None)
+def brute_forests(d: int, k: int) -> tuple:
+    """Every forest of grade k, by brute force: for each partition of k into
+    tree grades, every choice of a multiset of m trees of grade g for each
+    part g taken m times, each tree a label over a forest of grade g - 1."""
+    if k == 0:
+        return (EMPTY_FOREST,)
+    out = []
+    for parts in grade_partitions(k, k):
+        choices = [
+            itertools.combinations_with_replacement(
+                [Tree(i, f) for f in brute_forests(d, g - 1) for i in range(1, d + 1)], m
+            )
+            for g, m in parts.items()
+        ]
+        for picks in itertools.product(*choices):
+            out.append(Forest.of(*itertools.chain.from_iterable(picks)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d, top", [(2, 6), (3, 4)])
+def test_forests_match_brute_force_enumeration(d, top):
+    for k in range(top + 1):
+        want = brute_forests(d, k)
+        assert len(set(want)) == len(want)
+        assert all(f.grade == k for f in want)
+        assert forests(d, k) == tuple(sorted(want, key=Forest.sort_key))
 
 
 class TestWideAlphabet:
