@@ -34,6 +34,7 @@ from .roughpath import (
     geo_to_branched,
     q_gamma,
     signature_lift,
+    to_fraction,
 )
 from .series import TruncatedElement, bch, exp_trunc, homog_norm, log_trunc
 from .symbols import ParseError, parse_expr
@@ -85,7 +86,7 @@ def _emit_report(args, report, text: str) -> int:
 
 
 def _gamma(args) -> Fraction:
-    return Fraction(args.gamma)
+    return to_fraction(args.gamma)
 
 
 def _grid(path: PiecewiseLinearPath, points: int, flavor: str, level: int,
@@ -495,8 +496,8 @@ def _dispatch(args) -> int:
         _check_level(args.level, path.dim, "geometric" if cmd == "signature" else "branched")
         make = signature_lift if cmd == "signature" else branched_lift_fn
         lift = make(path, args.level)
-        s = Fraction(args.t_from) if args.t_from is not None else path.times[0]
-        t = Fraction(args.t_to) if args.t_to is not None else path.times[-1]
+        s = to_fraction(args.t_from) if args.t_from is not None else path.times[0]
+        t = to_fraction(args.t_to) if args.t_to is not None else path.times[-1]
         _emit(args, lift.eval(s, t).value)
         return 0
     if cmd == "check-rough":
@@ -533,8 +534,8 @@ def _dispatch(args) -> int:
     if cmd == "convert-lift":
         path = PiecewiseLinearPath.from_csv(args.path)
         _check_level(args.level, path.dim, "geometric", "branched")
-        s = Fraction(args.t_from) if args.t_from is not None else path.times[0]
-        t = Fraction(args.t_to) if args.t_to is not None else path.times[-1]
+        s = to_fraction(args.t_from) if args.t_from is not None else path.times[0]
+        t = to_fraction(args.t_to) if args.t_to is not None else path.times[-1]
         if args.direction == "g2b":
             out = geo_to_branched(signature_lift(path, args.level))
         else:
@@ -549,11 +550,11 @@ def _dispatch(args) -> int:
         path = PiecewiseLinearPath.from_csv(args.path)
         _check_level(args.level, path.dim, "branched")
         field = VectorField.from_spec(args.field, path.dim)
-        end = Fraction(args.T) if args.T is not None else None
-        step = Fraction(args.step)
+        end = to_fraction(args.T) if args.T is not None else None
+        step = to_fraction(args.step)
         _check_steps(step, path.times[0], path.times[-1] if end is None else end)
         try:
-            samples = picard_solve(path, field, Fraction(args.y0), _gamma(args), args.level,
+            samples = picard_solve(path, field, to_fraction(args.y0), _gamma(args), args.level,
                                    step, T=end)
         except ModelError as exc:
             _emit_samples(exc.samples)

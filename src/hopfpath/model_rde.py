@@ -304,26 +304,18 @@ def _gamma_table(lift: RoughLift, grid: list) -> tuple[list, Callable]:
     in integers.
 
     X[i][j] is the value at (grid[i], grid[j]) as a ``Scaled`` form, read once
-    through ``RoughLift.eval_scaled``; a float value raises ValueError naming
-    (s, t).  row(i, j, b) is Gamma_st(b) = (X_ts (x) id) Delta b for
-    (s, t) = (grid[i], grid[j]), as unreduced integer numerators over
-    X[j][i].den, built on first use and kept per grid index.  Building it
+    by ``RoughLift.scaled_grid``, which raises ValueError naming (s, t) for a
+    float value or one outside the lift's algebra.  row(i, j, b) is
+    Gamma_st(b) = (X_ts (x) id) Delta b for (s, t) = (grid[i], grid[j]), as
+    unreduced integer numerators over X[j][i].den, built on first use and
+    kept per grid index.  Building it
     checks X_ts group-like at its first use as a character, as
     ``Model.character`` does, and raises ModelError as that does for a value
     off the group or for a grade past the lift level with no value.
     """
     level, algebra, unit = lift.level, lift.algebra, lift.algebra.unit
     cop = ck_instance(lift.dim).coproduct_row
-
-    def exact(s: Fraction, t: Fraction) -> Scaled:
-        x = lift.eval_scaled(s, t)
-        if x is None:
-            raise ValueError(
-                f"exact laws need an exact lift value, not floats, at (s,t)=({s},{t})"
-            )
-        return x
-
-    X = [[exact(s, t) for t in grid] for s in grid]
+    X = lift.scaled_grid(grid)
     grouplike = [[False] * len(grid) for _ in grid]
     rows = [[{} for _ in grid] for _ in grid]
 
@@ -365,7 +357,7 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
     dicts over one denominator, and grade lowering reads a row's keys and its
     own coefficient.  A lift value is checked group-like at its first use as
     a character, so a value off the group raises ModelError; a float lift
-    value raises ValueError naming (s, t).
+    value, or one outside the lift's algebra, raises ValueError naming (s, t).
     """
     grid = [to_fraction(u) for u in grid]
     max_grade = model.level if max_grade is None else max_grade
@@ -555,11 +547,11 @@ class VectorField:
     def from_spec(cls, spec: str, d: int) -> "VectorField":
         if spec.startswith("const"):
             value = spec.split(":", 1)[1] if ":" in spec else "1"
-            return cls.uniform(constant_field(Fraction(value)), d)
+            return cls.uniform(constant_field(to_fraction(value)), d)
         if spec == "linear":
             return cls.uniform(identity_field(), d)
         if spec.startswith("poly:"):
-            coeffs = [Fraction(c) for c in spec.split(":", 1)[1].split(",")]
+            coeffs = [to_fraction(c) for c in spec.split(":", 1)[1].split(",")]
             return cls.uniform(polynomial_field(*coeffs), d)
         if spec == "sin":
             return cls.uniform(sine_field(), d)
@@ -641,15 +633,12 @@ def picard_solve(
     (``ScalarField.coeffs``: the const, linear and poly fields) through a plan
     made once per solve (``_polynomial_plan``): each step is one integer
     polynomial in the state, evaluated by Horner and reduced by one gcd with
-    a small operand (``_polynomial_step``).  Any other exact field, with the
-    state and every derivative value exact, takes the step in integers
-    (``_exact_picard_step``): unreduced tree coefficients over one common
-    denominator and one gcd per step.  Both give the same Fraction as the sum
-    of Fraction products.  Otherwise (``_float_picard_step``), and for a lift
-    value with floats, the step has the bits of that sum, with floats as they
-    come.  An exact state that outgrows ``_EXACT_STATE_BITS`` continues as a
-    float.  A ModelError raised during the steps carries the samples computed
-    so far in ``samples``.
+    a small operand (``_polynomial_step``), the Fraction of the sum of
+    Fraction products.  Every other step, exact or float, and a lift value
+    with floats, has the value and bits of that sum (``_picard_step``), with
+    floats as they come.  An exact state that outgrows ``_EXACT_STATE_BITS``
+    continues as a float.  A ModelError raised during the steps carries the
+    samples computed so far in ``samples``.
     """
     gamma = to_fraction(gamma)
     if not 0 < gamma < 1:
@@ -695,9 +684,7 @@ def picard_solve(
                 elif plan is not None and isinstance(y, (int, Fraction)):
                     y_next = _polynomial_step(plan, y, *scaled)
                 else:
-                    y_next = _exact_picard_step(field, y, level, *scaled)
-                    if y_next is None:
-                        y_next = _float_picard_step(field, y, level, *scaled)
+                    y_next = _picard_step(field, y, level, *scaled)
             except OverflowError:
                 raise ModelError(f"non-finite state at t={float(t)}") from None
             if isinstance(y_next, float) and not math.isfinite(y_next):
@@ -773,47 +760,12 @@ def _picard_step_coefficients(field: VectorField, y, level: int) -> dict:
     return coeffs
 
 
-def _exact_picard_step(field: VectorField, y, level: int, nums: dict, den: int) -> Fraction | None:
-    """The step sum_tau c(tau) X_st(tau) for an exact state, in integers,
-    with the lift value X_st given as integer numerators over den.
-
-    The recursion of ``_picard_step_coefficients`` runs on unreduced
-    (numerator, denominator) pairs, n <- n prod n_c^m and d <- d prod d_c^m m!,
-    with no gcd.  The nonzero terms the lift meets, y among them, go over the
-    lcm L of their denominators, so the step is one Fraction,
-    sum / (L den), with one normalising gcd.  Returns None when y or a
-    derivative value is a float: ``_float_picard_step`` takes those.
-    """
-    try:  # a float has no numerator
-        met = [(y.numerator, y.denominator, nums.get(EMPTY_FOREST, 0))]
-        derivs = [
-            [(v.numerator, v.denominator) for v in (comp.derivative(n)(y) for n in range(level))]
-            for comp in field.components
-        ]
-    except AttributeError:
-        return None
-    on_tree: dict = {}
-    for tree, forest, i, k, children in _step_plan(field.dim, level):
-        n, d = derivs[i][k]
-        for child, m, fact in children:
-            if not n:
-                break
-            n_child, d_child = on_tree.get(child, (0, 1))
-            n, d = n * n_child**m, d * d_child**m * fact
-        if n:
-            on_tree[tree] = n, d
-            met.append((n, d, nums.get(forest, 0)))
-    met = [term for term in met if term[2]]
-    lcm = math.lcm(*(d for _, d, _ in met))
-    return Fraction(sum(n * (lcm // d) * a for n, d, a in met), lcm * den)
-
-
-def _float_picard_step(field: VectorField, y, level: int, nums: dict, den: int):
-    """The step sum_tau c(tau) X_st(tau) when y or a derivative value is a
-    float, with X_st given as integer numerators over den, summed in the
-    order and with the operations of the Fraction/float chain: a float c
-    meets n / den, which rounds as the float of the Fraction n / den does,
-    and an exact c meets that Fraction."""
+def _picard_step(field: VectorField, y, level: int, nums: dict, den: int):
+    """The step sum_tau c(tau) X_st(tau) with X_st given as integer
+    numerators over den, summed in the order and with the operations of the
+    Fraction/float chain: a float c meets n / den, which rounds as the float
+    of the Fraction n / den does, and an exact c meets that Fraction, so an
+    exact state and field give that chain's Fraction."""
     return sum(
         c * (nums.get(f, 0) / den) if type(c) is float else c * Fraction(nums.get(f, 0), den)
         for f, c in _picard_step_coefficients(field, y, level).items()

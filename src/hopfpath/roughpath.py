@@ -49,10 +49,11 @@ from .symbols import (
 def to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, float)):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, float, str)):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:  # a string such as "1/0"
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot convert {x!r} to an exact time/value")
 
 
@@ -100,7 +101,7 @@ class PiecewiseLinearPath:
         knots = []
         for row in rows[1:]:
             cells = [c.strip() for c in row]
-            knots.append((Fraction(cells[0]), tuple(Fraction(c) for c in cells[1:])))
+            knots.append((cells[0], cells[1:]))
         return cls.from_knots(knots)
 
     @property
@@ -157,7 +158,8 @@ class RoughLift:
 
     ``evaluate(s, t)`` gives the value as a TruncatedElement.  A lift that
     can give it as a ``Scaled`` form directly passes ``evaluate_scaled``;
-    otherwise ``eval_scaled`` reads that form off ``eval``.  A lift that can
+    otherwise ``eval_scaled`` reads that form off ``eval``, and
+    ``scaled_grid`` reads it on a grid for the exact checks.  A lift that can
     serve a run of equal steps faster than window by window passes ``walk``,
     which ``steps`` then calls; it must yield what the window-by-window loop
     yields.
@@ -187,13 +189,34 @@ class RoughLift:
 
     def eval_scaled(self, s, t) -> Scaled | None:
         """The value at (s, t) as integer numerators over one denominator,
-        not cached; None when the value holds a float."""
+        not cached; None when the value holds a float.  Without a scaled
+        evaluator it is read off ``eval``, and a value outside the lift's
+        algebra at its level raises ValueError naming (s, t)."""
+        s, t = to_fraction(s), to_fraction(t)
         if self._evaluate_scaled is not None:
-            return self._evaluate_scaled(to_fraction(s), to_fraction(t))
+            return self._evaluate_scaled(s, t)
+        elt = self.eval(s, t)
+        if elt.level != self.level or elt.algebra is not self.algebra:
+            raise ValueError(f"the lift value at (s,t)=({s},{t}) is not in the lift's "
+                             f"algebra at level {self.level}")
         try:
-            return Scaled.of(self.eval(s, t).value.terms)
+            return Scaled.of(elt.value.terms)
         except TypeError:
             return None
+
+    def scaled_grid(self, grid: Sequence[Fraction]) -> list[list[Scaled]]:
+        """X[i][j], the value at (grid[i], grid[j]) from ``eval_scaled``, read
+        once per pair; a float value raises ValueError naming (s, t)."""
+
+        def exact(s: Fraction, t: Fraction) -> Scaled:
+            x = self.eval_scaled(s, t)
+            if x is None:
+                raise ValueError(
+                    f"exact laws need an exact lift value, not floats, at (s,t)=({s},{t})"
+                )
+            return x
+
+        return [[exact(s, t) for t in grid] for s in grid]
 
     def steps(self, start, step, end) -> Iterator[tuple[Fraction, Scaled | None]]:
         """The windows of equal steps from start to end, lazily: (t, value)
@@ -232,7 +255,7 @@ class RoughLift:
 # product of Butcher's tree factorials gamma(t) = |t| gamma(children of t)
 # over the trees of f (Hairer, Lubich & Wanner, Geometric Numerical
 # Integration, ch. III).  A word is the case f! = k!.  The lifts read these
-# from a table (``_segment_table``) in integer form; the two per-term
+# from a table (``_LiftTable``) in integer form; the two per-term
 # Fraction recursions below are the references the tests compare it with.
 
 
@@ -288,51 +311,8 @@ def _node_labels(forest: Forest) -> list[int]:
     return out
 
 
-class _SegmentTable(NamedTuple):
-    """The closed form on a segment, up to a level, as integers.
-
-    ``keys`` lists the basis up to the level in basis order, which runs by
-    grade; the index of an element there is its position.  ``rows`` gives,
-    per position, (j, w): the index j of the element's label counts n in
-    ``counts``, and the weight w = lcm / f!, ``lcm`` being the lcm of the f!
-    (or k!) over the table.  With the increment written as v_i = a_i / Q,
-    the coefficient at a position is prod_i a_i^{n_i} Q^{level - k} w /
-    (Q^level lcm), k = |n|.
-    """
-
-    level: int
-    counts: tuple[tuple[int, ...], ...]
-    keys: tuple
-    rows: tuple[tuple[int, int], ...]
-    lcm: int
-
-
-def _segment_table(algebra: HopfInstance, flavor: str, level: int) -> _SegmentTable:
-    """The table for one (flavor, d, level), built once per algebra."""
-    memo = algebra.memo("segment_table")
-    table = memo.get((flavor, level))
-    if table is None:
-        d = algebra.dim
-        if flavor == "geometric":
-            rows = [(w, w.letters, math.factorial(w.grade)) for w in words_up_to(d, level)]
-        else:
-            rows = [(f, _node_labels(f), _forest_factorial(f)) for f in forests_up_to(d, level)]
-        lcm = math.lcm(*(fact for _, _, fact in rows))
-        counts: dict = {}  # label counts -> their index
-        table_rows = []
-        for _, labels, fact in rows:
-            n = [0] * d
-            for i in labels:
-                n[i - 1] += 1
-            table_rows.append((counts.setdefault(tuple(n), len(counts)), lcm // fact))
-        table = memo[(flavor, level)] = _SegmentTable(
-            level, tuple(counts), tuple(b for b, _, _ in rows), tuple(table_rows), lcm
-        )
-    return table
-
-
 class _Positions(NamedTuple):
-    """An exact combination on a segment table's positions: the integer
+    """An exact combination on a lift table's positions: the integer
     numerators ``nums`` at the ascending positions ``pos``, over ``den``.
     Built by ``_reduced``, with no zero numerator and the content divided
     out, each combination has one form."""
@@ -350,51 +330,73 @@ def _reduced(pos: tuple, nums: list, den: int) -> _Positions:
     return _Positions(pos, [n // g for n in nums], den // g)
 
 
-def _tabled_segment(table: _SegmentTable, increment: tuple[Fraction, ...]) -> _Positions:
-    """The closed form on a segment with this increment, read off the table
-    with one power product per label-count vector."""
-    nums, q = numerators(increment)
-    level = table.level
-    q_powers = [q**e for e in range(level + 1)]
-    powers = [[a**e for e in range(level + 1)] for a in nums]
-    monomials = []
-    for n in table.counts:
-        m = q_powers[level - sum(n)]
-        for p, e in zip(powers, n):
-            m *= p[e]
-        monomials.append(m)
-    pos, out = [], []
-    for i, (j, w) in enumerate(table.rows):
-        m = monomials[j]
-        if m:
-            pos.append(i)
-            out.append(m * w)
-    return _reduced(tuple(pos), out, q_powers[level] * table.lcm)
+class _LiftTable:
+    """The lifts' truncated algebra at one level, on integer positions.
 
+    ``keys`` lists the basis up to the level in basis order, which runs by
+    grade; the index of an element there is its position, and ``ends[r]`` is
+    one past the last position of grade <= r.
 
-class _ChenPlan:
-    """Truncated products on one segment table's positions.
+    ``closed_form`` reads a segment's closed form off ``weights``: per
+    position, (j, w), with j the index of the element's label counts n in
+    ``counts`` and w = lcm / f! (or lcm / k!), ``lcm`` being the lcm of the
+    f! over the table.  With the increment written as v_i = a_i / Q, the
+    coefficient at a position is prod_i a_i^{n_i} Q^{level - k} w /
+    (Q^level lcm), k = |n|.
 
-    For a left position p and the terms of a right operand y that fit p's
-    grade, p's row says where the products of their basis elements land:
-    (ks, outs) for the unit structure constants, k indexing y's terms, and
-    (k, out, c) triples for the others.  The row is computed when a product
-    first meets p with those fitting positions, from ``product_basis`` on
-    the pairs it lists only, and kept under them; so no row holds a pair
-    with a zero term or past the level, and right operands with the same
-    fitting positions, such as the closed forms of a path's generic pieces,
-    share rows.  A product accumulates in one dense list and comes out in
-    table order.  Structure constants must be integers.
+    ``product`` multiplies truncated at the level.  For a left position p and
+    the terms of a right operand y that fit p's grade, p's row says where the
+    products of their basis elements land: (ks, outs) for the unit structure
+    constants, k indexing y's terms, and (k, out, c) triples for the others.
+    The row is computed when a product first meets p with those fitting
+    positions, from ``product_basis`` on the pairs it lists only, and kept
+    under them; so no row holds a pair with a zero term or past the level,
+    and right operands with the same fitting positions, such as the closed
+    forms of a path's generic pieces, share rows.  A product accumulates in
+    one dense list and comes out in table order.  Structure constants must
+    be integers.
     """
 
-    def __init__(self, algebra: HopfInstance, table: _SegmentTable):
-        self.keys, self.level = table.keys, table.level
-        self.index = {b: i for i, b in enumerate(table.keys)}
-        grades = [b.grade for b in table.keys]
-        # ends[r]: one past the last position of grade <= r
-        self.ends = [bisect.bisect_right(grades, r) for r in range(table.level + 1)]
+    def __init__(self, algebra: HopfInstance, level: int):
+        self.level = level
+        self.keys = tuple(b for k in range(level + 1) for b in algebra.basis(k))
+        self.index = {b: i for i, b in enumerate(self.keys)}
+        grades = [b.grade for b in self.keys]
+        self.ends = [bisect.bisect_right(grades, r) for r in range(level + 1)]
+        facts = [math.factorial(b.grade) if isinstance(b, Word) else _forest_factorial(b)
+                 for b in self.keys]
+        self.lcm = math.lcm(*facts)
+        counts: dict = {}  # label counts -> their index
+        weights = []
+        for b, fact in zip(self.keys, facts):
+            n = [0] * algebra.dim
+            for i in b.letters if isinstance(b, Word) else _node_labels(b):
+                n[i - 1] += 1
+            weights.append((counts.setdefault(tuple(n), len(counts)), self.lcm // fact))
+        self.counts, self.weights = tuple(counts), tuple(weights)
         self.product_basis = algebra.product_basis
         self.rows: dict = {}  # the fitting positions of a right operand -> {p: row}
+
+    def closed_form(self, increment: tuple[Fraction, ...]) -> _Positions:
+        """The closed form on a segment with this increment, with one power
+        product per label-count vector."""
+        nums, q = numerators(increment)
+        level = self.level
+        q_powers = [q**e for e in range(level + 1)]
+        powers = [[a**e for e in range(level + 1)] for a in nums]
+        monomials = []
+        for n in self.counts:
+            m = q_powers[level - sum(n)]
+            for p, e in zip(powers, n):
+                m *= p[e]
+            monomials.append(m)
+        pos, out = [], []
+        for i, (j, w) in enumerate(self.weights):
+            m = monomials[j]
+            if m:
+                pos.append(i)
+                out.append(m * w)
+        return _reduced(tuple(pos), out, q_powers[level] * self.lcm)
 
     def product(self, x: _Positions, y: _Positions) -> _Positions:
         """The product x y truncated at the level."""
@@ -435,7 +437,7 @@ class _ChenPlan:
                 elif type(c) is Fraction and c.denominator == 1:
                     others.append((k, index[b], c.numerator))
                 else:
-                    raise TypeError(f"a Chen plan needs integral structure constants, "
+                    raise TypeError(f"a lift table needs integral structure constants, "
                                     f"got {c} on {b}")
         return tuple(ks), tuple(outs), tuple(others)
 
@@ -456,13 +458,13 @@ class _ChenPlan:
         return _Positions(tuple(p for p, _ in terms), [n for _, n in terms], x.den)
 
 
-def _chen_plan(algebra: HopfInstance, flavor: str, level: int) -> _ChenPlan:
-    """The plan on the segment table of (flavor, level), built once per algebra."""
-    memo = algebra.memo("chen_plan")
-    plan = memo.get((flavor, level))
-    if plan is None:
-        plan = memo[(flavor, level)] = _ChenPlan(algebra, _segment_table(algebra, flavor, level))
-    return plan
+def _lift_table(algebra: HopfInstance, level: int) -> _LiftTable:
+    """The table of one level, built once per algebra."""
+    memo = algebra.memo("lift_table")
+    table = memo.get(level)
+    if table is None:
+        table = memo[level] = _LiftTable(algebra, level)
+    return table
 
 
 def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLift:
@@ -470,8 +472,7 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
         raise ValueError("lift level must be >= 1")
     d = path.dim
     algebra = concat_deshuffle_instance(d) if flavor == "geometric" else gl_instance(d)
-    table = _segment_table(algebra, flavor, level)
-    plan = _chen_plan(algebra, flavor, level)
+    table = _lift_table(algebra, level)
     one = Scaled.term(algebra.unit)
     times, values = path.times, path.values
     # per linear piece: the increment over all of it, and its slope
@@ -495,29 +496,21 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
                tuple(tail * v for v in slopes[last])]
         return out if s < t else [tuple(-x for x in rise) for rise in reversed(out)]
 
-    # memoized per lift by increment: equal steps on one linear piece share it
-    @functools.lru_cache(maxsize=None)
-    def closed_form(increment: tuple[Fraction, ...]) -> _Positions:
-        return _tabled_segment(table, increment)
-
-    # and so do its Scaled form and the element a window inside one piece returns
-    @functools.lru_cache(maxsize=None)
-    def closed_scaled(increment: tuple[Fraction, ...]) -> Scaled:
-        return plan.scaled(closed_form(increment))
+    # memoized per lift by increment: equal steps on one linear piece share
+    # the positions, and a window inside one piece returns one element
+    closed_form = functools.lru_cache(maxsize=None)(table.closed_form)
 
     @functools.lru_cache(maxsize=None)
     def closed_element(increment: tuple[Fraction, ...]) -> TruncatedElement:
-        return TruncatedElement(closed_scaled(increment).lincomb(), level, algebra)
+        return TruncatedElement(table.scaled(closed_form(increment)).lincomb(), level, algebra)
 
     def chain(pieces: list[tuple[Fraction, ...]]) -> Scaled:
         """The Chen product of the pieces' closed forms, on the table's
         positions, with one Scaled form built at the end."""
-        if len(pieces) == 1:
-            return closed_scaled(pieces[0])
         acc = closed_form(pieces[0])
         for increment in pieces[1:]:
-            acc = plan.product(acc, closed_form(increment))
-        return plan.scaled(acc)
+            acc = table.product(acc, closed_form(increment))
+        return table.scaled(acc)
 
     def evaluate_scaled(s: Fraction, t: Fraction) -> Scaled:
         pieces = increments(s, t)
@@ -556,8 +549,8 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
                     value = inside.get((piece, hi - lo))
                     if value is None:
                         u = Fraction(hi - lo, den)
-                        value = inside[piece, hi - lo] = closed_scaled(
-                            tuple(u * v for v in slopes[piece]))
+                        value = inside[piece, hi - lo] = chain(
+                            [tuple(u * v for v in slopes[piece])])
                 else:
                     value = chain(increments(Fraction(lo, den), Fraction(hi, den)))
             yield Fraction(t, den), value
@@ -598,14 +591,14 @@ def check_rough_axioms(
     """Exact character/Chen/inverse verification plus empirical Hölder ratios.
 
     Every exact law works on the ``Scaled`` forms of the lift's values,
-    read once per (s, t), through ``RoughLift.eval_scaled`` when the lift has
-    a scaled evaluator and off ``eval`` otherwise: the identity, group-like,
-    Chen and inverse laws compare canonical forms of both sides, and the
-    character law compares integer numerators.  The Chen products run on the
-    segment table's positions, through the plan the lifts use; a value
-    holding a key outside the table is multiplied by ``scaled_product``.
-    A float lift value raises ValueError naming (s, t).
-    The Hölder ratios read the same forms, one float per coefficient.
+    read once per (s, t) by ``RoughLift.scaled_grid``, which raises
+    ValueError naming (s, t) for a float value or one outside the lift's
+    algebra: the identity, group-like, Chen and inverse laws compare
+    canonical forms of both sides, and the character law compares integer
+    numerators.  The Chen products run on the positions of the lifts' table
+    (``_LiftTable``); a value holding a key outside the table is multiplied
+    by ``scaled_product``.  The Hölder ratios read the same forms, one float
+    per coefficient.
     """
     grid = [to_fraction(u) for u in grid]
     if len(grid) < 3:
@@ -618,24 +611,7 @@ def check_rough_axioms(
     algebra = lift.algebra
     one = Scaled.term(algebra.unit)
 
-    def scaled(s: Fraction, t: Fraction) -> Scaled:
-        """The lift value X_st as integer numerators over one denominator,
-        from the lift's scaled evaluator when it has one."""
-        if lift._evaluate_scaled is not None:
-            return lift.eval_scaled(s, t)
-        elt = lift.eval(s, t)
-        if elt.level != level or elt.algebra is not algebra:
-            raise ValueError(f"the lift value at (s,t)=({s},{t}) is not in the lift's "
-                             f"algebra at level {level}")
-        try:
-            return Scaled.of(elt.value.terms)
-        except TypeError:
-            raise ValueError(
-                f"exact laws need an exact lift value, not floats, at (s,t)=({s},{t})"
-            ) from None
-
-    # X[i][j] is the value at (grid[i], grid[j]), read once
-    X = [[scaled(s, t) for t in grid] for s in grid]
+    X = lift.scaled_grid(grid)
     points = list(enumerate(grid))
 
     def identity_failures():
@@ -686,13 +662,13 @@ def check_rough_axioms(
 
     # a value holding a key outside the table has no positions: its
     # products go through scaled_product
-    plan = _chen_plan(algebra, lift.flavor, level)
-    P = [[plan.positions(x) for x in row] for row in X]
+    table = _lift_table(algebra, level)
+    P = [[table.positions(x) for x in row] for row in X]
 
     def chen_holds(i: int, j: int, k: int) -> bool:
         if P[i][j] is None or P[j][k] is None:
             return algebra.scaled_product(X[i][j], X[j][k], level) == X[i][k]
-        return plan.product(P[i][j], P[j][k]) == P[i][k]
+        return table.product(P[i][j], P[j][k]) == P[i][k]
 
     def chen_failures():
         for i, s in points:

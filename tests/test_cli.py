@@ -145,6 +145,28 @@ class TestErrors:
         code, _, err = run(capsys, "signature", "/nonexistent/x.csv")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("argv, text", [
+        (["qgamma", "[]_1", "--gamma", "1/0"], "1/0"),
+        (["check-rough", "{path}", "--gamma", "1/0"], "1/0"),
+        (["rde", "{path}", "--y0", "1/0"], "1/0"),
+        (["rde", "{path}", "--step", "1/0"], "1/0"),
+        (["rde", "{path}", "--T", "3/0"], "3/0"),
+        (["rde", "{path}", "--f", "const:1/0"], "1/0"),
+        (["rde", "{path}", "--f", "poly:1,2/0"], "2/0"),
+        (["signature", "{path}", "--from", "1/0"], "1/0"),
+        (["signature", "{knot_time}"], "1/0"),
+        (["signature", "{knot_value}"], "2/0"),
+    ])
+    def test_zero_denominator_exit_2(self, capsys, tmp_path, path_csv, argv, text):
+        knot_time, knot_value = tmp_path / "time.csv", tmp_path / "value.csv"
+        knot_time.write_text("t,x1\n0,0\n1/0,1\n")
+        knot_value.write_text("t,x1\n0,0\n1,2/0\n")
+        argv = [a.format(path=path_csv, knot_time=knot_time, knot_value=knot_value)
+                for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: zero denominator in '{text}'\n"
+
     @pytest.mark.parametrize("grid", ["0", "1", "-3"])
     @pytest.mark.parametrize("argv", [
         ["check-rough", "{path}"],

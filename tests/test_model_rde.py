@@ -17,9 +17,8 @@ from hopfpath.model_rde import (
     VectorField,
     _coprime_fraction,
     _demote_if_huge,
-    _exact_picard_step,
-    _float_picard_step,
     _gamma_table,
+    _picard_step,
     _picard_step_coefficients,
     _polynomial_plan,
     _polynomial_step,
@@ -766,22 +765,19 @@ def assert_reduced_equal(got, want):
 
 
 class TestExactStep:
-    """The exact steps against the Fraction chain they replace:
-    ``_polynomial_step`` for the const, linear and poly fields, and
-    ``_exact_picard_step``, which takes any exact field."""
+    """The steps against the Fraction chain: ``_picard_step``, which takes
+    every field, and ``_polynomial_step`` for the const, linear and poly
+    fields at an exact state."""
 
     @staticmethod
     def check(field, y, level, elt):
         nums, den = Scaled.of(elt.value.terms)
-        got = _exact_picard_step(field, y, level, nums, den)
         want = fraction_step(field, y, level, elt)
+        # the same type and value: a Fraction for an exact state and field
+        assert same_samples([(0, _picard_step(field, y, level, nums, den))], [(0, want)])
         plan = _polynomial_plan(field, level)
         assert (plan is None) == (field.components[0].name == "sin")
-        if isinstance(y, float) or plan is None:
-            assert got is None  # a float state or derivative keeps the Fraction-float sum
-            assert same_samples([(0, _float_picard_step(field, y, level, nums, den))], [(0, want)])
-        else:
-            assert type(got) is Fraction and type(want) is Fraction and got == want
+        if plan is not None and not isinstance(y, float):
             assert_reduced_equal(_polynomial_step(plan, y, nums, den), want)
 
     @given(picard_cases(), st.data())
@@ -838,6 +834,22 @@ class TestExactStep:
             want = reference_solve(LINE, field, y0, Fraction(3, 10), 4, Fraction(1, 8),
                                    branched_lift_fn(LINE, 4))
             assert same_samples(got, want)
+
+    def test_an_exact_field_with_no_polynomial_takes_the_fraction_chain(self):
+        # f(y) = 1/(1+y) as a table of exact derivatives (-1)^n n! / (1+y)^(n+1)
+        table = [lambda y, n=n: Fraction((-1) ** n * math.factorial(n)) / (1 + y) ** (n + 1)
+                 for n in range(4)]
+        field = VectorField((ScalarField(table, name="1/(1+y)"),))
+        assert _polynomial_plan(field, 4) is None
+        path = PiecewiseLinearPath.from_knots([(0, (0,)), (Fraction(1, 2), (Fraction(1, 3),)),
+                                               (1, (Fraction(-1, 4),))])
+        # three steps, the middle one across the knot; the state gains about
+        # eightfold bits per step, and the last stays below the bit cap
+        got = picard_solve(path, field, Fraction(1, 2), Fraction(1, 4), 4, Fraction(1, 3))
+        want = reference_solve(path, field, Fraction(1, 2), Fraction(1, 4), 4, Fraction(1, 3),
+                               branched_lift_fn(path, 4))
+        assert len(got) == 4 and same_samples(got, want)
+        assert all(type(y) is Fraction for _, y in got)
 
     def test_exact_to_float_switch(self):
         # y' = y^2 from 1/2: five exact states, then the first past the bit cap

@@ -11,7 +11,7 @@ from hopfpath import roughpath
 from hopfpath.hopf_core import concat_deshuffle_instance
 from hopfpath.hopf_ck import gl_instance, phi_hat, phi_kernel_basis
 from hopfpath.linalg import LinComb, Scaled
-from hopfpath.model_rde import VectorField, picard_solve
+from hopfpath.model_rde import VectorField, check_model, model_from_lift, picard_solve
 from hopfpath.roughpath import (
     KernelConditionError,
     PathError,
@@ -413,13 +413,13 @@ class TestSegmentMemo:
     def segment_calls(self, monkeypatch):
         """Record the increments the lifts ask the segment closed forms for."""
         calls = []
-        real = roughpath._tabled_segment
+        real = roughpath._LiftTable.closed_form
 
         def counting(table, increment):
             calls.append(increment)
             return real(table, increment)
 
-        monkeypatch.setattr(roughpath, "_tabled_segment", counting)
+        monkeypatch.setattr(roughpath._LiftTable, "closed_form", counting)
         return calls
 
     def test_equal_steps_on_a_line_compute_one_segment(self, segment_calls):
@@ -532,6 +532,20 @@ class TestScaledChecks:
         with pytest.raises(ValueError, match=r"at \(s,t\)=\(0,0\) is not in the lift's algebra"):
             check_rough_axioms(RoughLift("geometric", 2, 2, lift.eval), cfg, GRID)
 
+    def test_every_grid_reader_raises_for_a_value_outside_the_lift_algebra(self):
+        # eval_scaled holds the guard, so the model check and the kernel scan
+        # raise what check_rough_axioms raises
+        lift = branched_lift_fn(PATH_2D, 3)
+        wrong = RoughLift("branched", 2, 2, lift.eval)
+        cfg = RoughPathConfig.make(Fraction(2, 5), "branched")
+        message = r"^the lift value at \(s,t\)=\(0,0\) is not in the lift's algebra at level 2$"
+        with pytest.raises(ValueError, match=message):
+            check_rough_axioms(wrong, cfg, GRID)
+        with pytest.raises(ValueError, match=message):
+            check_model(model_from_lift(wrong, cfg.gamma), GRID)
+        with pytest.raises(ValueError, match=message):
+            kernel_condition_witness(wrong, GRID)
+
 
 # zero, small, negative and large-denominator increments and knot values
 SCALARS = st.one_of(
@@ -608,19 +622,29 @@ class TestScaledLifts:
         flavor, d, level = case
         make_algebra, segment = FLAVORS[flavor]
         increment = tuple(data.draw(SCALARS) for _ in range(d))
-        algebra = make_algebra(d)
-        table = roughpath._segment_table(algebra, flavor, level)
-        plan = roughpath._chen_plan(algebra, flavor, level)
-        got = plan.scaled(roughpath._tabled_segment(table, increment)).lincomb()
+        table = roughpath._lift_table(make_algebra(d), level)
+        got = table.scaled(table.closed_form(increment)).lincomb()
         want = segment(increment, level, d)
         assert list(got) == list(want)
         assert all(type(c) is Fraction for _, c in got)
 
     def test_table_lives_in_the_algebra_memo(self):
         algebra = gl_instance(2)
-        table = roughpath._segment_table(algebra, "branched", 3)
-        assert algebra.memo("segment_table")[("branched", 3)] is table
-        assert roughpath._segment_table(algebra, "branched", 3) is table
+        table = roughpath._lift_table(algebra, 3)
+        assert algebra.memo("lift_table")[3] is table
+        assert roughpath._lift_table(algebra, 3) is table
+
+    def test_one_table_per_level_serves_closed_forms_and_products(self, fresh_algebras):
+        cfg = RoughPathConfig.make(Fraction(1, 4), "branched")
+        for level in (2, 3, 3, 4):
+            for make in (signature_lift, branched_lift_fn):
+                lift = make(PATH_2D, level)
+                lift.eval(Fraction(1, 8), Fraction(7, 8))  # closed forms and a Chen product
+        check_rough_axioms(branched_lift_fn(PATH_2D, 3), cfg, [0, Fraction(1, 2), 1])
+        # the fixture's copies, which only these lifts have used
+        for algebra in (roughpath.concat_deshuffle_instance(2), roughpath.gl_instance(2)):
+            assert sorted(algebra._memo["lift_table"]) == [2, 3, 4]
+            assert "segment_table" not in algebra._memo and "chen_plan" not in algebra._memo
 
     @given(paths_and_windows())
     @settings(max_examples=150, deadline=None)
@@ -628,7 +652,7 @@ class TestScaledLifts:
         flavor, d, level, times, values, s, t = case
         path = PiecewiseLinearPath.from_knots(zip(times, values))
         lift = (signature_lift if flavor == "geometric" else branched_lift_fn)(path, level)
-        keys = roughpath._segment_table(lift.algebra, flavor, level).keys
+        keys = roughpath._lift_table(lift.algebra, level).keys
         for a, b in ((s, t), (t, s)):
             got = lift.eval(a, b)
             want = chain_reference(times, values, flavor, level, a, b)
@@ -787,8 +811,8 @@ def scaled_chain_reference(times, values, flavor, level, s, t) -> Scaled:
 @pytest.fixture
 def fresh_algebras(monkeypatch):
     """The lifts' algebras as copies with empty memos, so that each test
-    starts with no segment table and no Chen plan; calling the fixture's
-    value makes new copies for the lifts made after it."""
+    starts with no lift table; calling the fixture's value makes new copies
+    for the lifts made after it."""
     made: dict = {}
 
     def copies(make):
@@ -808,8 +832,8 @@ AXIS_PATH = PiecewiseLinearPath.from_knots(
 
 
 class TestChenPlan:
-    """Multi-piece values multiply on the segment table's positions
-    (``roughpath._ChenPlan``)."""
+    """Multi-piece values multiply on the lift table's positions
+    (``roughpath._LiftTable``)."""
 
     @given(axis_paths())
     @settings(max_examples=150, deadline=None)
@@ -834,7 +858,7 @@ class TestChenPlan:
         make(PATH_2D, 2).eval(*window)
         lift = make(PATH_2D, 3)
         again = list(lift.eval_scaled(*window).nums)
-        keys = roughpath._segment_table(lift.algebra, lift.flavor, 3).keys
+        keys = roughpath._lift_table(lift.algebra, 3).keys
         assert again == first == [k for k in keys if k in first]
         assert list(lift.eval(*window).value.terms) == first
 
