@@ -510,13 +510,15 @@ def polynomial_field(*coeffs) -> ScalarField:
     cs = [Fraction(c) if isinstance(c, (int, str)) else c for c in coeffs]
 
     def deriv(n):
+        # c_k k!/(k-n)! for k >= n, and for a float state their floats: a
+        # Fraction times a float is the Fraction's float times it
+        exact = [cs[k] * math.perm(k, n) for k in range(n, len(cs))]
+        floats = [float(w) if isinstance(w, Fraction) else w for w in exact]
+
         def ev(y):
             total = 0
-            for k in range(n, len(cs)):
-                fall = 1
-                for j in range(k, k - n, -1):
-                    fall *= j
-                total = total + cs[k] * fall * y ** (k - n)
+            for e, w in enumerate(floats if type(y) is float else exact):
+                total = total + w * y**e
             return total
 
         return ev
@@ -635,9 +637,13 @@ def picard_solve(
     polynomial in the state, evaluated by Horner and reduced by one gcd with
     a small operand (``_polynomial_step``), the Fraction of the sum of
     Fraction products.  Every other step, exact or float, and a lift value
-    with floats, has the value and bits of that sum (``_picard_step``), with
-    floats as they come.  An exact state that outgrows ``_EXACT_STATE_BITS``
-    continues as a float.  A ModelError raised during the steps carries the
+    with floats, has the value and bits of that sum, with floats as they
+    come; the scaled steps run from one plan per solve (``_step_function``),
+    which takes each component's derivatives once.  An exact state that
+    outgrows ``_EXACT_STATE_BITS`` continues as a float
+    (``_demote_if_huge``); a polynomial step whose exact result is certain
+    to outgrow it gives that float without the exact result
+    (``_float_past_cap``).  A ModelError raised during the steps carries the
     samples computed so far in ``samples``.
     """
     gamma = to_fraction(gamma)
@@ -670,6 +676,7 @@ def picard_solve(
         raise ValueError(f"T={end} is past the last knot of the path, t={path.times[-1]}")
 
     plan = _polynomial_plan(field, level)
+    picard_step = _step_function(field, level)
     samples: list[tuple[Fraction, object]] = [(start, y0)]
     s, y = start, y0
     try:
@@ -682,9 +689,13 @@ def picard_solve(
                     coeffs = _picard_step_coefficients(field, y, level)
                     y_next = sum(c * elt.coeff(f) for f, c in coeffs.items())
                 elif plan is not None and isinstance(y, (int, Fraction)):
-                    y_next = _polynomial_step(plan, y, *scaled)
+                    nums, den = scaled
+                    a, scale = _step_polynomial(plan, nums), plan[0] * den
+                    y_next = _float_past_cap(a, scale, y)
+                    if y_next is None:
+                        y_next = _exact_step(a, scale, y)
                 else:
-                    y_next = _picard_step(field, y, level, *scaled)
+                    y_next = picard_step(y, *scaled)
             except OverflowError:
                 raise ModelError(f"non-finite state at t={float(t)}") from None
             if isinstance(y_next, float) and not math.isfinite(y_next):
@@ -702,11 +713,14 @@ _EXACT_STATE_BITS = 1 << 16
 
 
 def _demote_if_huge(y):
-    """Fall back to floats once exact states outgrow a fixed bit budget.
+    """Fall back to floats once exact states outgrow a fixed bit budget:
+    a Fraction of more than ``_EXACT_STATE_BITS`` bits in numerator and
+    denominator together becomes its float, correctly rounded.
 
     Affine dynamics keep denominators growing linearly and stay exact; truly
     nonlinear ones would compound them exponentially, so the state degrades to
-    the approximate scalar mode instead.
+    the approximate scalar mode instead.  ``_float_past_cap`` gives the same
+    float for a polynomial step without its exact result.
     """
     if isinstance(y, Fraction):
         size = y.numerator.bit_length() + y.denominator.bit_length()
@@ -760,16 +774,51 @@ def _picard_step_coefficients(field: VectorField, y, level: int) -> dict:
     return coeffs
 
 
+def _step_function(field: VectorField, level: int) -> Callable:
+    """The step sum_tau c(tau) X_st(tau) as a function of (y, nums, den),
+    made once per solve (see ``_picard_step``).
+
+    Each component's derivative callables are taken once, and the recursion
+    of ``_picard_step_coefficients`` walks ``_step_plan`` with each child
+    read by its index there, with the same operations in the same order.
+    The step sums the same terms in the same order with ``sum``, so it has
+    the value and the bits of the sum over ``_picard_step_coefficients``.
+    """
+    derivatives = [[comp.derivative(n) for n in range(level)] for comp in field.components]
+    plan = _step_plan(field.dim, level)
+    at = {row[0]: j for j, row in enumerate(plan)}
+    rows = tuple((forest, i, k, tuple((at[child], m, fact) for child, m, fact in children))
+                 for _, forest, i, k, children in plan)
+
+    def step(y, nums: dict, den: int):
+        derivs = [[f(y) for f in row] for row in derivatives]
+        on_tree = []  # per row, its tree's coefficient, 0 where it vanishes
+        terms = [(EMPTY_FOREST, y)]
+        for forest, i, k, children in rows:
+            c = derivs[i][k]
+            for j, m, fact in children:
+                if not c:
+                    break
+                c = c * on_tree[j] if m == 1 else c * on_tree[j]**m / fact
+            on_tree.append(c or 0)
+            if c:
+                terms.append((forest, c))
+        return sum(
+            c * (nums.get(f, 0) / den) if type(c) is float else c * Fraction(nums.get(f, 0), den)
+            for f, c in terms
+        )
+
+    return step
+
+
 def _picard_step(field: VectorField, y, level: int, nums: dict, den: int):
     """The step sum_tau c(tau) X_st(tau) with X_st given as integer
     numerators over den, summed in the order and with the operations of the
     Fraction/float chain: a float c meets n / den, which rounds as the float
     of the Fraction n / den does, and an exact c meets that Fraction, so an
-    exact state and field give that chain's Fraction."""
-    return sum(
-        c * (nums.get(f, 0) / den) if type(c) is float else c * Fraction(nums.get(f, 0), den)
-        for f, c in _picard_step_coefficients(field, y, level).items()
-    )
+    exact state and field give that chain's Fraction.  One step of
+    ``_step_function``."""
+    return _step_function(field, level)(y, nums, den)
 
 
 def _polynomial_plan(field: VectorField, level: int) -> tuple | None:
@@ -824,19 +873,10 @@ def _polynomial_plan(field: VectorField, level: int) -> tuple | None:
     return C, rows, max(len(c) for c, _ in polys.values()) - 1
 
 
-def _polynomial_step(plan: tuple, y, nums: dict, den: int) -> Fraction:
-    """The step sum_tau c(tau) X_st(tau) of a polynomial field at an exact
-    state y = p/q, as one integer polynomial in the state.
-
-    With X_st given as integer numerators over den and c(tau) from
-    ``_polynomial_plan``, the step is A(y) / (C den) with small integer
-    coefficients a_j = sum_tau nums[tau] n_j(tau), trimmed to the true degree
-    K, so it is M / (C den q^K) with M = sum_j a_j p^j q^(K-j) by homogeneous
-    Horner.  M = a_K p^K mod q and gcd(p, q) = 1 give gcd(M, q^K) at any
-    prime of q as that of gcd(a_K, q)^K (M = 0 makes q divide a_K), so the
-    gcd that reduces the fraction has one small operand, and the Fraction is
-    built from coprime ints with no second gcd.
-    """
+def _step_polynomial(plan: tuple, nums: dict) -> list:
+    """The integer coefficients a_j = sum_tau nums[tau] n_j(tau) of the step
+    polynomial A, with c(tau) from ``_polynomial_plan`` and X_st given as
+    integer numerators ``nums``, trimmed to the true degree."""
     C, rows, top = plan
     a = [0] * (top + 1)
     for forest, terms in rows:
@@ -846,14 +886,87 @@ def _polynomial_step(plan: tuple, y, nums: dict, den: int) -> Fraction:
                 a[j] += n * c
     while len(a) > 1 and not a[-1]:
         a.pop()
+    return a
+
+
+def _polynomial_step(plan: tuple, y, nums: dict, den: int) -> Fraction:
+    """The step sum_tau c(tau) X_st(tau) of a polynomial field at an exact
+    state y = p/q, as one integer polynomial in the state.
+
+    With X_st given as integer numerators over den and c(tau) from
+    ``_polynomial_plan``, the step is A(y) / (C den) with small integer
+    coefficients a_j (``_step_polynomial``), trimmed to the true degree K, so
+    it is M / (C den q^K) with M = sum_j a_j p^j q^(K-j) by homogeneous
+    Horner (``_exact_step``).
+    """
+    return _exact_step(_step_polynomial(plan, nums), plan[0] * den, y)
+
+
+def _exact_step(a: list, scale: int, y) -> Fraction:
+    """A(y) / scale for an exact y = p/q, as M / (scale q^K) with M by
+    homogeneous Horner.  M = a_K p^K mod q and gcd(p, q) = 1 give
+    gcd(M, q^K) at any prime of q as that of gcd(a_K, q)^K (M = 0 makes q
+    divide a_K), so the gcd that reduces the fraction has one small operand,
+    and the Fraction is built from coprime ints with no second gcd."""
     p, q = y.numerator, y.denominator
     K = len(a) - 1
     M, qk = a[K], 1
     for j in range(K - 1, -1, -1):
         qk *= q
         M = M * p + a[j] * qk
-    g = math.gcd(M, C * den * math.gcd(a[K], q) ** K)
-    return _coprime_fraction(M // g, C * den * qk // g)
+    g = math.gcd(M, scale * math.gcd(a[K], q) ** K)
+    return _coprime_fraction(M // g, scale * qk // g)
+
+
+# the bits of the smaller of p and q that _float_past_cap keeps
+_KEPT_BITS = 256
+
+
+def _float_past_cap(a: list, scale: int, y) -> float | None:
+    """``_demote_if_huge(_exact_step(a, scale, y))`` when that is certain to
+    be a float, without the exact step; None when it is not certain.
+
+    p and q lose their low s bits, one shift for both that keeps
+    ``_KEPT_BITS`` of the smaller, so p / 2^s and q / 2^s lie in [p', p' + 1]
+    and [q', q' + 1] with q' > 0, and M / 2^(sK) lies in the interval that
+    homogeneous Horner gives on these.  When it holds no 0, it bounds the
+    reduced size of the exact result from below, by bits(M) + bits(D) -
+    2 bits(G) with D = scale q^K and G = scale gcd(a_K, q)^K, the largest
+    gcd ``_exact_step`` can divide out.  When that bound passes
+    ``_EXACT_STATE_BITS``, the exact result would become its correctly
+    rounded float; rounding is monotone, so when both ends of the interval
+    of M / D round to one float, that float is the one.
+    """
+    K = len(a) - 1
+    p, q = y.numerator, y.denominator
+    p_bits, q_bits = p.bit_length(), q.bit_length()
+    s = (p_bits if p_bits < q_bits else q_bits) - _KEPT_BITS
+    # |M| < sum_j |a_j| 2^(K max(p_bits, q_bits)) and D < scale 2^(K q_bits),
+    # and max(p_bits, q_bits) + q_bits <= p_bits + 2 q_bits
+    if s <= 0 or K == 0 or (K * (p_bits + 2 * q_bits) + scale.bit_length()
+                            + sum(map(abs, a)).bit_length() <= _EXACT_STATE_BITS):
+        return None
+    p_lo, q_lo = p >> s, q >> s
+    lo = hi = a[K]
+    q_lo_k = q_hi_k = 1
+    for j in range(K - 1, -1, -1):
+        q_lo_k *= q_lo
+        q_hi_k *= q_lo + 1
+        ends = (lo * p_lo, lo * (p_lo + 1), hi * p_lo, hi * (p_lo + 1))
+        qs = (q_lo_k, q_hi_k) if a[j] >= 0 else (q_hi_k, q_lo_k)
+        lo, hi = min(ends) + a[j] * qs[0], max(ends) + a[j] * qs[1]
+    if lo <= 0 <= hi:
+        return None
+    d_lo, d_hi = scale * q_lo_k, scale * q_hi_k
+    least = -hi if hi < 0 else lo
+    bits = least.bit_length() + d_lo.bit_length() + 2 * s * K
+    if bits - 2 * (scale * math.gcd(a[K], q) ** K).bit_length() <= _EXACT_STATE_BITS:
+        return None
+    try:
+        low, high = (lo / d_hi, hi / d_lo) if lo > 0 else (lo / d_lo, hi / d_hi)
+    except OverflowError:
+        return None
+    return low if low == high else None
 
 
 # n / d from coprime ints with d > 0, without the normalising gcd where Python allows

@@ -26,6 +26,7 @@ from .hopf_core import (
     shuffle_deconcat_instance,
 )
 from .hopf_ck import (
+    ck_instance,
     ck_reduced_coproduct,
     gl_instance,
     phi,
@@ -49,6 +50,8 @@ from .symbols import (
 def to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"cannot convert {x!r} to an exact time/value")
     if isinstance(x, (int, float, str)):
         try:
             return Fraction(x)
@@ -337,10 +340,10 @@ class _LiftTable:
     grade; the index of an element there is its position, and ``ends[r]`` is
     one past the last position of grade <= r.
 
-    ``closed_form`` reads a segment's closed form off ``weights``: per
-    position, (j, w), with j the index of the element's label counts n in
-    ``counts`` and w = lcm / f! (or lcm / k!), ``lcm`` being the lcm of the
-    f! over the table.  With the increment written as v_i = a_i / Q, the
+    ``closed_form`` reads a segment's closed form off ``count_of`` and
+    ``weights``: per position, the index j of the element's label counts n
+    in ``counts`` and w = lcm / f! (or lcm / k!), ``lcm`` being the lcm of
+    the f! over the table.  With the increment written as v_i = a_i / Q, the
     coefficient at a position is prod_i a_i^{n_i} Q^{level - k} w /
     (Q^level lcm), k = |n|.
 
@@ -355,9 +358,19 @@ class _LiftTable:
     forms of a path's generic pieces, share rows.  A product accumulates in
     one dense list and comes out in table order.  Structure constants must
     be integers.
+
+    ``cut_product`` multiplies two characters of the Connes-Kreimer algebra,
+    such as branched lift values, with X(t1 t2) = X(t1) X(t2) (Gubinelli,
+    "Ramification of rough paths", JDE 2010): a tree t gets the admissible-cut
+    sum over ``ck_instance(d).coproduct_row(t)``, of the crown's value in x
+    times the trunk's in y, and a forest of two or more trees the product of
+    the values of the forest less its last tree and of that tree.  It reads
+    no structure constant of the product, gives what ``product`` gives on
+    characters, term for term, and is wrong on anything else.
     """
 
     def __init__(self, algebra: HopfInstance, level: int):
+        self.dim = algebra.dim
         self.level = level
         self.keys = tuple(b for k in range(level + 1) for b in algebra.basis(k))
         self.index = {b: i for i, b in enumerate(self.keys)}
@@ -367,15 +380,18 @@ class _LiftTable:
                  for b in self.keys]
         self.lcm = math.lcm(*facts)
         counts: dict = {}  # label counts -> their index
-        weights = []
-        for b, fact in zip(self.keys, facts):
+        count_of = []
+        for b in self.keys:
             n = [0] * algebra.dim
             for i in b.letters if isinstance(b, Word) else _node_labels(b):
                 n[i - 1] += 1
-            weights.append((counts.setdefault(tuple(n), len(counts)), self.lcm // fact))
-        self.counts, self.weights = tuple(counts), tuple(weights)
+            count_of.append(counts.setdefault(tuple(n), len(counts)))
+        self.counts, self.count_of = tuple(counts), tuple(count_of)
+        self.weights = tuple(self.lcm // fact for fact in facts)
         self.product_basis = algebra.product_basis
         self.rows: dict = {}  # the fitting positions of a right operand -> {p: row}
+        self._cuts: tuple | None = None  # cut_product's plan, built on first use
+        self._all = tuple(range(len(self.keys)))
 
     def closed_form(self, increment: tuple[Fraction, ...]) -> _Positions:
         """The closed form on a segment with this increment, with one power
@@ -390,13 +406,8 @@ class _LiftTable:
             for p, e in zip(powers, n):
                 m *= p[e]
             monomials.append(m)
-        pos, out = [], []
-        for i, (j, w) in enumerate(self.weights):
-            m = monomials[j]
-            if m:
-                pos.append(i)
-                out.append(m * w)
-        return _reduced(tuple(pos), out, q_powers[level] * self.lcm)
+        out = map(operator.mul, map(monomials.__getitem__, self.count_of), self.weights)
+        return self._form(list(out), q_powers[level] * self.lcm)
 
     def product(self, x: _Positions, y: _Positions) -> _Positions:
         """The product x y truncated at the level."""
@@ -422,8 +433,7 @@ class _LiftTable:
                 for k, o, c in others:
                     acc[o] += u * ynums[k] * c
             start = stop
-        pos = tuple(itertools.compress(range(len(acc)), acc))
-        return _reduced(pos, list(filter(None, acc)), x.den * y.den)
+        return self._form(acc, x.den * y.den)
 
     def _row(self, p: int, fit: tuple) -> tuple:
         keys, index, product = self.keys, self.index, self.product_basis
@@ -440,6 +450,73 @@ class _LiftTable:
                     raise TypeError(f"a lift table needs integral structure constants, "
                                     f"got {c} on {b}")
         return tuple(ks), tuple(outs), tuple(others)
+
+    def cut_product(self, x: _Positions, y: _Positions) -> _Positions:
+        """The product x y of two characters truncated at the level, over
+        D = x.den y.den: a tree's numerator is the sum of X[crown] Y[trunk]
+        over its cuts, a cut of coefficient c counted c times, the unit's
+        numerators being x.den and y.den; a forest's is that of the forest
+        less its last tree times that tree's, divided by D, which is exact
+        because the product is a character over D."""
+        crowns, trunks, starts, ends, layers, order = self._cuts or self._cut_plan()
+        X, Y = self._dense(x), self._dense(y)
+        sums = list(itertools.accumulate(
+            map(operator.mul, map(X.__getitem__, crowns), map(Y.__getitem__, trunks)), initial=0))
+        D = x.den * y.den
+        values = [D]  # the unit, the trees, then the forests by number of trees
+        values += map(operator.sub, map(sums.__getitem__, ends), map(sums.__getitem__, starts))
+        for rests, lasts in layers:
+            values += list(map(operator.floordiv, map(operator.mul, map(values.__getitem__, rests),
+                                                      map(values.__getitem__, lasts)),
+                               itertools.repeat(D)))
+        return self._form(list(map(values.__getitem__, order)), D)
+
+    def _cut_plan(self) -> tuple:
+        """``cut_product``'s plan on an order of its own, in which the unit
+        comes first, then the trees in table order, then the forests of two
+        trees, of three, and so on: the cuts of every tree in turn as the
+        table positions of their crowns and trunks, with each tree's cuts
+        from ``starts[i]`` to ``ends[i]``; per number of trees past one, the
+        indices in that order of each forest less its last tree and of that
+        tree; and per table position, its index in that order."""
+        cop, index, keys = ck_instance(self.dim).coproduct_row, self.index, self.keys
+        by_count = [[] for _ in range(self.level + 1)]
+        for p, f in enumerate(keys):
+            by_count[f.tree_count()].append(p)
+        at = {p: i for i, p in enumerate(p for ps in by_count for p in ps)}
+        crowns, trunks, starts, ends = [], [], [], []
+        for p in by_count[1]:
+            starts.append(len(crowns))
+            for (l, r), c in cop(keys[p]):
+                crowns += [index[l]] * c
+                trunks += [index[r]] * c
+            ends.append(len(crowns))
+        layers = []
+        for ps in by_count[2:]:
+            rests, lasts = [], []
+            for p in ps:
+                last, m = keys[p].items[-1]
+                rests.append(at[index[Forest(keys[p].items[:-1] + ((last, m - 1),))]])
+                lasts.append(at[index[last.as_forest()]])
+            layers.append((tuple(rests), tuple(lasts)))
+        self._cuts = (tuple(crowns), tuple(trunks), tuple(starts), tuple(ends), tuple(layers),
+                      tuple(map(at.__getitem__, range(len(keys)))))
+        return self._cuts
+
+    def _form(self, out: list, den: int) -> _Positions:
+        """The form of the numerators out, one per position, over den."""
+        if all(out):
+            return _reduced(self._all, out, den)
+        return _reduced(tuple(itertools.compress(self._all, out)), list(filter(None, out)), den)
+
+    def _dense(self, x: _Positions) -> list:
+        """x's numerators, one per position."""
+        if len(x.pos) == len(self._all):
+            return x.nums
+        out = [0] * len(self._all)
+        for p, u in zip(x.pos, x.nums):
+            out[p] = u
+        return out
 
     def scaled(self, x: _Positions) -> Scaled:
         """x as a Scaled form, keyed by basis elements in table order."""
@@ -504,12 +581,16 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
     def closed_element(increment: tuple[Fraction, ...]) -> TruncatedElement:
         return TruncatedElement(table.scaled(closed_form(increment)).lincomb(), level, algebra)
 
+    # every operand of a chain is a closed form or a product of them, so a
+    # character: the branched flavor multiplies by admissible cuts
+    product = table.product if flavor == "geometric" else table.cut_product
+
     def chain(pieces: list[tuple[Fraction, ...]]) -> Scaled:
         """The Chen product of the pieces' closed forms, on the table's
         positions, with one Scaled form built at the end."""
         acc = closed_form(pieces[0])
         for increment in pieces[1:]:
-            acc = table.product(acc, closed_form(increment))
+            acc = product(acc, closed_form(increment))
         return table.scaled(acc)
 
     def evaluate_scaled(s: Fraction, t: Fraction) -> Scaled:
@@ -595,9 +676,10 @@ def check_rough_axioms(
     ValueError naming (s, t) for a float value or one outside the lift's
     algebra: the identity, group-like, Chen and inverse laws compare
     canonical forms of both sides, and the character law compares integer
-    numerators.  The Chen products run on the positions of the lifts' table
-    (``_LiftTable``); a value holding a key outside the table is multiplied
-    by ``scaled_product``.  The Hölder ratios read the same forms, one float
+    numerators.  The Chen products run on the product rows of the lifts'
+    table (``_LiftTable.product``), not on the admissible cuts a branched
+    lift's chain takes, so the law cross-checks that chain; a value holding a
+    key outside the table is multiplied by ``scaled_product``.  The Hölder ratios read the same forms, one float
     per coefficient.
     """
     grid = [to_fraction(u) for u in grid]

@@ -15,13 +15,16 @@ from hopfpath.model_rde import (
     ScalarField,
     SectorError,
     VectorField,
+    _EXACT_STATE_BITS,
     _coprime_fraction,
     _demote_if_huge,
+    _float_past_cap,
     _gamma_table,
     _picard_step,
     _picard_step_coefficients,
     _polynomial_plan,
     _polynomial_step,
+    _step_polynomial,
     abstract_integration,
     check_model,
     comodule_coproduct,
@@ -608,6 +611,14 @@ class TestPicard:
         sol = picard_solve(LINE, vf, Fraction(0), Fraction(3, 10), 3, Fraction(1, 2), T=1)
         assert sol[-1] == (Fraction(1), Fraction(1))
 
+    @pytest.mark.parametrize("T", [float("inf"), float("-inf"), float("nan")])
+    def test_a_non_finite_end_time_is_refused_by_name(self, T):
+        vf = VectorField.from_spec("const:1", 1)
+        with pytest.raises(ValueError) as info:
+            picard_solve(LINE, vf, Fraction(0), Fraction(3, 10), 3, Fraction(1, 2), T=T)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"cannot convert {T!r} to an exact time/value"
+
     def test_a_lift_the_solve_cannot_use_is_refused(self):
         vf = VectorField.from_spec("linear", 1)
         want = Fraction(44521, 16384)  # level 4, h = 1/2 on the unit line
@@ -990,6 +1001,156 @@ class TestPolynomialStep:
         # a custom exact field keeps the integer-pair step
         table = ScalarField([lambda y: y * y, lambda y: 2 * y, lambda y: 2, lambda y: 0])
         assert table.coeffs is None
+
+
+def demoted(plan, y, nums, den):
+    """``_demote_if_huge(_polynomial_step(...))`` as ("exact", the Fraction),
+    ("float", its hex) or ("error", the ModelError's text)."""
+    try:
+        z = _demote_if_huge(_polynomial_step(plan, y, nums, den))
+    except ModelError as exc:
+        return "error", str(exc)
+    return ("float", z.hex()) if type(z) is float else ("exact", z)
+
+
+def past_cap(plan, y, nums, den):
+    """The solver's float for the step, as ("float", its hex), or None where
+    the solver takes the exact step."""
+    z = _float_past_cap(_step_polynomial(plan, nums), plan[0] * den, y)
+    return None if z is None else ("float", z.hex())
+
+
+# states of 10^3 to 4 10^4 bits: integers, |y| far below and far above 1,
+# either sign
+wide_states = st.builds(
+    lambda sign, p, q, k: Fraction(sign * (p + 2 * k), q),
+    st.sampled_from((-1, 1)), st.sampled_from((3**700, 3**6400, 3**12000)),
+    st.sampled_from((1, 2**1100 * 5**300, 2**10100 + 1, 7**7000)), st.integers(0, 2**64),
+)
+
+
+class TestFloatPastCap:
+    """``_float_past_cap``, the float the solver takes for a polynomial step
+    whose exact result is certain to pass the bit cap, against the exact step
+    and its demotion: the same float, bit for bit, wherever it gives one."""
+
+    # y' = y (level 1) over (0, 1/2): A(y) = 3y/2, so the step is 3p / 2q
+    LINEAR = _polynomial_plan(VectorField.from_spec("linear", 1), 1)
+    HALF = Scaled.of(branched_lift_fn(LINE, 1).eval(0, Fraction(1, 2)).value.terms)
+
+    @classmethod
+    def linear(cls, y):
+        """(shortcut, reference) for the step 3y/2."""
+        return past_cap(cls.LINEAR, y, *cls.HALF), demoted(cls.LINEAR, y, *cls.HALF)
+
+    @given(polynomial_cases(wide_states, max_level=3))
+    @settings(max_examples=60, deadline=None)
+    def test_the_float_is_the_demoted_exact_step(self, case):
+        field, level, y, elt = case
+        plan, (nums, den) = _polynomial_plan(field, level), Scaled.of(elt.value.terms)
+        got = past_cap(plan, y, nums, den)
+        assert got is None or got == demoted(plan, y, nums, den)
+
+    def test_integer_states_take_the_exact_step(self):
+        # q = 1: one shift from the smaller bit length keeps q whole
+        square = _polynomial_plan(VectorField.from_spec("poly:0,0,1", 1), 4)
+        window = Scaled.of(branched_lift_fn(LINE, 4).eval(0, Fraction(1, 100)).value.terms)
+        for y in (Fraction(2), Fraction(3**20000), Fraction(-(3**20000))):
+            assert past_cap(square, y, *window) is None
+        assert demoted(square, Fraction(3**20000), *window) == (
+            "error", "state overflows the floating range")
+
+    def test_numerator_far_below_and_far_above_the_denominator(self):
+        for y in (Fraction(2**40000 + 1, 2**40500 - 1), Fraction(2**40500 + 1, 2**40000 - 1),
+                  Fraction(-(2**40000) - 1, 2**40500 - 1), Fraction(3**700, 2**70000 + 1)):
+            got, want = self.linear(y)
+            assert got is not None and got == want
+
+    def test_states_near_a_root_take_the_exact_step(self):
+        # y' = 1 - y (level 1) over (0, h) is y + (1 - y) h, zero at y = -h / (1 - h):
+        # the truncated Horner sum holds 0, and a step to within 2^-70000 of 0
+        # is -0.0 below the root and 0.0 above it
+        plan = _polynomial_plan(VectorField.from_spec("poly:1,-1", 1), 1)
+        for h, sign in ((Fraction(1, 2), -1), (Fraction(1, 2**1100), 1)):
+            window = Scaled.of(branched_lift_fn(LINE, 1).eval(0, h).value.terms)
+            y = -h / (1 - h) + sign * Fraction(1, 2**70000 + 1)
+            assert past_cap(plan, y, *window) is None
+            assert demoted(plan, y, *window) == ("float", "0x0.0p+0" if sign > 0 else "-0x0.0p+0")
+
+    def test_results_next_to_a_rounding_tie_take_the_exact_step(self):
+        # 3y/2 within 2^-33000 of 1 + 2^-53, halfway between 1 and the next
+        # float, below it (the float is 1) or above it (1 + 2^-52): the
+        # truncated state cannot tell.  q keeps low bits all ones, so below
+        # the tie the truncated ratio lies past it.
+        S, tie = 33000, Fraction(2**53 + 1, 2**53)
+        for above in (False, True):
+            for k in range(100):
+                q = (2**256 - 2**200 + k) * 2**S + 2**S - 1
+                p = math.ceil(2 * tie * q / 3) - 1 + above
+                if math.gcd(p, q) == 1 and (above or 3 * (p >> S) > 2 * tie * (q >> S)):
+                    break
+            got, want = self.linear(Fraction(p, q))
+            assert got is None and want == ("float", (1 + 2**-52 if above else 1.0).hex())
+
+    def test_results_at_the_cap(self):
+        # 3p / 2q with p = 2^m + k prime to 30 and q = 5^14000 has
+        # bits(3p) + bits(2q) = m + 2 + bits(q) + 1 bits, and y is about 2^520
+        q = 5**14000
+        for over, taken in ((0, False), (1, False), (100, True)):
+            m = _EXACT_STATE_BITS + over - q.bit_length() - 3
+            p = next(2**m + k for k in range(1, 30) if math.gcd(2**m + k, 30) == 1)
+            y = Fraction(p, q)
+            exact = _polynomial_step(self.LINEAR, y, *self.HALF)
+            assert exact.numerator.bit_length() + exact.denominator.bit_length() == (
+                _EXACT_STATE_BITS + over)
+            got, want = self.linear(y)
+            assert want[0] == ("float" if over else "exact")
+            assert (got is not None) == taken and (got is None or got == want)
+
+    def test_a_gcd_with_the_lift_denominator_keeps_the_result_exact(self):
+        # y' = y (level 1) over (0, 2^-1000) is (2^1000 + 1) y / 2^1000, and a
+        # numerator p that 2^1000 divides cancels the window's denominator:
+        # M and D together pass the cap by about 1500 bits, the result not
+        window = Scaled.of(branched_lift_fn(LINE, 1).eval(0, Fraction(1, 2**1000)).value.terms)
+        q = 3**20000 + 2
+        y = Fraction(2**1000 * (2 ** (_EXACT_STATE_BITS - 1500 - q.bit_length()) + 1), q)
+        M, D = (2**1000 + 1) * y.numerator, 2**1000 * y.denominator
+        assert M.bit_length() + D.bit_length() > _EXACT_STATE_BITS + 1000
+        assert past_cap(self.LINEAR, y, *window) is None
+        assert demoted(self.LINEAR, y, *window)[0] == "exact"
+
+    def test_float_overflow_takes_the_exact_step(self):
+        got, want = self.linear(Fraction(2**41100 + 1, 2**40000 + 1))
+        assert got is None and want == ("error", "state overflows the floating range")
+
+    def test_subnormal_results(self):
+        for y in (Fraction(2**40000 + 1, 2**41070 + 1), Fraction(-(2**40000) - 3, 2**41072 + 1)):
+            got, want = self.linear(y)
+            assert got is not None and got == want
+            assert 0 < abs(float.fromhex(got[1])) < sys.float_info.min
+
+
+class TestPolynomialDerivatives:
+    """``polynomial_field``'s derivatives at a float state take float
+    weights float(c_k k!/(k-n)!), with the bits of the Fraction expression."""
+
+    @given(st.lists(st.fractions(-5, 5, max_denominator=9) | st.integers(-5, 5)
+                    | st.floats(-5, 5), min_size=1, max_size=6),
+           st.floats(-1e30, 1e30))
+    @settings(max_examples=200, deadline=None)
+    def test_float_states_match_the_fraction_expression(self, coeffs, y):
+        field = polynomial_field(*coeffs)
+        cs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
+        for n in range(len(cs) + 2):
+            want = 0
+            for k in range(n, len(cs)):
+                fall = 1
+                for j in range(k, k - n, -1):
+                    fall *= j
+                want = want + cs[k] * fall * y ** (k - n)
+            got = field.derivative(n)(y)
+            assert type(got) is type(want)
+            assert got.hex() == want.hex() if type(want) is float else got == want
 
 
 def float_valued(elt):

@@ -560,11 +560,11 @@ FLAVORS = {
 
 
 @st.composite
-def flavor_dim_level(draw):
+def flavor_dim_level(draw, flavors=tuple(sorted(FLAVORS)), max_level=4):
     return (
-        draw(st.sampled_from(sorted(FLAVORS))),
+        draw(st.sampled_from(flavors)),
         draw(st.integers(min_value=1, max_value=3)),
-        draw(st.integers(min_value=1, max_value=4)),
+        draw(st.integers(min_value=1, max_value=max_level)),
     )
 
 
@@ -716,10 +716,10 @@ class TestEvalScaled:
 
 
 @st.composite
-def axis_paths(draw):
+def axis_paths(draw, flavors=tuple(sorted(FLAVORS)), max_level=4):
     """A lift's flavor, d and level, a path whose pieces are zero, move one
     coordinate or move all of them, and a window (s, t)."""
-    flavor, d, level = draw(flavor_dim_level())
+    flavor, d, level = draw(flavor_dim_level(flavors, max_level))
     times = draw(
         st.lists(st.fractions(min_value=0, max_value=4, max_denominator=8),
                  min_size=2, max_size=6, unique=True)
@@ -808,6 +808,55 @@ def scaled_chain_reference(times, values, flavor, level, s, t) -> Scaled:
     return acc
 
 
+def cut_remainders(table, x, y) -> list:
+    """The remainders of ``cut_product``'s forest divisions on x and y, the
+    forests taken from its plan: each tree's numerator over D = x.den y.den
+    summed over its cuts, then each forest's as the product of the forest
+    less its last tree and of that tree, divided by D."""
+    crowns, trunks, starts, ends, layers, _ = table._cut_plan()
+    X, Y, D = dict(zip(x.pos, x.nums)), dict(zip(y.pos, y.nums)), x.den * y.den
+    values = [D] + [sum(X.get(a, 0) * Y.get(b, 0) for a, b in zip(crowns[i:j], trunks[i:j]))
+                    for i, j in zip(starts, ends)]
+    remainders = []
+    for rests, lasts in layers:
+        layer = [divmod(values[r] * values[l], D) for r, l in zip(rests, lasts)]
+        values += [q for q, _ in layer]
+        remainders += [r for _, r in layer]
+    return remainders
+
+
+class TestCutChain:
+    """Branched Chen chains multiply by admissible cuts
+    (``_LiftTable.cut_product``) and give what a fold of the table's
+    ``product`` gives: the same positions, numerators and denominator."""
+
+    @staticmethod
+    def check(path, level, s, t):
+        lift = branched_lift_fn(path, level)
+        table = roughpath._lift_table(lift.algebra, level)
+        for a, b in ((s, t), (t, s)):
+            forms = [table.closed_form(v)
+                     for v in window_increments(path.times, path.values, a, b)]
+            if not forms:
+                continue
+            by_cuts = by_rows = forms[0]
+            for y in forms[1:]:
+                assert not any(cut_remainders(table, by_cuts, y))
+                by_cuts, by_rows = table.cut_product(by_cuts, y), table.product(by_rows, y)
+                assert by_cuts == by_rows
+            got, want = lift.eval_scaled(a, b), table.scaled(by_rows)
+            assert list(got.nums.items()) == list(want.nums.items()) and got.den == want.den
+
+    @given(axis_paths(flavors=("branched",), max_level=5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_a_fold_of_the_table_product(self, case):
+        _, _, level, times, values, s, t = case
+        self.check(PiecewiseLinearPath.from_knots(zip(times, values)), level, s, t)
+
+    def test_level_6_in_two_dimensions(self):
+        self.check(PATH_2D, 6, Fraction(1, 8), Fraction(7, 8))
+
+
 @pytest.fixture
 def fresh_algebras(monkeypatch):
     """The lifts' algebras as copies with empty memos, so that each test
@@ -888,9 +937,37 @@ class TestChenPlan:
                 piece = segment(increment, level, 3)
                 visited |= {(a, b) for a, _ in acc for b, _ in piece if a.grade + b.grade <= level}
                 acc = base.product(acc, piece, level)
+        if flavor == "branched":
+            # the chain multiplies by admissible cuts and reads no product;
+            # the Chen law of check_rough_axioms multiplies on the table's rows
+            assert not computed
+            self.check_rows_of_the_chen_law(lift, level, monkeypatch)
+            return
         assert computed and computed <= visited
         # no piece after the one moving coordinate 2 moves it again, so an
         # eager row of the letter 2 would hold a pair whose right term vanishes
-        two = Word((2,)) if flavor == "geometric" else t(2).as_forest()
+        two = Word((2,))
         assert (two, two) not in visited
         assert any(a is two for a, _ in computed)
+
+    @staticmethod
+    def check_rows_of_the_chen_law(lift, level, monkeypatch):
+        """check_rough_axioms' Chen law fills table rows for pairs of nonzero
+        terms of its operands whose grades fit the level, and for no other."""
+        filled = set()
+        row = roughpath._LiftTable._row
+
+        def recording(table, p, fit):
+            filled.update((table.keys[p], table.keys[q]) for q in fit)
+            return row(table, p, fit)
+
+        monkeypatch.setattr(roughpath._LiftTable, "_row", recording)
+        grid = [0, Fraction(1, 8), Fraction(7, 8), 1]
+        cfg = RoughPathConfig.make(Fraction(1, level + 1), "branched")
+        assert check_rough_axioms(lift, cfg, grid).passed
+        X = [[lift.eval_scaled(s, u).nums for u in grid] for s in grid]
+        visited = {(a, b) for i in range(len(grid)) for j in range(len(grid))
+                   for k in range(len(grid)) for a in X[i][j] for b in X[j][k]
+                   if a.grade + b.grade <= level}
+        assert filled and filled <= visited
+        assert any(a is t(2).as_forest() for a, _ in filled)
