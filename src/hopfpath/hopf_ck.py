@@ -9,6 +9,9 @@ attach the trees of a to the vertices or the root level of b that give z and
 sigma is the symmetry factor (Panaite, "Relating the Connes-Kreimer and
 Grossman-Larson Hopf algebras built on rooted trees", Lett. Math. Phys. 2000;
 Hoffman, "Combinatorics of rooted trees and Hopf algebras", Trans. AMS 2003).
+Both algebras' structure maps yield integer rows, and the public maps
+(``ck_product``, ``ck_coproduct``, ``gl_product``, ``forest_deconcat``) are
+their ``structure_map`` views.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .hopf_core import HopfInstance, shuffle, shuffle_tuples
+from .hopf_core import HopfInstance, shuffle, shuffle_tuples, structure_map
 from .linalg import LinComb, TensorComb, accum, bilinear
 from .symbols import (
     EMPTY_FOREST,
@@ -39,7 +42,7 @@ from .symbols import (
 # coproduct and cuts
 
 
-def _juxtapose(a: Forest, b: Forest):
+def _juxtapose(a: Forest, b: Forest) -> tuple:
     return ((a.mul(b), 1),)
 
 
@@ -58,15 +61,22 @@ def forest_product(x: LinComb, y: LinComb, max_grade: int | None = None) -> LinC
 
 
 @multiplicative(
-    TensorComb.term(EMPTY_FOREST, EMPTY_FOREST),
-    lambda a, b: TensorComb(_pair_product(a, b), _clean=True),
+    (((EMPTY_FOREST, EMPTY_FOREST), 1),),
+    lambda a, b: tuple(_pair_product(a, b).items()),
 )
-def ck_coproduct(tree: Tree) -> TensorComb:
-    """Admissible-cut coproduct, by the defining recursion."""
-    lifted = ck_coproduct(tree.children).map_right(
-        lambda z: LinComb.term(z.graft(tree.label).as_forest())
+def _ck_coproduct_row(tree: Tree) -> tuple:
+    """The admissible-cut coproduct by its defining recursion, as integer
+    rows: Delta B+(f) = (id (x) B+) Delta f + B+(f) (x) 1, and a forest's
+    rows the slot-wise juxtaposition of its first tree's and the rest's."""
+    label = tree.label
+    lifted = tuple(
+        ((l, r.graft(label).as_forest()), c) for (l, r), c in _ck_coproduct_row(tree.children)
     )
-    return lifted + TensorComb.term(tree.as_forest(), EMPTY_FOREST)
+    return lifted + (((tree.as_forest(), EMPTY_FOREST), 1),)
+
+
+ck_product = structure_map(LinComb, _juxtapose)
+ck_coproduct = structure_map(TensorComb, _ck_coproduct_row)
 
 
 def ck_reduced_coproduct(f: Forest) -> TensorComb:
@@ -175,10 +185,11 @@ def _join(tree: Tree, f: Forest) -> Forest:
     return Forest._table.get((items,)) or Forest(items)
 
 
+@functools.lru_cache(maxsize=None)
 def _graft_counts(a: Forest, b: Forest) -> dict:
     """M(z) for every z, by the placement recursion: the ways to send each
     tree of a (copies counted as distinct) into a tree of b or to b's root
-    level that give z.
+    level that give z.  Memoized on (a, b): callers must not change the dict.
 
     With b empty, a stays at the root level.  Otherwise, with s the first tree
     of b and b = s rest, each split a = a1 + a2, weighted by the
@@ -212,37 +223,39 @@ def _place_tree(a: Forest, tree: Tree) -> tuple[tuple[Tree, int], ...]:
     return tuple((Tree(tree.label, z), m) for z, m in _graft_counts(a, tree.children).items())
 
 
-@functools.lru_cache(maxsize=None)
-def gl_product(a: Forest, b: Forest) -> LinComb:
-    """a * b = sum over forests z of n(z) z, n(z) the coefficient of a (x) b in Delta z.
+def _gl_row(a: Forest, b: Forest) -> tuple:
+    """a * b = sum over forests z of n(z) z, n(z) the coefficient of a (x) b in
+    Delta z, as integer rows in canonical order.
 
     Counted grafting gives n(z) = M(z) sigma(z) / (sigma(a) sigma(b)), with
     sigma the symmetry factor and M(z) the count of ``_graft_counts``'s
     placement recursion: each tree of a (copies counted as distinct) goes
     into b's first tree or on to the rest of b, and what reaches the end stays
     at the root level.  This is the Connes-Kreimer/Grossman-Larson duality of
-    Panaite (Lett. Math. Phys. 2000) and Hoffman (Trans. AMS 2003).  Terms
-    are in canonical order.
+    Panaite (Lett. Math. Phys. 2000) and Hoffman (Trans. AMS 2003).
     """
     scale = symmetry_factor(a) * symmetry_factor(b)
     counts = _graft_counts(a, b)
-    terms = {}
+    out = []
     for z in sorted(counts, key=Forest.sort_key):
         n, rest = divmod(counts[z] * symmetry_factor(z), scale)
         if rest:
             raise ValueError(f"non-integer Grossman-Larson coefficient of {z} in {a} * {b}")
-        terms[z] = Fraction(n)
-    return LinComb(terms, _clean=True)
+        out.append((z, n))
+    return tuple(out)
+
+
+def _sub_forest_row(f: Forest) -> tuple:
+    """The splits of a forest into ordered pairs of sub-multisets, each pair once."""
+    return tuple(((l, r), 1) for l, r, _ in _sub_forests(f))
+
+
+gl_product = structure_map(LinComb, _gl_row)
+forest_deconcat = structure_map(TensorComb, _sub_forest_row)
 
 
 def gl_product_lin(x: LinComb, y: LinComb) -> LinComb:
     return LinComb(bilinear(x, y, gl_product), _clean=True)
-
-
-@functools.lru_cache(maxsize=None)
-def forest_deconcat(f: Forest) -> TensorComb:
-    """Split a forest into ordered pairs of sub-multisets, each pair once."""
-    return TensorComb({(l, r): Fraction(1) for l, r, _ in _sub_forests(f)}, _clean=True)
 
 
 def _gl_antipode_factory(d: int):
@@ -271,7 +284,7 @@ def ck_instance(d: int) -> HopfInstance:
         name="ck",
         dim=d,
         unit=EMPTY_FOREST,
-        product_basis=lambda a, b: LinComb.term(a.mul(b)),
+        product_basis=ck_product,
         coproduct_basis=ck_coproduct,
         basis=lambda k: forests(d, k),
         antipode_closed_basis=lambda f: ck_antipode(f, engine="splits"),

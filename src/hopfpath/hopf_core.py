@@ -1,9 +1,11 @@
 """Generic connected-graded Hopf algebra machinery and three concrete instances.
 
 An instance bundles a product and coproduct on a canonical basis together with
-the counit, unit, grading and basis enumeration.  Antipodes come either from a
-closed form or from the generic recursion on the reduced coproduct, which is
-total on connected graded instances.
+the counit, unit, grading and basis enumeration.  The built-in structure maps
+yield integer rows from their combinatorics, and the maps an instance holds
+are ``LinComb``/``TensorComb`` views of them (``structure_map``).  Antipodes
+come either from a closed form or from the generic recursion on the reduced
+coproduct, which is total on connected graded instances.
 """
 from __future__ import annotations
 
@@ -129,28 +131,30 @@ class HopfInstance:
 
     def product_row(self, a, b) -> tuple:
         """The terms of ``product_basis(a, b)`` as (basis, c) pairs, with an
-        integral c as an int; the map is called once per pair of arguments."""
+        integral c as an int, read from the map's rows (``rows_of``); the
+        rows or the map are called once per pair of arguments."""
         return self._product_rows()(a, b)
 
     def _product_rows(self) -> Callable[[object, object], tuple]:
         """``product_row`` with its memo looked up once, for loops over pairs."""
-        rows, product_basis = self.memo("product_rows"), self.product_basis
+        rows, source = self.memo("product_rows"), rows_of(self.product_basis)
 
         def product_row(a, b) -> tuple:
             row = rows.get((a, b))
             if row is None:
-                row = rows[a, b] = _row(product_basis(a, b))
+                row = rows[a, b] = source(a, b)
             return row
 
         return product_row
 
     def coproduct_row(self, b) -> tuple:
         """The terms of ``coproduct_basis(b)`` as ((left, right), c) pairs, with
-        an integral c as an int; the map is called once per argument."""
+        an integral c as an int, read from the map's rows (``rows_of``); the
+        rows or the map are called once per argument."""
         rows = self.memo("coproduct_rows")
         row = rows.get(b)
         if row is None:
-            row = rows[b] = _row(self.coproduct_basis(b))
+            row = rows[b] = rows_of(self.coproduct_basis)(b)
         return row
 
     def product(self, x: LinComb, y: LinComb, max_grade: int | None = None) -> LinComb:
@@ -311,27 +315,57 @@ def unit_counit_map(instance: HopfInstance) -> Callable[[object], LinComb]:
     return ue
 
 
+def structure_map(comb: type, row: Callable) -> Callable:
+    """The public form of a structure map given by its integer rows.
+
+    Called on basis elements, the map returns ``row(*args)`` as a ``comb``
+    (LinComb or TensorComb) of Fractions in the row's term order, memoized;
+    it carries ``row`` as its ``row`` attribute, which ``rows_of`` reads, so
+    instances and lift tables take the ints without the Fractions.
+    """
+    @functools.lru_cache(maxsize=None)
+    @functools.wraps(row)
+    def view(*args):
+        return comb({k: Fraction(c) for k, c in row(*args)}, _clean=True)
+
+    view.row = row
+    return view
+
+
+def rows_of(basis_map: Callable) -> Callable:
+    """The rows of a structure map: its ``row`` when it is a ``structure_map``,
+    else its values as ``_row`` reads them (a replaced map, say)."""
+    row = getattr(basis_map, "row", None)
+    if row is None:
+        return lambda *args: _row(basis_map(*args))
+    return row
+
+
 # ---------------------------------------------------------------------------
 # concrete instances
+
+
+def _sum_row(n: MultiIndex, m: MultiIndex) -> tuple:
+    return ((n + m, 1),)
+
+
+def _binomial_row(n: MultiIndex) -> tuple:
+    """The binomial coproduct: sum over m <= n of binom(n, m) X^m (x) X^(n-m)."""
+    ranges = [range(e + 1) for e in n.entries]
+    return tuple(
+        ((m, n - m), multiindex_binomial(n, m))
+        for m in map(MultiIndex, itertools.product(*ranges))
+    )
+
+
+poly_product = structure_map(LinComb, _sum_row)
+poly_coproduct = structure_map(TensorComb, _binomial_row)
 
 
 @functools.lru_cache(maxsize=None)
 def poly_instance(d: int) -> HopfInstance:
     """Polynomials X^n with pointwise product and binomial coproduct."""
     check_dimension(d)
-    unit = MultiIndex((0,) * d)
-
-    def product(n: MultiIndex, m: MultiIndex) -> LinComb:
-        return LinComb.term(n + m)
-
-    @functools.lru_cache(maxsize=None)
-    def coproduct(n: MultiIndex) -> TensorComb:
-        terms = {}
-        ranges = [range(e + 1) for e in n.entries]
-        for m_entries in itertools.product(*ranges):
-            m = MultiIndex(m_entries)
-            terms[(m, n - m)] = Fraction(multiindex_binomial(n, m))
-        return TensorComb(terms, _clean=True)
 
     def antipode(n: MultiIndex) -> LinComb:
         return LinComb.term(n, Fraction(-1) ** n.grade)
@@ -339,9 +373,9 @@ def poly_instance(d: int) -> HopfInstance:
     return HopfInstance(
         name="poly",
         dim=d,
-        unit=unit,
-        product_basis=product,
-        coproduct_basis=coproduct,
+        unit=MultiIndex((0,) * d),
+        product_basis=poly_product,
+        coproduct_basis=poly_coproduct,
         basis=lambda k: multi_indices(d, k),
         antipode_closed_basis=antipode,
     )
@@ -351,30 +385,38 @@ def _word_antipode(w: Word) -> LinComb:
     return LinComb.term(w.reverse(), Fraction(-1) ** w.grade)
 
 
+def _concat_row(u: Word, v: Word) -> tuple:
+    return ((u.concat(v), 1),)
+
+
+def _deshuffle_row(w: Word) -> tuple:
+    return tuple(((Word(l), Word(r)), m) for (l, r), m in deshuffle_tuples(w.letters).items())
+
+
+def _shuffle_row(u: Word, v: Word) -> tuple:
+    return tuple((Word(w), m) for w, m in shuffle_tuples(u.letters, v.letters).items())
+
+
+def _deconcat_row(w: Word) -> tuple:
+    return tuple(((Word(l), Word(r)), 1) for l, r in deconcat_tuples(w.letters))
+
+
+concat = structure_map(LinComb, _concat_row)
+deshuffle = structure_map(TensorComb, _deshuffle_row)
+shuffle = structure_map(LinComb, _shuffle_row)
+deconcat = structure_map(TensorComb, _deconcat_row)
+
+
 @functools.lru_cache(maxsize=None)
 def concat_deshuffle_instance(d: int) -> HopfInstance:
     """Words with concatenation product and deshuffle coproduct."""
     check_dimension(d)
-
-    def product(u: Word, v: Word) -> LinComb:
-        return LinComb.term(u.concat(v))
-
-    @functools.lru_cache(maxsize=None)
-    def coproduct(w: Word) -> TensorComb:
-        return TensorComb(
-            {
-                (Word(l), Word(r)): Fraction(m)
-                for (l, r), m in deshuffle_tuples(w.letters).items()
-            },
-            _clean=True,
-        )
-
     return HopfInstance(
         name="concat_deshuffle",
         dim=d,
         unit=EMPTY_WORD,
-        product_basis=product,
-        coproduct_basis=coproduct,
+        product_basis=concat,
+        coproduct_basis=deshuffle,
         basis=lambda k: words(d, k),
         antipode_closed_basis=_word_antipode,
     )
@@ -384,48 +426,15 @@ def concat_deshuffle_instance(d: int) -> HopfInstance:
 def shuffle_deconcat_instance(d: int) -> HopfInstance:
     """Words with shuffle product and deconcatenation coproduct."""
     check_dimension(d)
-
-    @functools.lru_cache(maxsize=None)
-    def product(u: Word, v: Word) -> LinComb:
-        return LinComb(
-            {Word(w): Fraction(m) for w, m in shuffle_tuples(u.letters, v.letters).items()},
-            _clean=True,
-        )
-
-    def coproduct(w: Word) -> TensorComb:
-        return TensorComb(
-            {(Word(l), Word(r)): Fraction(1) for l, r in deconcat_tuples(w.letters)},
-            _clean=True,
-        )
-
     return HopfInstance(
         name="shuffle_deconcat",
         dim=d,
         unit=EMPTY_WORD,
-        product_basis=product,
-        coproduct_basis=coproduct,
+        product_basis=shuffle,
+        coproduct_basis=deconcat,
         basis=lambda k: words(d, k),
         antipode_closed_basis=_word_antipode,
     )
-
-
-def shuffle(u: Word, v: Word) -> LinComb:
-    d = max([1, *u.letters, *v.letters])
-    return shuffle_deconcat_instance(d).product_basis(u, v)
-
-
-def deshuffle(w: Word) -> TensorComb:
-    d = max([1, *w.letters])
-    return concat_deshuffle_instance(d).coproduct_basis(w)
-
-
-def concat(u: Word, v: Word) -> LinComb:
-    return LinComb.term(u.concat(v))
-
-
-def deconcat(w: Word) -> TensorComb:
-    d = max([1, *w.letters])
-    return shuffle_deconcat_instance(d).coproduct_basis(w)
 
 
 def get_instance(name: str, d: int) -> HopfInstance:

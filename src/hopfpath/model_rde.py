@@ -676,6 +676,9 @@ def picard_solve(
         raise ValueError(f"T={end} is past the last knot of the path, t={path.times[-1]}")
 
     plan = _polynomial_plan(field, level)
+    if plan is not None:
+        # a state of at most this many bits skips _float_past_cap (see there)
+        small = _EXACT_STATE_BITS // (4 * max(plan[2], 1))
     picard_step = _step_function(field, level)
     samples: list[tuple[Fraction, object]] = [(start, y0)]
     s, y = start, y0
@@ -691,7 +694,9 @@ def picard_solve(
                 elif plan is not None and isinstance(y, (int, Fraction)):
                     nums, den = scaled
                     a, scale = _step_polynomial(plan, nums), plan[0] * den
-                    y_next = _float_past_cap(a, scale, y)
+                    y_next = None
+                    if y.numerator.bit_length() + y.denominator.bit_length() > small:
+                        y_next = _float_past_cap(a, scale, y)
                     if y_next is None:
                         y_next = _exact_step(a, scale, y)
                 else:
@@ -936,6 +941,13 @@ def _float_past_cap(a: list, scale: int, y) -> float | None:
     ``_EXACT_STATE_BITS``, the exact result would become its correctly
     rounded float; rounding is monotone, so when both ends of the interval
     of M / D round to one float, that float is the one.
+
+    The first bound is below 2 K b + bits(scale) + bits(sum_j |a_j|) for a
+    state of b bits in p and q together, so ``picard_solve`` calls this only
+    for b > ``_EXACT_STATE_BITS`` / (4 top), top the plan's highest degree:
+    a smaller state cannot pass unless scale and a alone carry half the
+    budget, and a skipped call leaves the exact step, whose demotion is the
+    same float.
     """
     K = len(a) - 1
     p, q = y.numerator, y.denominator

@@ -23,6 +23,7 @@ from .hopf_core import (
     CheckReport,
     HopfInstance,
     concat_deshuffle_instance,
+    rows_of,
     shuffle_deconcat_instance,
 )
 from .hopf_ck import (
@@ -352,12 +353,12 @@ class _LiftTable:
     products of their basis elements land: (ks, outs) for the unit structure
     constants, k indexing y's terms, and (k, out, c) triples for the others.
     The row is computed when a product first meets p with those fitting
-    positions, from ``product_basis`` on the pairs it lists only, and kept
-    under them; so no row holds a pair with a zero term or past the level,
-    and right operands with the same fitting positions, such as the closed
-    forms of a path's generic pieces, share rows.  A product accumulates in
-    one dense list and comes out in table order.  Structure constants must
-    be integers.
+    positions, from the rows of ``product_basis`` (``rows_of``) on the pairs
+    it lists only, and kept under them; so no row holds a pair with a zero
+    term or past the level, and right operands with the same fitting
+    positions, such as the closed forms of a path's generic pieces, share
+    rows.  A product accumulates in one dense list and comes out in table
+    order.  Structure constants must be integers.
 
     ``cut_product`` multiplies two characters of the Connes-Kreimer algebra,
     such as branched lift values, with X(t1 t2) = X(t1) X(t2) (Gubinelli,
@@ -388,7 +389,7 @@ class _LiftTable:
             count_of.append(counts.setdefault(tuple(n), len(counts)))
         self.counts, self.count_of = tuple(counts), tuple(count_of)
         self.weights = tuple(self.lcm // fact for fact in facts)
-        self.product_basis = algebra.product_basis
+        self.product_row = rows_of(algebra.product_basis)
         self.rows: dict = {}  # the fitting positions of a right operand -> {p: row}
         self._cuts: tuple | None = None  # cut_product's plan, built on first use
         self._all = tuple(range(len(self.keys)))
@@ -436,7 +437,7 @@ class _LiftTable:
         return self._form(acc, x.den * y.den)
 
     def _row(self, p: int, fit: tuple) -> tuple:
-        keys, index, product = self.keys, self.index, self.product_basis
+        keys, index, product = self.keys, self.index, self.product_row
         left = keys[p]
         ks, outs, others = [], [], []
         for k, q in enumerate(fit):
@@ -444,8 +445,8 @@ class _LiftTable:
                 if c == 1:
                     ks.append(k)
                     outs.append(index[b])
-                elif type(c) is Fraction and c.denominator == 1:
-                    others.append((k, index[b], c.numerator))
+                elif type(c) is int:
+                    others.append((k, index[b], c))
                 else:
                     raise TypeError(f"a lift table needs integral structure constants, "
                                     f"got {c} on {b}")

@@ -228,7 +228,7 @@ class Forest(Interned):
     ``Forest.of(t2, t1) is Forest.of(t1, t2)``.
     """
 
-    __slots__ = ("items", "grade")
+    __slots__ = ("items", "grade", "_key")
 
     def __new__(cls, items: Sequence[tuple[Tree, int]] = ()):
         merged: dict[Tree, int] = {}
@@ -237,9 +237,10 @@ class Forest(Interned):
                 raise ValueError("negative multiplicity")
             if mult:
                 merged[tree] = merged.get(tree, 0) + mult
-        norm = tuple(sorted(merged.items(), key=lambda tm: tm[0].sort_key()))
+        norm = tuple(sorted(merged.items(), key=lambda tm: tm[0]._key))
         return cls._table.get((norm,)) or cls._build(
-            (norm,), items=norm, grade=sum(t.grade * m for t, m in norm)
+            (norm,), items=norm, grade=sum(t.grade * m for t, m in norm),
+            _key=tuple((t._key, m) for t, m in norm),
         )
 
     @classmethod
@@ -259,7 +260,11 @@ class Forest(Interned):
         return sum(m for _, m in self.items)
 
     def mul(self, other: "Forest") -> "Forest":
-        """Commutative juxtaposition of forests."""
+        """Commutative juxtaposition of forests; the empty forest is the unit."""
+        if not other.items:
+            return self
+        if not self.items:
+            return other
         return Forest(self.items + other.items)
 
     def graft(self, label: int) -> Tree:
@@ -267,7 +272,7 @@ class Forest(Interned):
         return Tree(label, self)
 
     def sort_key(self):
-        return tuple((t.sort_key(), m) for t, m in self.items)
+        return self._key
 
     def __lt__(self, other: "Forest") -> bool:
         return (self.grade, self.sort_key()) < (other.grade, other.sort_key())

@@ -1,0 +1,113 @@
+"""The structure maps of the five built-in algebras as LinComb/TensorComb
+recursions, kept as test references for the integer rows the library reads.
+
+Each map builds its combination of Fractions term by term, in the order the
+library's rows promise: ``_row`` of a reference value must equal the row,
+term for term.
+"""
+from __future__ import annotations
+
+import functools
+import itertools
+from fractions import Fraction
+
+from hopfpath.hopf_ck import _graft_counts, _sub_forests, symmetry_factor
+from hopfpath.hopf_core import deconcat_tuples, deshuffle_tuples, shuffle_tuples
+from hopfpath.linalg import LinComb, TensorComb, accum
+from hopfpath.symbols import (
+    EMPTY_FOREST,
+    Forest,
+    MultiIndex,
+    Tree,
+    Word,
+    multiindex_binomial,
+    multiplicative,
+)
+
+
+def poly_product(n: MultiIndex, m: MultiIndex) -> LinComb:
+    return LinComb.term(n + m)
+
+
+def poly_coproduct(n: MultiIndex) -> TensorComb:
+    terms = {}
+    ranges = [range(e + 1) for e in n.entries]
+    for m_entries in itertools.product(*ranges):
+        m = MultiIndex(m_entries)
+        terms[(m, n - m)] = Fraction(multiindex_binomial(n, m))
+    return TensorComb(terms, _clean=True)
+
+
+def concat(u: Word, v: Word) -> LinComb:
+    return LinComb.term(u.concat(v))
+
+
+def deshuffle(w: Word) -> TensorComb:
+    return TensorComb(
+        {(Word(l), Word(r)): Fraction(m) for (l, r), m in deshuffle_tuples(w.letters).items()},
+        _clean=True,
+    )
+
+
+def shuffle(u: Word, v: Word) -> LinComb:
+    return LinComb(
+        {Word(w): Fraction(m) for w, m in shuffle_tuples(u.letters, v.letters).items()},
+        _clean=True,
+    )
+
+
+def deconcat(w: Word) -> TensorComb:
+    return TensorComb(
+        {(Word(l), Word(r)): Fraction(1) for l, r in deconcat_tuples(w.letters)}, _clean=True
+    )
+
+
+def ck_product(a: Forest, b: Forest) -> LinComb:
+    return LinComb.term(a.mul(b))
+
+
+def _pair_product(a: TensorComb, b: TensorComb) -> TensorComb:
+    """Slot-wise juxtaposition of two tensors of forests."""
+    acc: dict = {}
+    for (l1, r1), c1 in a:
+        for (l2, r2), c2 in b:
+            accum(acc, (l1.mul(l2), r1.mul(r2)), c1 * c2)
+    return TensorComb(acc, _clean=True)
+
+
+@multiplicative(TensorComb.term(EMPTY_FOREST, EMPTY_FOREST), _pair_product)
+def ck_coproduct(tree: Tree) -> TensorComb:
+    """Admissible-cut coproduct, by the defining recursion."""
+    lifted = ck_coproduct(tree.children).map_right(
+        lambda z: LinComb.term(z.graft(tree.label).as_forest())
+    )
+    return lifted + TensorComb.term(tree.as_forest(), EMPTY_FOREST)
+
+
+@functools.lru_cache(maxsize=None)
+def gl_product(a: Forest, b: Forest) -> LinComb:
+    """Counted grafting, n(z) = M(z) sigma(z) / (sigma(a) sigma(b)), in
+    canonical order."""
+    scale = symmetry_factor(a) * symmetry_factor(b)
+    counts = _graft_counts(a, b)
+    terms = {}
+    for z in sorted(counts, key=Forest.sort_key):
+        n, rest = divmod(counts[z] * symmetry_factor(z), scale)
+        if rest:
+            raise ValueError(f"non-integer Grossman-Larson coefficient of {z} in {a} * {b}")
+        terms[z] = Fraction(n)
+    return LinComb(terms, _clean=True)
+
+
+def forest_deconcat(f: Forest) -> TensorComb:
+    return TensorComb({(l, r): Fraction(1) for l, r, _ in _sub_forests(f)}, _clean=True)
+
+
+# the reference (product, coproduct) of each algebra, by CLI name
+MAPS = {
+    "poly": (poly_product, poly_coproduct),
+    "concat": (concat, deshuffle),
+    "shuffle": (shuffle, deconcat),
+    "ck": (ck_product, ck_coproduct),
+    "gl": (gl_product, forest_deconcat),
+}

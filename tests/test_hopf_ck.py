@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfpath import hopf_ck
 
-from hopfpath.hopf_core import check_axioms, deconcat_tuples
+from hopfpath.hopf_core import _row, check_axioms, deconcat_tuples
 from hopfpath.hopf_ck import (
     TreeWord,
     ck_antipode,
@@ -318,8 +318,10 @@ class TestCountedGrafting:
 
     def test_untouched_subtrees_are_reused(self):
         # the placements of each part of a (1 or the dot) into each subtree
-        # of a ladder of 3 are built once: 2 * 3 misses on a cleared cache
+        # of a ladder of 3 are built once: 2 * 3 misses on cleared caches (the
+        # memoized graft counts would otherwise answer before any placement)
         ladder = t(1, t(2, t(1))).as_forest()
+        hopf_ck._graft_counts.cache_clear()
         hopf_ck._place_tree.cache_clear()
         counts = hopf_ck._graft_counts(dot, ladder)
         info = hopf_ck._place_tree.cache_info()
@@ -353,6 +355,37 @@ class TestCountedGrafting:
             for b in forests_up_to(2, 5 - a.grade):
                 if repeats(a) or repeats(b):
                     assert list(gl_product(a, b)) == list(gl_readback(a, b, 2))
+
+
+@st.composite
+def forest_pairs_to_six(draw):
+    """d <= 2 and forests a, b whose grades sum to at most 6."""
+    d = draw(st.integers(min_value=1, max_value=2))
+    g = draw(st.integers(min_value=0, max_value=6))
+    a = draw(st.sampled_from(forests(d, g)))
+    b = draw(st.sampled_from(forests(d, draw(st.integers(min_value=0, max_value=6 - g)))))
+    return d, a, b
+
+
+class TestRowOracles:
+    """The ck and gl rows against the oracles of their own: the admissible
+    cuts, and the read-back of each coefficient from the cut coproduct."""
+
+    @given(forest_pairs_to_six())
+    @settings(max_examples=150, deadline=None)
+    def test_ck_rows_are_the_cuts(self, case):
+        _, f, _ = case
+        by_keys = lambda lrc: (lrc[0].sort_key(), lrc[1].sort_key())
+        rows = sorted(((l, r, c) for (l, r), c in ck_coproduct.row(f)), key=by_keys)
+        assert rows == [(cut.crown, cut.trunk, cut.multiplicity) for cut in enumerate_cuts(f)]
+
+    @given(forest_pairs_to_six())
+    @settings(max_examples=100, deadline=None)
+    def test_gl_rows_are_the_readback(self, case):
+        d, a, b = case
+        row = gl_product.row(a, b)
+        assert row == _row(gl_readback(a, b, d))
+        assert all(type(c) is int for _, c in row)
 
 
 class TestForestDeconcat:

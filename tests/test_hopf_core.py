@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfpath.hopf_core import (
     HopfInstance,
+    _row,
     check_axioms,
     concat_deshuffle_instance,
     convolution,
@@ -25,6 +26,7 @@ from hopfpath.hopf_core import (
     poly_instance,
     random_lincomb,
     random_scaled,
+    rows_of,
     shuffle,
     shuffle_deconcat_instance,
     shuffle_permutations,
@@ -41,6 +43,7 @@ from hopfpath.linalg import (
     pair_tensor,
 )
 from hopfpath.symbols import MultiIndex, Word, words, words_up_to
+from reference_maps import MAPS as REFERENCE_MAPS
 
 
 W = lambda *ls: Word(ls)
@@ -519,6 +522,95 @@ class TestRows:
         copy = dataclasses.replace(base, product_basis=doubled_product(base))
         assert copy.product_row(u, v) == ((W(1, 2), 2),)
         assert base.product_row(u, v) == ((W(1, 2), 1),)
+
+
+@st.composite
+def row_cases(draw):
+    """An algebra, d in 1..3, and basis elements a, b whose grades sum to at
+    most 5, or 6 for ck and gl at d <= 2."""
+    name, d = draw(st.sampled_from(ALGEBRAS)), draw(st.integers(1, 3))
+    instance = get_instance(name, d)
+    top = 6 if name in ("ck", "gl") and d <= 2 else 5
+    g = draw(st.integers(0, top))
+    a = draw(st.sampled_from(instance.basis(g)))
+    b = draw(st.sampled_from(instance.basis(draw(st.integers(0, top - g)))))
+    return name, instance, a, b
+
+
+class TestRowSources:
+    """Each algebra's integer rows against the LinComb maps of
+    ``reference_maps``: the same terms in the same order, every constant an
+    int, and the public maps their views."""
+
+    @given(row_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_product_rows(self, case):
+        name, instance, a, b = case
+        reference = REFERENCE_MAPS[name][0](a, b)
+        row = instance.product_basis.row(a, b)
+        assert row == _row(reference)
+        assert all(type(c) is int for _, c in row)
+        assert list(instance.product_basis(a, b)) == list(reference)
+
+    @given(row_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_coproduct_rows(self, case):
+        name, instance, a, _ = case
+        reference = REFERENCE_MAPS[name][1](a)
+        row = instance.coproduct_basis.row(a)
+        assert row == _row(reference)
+        assert all(type(c) is int for _, c in row)
+        assert list(instance.coproduct_basis(a)) == list(reference)
+
+    @pytest.mark.parametrize("name", ALGEBRAS)
+    def test_instances_read_rows_without_the_view(self, name):
+        # a copy with an empty memo fills its rows from the row sources, and
+        # the views' caches see none of it
+        instance = dataclasses.replace(get_instance(name, 2), _memo={})
+        views = (instance.product_basis, instance.coproduct_basis)
+        before = [view.cache_info() for view in views]
+        basis = instance.basis_up_to(3)
+        for a in basis:
+            assert instance.coproduct_row(a) == instance.coproduct_basis.row(a)
+            for b in basis:
+                assert instance.product_row(a, b) == instance.product_basis.row(a, b)
+        assert [view.cache_info() for view in views] == before
+
+
+class TestProbe:
+    """What the benchmark's checks-cold probe does: a copy of concat(2) with a
+    replaced map must fail, so its rows come from the map it was given."""
+
+    def test_doubled_product_fails(self):
+        base = concat_deshuffle_instance(2)
+        broken = dataclasses.replace(base, product_basis=doubled_product(base), _memo={})
+        assert not check_axioms(broken, 3, samples=30).passed
+
+    def test_perturbed_coproduct_fails(self):
+        base = concat_deshuffle_instance(2)
+
+        def perturbed(w):
+            # one copy of first letter (x) the rest dropped on grade 2
+            out = base.coproduct_basis(w)
+            if w.grade != 2:
+                return out
+            return out - TensorComb.term(Word(w.letters[:1]), Word(w.letters[1:]))
+
+        broken = dataclasses.replace(base, coproduct_basis=perturbed, _memo={})
+        report = check_axioms(broken, 3, samples=30)
+        assert not report.passed
+        assert all(e.witness for e in report.failures())
+
+    def test_a_map_without_rows_goes_through_row(self):
+        base = concat_deshuffle_instance(2)
+        calls = Counter()
+        copy = dataclasses.replace(base, product_basis=counted(doubled_product(base), calls))
+        assert not hasattr(copy.product_basis, "row")
+        assert copy.product_row(W(1), W(2)) == ((W(1, 2), 2),)
+        assert type(copy.product_row(W(1), W(2))[0][1]) is int
+        assert calls == Counter({(W(1), W(2)): 1})
+        assert rows_of(copy.product_basis)(W(2), W(1)) == ((W(2, 1), 2),)
+        assert rows_of(base.product_basis) is base.product_basis.row
 
 
 def counted(fn, calls: Counter):
