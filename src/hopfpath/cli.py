@@ -1,8 +1,9 @@
 """Command-line interface: one subcommand per library operation.
 
 Exit codes: 0 on success, 1 when a check reports violations, 2 on usage or
-parse errors.  Output is deterministic for fixed flags and seed; exact scalars
-print as p/q, floats with 12 significant digits.
+parse errors and on work past the command's budget (``hopfpath.work``).
+Output is deterministic for fixed flags and seed; exact scalars print as
+p/q, floats with 12 significant digits.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
+from . import work
 from .hopf_core import check_axioms, get_instance
 from .hopf_ck import enumerate_cuts, phi_hat_lin, phi_lin, psi_lin
 from .linalg import (
@@ -89,22 +91,32 @@ def _gamma(args) -> Fraction:
     return to_fraction(args.gamma)
 
 
-def _grid(path: PiecewiseLinearPath, points: int, flavor: str, level: int,
-          products: int) -> list[Fraction]:
-    """``points`` evenly spaced times on the path, for a command that makes
-    ``products`` products of lift values of this flavor and level; exit 2
-    for fewer than 2 points, or for products visiting more than _GRID_CAP
-    basis pairs in all."""
+def _grid(path: PiecewiseLinearPath, points: int) -> list[Fraction]:
+    """``points`` evenly spaced times on the path, each charged as work;
+    exit 2 for fewer than 2 points."""
     if points < 2:
         raise ValueError(f"--grid must be at least 2, got {points}")
-    if _product_work("word" if flavor == "geometric" else "forest", path.dim, level,
-                     products) > _GRID_CAP:
-        raise ValueError(
-            f"--grid {points} is too large at level {level}: the {flavor} lift values on "
-            f"that grid take products visiting more than {_GRID_CAP} basis pairs"
-        )
+    work.charge(points)
     lo, hi = path.times[0], path.times[-1]
     return [lo + (hi - lo) * Fraction(i, points - 1) for i in range(points)]
+
+
+# per command, what sizes its work; a refusal calls the first too large
+_SIZED_BY = {
+    "check-axioms": ("max_grade", "samples", "dim"), "check-rough": ("grid", "level"),
+    "check-model": ("grid", "level"), "signature": ("level",), "branched-lift": ("level",),
+    "rde": ("level", "step"), **dict.fromkeys(("exp", "log", "bch", "norm"),
+                                              ("truncation", "x", "y", "dim")),
+}
+
+
+def _sizes(args) -> list[str]:
+    """What sized a command's work, as "--option value" or "operand value"."""
+    names = _SIZED_BY.get(args.command, ("forest", "x", "y", "dim"))
+    if args.command == "convert-lift":
+        names = ("grid", "level") if args.direction == "b2g" else ("level",)
+    return [f"{n} {getattr(args, n)}" if n in ("forest", "x", "y")
+            else f"--{n.replace('_', '-')} {getattr(args, n)}" for n in names if hasattr(args, n)]
 
 
 def _single_forest(args, text: str):
@@ -116,16 +128,10 @@ def _single_forest(args, text: str):
 
 # largest basis, over all grades up to the truncation level, a command will build
 _BASIS_CAP = 10**6
-# most basis pairs plus triples within the grade bound check-axioms will visit
-_WORK_CAP = 10**6
-# most subsets or placements the word maps of check-axioms will enumerate
-_ENUMERATION_CAP = 10**6
-# most coproduct terms and term pairs the laws of check-axioms will multiply
-_TERM_CAP = 10**6
-# most basis pairs the products of lift values on a --grid will visit
-_GRID_CAP = 10**6
 # most Picard steps rde will take, each sample kept in memory
 _STEP_CAP = 10**5
+# units of work (see hopfpath.work) one command may charge
+_WORK_BUDGET = 3 * 10**6
 
 
 def _grade_sizes(kind: str, d: int):
@@ -179,113 +185,6 @@ def _check_steps(step: Fraction, start: Fraction, end: Fraction):
             f"--step {step} is too small: the solve up to T={end} takes more than "
             f"{_STEP_CAP} steps"
         )
-
-
-def _axiom_work(kind: str, d: int, max_grade: int) -> int:
-    """Basis pairs plus triples of total grade <= max_grade, the tuples the
-    exact laws of check-axioms visit, counted from the grade sizes (the grade-s
-    pairs are sum_i n_i n_{s-i}, and the triples convolve those with n once
-    more); the count stops once it passes _WORK_CAP."""
-    sizes, pairs, total = [], [], 0
-    for s, size in zip(range(max_grade + 1), _grade_sizes(kind, d)):
-        sizes.append(size)
-        pairs.append(sum(sizes[i] * sizes[s - i] for i in range(s + 1)))
-        total += pairs[s] + sum(pairs[i] * sizes[s - i] for i in range(s + 1))
-        if total > _WORK_CAP:
-            break
-    return total
-
-
-def _product_work(kind: str, d: int, level: int, products: int) -> int:
-    """Basis pairs that many products of two elements cut at the level visit:
-    products times the pairs of total grade <= level, sum over s <= level of
-    sum_i n_i n_{s-i}, from the grade sizes; the count stops once it passes
-    _GRID_CAP."""
-    sizes, total = [], 0
-    for s, size in zip(range(level + 1), _grade_sizes(kind, d)):
-        sizes.append(size)
-        total += products * sum(sizes[i] * sizes[s - i] for i in range(s + 1))
-        if total > _GRID_CAP:
-            break
-    return total
-
-
-def _enumeration_work(algebra: str, d: int, max_grade: int, samples: int) -> int:
-    """Subsets and placements the word maps of check-axioms enumerate, counted
-    from the grade sizes d^n; each map runs once per argument.
-
-    The deshuffle coproduct of ``concat`` takes all 2^n subsets of a grade-n
-    word, and the shuffle product of ``shuffle`` C(i+j, i) placements for a
-    pair of grades i and j.  The exact laws split every word, and multiply
-    every pair, of total grade <= max_grade.  The random samples draw words
-    of grade <= h = max(1, max_grade // 2): concat splits their products, of
-    grade <= 2h, and shuffle multiplies those products by a word of grade
-    <= h, either way round.  The other algebras enumerate nothing of this
-    kind: 0.  The count stops once it passes _ENUMERATION_CAP.
-    """
-    if algebra not in ("concat", "shuffle"):
-        return 0
-    h = max(1, max_grade // 2)
-    top = max_grade
-    if samples > 0:
-        top = max(top, 2 * h if algebra == "concat" else 3 * h)
-    total = 0
-    for s in range(top + 1):
-        if algebra == "concat":
-            total += d**s * 2**s
-        else:
-            total += d**s * sum(
-                math.comb(s, i) for i in range(s + 1)
-                if s <= max_grade or min(i, s - i) <= h and max(i, s - i) <= 2 * h
-            )
-        if total > _ENUMERATION_CAP:
-            break
-    return total
-
-
-def _coproduct_terms(algebra: str, d: int):
-    """Per grade n, bounds (c_n, t_n) on the coproduct terms of all the
-    grade-n basis elements and on the terms of (Delta (x) id) Delta over
-    them, counted from the grade sizes without enumerating.
-
-    A term of Delta b splits b in two, and one of (Delta (x) id) Delta b in
-    three.  poly: the ways to write a grade-n multi-index of d entries as a
-    sum of two or three (exact).  shuffle: the n + 1 cut points of a word
-    and the (n + 1)(n + 2)/2 pairs of them (exact).  concat: the ways to
-    split the letters into two or three subsequences, at most d^n distinct
-    for each split of the length n.  ck and gl: at most 2^n and 3^n per
-    element, vertices into cut-off and kept parts, trees into groups.
-    """
-    for n, size in enumerate(_grade_sizes(_KIND_BY_ALGEBRA[algebra], d)):
-        if algebra == "poly":
-            yield math.comb(n + 2 * d - 1, 2 * d - 1), math.comb(n + 3 * d - 1, 3 * d - 1)
-        elif algebra == "shuffle":
-            yield size * (n + 1), size * (n + 1) * (n + 2) // 2
-        elif algebra == "concat":
-            top = d**n
-            yield (
-                size * sum(min(math.comb(n, i), top) for i in range(n + 1)),
-                size * sum(min(math.comb(n, i) * math.comb(n - i, j), top)
-                           for i in range(n + 1) for j in range(n - i + 1)),
-            )
-        else:
-            yield size * 2**n, size * 3**n
-
-
-def _term_work(algebra: str, d: int, max_grade: int) -> int:
-    """Coproduct terms and term pairs the exact laws of check-axioms
-    multiply, from the bounds of ``_coproduct_terms``: compatibility
-    multiplies the c_i c_j term pairs over the grades i + j <= max_grade,
-    coassociativity walks the t_n terms on each side, and the antipode law
-    the c_n terms on each side.  The count stops once it passes _TERM_CAP.
-    """
-    total, cs = 0, []
-    for n, (c, t) in zip(range(max_grade + 1), _coproduct_terms(algebra, d)):
-        cs.append(c)
-        total += sum(cs[i] * cs[n - i] for i in range(n + 1)) + 2 * t + 2 * c
-        if total > _TERM_CAP:
-            break
-    return total
 
 
 def _truncated(args, x: LinComb) -> TruncatedElement:
@@ -405,7 +304,14 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        with work.limit(_WORK_BUDGET):
+            return _dispatch(args)
+    except work.WorkBudgetExceeded:
+        first, *rest = _sizes(args)
+        at = f" at {', '.join(rest)}" if rest else ""
+        print(f"error: {first} is too large{at}: the {args.command} work passes its budget "
+              f"of {_WORK_BUDGET} units", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -436,25 +342,8 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "check-axioms":
         inst = get_instance(args.algebra, args.dim)  # rejects a dimension below 1
-        # the pairs include every (b, 1), so this also caps the basis
-        if _axiom_work(_KIND_BY_ALGEBRA[args.algebra], args.dim, args.max_grade) > _WORK_CAP:
-            raise ValueError(
-                f"max-grade {args.max_grade} is too large: the {args.algebra} axiom check up "
-                f"to that grade visits more than {_WORK_CAP} basis pairs and triples"
-            )
-        enumerated = _enumeration_work(args.algebra, args.dim, args.max_grade, args.samples)
-        if enumerated > _ENUMERATION_CAP:
-            maps = {"concat": "subsets in its deshuffle coproducts",
-                    "shuffle": "placements in its shuffle products"}
-            raise ValueError(
-                f"max-grade {args.max_grade} is too large: the {args.algebra} axiom check up "
-                f"to that grade enumerates more than {_ENUMERATION_CAP} {maps[args.algebra]}"
-            )
-        if _term_work(args.algebra, args.dim, args.max_grade) > _TERM_CAP:
-            raise ValueError(
-                f"max-grade {args.max_grade} is too large: the {args.algebra} axiom check up "
-                f"to that grade multiplies more than {_TERM_CAP} coproduct terms and term pairs"
-            )
+        _check_size("max-grade", args.max_grade, args.algebra, _KIND_BY_ALGEBRA[args.algebra],
+                    args.dim)
         report = check_axioms(inst, args.max_grade, args.samples, args.seed)
         return _emit_report(args, report, "OK" if report.passed else report.summary())
     if cmd == "exp":
@@ -503,29 +392,19 @@ def _dispatch(args) -> int:
     if cmd == "check-rough":
         path = PiecewiseLinearPath.from_csv(args.path)
         cfg = RoughPathConfig.make(_gamma(args), args.flavor)
-        level = args.level if args.level is not None else cfg.level
+        level = args.level = args.level if args.level is not None else cfg.level
         _check_level(level, path.dim, args.flavor)
         make = signature_lift if args.flavor == "geometric" else branched_lift_fn
         lift = make(path, level)
-        # the Chen law's grid^3 products, and the Chen chains of the grid^2
-        # values, up to knots - 2 products each
-        knots = len(path.times)
-        grid = _grid(path, args.grid, args.flavor, level,
-                     args.grid**3 + args.grid**2 * (knots - 2))
-        report = check_rough_axioms(lift, cfg, grid)
+        report = check_rough_axioms(lift, cfg, _grid(path, args.grid))
         return _emit_report(args, report, report.summary())
     if cmd == "check-model":
         path = PiecewiseLinearPath.from_csv(args.path)
         cfg = RoughPathConfig.make(_gamma(args), "branched")
-        level = args.level if args.level is not None else cfg.level
+        level = args.level = args.level if args.level is not None else cfg.level
         _check_level(level, path.dim, "branched")
-        # per grid triple, the translation and cocycle laws visit 3.4, 5.2 and
-        # 8.2 times the basis pairs of one product at levels 2, 3 and 4 (d = 2):
-        # 5 products; and the Chen chains of the grid^2 values, up to knots - 2
-        # products each
-        grid = _grid(path, args.grid, "branched", level,
-                     5 * args.grid**3 + args.grid**2 * (len(path.times) - 2))
-        report = check_model(model_from_lift(branched_lift_fn(path, level), cfg.gamma), grid)
+        report = check_model(model_from_lift(branched_lift_fn(path, level), cfg.gamma),
+                             _grid(path, args.grid))
         return _emit_report(args, report, report.summary())
     if cmd == "qgamma":
         forest = _single_forest(args, args.forest)
@@ -539,11 +418,7 @@ def _dispatch(args) -> int:
         if args.direction == "g2b":
             out = geo_to_branched(signature_lift(path, args.level))
         else:
-            # grid^2 values, each a Chen chain of up to knots - 2 products,
-            # then paired with the kernel of phi, weighed as one product more
-            grid = _grid(path, args.grid, "branched", args.level,
-                         args.grid**2 * (len(path.times) - 1))
-            out = branched_to_geo(branched_lift_fn(path, args.level), grid)
+            out = branched_to_geo(branched_lift_fn(path, args.level), _grid(path, args.grid))
         _emit(args, out.eval(s, t).value)
         return 0
     if cmd == "rde":

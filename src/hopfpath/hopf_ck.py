@@ -36,6 +36,7 @@ from .symbols import (
     forests,
     multiplicative,
 )
+from .work import charge
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,7 @@ def _juxtapose(a: Forest, b: Forest) -> tuple:
 
 def _pair_product(a, b) -> dict:
     """Slot-wise juxtaposition of two families of forest pairs, as a dict."""
+    charge(48 * len(a) * len(b))
     acc: dict = {}
     for (l1, r1), c1 in a:
         for (l2, r2), c2 in b:
@@ -107,6 +109,7 @@ def _cuts_dict(tree: Tree) -> tuple[tuple[tuple[Forest, Forest], int], ...]:
 
 def enumerate_cuts(f: Forest) -> list[Cut]:
     """All admissible cuts (crown, trunk) of f with planar multiplicities."""
+    charge(8 * f.grade * len(_cuts_dict(f)))
     out = [Cut(c, t, m) for (c, t), m in _cuts_dict(f)]
     out.sort(key=lambda cut: (cut.crown.sort_key(), cut.trunk.sort_key()))
     return out
@@ -133,7 +136,9 @@ def splits(tree: Tree) -> tuple[tuple[Forest, int], ...]:
     acc: dict = {}
     for (c, t), m in _cuts_dict(f):
         if t != f:
-            for s, e in splits(t):
+            below = splits(t)
+            charge(24 * len(below))
+            for s, e in below:
                 # partial sums may cancel; a key keeps its first position
                 key = c.mul(s)
                 acc[key] = acc.get(key, 0) - e * m
@@ -166,6 +171,7 @@ def symmetry_factor(f: Forest) -> int:
 def _sub_forests(f: Forest) -> tuple[tuple[Forest, Forest, int], ...]:
     """Every split f = left + right into sub-multisets, each once, with the
     number prod_t binom(m_t, k_t) of ways to pick left's copies of f's trees."""
+    charge(24 * math.prod(m + 1 for _, m in f.items))
     out = []
     for ks in itertools.product(*(range(m + 1) for _, m in f.items)):
         left = Forest(tuple((t, k) for (t, _), k in zip(f.items, ks) if k))
@@ -207,8 +213,9 @@ def _graft_counts(a: Forest, b: Forest) -> dict:
     rest = Forest._table.get((rest,)) or Forest(rest)
     counts: dict = {}
     for a1, a2, w in _sub_forests(a):
-        below = _graft_counts(a2, rest)
-        for t, m1 in _place_tree(a1, s):
+        below, placed = _graft_counts(a2, rest), _place_tree(a1, s)
+        charge(40 * len(placed) * len(below))
+        for t, m1 in placed:
             for z, m2 in below.items():
                 z = _join(t, z)
                 counts[z] = counts.get(z, 0) + w * m1 * m2

@@ -38,6 +38,7 @@ from .symbols import (
     multiindex_binomial,
     words,
 )
+from .work import charge
 
 
 class GradeBoundExceeded(ValueError):
@@ -65,6 +66,7 @@ def shuffle_tuples(u: tuple, v: tuple) -> dict[tuple, int]:
     """Multiset of interleavings of u and v preserving both orders."""
     out: dict[tuple, int] = {}
     n = len(u) + len(v)
+    charge(math.comb(n, len(u)) * (8 + n // 3))
     for positions in itertools.combinations(range(n), len(u)):
         word: list = [None] * n
         for letter, p in zip(u, positions):
@@ -81,6 +83,7 @@ def deshuffle_tuples(w: tuple) -> dict[tuple[tuple, tuple], int]:
     """All (subsequence, complement) splits of w, with multiplicities."""
     out: dict[tuple[tuple, tuple], int] = {}
     n = len(w)
+    charge(2**n * (12 + n // 2))
     for r in range(n + 1):
         for subset in itertools.combinations(range(n), r):
             chosen = frozenset(subset)
@@ -142,6 +145,7 @@ class HopfInstance:
         def product_row(a, b) -> tuple:
             row = rows.get((a, b))
             if row is None:
+                charge(32)
                 row = rows[a, b] = source(a, b)
             return row
 
@@ -154,6 +158,7 @@ class HopfInstance:
         rows = self.memo("coproduct_rows")
         row = rows.get(b)
         if row is None:
+            charge(24)
             row = rows[b] = rows_of(self.coproduct_basis)(b)
         return row
 
@@ -241,6 +246,7 @@ class HopfInstance:
 
         def product(l, r):
             """l S(r) (right) or S(l) r (left), summed before it is scaled."""
+            charge(20 * len(antipode(r if side == "right" else l, side)))
             if side == "right":
                 parts = ((product_row(l, q), v) for q, v in antipode(r, side))
             else:
@@ -552,6 +558,7 @@ def _antipode_convolution(instance: HopfInstance, cop: Scaled, side: str) -> Sca
 def random_scaled(rng: random.Random, basis_pool: tuple, max_terms: int = 3) -> Scaled:
     """A sum of 1 to max_terms terms n/q * b, with b drawn from the pool, n
     from -9..9 and q from 1..9, summed in integers over the lcm of the q."""
+    charge(40)
     nums: dict = {}
     den = 1
     for _ in range(rng.randint(1, max_terms)):

@@ -15,6 +15,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
+from .work import charge
+
 _ONE = Fraction(1)  # the default coefficient, built once
 
 
@@ -74,6 +76,7 @@ class Combination:
         return not self.terms
 
     def sorted_terms(self) -> list[tuple[object, Fraction]]:
+        charge(24 * len(self.terms))  # the sort, and the printing most callers do
         return sorted(self.terms.items(), key=self._order)
 
     def _plus(self, other, sign: int):
@@ -288,6 +291,7 @@ def linear(x, fn: Callable) -> dict:
     """
     x = list(x)
     keys = [b for b, _ in x]
+    charge(64 * len(keys))
     return _extend(lambda nums: zip(map(fn, keys), nums), [c for _, c in x])
 
 
@@ -315,6 +319,7 @@ def _pairs(xkeys: list, ykeys: list, fn: Callable, max_grade: int | None) -> Cal
         for b1, d, u in zip(xkeys, xgrades, xc):
             room = max_grade - d
             if room >= 0:
+                charge(6 * stop[room])
                 for b2, g, v in ys[: stop[room]]:
                     if g <= room:
                         yield fn(b1, b2), u * v
@@ -339,6 +344,7 @@ def linear_scaled(x: Scaled, fn: Callable) -> Scaled:
     """``linear`` on a scaled operand, as a scaled result: the same loop,
     with the integer sums kept over x.den and the content divided out once.
     A float structure constant raises FloatConstantError, a TypeError."""
+    charge(16 * len(x.nums))
     return Scaled.of(_accumulate(zip(map(fn, x.nums), x.nums.values()), True), x.den)
 
 
@@ -508,6 +514,7 @@ def nullspace(rows: list, ncols: int | None = None) -> list[list[Fraction]]:
     pivots: dict[int, dict[int, int]] = {}  # leading column -> integer row
     for row in rows:
         entries = list(row.items() if isinstance(row, dict) else enumerate(row))
+        charge(len(entries))
         values = [c for _, c in entries]
         nums, _ = numerators(values) or numerators([Fraction(c) for c in values])
         r = _primitive({j: n for (j, _), n in zip(entries, nums) if n})
@@ -528,6 +535,7 @@ def nullspace(rows: list, ncols: int | None = None) -> list[list[Fraction]]:
     for free in range(ncols):
         if free in pivots:
             continue
+        charge(ncols)
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
         for lead, row in pivots.items():
@@ -539,6 +547,7 @@ def nullspace(rows: list, ncols: int | None = None) -> list[list[Fraction]]:
 
 def _combine(r: dict, p: dict, col: int) -> dict:
     """p[col] r - r[col] p over their gcd, which is zero at col, divided by its content."""
+    charge(len(r) + len(p))
     g = math.gcd(p[col], r[col])
     a, b = p[col] // g, r[col] // g
     out = {j: a * c for j, c in r.items()}

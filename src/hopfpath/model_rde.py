@@ -22,6 +22,7 @@ from .linalg import LinComb, Scaled, TensorComb, accum, bilinear, bilinear_scale
 from .roughpath import PiecewiseLinearPath, RoughLift, branched_lift_fn, to_fraction
 from .series import TruncatedElement, is_grouplike
 from .symbols import EMPTY_FOREST, Forest, Interned, forests_up_to, trees
+from .work import charge
 
 
 class ModelError(ValueError):
@@ -333,6 +334,7 @@ def _gamma_table(lift: RoughLift, grid: list) -> tuple[list, Callable]:
         image = rows[i][j].get(b)
         if image is None:
             g, image = character(j, i), {}
+            charge(8 * len(cop(b)))
             for (l, r), c in cop(b):
                 if l in g:
                     accum(image, r, c * g[l])
@@ -381,6 +383,7 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
         for i, s in points:
             for k, u in points:
                 for j, t in points:
+                    charge(8 * len(basis))
                     (ut, den_ut), (st, den_st) = X[k][j], X[i][j]
                     scale = X[i][k].den * den_ut
                     for b in basis:
@@ -396,6 +399,7 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
         for i, s in points:
             for k, u in points:
                 for j, t in points:
+                    charge(24 * len(basis))
                     scale, den = X[k][i].den * X[j][k].den, X[j][i].den
                     for b in basis:
                         lhs: dict = {}
@@ -412,6 +416,7 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
         # Delta Gamma = (Gamma (x) id) Delta, both sides over den_ts
         for i, s in points:
             for j, t in points:
+                charge(24 * len(basis))
                 for b in basis:
                     lhs: dict = {}
                     for f, c in row(i, j, b).items():
@@ -430,6 +435,7 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
     def grading_failures():
         for i, s in points:
             for j, t in points:
+                charge(4 * len(basis))
                 den = X[j][i].den
                 for b in basis:
                     image = row(i, j, b)
@@ -680,6 +686,7 @@ def picard_solve(
         # a state of at most this many bits skips _float_past_cap (see there)
         small = _EXACT_STATE_BITS // (4 * max(plan[2], 1))
     picard_step = _step_function(field, level)
+    step_trees = len(_step_plan(field.dim, level))
     samples: list[tuple[Fraction, object]] = [(start, y0)]
     s, y = start, y0
     try:
@@ -688,18 +695,22 @@ def picard_solve(
         for t, scaled in lift.steps(start, step, end):
             try:
                 if scaled is None:  # a lift value with floats
+                    charge(3 * step_trees)
                     elt = lift.eval(s, t)
                     coeffs = _picard_step_coefficients(field, y, level)
                     y_next = sum(c * elt.coeff(f) for f, c in coeffs.items())
                 elif plan is not None and isinstance(y, (int, Fraction)):
+                    bits = y.numerator.bit_length() + y.denominator.bit_length()
+                    charge(len(plan[1]) + bits // 32)  # a term per plan row, Horner on the bits
                     nums, den = scaled
                     a, scale = _step_polynomial(plan, nums), plan[0] * den
                     y_next = None
-                    if y.numerator.bit_length() + y.denominator.bit_length() > small:
+                    if bits > small:
                         y_next = _float_past_cap(a, scale, y)
                     if y_next is None:
                         y_next = _exact_step(a, scale, y)
                 else:
+                    charge(3 * step_trees)
                     y_next = picard_step(y, *scaled)
             except OverflowError:
                 raise ModelError(f"non-finite state at t={float(t)}") from None

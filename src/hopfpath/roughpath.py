@@ -46,6 +46,7 @@ from .symbols import (
     multiplicative,
     words_up_to,
 )
+from .work import charge
 
 
 def to_fraction(x) -> Fraction:
@@ -307,12 +308,9 @@ def _forest_factorial(tree: Tree) -> int:
     return tree.grade * _forest_factorial(tree.children)
 
 
-def _node_labels(forest: Forest) -> list[int]:
-    out = []
-    for tree in forest.trees():
-        out.append(tree.label)
-        out.extend(_node_labels(tree.children))
-    return out
+@multiplicative((), operator.add)
+def _node_labels(tree: Tree) -> tuple[int, ...]:
+    return _node_labels(tree.children) + (tree.label,)
 
 
 class _Positions(NamedTuple):
@@ -374,6 +372,7 @@ class _LiftTable:
         self.dim = algebra.dim
         self.level = level
         self.keys = tuple(b for k in range(level + 1) for b in algebra.basis(k))
+        charge(16 * len(self.keys))
         self.index = {b: i for i, b in enumerate(self.keys)}
         grades = [b.grade for b in self.keys]
         self.ends = [bisect.bisect_right(grades, r) for r in range(level + 1)]
@@ -383,10 +382,9 @@ class _LiftTable:
         counts: dict = {}  # label counts -> their index
         count_of = []
         for b in self.keys:
-            n = [0] * algebra.dim
-            for i in b.letters if isinstance(b, Word) else _node_labels(b):
-                n[i - 1] += 1
-            count_of.append(counts.setdefault(tuple(n), len(counts)))
+            labels = b.letters if isinstance(b, Word) else _node_labels(b)
+            n = tuple(map(labels.count, range(1, algebra.dim + 1)))
+            count_of.append(counts.setdefault(n, len(counts)))
         self.counts, self.count_of = tuple(counts), tuple(count_of)
         self.weights = tuple(self.lcm // fact for fact in facts)
         self.product_row = rows_of(algebra.product_basis)
@@ -397,6 +395,7 @@ class _LiftTable:
     def closed_form(self, increment: tuple[Fraction, ...]) -> _Positions:
         """The closed form on a segment with this increment, with one power
         product per label-count vector."""
+        charge(len(self.keys))
         nums, q = numerators(increment)
         level = self.level
         q_powers = [q**e for e in range(level + 1)]
@@ -414,6 +413,7 @@ class _LiftTable:
         """The product x y truncated at the level."""
         ends, level, rowsets = self.ends, self.level, self.rows
         xpos, xnums, ypos, ynums = x.pos, x.nums, y.pos, y.nums
+        charge(len(self.keys))
         acc = [0] * len(self.keys)
         start = 0
         for g, end in enumerate(ends):  # x's terms of grade g, and y's that fit them
@@ -421,6 +421,7 @@ class _LiftTable:
             if stop == start:
                 continue
             fit = ypos[: bisect.bisect_left(ypos, ends[level - g])]
+            charge(2 * (stop - start) * len(fit))
             rows = rowsets.get(fit)
             if rows is None:
                 rows = rowsets[fit] = {}
@@ -439,6 +440,7 @@ class _LiftTable:
     def _row(self, p: int, fit: tuple) -> tuple:
         keys, index, product = self.keys, self.index, self.product_row
         left = keys[p]
+        charge(4 * len(fit))
         ks, outs, others = [], [], []
         for k, q in enumerate(fit):
             for b, c in product(left, keys[q]):
@@ -460,6 +462,7 @@ class _LiftTable:
         less its last tree times that tree's, divided by D, which is exact
         because the product is a character over D."""
         crowns, trunks, starts, ends, layers, order = self._cuts or self._cut_plan()
+        charge(len(crowns) + len(order))
         X, Y = self._dense(x), self._dense(y)
         sums = list(itertools.accumulate(
             map(operator.mul, map(X.__getitem__, crowns), map(Y.__getitem__, trunks)), initial=0))
@@ -488,6 +491,7 @@ class _LiftTable:
         crowns, trunks, starts, ends = [], [], [], []
         for p in by_count[1]:
             starts.append(len(crowns))
+            charge(20 * len(cop(keys[p])))
             for (l, r), c in cop(keys[p]):
                 crowns += [index[l]] * c
                 trunks += [index[r]] * c
@@ -521,6 +525,7 @@ class _LiftTable:
 
     def scaled(self, x: _Positions) -> Scaled:
         """x as a Scaled form, keyed by basis elements in table order."""
+        charge(len(x.pos))
         return Scaled(dict(zip(map(self.keys.__getitem__, x.pos), x.nums)), x.den)
 
     def positions(self, x: Scaled) -> _Positions | None:
@@ -589,6 +594,7 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
     def chain(pieces: list[tuple[Fraction, ...]]) -> Scaled:
         """The Chen product of the pieces' closed forms, on the table's
         positions, with one Scaled form built at the end."""
+        charge(20 * len(pieces))
         acc = closed_form(pieces[0])
         for increment in pieces[1:]:
             acc = product(acc, closed_form(increment))
@@ -734,6 +740,7 @@ def check_rough_axioms(
     def character_failures():
         for i, s in points:
             for j, t in points:
+                charge(2 * len(pairs))
                 nums, den = X[i][j]
                 for b1, b2, row in pairs:
                     lhs = den * sum(c * nums.get(w, 0) for w, c in row)
@@ -784,6 +791,7 @@ def check_rough_axioms(
             dt = abs(float(t - s))
             if dt == 0:
                 continue
+            charge(2 * len(basis))
             nums, den = X[i][j]
             for b in basis:
                 c = abs(nums.get(b, 0) / den)  # rounds as float(Fraction) does
@@ -899,6 +907,7 @@ def kernel_condition_witness(lift: RoughLift, grid: Sequence):
     kernel_nums = [dict(zip(x.terms, numerators(list(x.terms.values()))[0])) for x in kernel]
     for s in grid:
         for t in grid:
+            charge(2 * sum(map(len, kernel_nums)))
             value = lift.eval_scaled(s, t)
             for x, x_nums in zip(kernel, kernel_nums):
                 if value is None or sum(c * value.nums.get(f, 0) for f, c in x_nums.items()):

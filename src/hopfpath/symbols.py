@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+from .work import charge
 
 MAX_DIMENSION = 64
 
@@ -325,6 +328,7 @@ def multiplicative(one, mul):
 def multi_indices(d: int, k: int) -> tuple[MultiIndex, ...]:
     """All d-dimensional multi-indices of grade k, canonically ordered."""
     check_dimension(d)
+    charge(32 * math.comb(k + d - 1, d - 1))
 
     def comps(total: int, slots: int):
         if slots == 1:
@@ -340,6 +344,7 @@ def multi_indices(d: int, k: int) -> tuple[MultiIndex, ...]:
 def words(d: int, k: int) -> tuple[Word, ...]:
     """All words of length k over {1, ..., d}, canonically ordered."""
     check_dimension(d)
+    charge((k + 1) * d**k)
     # the letters come as a tuple of ints in 1..d, so a new word needs no normalizing
     table, build = Word._table, Word._build
     return tuple(table.get((p,)) or build((p,), letters=p, grade=k)
@@ -361,6 +366,7 @@ def forests(d: int, k: int) -> tuple[Forest, ...]:
 
     def build(remaining: int, start: int, acc: list[Tree]):
         if remaining == 0:
+            charge(80)
             out.append(Forest.of(*acc))
             return
         for idx in range(start, len(pool)):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +30,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def refused(capsys, *argv) -> str:
+    """Run a command the work budget must refuse: exit 2 with no stdout, in
+    under 2 s of CPU; returns its stderr."""
+    start = time.process_time()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "", err
+    assert time.process_time() - start < 2
+    return err
+
+
+def budget_error(first: str, command: str) -> str:
+    """The error line of a command the work budget refuses."""
+    from hopfpath.cli import _WORK_BUDGET
+
+    return f"error: {first}: the {command} work passes its budget of {_WORK_BUDGET} units\n"
 
 
 class TestAlgebraCommands:
@@ -396,112 +414,85 @@ class TestSizeGuard:
         assert code == 0 and len(out.splitlines()) == 102
 
     def test_check_axioms_sized_by_work(self, capsys):
-        # 29,524 words, under the basis cap, but about 1.8 million pairs and triples
-        import time
-
+        # 29,524 words, under the basis cap: the work budget stops the check on the way
+        err = refused(capsys, "check-axioms", "--algebra", "shuffle", "--dim", "3",
+                      "--max-grade", "9")
+        assert err == budget_error("--max-grade 9 is too large at --samples 500, --dim 3",
+                                   "check-axioms")
+        # the dimension is checked before anything is sized
         start = time.process_time()
-        code, out, err = run(capsys, "check-axioms", "--algebra", "shuffle", "--dim", "3",
-                             "--max-grade", "9")
-        assert code == 2 and out == ""
-        assert "max-grade 9 is too large" in err and "1000000 basis pairs and triples" in err
-        # no grade is empty, so the count stops early, once the dimension is valid
         code, _, err = run(capsys, "check-axioms", "--dim", "0", "--max-grade", "1000000000")
         assert code == 2 and "alphabet size" in err
         assert time.process_time() - start < 2
 
     def test_check_axioms_sized_by_enumeration(self, capsys):
-        # under both tuple caps, but 2^100 subsets of one word, C(100, 50) placements of one pair
-        import time
-
-        start = time.process_time()
-        for algebra, enumerated in (
-            ("concat", "1000000 subsets in its deshuffle coproducts"),
-            ("shuffle", "1000000 placements in its shuffle products"),
-        ):
-            code, out, err = run(capsys, "check-axioms", "--algebra", algebra, "--dim", "1",
-                                 "--max-grade", "100")
-            assert code == 2 and out == ""
-            assert "max-grade 100 is too large" in err and enumerated in err
-        assert time.process_time() - start < 1
+        # 2^100 subsets of one word, C(100, 50) placements of one pair: each
+        # enumerator charges its whole count before it starts
+        for algebra in ("concat", "shuffle"):
+            err = refused(capsys, "check-axioms", "--algebra", algebra, "--dim", "1",
+                          "--max-grade", "100")
+            assert err == budget_error("--max-grade 100 is too large at --samples 500, --dim 1",
+                                       "check-axioms")
 
     @pytest.mark.parametrize("algebra", ["concat", "shuffle"])
-    def test_enumeration_work_counts_the_enumerators(self, monkeypatch, algebra):
-        # the deshuffle and shuffle maps, counted as they run in check_axioms on fresh
-        # instances: every subset and placement with no samples, at most the weight with
-        from hopfpath import hopf_core
-        from hopfpath.cli import _enumeration_work
+    def test_enumeration_work_counts_the_enumerators(self, algebra):
+        # deshuffle_tuples charges per subset and shuffle_tuples per placement, the same
+        # units for each at one word length, before it enumerates: a budget one unit
+        # short refuses the call
+        from hopfpath import hopf_core, work
 
-        enumerated = [0]
-        deshuffle, shuffle = hopf_core.deshuffle_tuples, hopf_core.shuffle_tuples
+        for n in range(10):
+            w = tuple(1 + i % 2 for i in range(n))
+            if algebra == "concat":
+                count = 2**n
 
-        def counted_deshuffle(w):
-            enumerated[0] += 2 ** len(w)
-            return deshuffle(w)
+                def call():
+                    return hopf_core.deshuffle_tuples(w)
+            else:
+                count = math.comb(n, n // 2)
 
-        def counted_shuffle(u, v):
-            enumerated[0] += math.comb(len(u) + len(v), len(u))
-            return shuffle(u, v)
-
-        monkeypatch.setattr(hopf_core, "deshuffle_tuples", counted_deshuffle)
-        monkeypatch.setattr(hopf_core, "shuffle_tuples", counted_shuffle)
-        make = {"concat": hopf_core.concat_deshuffle_instance,
-                "shuffle": hopf_core.shuffle_deconcat_instance}[algebra].__wrapped__
-        for d in (1, 2):
-            for n in range(1, 5):
-                for samples in (0, 30):
-                    enumerated[0] = 0
-                    assert hopf_core.check_axioms(make(d), n, samples).passed
-                    weight = _enumeration_work(algebra, d, n, samples)
-                    if samples == 0:
-                        assert enumerated[0] == weight
-                    else:
-                        assert 0 < enumerated[0] <= weight
-        assert _enumeration_work("gl", 2, 100, 500) == _enumeration_work("poly", 2, 100, 500) == 0
+                def call():
+                    return hopf_core.shuffle_tuples(w[: n // 2], w[n // 2 :])
+            with work.limit(10**9) as budget:
+                assert sum(call().values()) == count
+            used = 10**9 - budget.left
+            assert used >= count and used % count == 0
+            with work.limit(used - 1), pytest.raises(work.WorkBudgetExceeded):
+                call()
 
     def test_check_axioms_sized_by_terms(self, capsys):
-        # under the tuple and enumeration caps, but about 4 million coproduct terms
-        # and term pairs to multiply: the parent ran it for 23 s
-        import time
-
-        from hopfpath.cli import _TERM_CAP, _term_work
-
-        start = time.process_time()
-        code, out, err = run(capsys, "check-axioms", "--algebra", "concat", "--dim", "2",
-                             "--max-grade", "9")
-        assert code == 2 and out == ""
-        assert err == ("error: max-grade 9 is too large: the concat axiom check up to that "
-                       "grade multiplies more than 1000000 coproduct terms and term pairs\n")
-        assert time.process_time() - start < 1
-        # every golden and test invocation, the README's and the benchmark's sizes run
-        for algebra in ("poly", "shuffle", "concat", "ck", "gl"):
-            for d in (1, 2, 3):
-                assert _term_work(algebra, d, 4) <= _TERM_CAP
+        # about 4 million coproduct terms and term pairs to multiply: unguarded, this
+        # check ran for 23 s
+        err = refused(capsys, "check-axioms", "--algebra", "concat", "--dim", "2",
+                      "--max-grade", "9")
+        assert err == budget_error("--max-grade 9 is too large at --samples 500, --dim 2",
+                                   "check-axioms")
+        # every golden invocation runs, and so do the README's gl check and concat at grade 7
         for name, (argv, _) in GOLDEN_CASES.items():
             if argv[0] == "check-axioms":
                 code, out, _ = run(capsys, *argv)
                 assert code == 0, name
-        assert _term_work("concat", 2, 7) <= _TERM_CAP  # runs in about 1.5 s
-        code, out, _ = run(capsys, "check-axioms", "--algebra", "gl")
-        assert code == 0 and out == "OK\n"
+        for argv in (["--algebra", "gl"], ["--algebra", "concat", "--dim", "2", "--max-grade", "7"]):
+            code, out, _ = run(capsys, "check-axioms", *argv)
+            assert code == 0 and out == "OK\n"
 
     @pytest.mark.parametrize("algebra", ["poly", "shuffle", "concat", "ck", "gl"])
     def test_coproduct_terms_bound_the_laws(self, algebra):
-        # c_n and t_n against the rows the laws walk; exact for poly, shuffle and
-        # one-letter words
-        from hopfpath.cli import _coproduct_terms
-        from hopfpath.hopf_core import get_instance
+        # compatibility multiplies the |Delta b1| |Delta b2| term pairs of every basis
+        # pair within the grade, and a cold check charges at least that many units
+        import dataclasses
 
-        for d in (1, 2, 3):
-            inst = get_instance(algebra, d)
+        from hopfpath import work
+        from hopfpath.hopf_core import _bounded_pairs, check_axioms, get_instance
+
+        for d in (1, 2):
+            inst = dataclasses.replace(get_instance(algebra, d))  # with an empty memo
+            by_grade = {k: inst.basis(k) for k in range(4)}
             row = inst.coproduct_row
-            for n, (c, t) in zip(range(5), _coproduct_terms(algebra, d)):
-                terms = [lr for b in inst.basis(n) for lr, _ in row(b)]
-                left = sum(len(row(l)) for l, _ in terms)
-                right = sum(len(row(r)) for _, r in terms)
-                if algebra in ("poly", "shuffle") or algebra == "concat" and d == 1:
-                    assert (c, t) == (len(terms), left) == (len(terms), right)
-                else:
-                    assert c >= len(terms) and t >= max(left, right)
+            pairs = sum(len(row(b1)) * len(row(b2)) for b1, b2 in _bounded_pairs(by_grade, 3))
+            with work.limit(10**12) as budget:
+                assert check_axioms(dataclasses.replace(inst), 3, samples=0).passed
+            assert 10**12 - budget.left >= pairs
 
     @pytest.mark.parametrize("argv", [
         ["branched-lift", "{path}", "--level", "12"],
@@ -516,8 +507,7 @@ class TestSizeGuard:
         assert code == 2 and out == "" and "too large" in err
 
     def test_sizes_below_the_cap_run(self, capsys):
-        from hopfpath.cli import _KIND_BY_ALGEBRA, _axiom_work, _basis_size
-        from hopfpath.hopf_core import _bounded_pairs, _bounded_triples, get_instance
+        from hopfpath.cli import _basis_size
         from hopfpath.symbols import forests_up_to, multi_indices_up_to, words_up_to
 
         for d in (1, 2, 3):
@@ -525,12 +515,6 @@ class TestSizeGuard:
                 assert _basis_size("forest", d, n) == len(forests_up_to(d, n))
                 assert _basis_size("word", d, n) == len(words_up_to(d, n))
                 assert _basis_size("multiindex", d, n) == len(multi_indices_up_to(d, n))
-            for algebra in ("poly", "shuffle", "gl"):
-                by_grade = {k: get_instance(algebra, d).basis(k) for k in range(5)}
-                for n in range(5):
-                    visited = sum(1 for _ in _bounded_pairs(by_grade, n))
-                    visited += sum(1 for _ in _bounded_triples(by_grade, n))
-                    assert _axiom_work(_KIND_BY_ALGEBRA[algebra], d, n) == visited
         code, out, _ = run(capsys, "exp", "--algebra", "ck", "--dim", "1", "--truncation", "2", "[]_1")
         assert code == 0 and out.strip() == "1 + []_1 + 1/2*[]_1 []_1"
 
@@ -539,31 +523,66 @@ class TestSizeGuard:
         ["check-rough", "{path}", "--grid", "40"],
         ["check-rough", "{path}", "--flavor", "branched", "--grid", "1000000000"],
         ["check-rough", "{path}", "--flavor", "branched", "--gamma", "1/5"],
-        ["convert-lift", "{path}", "--direction", "b2g", "--grid", "70"],
+        ["convert-lift", "{path}", "--direction", "b2g", "--grid", "150"],
         ["check-model", "{path}", "--grid", "30"],
         ["check-model", "{path}", "--grid", "1000000000", "--level", "2"],
     ])
     def test_grid_guarded(self, capsys, path_csv, argv):
-        # about 3 million Chen-product pairs at grid 40: 4 s of work before the guard
-        import time
-
-        start = time.process_time()
-        code, out, err = run(capsys, *(a.format(path=path_csv) for a in argv))
-        assert code == 2 and out == ""
-        assert "is too large at level" in err and "more than 1000000 basis pairs" in err
-        assert time.process_time() - start < 1
+        # grid 40 makes about 3 million Chen-product pairs, 4 s of work unguarded; a
+        # grid of 10^9 points is charged before it is built
+        err = refused(capsys, *(a.format(path=path_csv) for a in argv))
+        grid = argv[argv.index("--grid") + 1] if "--grid" in argv else "9"
+        level = {"1/5": "5", "2": "2"}.get(argv[-1], "3")
+        assert err == budget_error(f"--grid {grid} is too large at --level {level}", argv[0])
 
     def test_product_work_counts_the_pairs_a_product_visits(self):
-        from hopfpath.cli import _product_work
-        from hopfpath.symbols import forests_up_to, words_up_to
+        # a warm product charges the same units for each pair of terms it visits,
+        # those whose grades sum to at most the bound
+        from hopfpath import work
+        from hopfpath.hopf_core import get_instance
+        from hopfpath.linalg import LinComb
 
-        for d in (1, 2, 3):
-            for kind, pool in (("word", words_up_to), ("forest", forests_up_to)):
+        def used(inst, x, level) -> int:
+            inst.product(x, x, level)  # every row is in the memo after this
+            with work.limit(10**9) as budget:
+                inst.product(x, x, level)
+            return 10**9 - budget.left
+
+        for algebra in ("shuffle", "gl"):
+            for d in (1, 2):
+                inst = get_instance(algebra, d)
+                per_pair = used(inst, inst.one(), 0)
                 for level in range(5):
-                    grades = [b.grade for b in pool(d, level)]
-                    visited = sum(1 for g in grades for h in grades if g + h <= level)
-                    assert _product_work(kind, d, level, 1) == visited
-                    assert _product_work(kind, d, level, 7) == 7 * visited
+                    pool = inst.basis_up_to(level)
+                    visited = sum(1 for g in pool for h in pool if g.grade + h.grade <= level)
+                    assert used(inst, LinComb({b: 1 for b in pool}), level) == per_pair * visited
+
+    @pytest.mark.parametrize("argv", [
+        ["cuts", "--dim", "{dim}", "{corolla}"],
+        ["coproduct", "--algebra", "ck", "--dim", "{dim}", "{corolla}"],
+    ])
+    def test_wide_forest_refused(self, capsys, argv):
+        # a corolla of n leaves has 2^n admissible cuts; 16 leaves ran for 6 s
+        def corolla(n: int) -> list:
+            text = "[" + " ".join(f"[]_{i}" for i in range(1, n + 1)) + "]_1"
+            return [a.format(dim=n, corolla=text) for a in argv]
+
+        err = refused(capsys, *corolla(20))
+        operand = "forest" if argv[0] == "cuts" else "x"
+        assert err == budget_error(f"{operand} {corolla(20)[-1]} is too large at --dim 20", argv[0])
+        code, out, _ = run(capsys, *corolla(6))
+        assert code == 0 and out
+
+    def test_samples_refused(self, capsys):
+        # about 88 us a sample: 10^8 samples would take hours
+        err = refused(capsys, "check-axioms", "--samples", "100000000")
+        assert err == budget_error("--max-grade 4 is too large at --samples 100000000, --dim 2",
+                                   "check-axioms")
+
+    def test_branched_lift_level_8_refused(self, capsys):
+        # 57,104 forests, under the basis cap: 5-10 s of work
+        err = refused(capsys, "branched-lift", str(GOLDEN_CLI / "path2.csv"), "--level", "8")
+        assert err == budget_error("--level 8 is too large", "branched-lift")
 
     def test_grids_in_use_run(self, capsys, path_csv):
         # the README's invocations; the goldens' and the other tests' grids are smaller
@@ -628,6 +647,66 @@ class TestProcessDeterminism:
                 assert result.returncode == 0, (argv, result.stderr)
                 outputs.add(result.stdout)
             assert len(outputs) == 1, argv
+
+
+    def test_cold_units_across_hash_seeds(self, tmp_path):
+        # the work a cold command charges is counted, not timed: the same units under
+        # two hash seeds
+        import os
+        import subprocess
+        import sys
+
+        csv = tmp_path / "p.csv"
+        csv.write_text("t,x1,x2\n0,0,0\n1/2,1,1/3\n1,1/4,1\n")
+        script = (
+            "import contextlib, sys\n"
+            "from hopfpath import cli, work\n"
+            "budgets, limit = [], work.limit\n"
+            "@contextlib.contextmanager\n"
+            "def recording(units):\n"
+            "    with limit(units) as budget:\n"
+            "        budgets.append(budget)\n"
+            "        yield budget\n"
+            "work.limit = recording\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(cli._WORK_BUDGET - budgets[0].left)\n"
+        )
+        commands = [
+            ["check-axioms", "--algebra", "gl", "--max-grade", "3", "--samples", "20"],
+            ["check-model", str(csv), "--grid", "4"],
+            ["branched-lift", str(csv), "--level", "4"],
+            ["cuts", "[[]_1 [[]_2]_1 []_2]_1"],
+        ]
+        for argv in commands:
+            units = set()
+            for seed in ("1", "2"):
+                env = dict(os.environ, PYTHONHASHSEED=seed)
+                result = subprocess.run([sys.executable, "-c", script, *argv],
+                                        capture_output=True, text=True, env=env)
+                assert result.returncode == 0, (argv, result.stderr)
+                units.add(result.stdout.splitlines()[-1])
+            assert len(units) == 1 and int(units.pop()) > 0, argv
+
+
+class TestReadme:
+    def test_cli_block_runs(self, tmp_path):
+        # every hopfpath line of the README's CLI block, each in a fresh process, with a
+        # 2-D path
+        import shlex
+        import subprocess
+        import sys
+
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        csv = tmp_path / "path.csv"
+        csv.write_text("t,x1,x2\n0,0,0\n1/2,1,1/3\n1,1/4,1\n")
+        lines = [line for line in block.splitlines() if line.startswith("hopfpath ")]
+        assert len(lines) >= 17
+        for line in lines:
+            argv = [str(csv) if a == "path.csv" else a for a in shlex.split(line, comments=True)]
+            result = subprocess.run([sys.executable, "-m", "hopfpath.cli", *argv[1:]],
+                                    capture_output=True, text=True)
+            assert result.returncode == 0, (line, result.stderr)
 
 
 # Pinned stdout and exit code of typical invocations: name -> (argv, exit code).

@@ -406,6 +406,34 @@ class TestTreeFactorialOracle:
             assert prod == trunc_one(3, lift.algebra)
 
 
+class TestLabelCounts:
+    """The lift table reads a forest's label counts through ``multiplicative``,
+    per tree; they match a node-by-node walk."""
+
+    @staticmethod
+    def walk(forest: Forest) -> list[int]:
+        out = []
+        for tree in forest.trees():
+            out.append(tree.label)
+            out.extend(TestLabelCounts.walk(tree.children))
+        return out
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_counts_match_the_walk(self, d):
+        # a table's keys run by grade, so the level-6 table holds every lower level's
+        # keys, counts and count indices as prefixes
+        table = roughpath._LiftTable(gl_instance(d), 6)
+        counts: dict = {}
+        count_of = []
+        for f in table.keys:
+            n = [0] * d
+            for i in self.walk(f):
+                n[i - 1] += 1
+            count_of.append(counts.setdefault(tuple(n), len(counts)))
+        assert table.counts == tuple(counts)
+        assert table.count_of == tuple(count_of)
+
+
 class TestSegmentMemo:
     KNOTS = [(0, (0, 0)), (Fraction(1, 2), (1, Fraction(1, 3))), (1, (Fraction(1, 4), 1))]
 
