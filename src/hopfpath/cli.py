@@ -71,11 +71,17 @@ def _parse(args, text: str) -> LinComb:
 
 def _emit(args, x: Combination):
     """Print a LinComb or TensorComb as text or JSON; tensor text lists terms in
-    descending basis order."""
-    if args.format == "json":
-        print(json.dumps(lincomb_to_json(x, args.float), ensure_ascii=False))
-    else:
-        print(format_lincomb(x, args.float, descending=isinstance(x, TensorComb)))
+    descending basis order.  A coefficient past Python's limit on the digits
+    of an int turned into text raises ValueError naming the command's sizes."""
+    try:
+        if args.format == "json":
+            text = json.dumps(lincomb_to_json(x, args.float), ensure_ascii=False)
+        else:
+            text = format_lincomb(x, args.float, descending=isinstance(x, TensorComb))
+    except ValueError:  # "Exceeds the limit (4300 digits) for integer string conversion"
+        raise ValueError(f"{_too_large(args)}: a coefficient passes Python's limit on "
+                         "the digits of an int printed as text") from None
+    print(text)
 
 
 def _emit_report(args, report, text: str) -> int:
@@ -110,13 +116,17 @@ _SIZED_BY = {
 }
 
 
-def _sizes(args) -> list[str]:
-    """What sized a command's work, as "--option value" or "operand value"."""
+def _too_large(args) -> str:
+    """The start of a refusal: the first size of the command's work, called
+    too large, at the others, each as "--option value" or "operand value"."""
     names = _SIZED_BY.get(args.command, ("forest", "x", "y", "dim"))
     if args.command == "convert-lift":
         names = ("grid", "level") if args.direction == "b2g" else ("level",)
-    return [f"{n} {getattr(args, n)}" if n in ("forest", "x", "y")
-            else f"--{n.replace('_', '-')} {getattr(args, n)}" for n in names if hasattr(args, n)]
+    first, *rest = [f"{n} {getattr(args, n)}" if n in ("forest", "x", "y")
+                    else f"--{n.replace('_', '-')} {getattr(args, n)}"
+                    for n in names if hasattr(args, n)]
+    at = f" at {', '.join(rest)}" if rest else ""
+    return f"{first} is too large{at}"
 
 
 def _single_forest(args, text: str):
@@ -307,9 +317,7 @@ def main(argv=None) -> int:
         with work.limit(_WORK_BUDGET):
             return _dispatch(args)
     except work.WorkBudgetExceeded:
-        first, *rest = _sizes(args)
-        at = f" at {', '.join(rest)}" if rest else ""
-        print(f"error: {first} is too large{at}: the {args.command} work passes its budget "
+        print(f"error: {_too_large(args)}: the {args.command} work passes its budget "
               f"of {_WORK_BUDGET} units", file=sys.stderr)
         return 2
     except ParseError as exc:

@@ -1,7 +1,8 @@
 """Free vector spaces over basis elements with exact rational scalars.
 
 LinComb and TensorComb are sparse maps from basis elements (resp. pairs) to
-``fractions.Fraction``; their shared algebra lives in ``Combination``, and
+``fractions.Fraction``, the one scalar mode: a float given to a combination
+raises TypeError.  Their shared algebra lives in ``Combination``, and
 one pairing loop, one formatter and one JSON form serve both.  Zero
 coefficients are never stored, so equality is structural.  All basis
 elements of one combination must be of one kind, and so must each slot of
@@ -25,16 +26,13 @@ class KindMismatchError(TypeError):
 
 
 def as_scalar(x):
-    """Exact scalars are Fractions; floats pass through as the approximate mode."""
+    """The one scalar mode is exact: a Fraction, or an int or a string read
+    as one.  A float, or anything else, raises TypeError naming it."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return x
-    raise TypeError(f"not a scalar: {x!r}")
+    raise TypeError(f"not an exact scalar: {x!r}")
 
 
 def _check_kinds(*basis):
@@ -169,53 +167,31 @@ def accum(acc: dict, key, value):
         acc.pop(key, None)
 
 
-def numerators(coeffs: list) -> tuple[list[int], int] | None:
-    """Integer numerators of exact coefficients over the lcm of their
-    denominators, and that lcm; None when a coefficient is a float."""
-    try:
-        dens = [c.denominator for c in coeffs]
-    except AttributeError:
-        return None
+def numerators(coeffs: list) -> tuple[list[int], int]:
+    """Integer numerators of int or Fraction coefficients over the lcm of
+    their denominators, and that lcm."""
+    dens = [c.denominator for c in coeffs]
     den = math.lcm(*dens)
     if den == 1:
         return [c.numerator for c in coeffs], 1
     return [c.numerator * (den // q) for c, q in zip(coeffs, dens)], den
 
 
-class FloatConstantError(TypeError):
-    """A float structure constant met operands scaled by a denominator."""
-
-
-def _key_text(k) -> str:
-    """A basis element, or a tensor or triple of them joined by (x)."""
-    return " (x) ".join(map(str, k)) if type(k) is tuple else str(k)
-
-
-def _accumulate(parts, scaled: bool) -> dict:
+def _accumulate(parts) -> dict:
     """The one accumulation loop behind every linear extension.
 
     Sums u * c over (terms, u) in parts and (key, c) in terms, adding and
-    dropping keys as ``accum`` does, and returns the sums.  Exact operands
-    arrive scaled, as integer numerators over a denominator the caller
-    keeps, so integral structure constants keep the sums in ints; a
-    non-integral constant (a character value, say) multiplies in as a
-    Fraction.  Float operands arrive as they are, unscaled, and are summed in
-    the same order, with the same operations, as a plain Fraction loop.  A
-    float constant met by scaled operands raises FloatConstantError, a
-    TypeError naming the key it lands on; ``_extend`` then runs the loop
-    again on the unscaled coefficients, so float results never depend on the
-    scaling.
+    dropping keys as ``accum`` does, and returns the sums.  Operands arrive
+    scaled, as integer numerators over a denominator the caller keeps, so
+    integral structure constants keep the sums in ints; a non-integral
+    constant (a character value, say) multiplies in as a Fraction.
     """
     acc: dict = {}
     get, pop = acc.get, acc.pop
     for terms, u in parts:
         for k, c in terms:
-            if type(c) is not int:
-                if type(c) is Fraction:
-                    if c.denominator == 1:
-                        c = c.numerator
-                elif scaled and type(c) is float:
-                    raise FloatConstantError(f"float structure constant {c!r} on {_key_text(k)}")
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
             new = get(k, 0) + u * c
             if new:
                 acc[k] = new
@@ -233,15 +209,10 @@ def _divide(acc: dict, den: int) -> dict:
 
 def _extend(parts: Callable, *operands: list) -> dict:
     """Run _accumulate on parts(*numerators) over the product of the operands'
-    denominators, or on parts(*operands) over 1 when floats are involved."""
+    denominators."""
     scaled = [numerators(coeffs) for coeffs in operands]
-    if None not in scaled:
-        den = math.prod(den for _, den in scaled)
-        try:
-            return _divide(_accumulate(parts(*(nums for nums, _ in scaled)), den != 1), den)
-        except FloatConstantError:
-            pass
-    return _divide(_accumulate(parts(*operands), False), 1)
+    den = math.prod(den for _, den in scaled)
+    return _divide(_accumulate(parts(*(nums for nums, _ in scaled))), den)
 
 
 class Scaled(NamedTuple):
@@ -260,14 +231,11 @@ class Scaled(NamedTuple):
     @classmethod
     def of(cls, values: dict, den: int = 1) -> "Scaled":
         """The combination values[k] / den, for int or Fraction values, with
-        its content divided out; a float value raises TypeError."""
+        its content divided out; any other value raises TypeError naming it."""
         try:  # int values, as the accumulation loop leaves them
             g = math.gcd(den, *values.values())
         except TypeError:  # Fraction values: over the lcm of their denominators
-            scaled = numerators(list(values.values()))
-            if scaled is None:
-                raise TypeError("a scaled combination holds exact coefficients only") from None
-            nums, q = scaled
+            nums, q = numerators([as_scalar(v) for v in values.values()])
             values, den = dict(zip(values, nums)), den * q
             g = math.gcd(den, *nums)
         if g == 1:
@@ -306,12 +274,14 @@ def _pairs(xkeys: list, ykeys: list, fn: Callable, max_grade: int | None) -> Cal
         xgrades, ygrades, max_grade = [0] * len(xkeys), [0] * len(ykeys), 0
     else:
         xgrades, ygrades = [b.grade for b in xkeys], [b.grade for b in ykeys]
-    # stop[r]: one past the last y term of grade <= r
-    stop = [0] * (max_grade + 1)
+    # stop[r]: one past the last y term of grade <= r, for r up to the top y
+    # grade that fits, so a long truncation costs nothing past y's grades
+    top = min(max_grade, max(ygrades, default=0))
+    stop = [0] * (top + 1)
     for j, g in enumerate(ygrades):
-        if g <= max_grade:
+        if g <= top:
             stop[g] = j + 1
-    for r in range(1, max_grade + 1):
+    for r in range(1, top + 1):
         stop[r] = max(stop[r], stop[r - 1])
 
     def parts(xc, yc):
@@ -319,8 +289,9 @@ def _pairs(xkeys: list, ykeys: list, fn: Callable, max_grade: int | None) -> Cal
         for b1, d, u in zip(xkeys, xgrades, xc):
             room = max_grade - d
             if room >= 0:
-                charge(6 * stop[room])
-                for b2, g, v in ys[: stop[room]]:
+                end = stop[room] if room < top else stop[top]
+                charge(6 * end)
+                for b2, g, v in ys[:end]:
                     if g <= room:
                         yield fn(b1, b2), u * v
 
@@ -332,8 +303,7 @@ def bilinear(x, y, fn: Callable, max_grade: int | None = None) -> dict:
 
     x and y iterate as (basis, coeff) pairs; the result is the accumulated
     coefficient dict of the plain double loop over the pairs kept (see
-    ``_pairs``), term order and float bits included.  A float in either
-    operand leaves both unscaled.
+    ``_pairs``), term order included.
     """
     x, y = list(x), list(y)
     parts = _pairs([b for b, _ in x], [b for b, _ in y], fn, max_grade)
@@ -342,19 +312,17 @@ def bilinear(x, y, fn: Callable, max_grade: int | None = None) -> dict:
 
 def linear_scaled(x: Scaled, fn: Callable) -> Scaled:
     """``linear`` on a scaled operand, as a scaled result: the same loop,
-    with the integer sums kept over x.den and the content divided out once.
-    A float structure constant raises FloatConstantError, a TypeError."""
+    with the integer sums kept over x.den and the content divided out once."""
     charge(16 * len(x.nums))
-    return Scaled.of(_accumulate(zip(map(fn, x.nums), x.nums.values()), True), x.den)
+    return Scaled.of(_accumulate(zip(map(fn, x.nums), x.nums.values())), x.den)
 
 
 def bilinear_scaled(x: Scaled, y: Scaled, fn: Callable, max_grade: int | None = None) -> Scaled:
     """``bilinear`` on scaled operands, as a scaled result: the same loop,
     with the integer sums kept over x.den * y.den and the content divided
-    out, not turned into Fractions.  A float structure constant raises
-    FloatConstantError, a TypeError."""
+    out, not turned into Fractions."""
     parts = _pairs(list(x.nums), list(y.nums), fn, max_grade)
-    return Scaled.of(_accumulate(parts(x.nums.values(), y.nums.values()), True), x.den * y.den)
+    return Scaled.of(_accumulate(parts(x.nums.values(), y.nums.values())), x.den * y.den)
 
 
 def scaled_sum(terms) -> Scaled:
@@ -365,7 +333,7 @@ def scaled_sum(terms) -> Scaled:
     terms = [(w, x) for w, x in terms if w]
     lcm = math.lcm(*(w.denominator * x.den for w, x in terms))
     parts = ((x.nums.items(), w.numerator * (lcm // (w.denominator * x.den))) for w, x in terms)
-    return Scaled.of(_accumulate(parts, True), lcm)
+    return Scaled.of(_accumulate(parts), lcm)
 
 
 def outer(l, r):
@@ -515,8 +483,7 @@ def nullspace(rows: list, ncols: int | None = None) -> list[list[Fraction]]:
     for row in rows:
         entries = list(row.items() if isinstance(row, dict) else enumerate(row))
         charge(len(entries))
-        values = [c for _, c in entries]
-        nums, _ = numerators(values) or numerators([Fraction(c) for c in values])
+        nums, _ = numerators([as_scalar(c) for _, c in entries])
         r = _primitive({j: n for (j, _), n in zip(entries, nums) if n})
         while r:
             lead = min(r)

@@ -306,7 +306,7 @@ def _gamma_table(lift: RoughLift, grid: list) -> tuple[list, Callable]:
 
     X[i][j] is the value at (grid[i], grid[j]) as a ``Scaled`` form, read once
     by ``RoughLift.scaled_grid``, which raises ValueError naming (s, t) for a
-    float value or one outside the lift's algebra.  row(i, j, b) is
+    value outside the lift's algebra.  row(i, j, b) is
     Gamma_st(b) = (X_ts (x) id) Delta b for (s, t) = (grid[i], grid[j]), as
     unreduced integer numerators over X[j][i].den, built on first use and
     kept per grid index.  Building it
@@ -315,7 +315,7 @@ def _gamma_table(lift: RoughLift, grid: list) -> tuple[list, Callable]:
     off the group or for a grade past the lift level with no value.
     """
     level, algebra, unit = lift.level, lift.algebra, lift.algebra.unit
-    cop = ck_instance(lift.dim).coproduct_row
+    cop = ck_instance(lift.dim)._coproduct_rows
     X = lift.scaled_grid(grid)
     grouplike = [[False] * len(grid) for _ in grid]
     rows = [[{} for _ in grid] for _ in grid]
@@ -358,13 +358,13 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
     compares canonical ``Scaled`` forms, intertwining compares two tensor
     dicts over one denominator, and grade lowering reads a row's keys and its
     own coefficient.  A lift value is checked group-like at its first use as
-    a character, so a value off the group raises ModelError; a float lift
-    value, or one outside the lift's algebra, raises ValueError naming (s, t).
+    a character, so a value off the group raises ModelError; a lift value
+    outside the lift's algebra raises ValueError naming (s, t).
     """
     grid = [to_fraction(u) for u in grid]
     max_grade = model.level if max_grade is None else max_grade
     basis = forests_up_to(model.lift.dim, max_grade)
-    cop = ck_instance(model.lift.dim).coproduct_row
+    cop = ck_instance(model.lift.dim)._coproduct_rows
     X, row = _gamma_table(model.lift, grid)
     points = list(enumerate(grid))
     report = CheckReport("model check")
@@ -581,7 +581,8 @@ def compose_with_function(
 
     The output keeps coefficients of homogeneity below alpha; with ``xi``
     given, the result is multiplied by the noise symbol (homogeneity below
-    alpha + gamma - 1).
+    alpha + gamma - 1).  The coefficients are exact, so a field whose
+    derivatives are floats (``sine_field``) raises TypeError.
     """
     alpha, gamma = to_fraction(alpha), to_fraction(gamma)
     if not in_function_sector(Y):
@@ -642,13 +643,12 @@ def picard_solve(
     made once per solve (``_polynomial_plan``): each step is one integer
     polynomial in the state, evaluated by Horner and reduced by one gcd with
     a small operand (``_polynomial_step``), the Fraction of the sum of
-    Fraction products.  Every other step, exact or float, and a lift value
-    with floats, has the value and bits of that sum, with floats as they
-    come; the scaled steps run from one plan per solve (``_step_function``),
-    which takes each component's derivatives once.  An exact state that
-    outgrows ``_EXACT_STATE_BITS`` continues as a float
-    (``_demote_if_huge``); a polynomial step whose exact result is certain
-    to outgrow it gives that float without the exact result
+    Fraction products.  Every other step, exact or float, has the value and
+    bits of that sum, with floats as they come; it runs from one plan per
+    solve (``_step_function``), which takes each component's derivatives
+    once.  An exact state that outgrows ``_EXACT_STATE_BITS`` continues as a
+    float (``_demote_if_huge``); a polynomial step whose exact result is
+    certain to outgrow it gives that float without the exact result
     (``_float_past_cap``).  A ModelError raised during the steps carries the
     samples computed so far in ``samples``.
     """
@@ -688,18 +688,13 @@ def picard_solve(
     picard_step = _step_function(field, level)
     step_trees = len(_step_plan(field.dim, level))
     samples: list[tuple[Fraction, object]] = [(start, y0)]
-    s, y = start, y0
+    y = y0
     try:
         if isinstance(y, float) and not math.isfinite(y):
-            raise ModelError(f"non-finite state at t={float(s)}")
+            raise ModelError(f"non-finite state at t={float(start)}")
         for t, scaled in lift.steps(start, step, end):
             try:
-                if scaled is None:  # a lift value with floats
-                    charge(3 * step_trees)
-                    elt = lift.eval(s, t)
-                    coeffs = _picard_step_coefficients(field, y, level)
-                    y_next = sum(c * elt.coeff(f) for f, c in coeffs.items())
-                elif plan is not None and isinstance(y, (int, Fraction)):
+                if plan is not None and isinstance(y, (int, Fraction)):
                     bits = y.numerator.bit_length() + y.denominator.bit_length()
                     charge(len(plan[1]) + bits // 32)  # a term per plan row, Horner on the bits
                     nums, den = scaled
@@ -718,7 +713,7 @@ def picard_solve(
                 raise ModelError(f"non-finite state at t={float(t)}")
             y_next = _demote_if_huge(y_next)
             samples.append((t, y_next))
-            s, y = t, y_next
+            y = y_next
     except ModelError as exc:
         exc.samples = samples
         raise
@@ -772,7 +767,8 @@ def _picard_step_coefficients(field: VectorField, y, level: int) -> dict:
 
     Trees come in grade order (``_step_plan``), so children precede parents.
     Returns EMPTY_FOREST -> y plus every single-tree forest with non-zero
-    coefficient.
+    coefficient.  The solve's steps run ``_step_function`` and
+    ``_polynomial_plan``; this is the reference they are tested against.
     """
     derivs = [[comp.derivative(n)(y) for n in range(level)] for comp in field.components]
     on_tree: dict = {}
@@ -792,7 +788,11 @@ def _picard_step_coefficients(field: VectorField, y, level: int) -> dict:
 
 def _step_function(field: VectorField, level: int) -> Callable:
     """The step sum_tau c(tau) X_st(tau) as a function of (y, nums, den),
-    made once per solve (see ``_picard_step``).
+    made once per solve, with X_st given as integer numerators over den and
+    summed in the order and with the operations of the Fraction/float chain:
+    a float c meets n / den, which rounds as the float of the Fraction n / den
+    does, and an exact c meets that Fraction, so an exact state and field
+    give that chain's Fraction.
 
     Each component's derivative callables are taken once, and the recursion
     of ``_picard_step_coefficients`` walks ``_step_plan`` with each child
@@ -825,16 +825,6 @@ def _step_function(field: VectorField, level: int) -> Callable:
         )
 
     return step
-
-
-def _picard_step(field: VectorField, y, level: int, nums: dict, den: int):
-    """The step sum_tau c(tau) X_st(tau) with X_st given as integer
-    numerators over den, summed in the order and with the operations of the
-    Fraction/float chain: a float c meets n / den, which rounds as the float
-    of the Fraction n / den does, and an exact c meets that Fraction, so an
-    exact state and field give that chain's Fraction.  One step of
-    ``_step_function``."""
-    return _step_function(field, level)(y, nums, den)
 
 
 def _polynomial_plan(field: VectorField, level: int) -> tuple | None:

@@ -192,11 +192,11 @@ class RoughLift:
             self._cache[key] = self._evaluate(*key)
         return self._cache[key]
 
-    def eval_scaled(self, s, t) -> Scaled | None:
+    def eval_scaled(self, s, t) -> Scaled:
         """The value at (s, t) as integer numerators over one denominator,
-        not cached; None when the value holds a float.  Without a scaled
-        evaluator it is read off ``eval``, and a value outside the lift's
-        algebra at its level raises ValueError naming (s, t)."""
+        not cached.  Without a scaled evaluator it is read off ``eval``, and
+        a value outside the lift's algebra at its level raises ValueError
+        naming (s, t)."""
         s, t = to_fraction(s), to_fraction(t)
         if self._evaluate_scaled is not None:
             return self._evaluate_scaled(s, t)
@@ -204,31 +204,19 @@ class RoughLift:
         if elt.level != self.level or elt.algebra is not self.algebra:
             raise ValueError(f"the lift value at (s,t)=({s},{t}) is not in the lift's "
                              f"algebra at level {self.level}")
-        try:
-            return Scaled.of(elt.value.terms)
-        except TypeError:
-            return None
+        return Scaled.of(elt.value.terms)
 
     def scaled_grid(self, grid: Sequence[Fraction]) -> list[list[Scaled]]:
         """X[i][j], the value at (grid[i], grid[j]) from ``eval_scaled``, read
-        once per pair; a float value raises ValueError naming (s, t)."""
+        once per pair."""
+        return [[self.eval_scaled(s, t) for t in grid] for s in grid]
 
-        def exact(s: Fraction, t: Fraction) -> Scaled:
-            x = self.eval_scaled(s, t)
-            if x is None:
-                raise ValueError(
-                    f"exact laws need an exact lift value, not floats, at (s,t)=({s},{t})"
-                )
-            return x
-
-        return [[exact(s, t) for t in grid] for s in grid]
-
-    def steps(self, start, step, end) -> Iterator[tuple[Fraction, Scaled | None]]:
+    def steps(self, start, step, end) -> Iterator[tuple[Fraction, Scaled]]:
         """The windows of equal steps from start to end, lazily: (t, value)
         for t = min(start + k step, end), k = 1, 2, ..., with value the
         window's ``eval_scaled`` form from the previous t (start for the
-        first) to t, or None when it holds a float.  Without a walker the
-        windows are read one at a time and in order through ``eval_scaled``.
+        first) to t.  Without a walker the windows are read one at a time and
+        in order through ``eval_scaled``.
         """
         start, step, end = to_fraction(start), to_fraction(step), to_fraction(end)
         if step <= 0:
@@ -483,7 +471,7 @@ class _LiftTable:
         from ``starts[i]`` to ``ends[i]``; per number of trees past one, the
         indices in that order of each forest less its last tree and of that
         tree; and per table position, its index in that order."""
-        cop, index, keys = ck_instance(self.dim).coproduct_row, self.index, self.keys
+        cop, index, keys = ck_instance(self.dim)._coproduct_rows, self.index, self.keys
         by_count = [[] for _ in range(self.level + 1)]
         for p, f in enumerate(keys):
             by_count[f.tree_count()].append(p)
@@ -680,14 +668,14 @@ def check_rough_axioms(
 
     Every exact law works on the ``Scaled`` forms of the lift's values,
     read once per (s, t) by ``RoughLift.scaled_grid``, which raises
-    ValueError naming (s, t) for a float value or one outside the lift's
-    algebra: the identity, group-like, Chen and inverse laws compare
-    canonical forms of both sides, and the character law compares integer
-    numerators.  The Chen products run on the product rows of the lifts'
-    table (``_LiftTable.product``), not on the admissible cuts a branched
-    lift's chain takes, so the law cross-checks that chain; a value holding a
-    key outside the table is multiplied by ``scaled_product``.  The Hölder ratios read the same forms, one float
-    per coefficient.
+    ValueError naming (s, t) for a value outside the lift's algebra: the
+    identity, group-like, Chen and inverse laws compare canonical forms of
+    both sides, and the character law compares integer numerators.  The
+    Chen products run on the product rows of the lifts' table
+    (``_LiftTable.product``), not on the admissible cuts a branched lift's
+    chain takes, so the law cross-checks that chain; a value holding a key
+    outside the table is multiplied by ``scaled_product``.  The Hölder
+    ratios read the same forms, one float per coefficient.
     """
     grid = [to_fraction(u) for u in grid]
     if len(grid) < 3:
@@ -771,12 +759,13 @@ def check_rough_axioms(
     report.run("chen", chen_failures())
 
     # the antipode is graded, so terms past the level map past it
-    antipode = algebra.antipode_row
+    antipode = algebra._antipode_rows
 
     def inverse_failures():
         for i, s in points:
             for j, t in points:
-                inverse = linear_scaled(X[i][j], lambda b: antipode(b) if b.grade <= level else ())
+                inverse = linear_scaled(
+                    X[i][j], lambda b: antipode(b, "right") if b.grade <= level else ())
                 if X[j][i] != inverse:
                     yield f"inverse law fails on (s,t)=({s},{t})"
                     return
@@ -903,17 +892,15 @@ def kernel_condition_witness(lift: RoughLift, grid: Sequence):
     kernel = phi_kernel_basis(lift.dim, lift.level)
     # whether <x, X_st> is zero does not depend on the scale of x or X_st, so
     # the scan tests integer dot products and builds the Fraction of the
-    # witness only; a lift holding floats is paired as it is
+    # witness only
     kernel_nums = [dict(zip(x.terms, numerators(list(x.terms.values()))[0])) for x in kernel]
     for s in grid:
         for t in grid:
             charge(2 * sum(map(len, kernel_nums)))
             value = lift.eval_scaled(s, t)
             for x, x_nums in zip(kernel, kernel_nums):
-                if value is None or sum(c * value.nums.get(f, 0) for f, c in x_nums.items()):
-                    v = lift.value(s, t, x)
-                    if v != 0:
-                        return (x, s, t, v)
+                if sum(c * value.nums.get(f, 0) for f, c in x_nums.items()):
+                    return (x, s, t, lift.value(s, t, x))
     return None
 
 

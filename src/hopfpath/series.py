@@ -12,10 +12,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .hopf_core import HopfInstance, concat_deshuffle_instance
 from .linalg import LinComb, Scaled, TensorComb, accum, nullspace, scaled_sum
 from .symbols import Forest, Word, forests, trees
+from .work import charge
 
 
 class TruncationError(ValueError):
@@ -27,8 +29,8 @@ class TruncatedElement:
     """A LinComb together with a truncation level and its ambient algebra.
 
     ``mul`` is ``HopfInstance.product`` cut at the level: pairs whose grades
-    sum past it are never formed, exact operands multiply as integer
-    numerators over their denominators, and floats pass through as they are.
+    sum past it are never formed, and the operands multiply as integer
+    numerators over their denominators.
     """
 
     value: LinComb
@@ -95,35 +97,29 @@ def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     return a.mul(b)
 
 
-def _power_series(x: TruncatedElement, weights: list) -> TruncatedElement:
-    """sum_k weights[k] x^k for k = 0..level, x^0 the unit, up to the first
-    power that vanishes.
+def _power_series(x: TruncatedElement, weights: Iterator[Fraction]) -> TruncatedElement:
+    """sum_k w_k x^k over the weights w_0, w_1, ... for k = 0..level, x^0
+    the unit, up to the first power that vanishes.
 
-    For an exact x the powers chain as ``Scaled`` forms, each product cut at
-    the level, and ``scaled_sum`` adds them once, in integers over the lcm
-    of the weights' and the powers' denominators, in the order of the
-    LinComb sum.  A float coefficient or structure constant takes the
-    ``TruncatedElement`` chain instead, summed term by term.
+    The powers chain as ``Scaled`` forms, each product cut at the level, and
+    ``scaled_sum`` adds them once, in integers over the lcm of the weights'
+    and the powers' denominators, in the order of the LinComb sum.  Each
+    weight is read as the chain reaches its power, and each power x^k is
+    charged k units a term, as its keys have grade k or more, and by its
+    bits and its weight's, which that sum multiplies.
     """
     level, algebra = x.level, x.algebra
-    try:
-        u = Scaled.of(x.value.terms)
-        power = Scaled.term(algebra.unit)
-        powers = [(weights[0], power)]
-        for k in range(1, level + 1):
+    u = Scaled.of(x.value.terms)
+    power = Scaled.term(algebra.unit)
+    powers = []
+    for k, w in zip(range(level + 1), weights):
+        if k:
             power = algebra.scaled_product(power, u, level)
             if not power.nums:
                 break
-            powers.append((weights[k], power))
-    except TypeError:  # a float coefficient or structure constant
-        power = trunc_one(level, algebra)
-        acc = power.scale(weights[0])
-        for k in range(1, level + 1):
-            power = power.mul(x)
-            if power.value.is_zero():
-                break
-            acc = acc.add(power.scale(weights[k]))
-        return acc
+        bits = w.numerator.bit_length() + w.denominator.bit_length() + power.den.bit_length()
+        charge(len(power.nums) * (k + bits // 8) + sum(map(int.bit_length, power.nums.values())) // 8)
+        powers.append((w, power))
     return TruncatedElement(scaled_sum(powers).lincomb(), level, algebra)
 
 
@@ -131,7 +127,9 @@ def exp_trunc(x: TruncatedElement) -> TruncatedElement:
     """exp of an augmentation-ideal element, truncated at x's level."""
     if x.counit() != 0:
         raise TruncationError("exp needs a counit-free argument")
-    return _power_series(x, [Fraction(1, math.factorial(k)) for k in range(x.level + 1)])
+    # 1/k! from 1/(k-1)!, one division per power
+    weights = itertools.accumulate(itertools.count(1), lambda w, k: w / k, initial=Fraction(1))
+    return _power_series(x, weights)
 
 
 def log_trunc(g: TruncatedElement) -> TruncatedElement:
@@ -139,7 +137,7 @@ def log_trunc(g: TruncatedElement) -> TruncatedElement:
     if g.counit() != 1:
         raise TruncationError("log needs counit 1")
     u = g.sub(trunc_one(g.level, g.algebra))
-    weights = [Fraction(0)] + [Fraction((-1) ** (k - 1), k) for k in range(1, g.level + 1)]
+    weights = (Fraction((-1) ** (k - 1), k) if k else Fraction(0) for k in itertools.count())
     return _power_series(u, weights)
 
 
@@ -286,9 +284,13 @@ def homog_norm(g: TruncatedElement) -> float:
     x = log_trunc(g)
     if g.algebra.name == "gl":
         return sum(abs(float(c)) ** (1.0 / b.grade) for b, c in x.value.sorted_terms())
+    # one sort, each grade's squares summed in basis order as grade_norm sums them
+    squares: list[list[float]] = [[] for _ in range(g.level + 1)]
+    for b, c in x.value.sorted_terms():
+        squares[b.grade].append(float(c) ** 2)
     total = 0.0
     for m in range(1, g.level + 1):
-        total += grade_norm(x.value, m) ** (1.0 / m)
+        total += math.sqrt(sum(squares[m])) ** (1.0 / m)
     return total
 
 

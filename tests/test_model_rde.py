@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from hopfpath.hopf_core import CheckReport
 from hopfpath.hopf_ck import ck_coproduct, ck_instance
-from hopfpath.linalg import LinComb, Scaled, TensorComb
+from hopfpath.linalg import LinComb, Scaled, TensorComb, accum
 from hopfpath.model_rde import (
     Character,
     DottedForest,
@@ -20,10 +20,10 @@ from hopfpath.model_rde import (
     _demote_if_huge,
     _float_past_cap,
     _gamma_table,
-    _picard_step,
     _picard_step_coefficients,
     _polynomial_plan,
     _polynomial_step,
+    _step_function,
     _step_polynomial,
     abstract_integration,
     check_model,
@@ -493,11 +493,9 @@ class TestIntegerModelCheck:
             return elt
 
         model = model_from_lift(RoughLift("branched", 2, 2, evaluate), Fraction(3, 10))
-        with pytest.raises(ValueError) as exc:
+        # the value cannot even be built: a float is not a scalar
+        with pytest.raises(TypeError, match="not an exact scalar: 1.0"):
             check_model(model, GRID)
-        assert type(exc.value) is ValueError
-        assert str(exc.value) == (
-            "exact laws need an exact lift value, not floats, at (s,t)=(1/4,3/4)")
 
 
 class TestCompose:
@@ -721,6 +719,33 @@ def reference_solve(path, field, y0, gamma, level, step, lift):
     return samples
 
 
+def picard_image(field, coeffs: dict, level: int) -> dict:
+    """y 1 + sum_i I(f_i(Y) Xi_i), Y being coeffs cut at grade level - 1, on
+    plain dicts of Fractions or floats: ``compose_with_function`` and
+    ``abstract_integration`` with the arithmetic of their LinComb loops."""
+    y = coeffs[EMPTY_FOREST]
+    pure = {f: c for f, c in coeffs.items() if 0 < f.grade < level}
+    image = {EMPTY_FOREST: y}
+    for i, comp in enumerate(field.components, start=1):
+        series, power = {}, {EMPTY_FOREST: 1}
+        accum(series, EMPTY_FOREST, comp.derivative(0)(y))
+        for n in range(1, level + 1):
+            product = {}
+            for f1, c1 in power.items():
+                for f2, c2 in pure.items():
+                    if f1.grade + f2.grade < level:
+                        accum(product, f1.mul(f2), c1 * c2)
+            power = product
+            if not power:
+                break
+            weight = comp.derivative(n)(y) * Fraction(1, math.factorial(n))
+            for f, c in power.items():
+                accum(series, f, c * weight)
+        for f, c in series.items():
+            accum(image, f.graft(i).as_forest(), c)
+    return image
+
+
 def same_samples(got, want) -> bool:
     """Equal times, and states equal in type and value (floats to the bit)."""
     def key(sample):
@@ -744,17 +769,19 @@ class TestStepCoefficients:
         assert all(f == EMPTY_FOREST or f.tree_count() == 1 for f in coeffs)
         assert coeffs[EMPTY_FOREST] == y
         assert all(c != 0 for f, c in coeffs.items() if f != EMPTY_FOREST)
-        Y = LinComb(coeffs)
-        low = Y.truncate(level - 1)
-        image = LinComb.term(EMPTY_FOREST, y)
-        for i, f in enumerate(field.components, start=1):
-            image = image + abstract_integration(compose_with_function(low, f, level, 1, xi=i))
-        if not any(isinstance(c, float) for c in coeffs.values()):
-            assert image == Y
+        if not isinstance(y, float) and all(f.coeffs is not None for f in field.components):
+            # exact derivatives: the model-space maps themselves, on LinCombs
+            Y = LinComb(coeffs)
+            low = Y.truncate(level - 1)
+            image = LinComb.term(EMPTY_FOREST, y)
+            for i, f in enumerate(field.components, start=1):
+                image = image + abstract_integration(compose_with_function(low, f, level, 1, xi=i))
+            assert image == Y and picard_image(field, coeffs, level) == coeffs
         else:
-            for b in set(image.support()) | set(Y.support()):
+            image = picard_image(field, coeffs, level)
+            for b in set(image) | set(coeffs):
                 assert math.isclose(
-                    image.coeff(b), Y.coeff(b), rel_tol=1e-12, abs_tol=sys.float_info.min
+                    image.get(b, 0), coeffs.get(b, 0), rel_tol=1e-12, abs_tol=sys.float_info.min
                 )
 
     def test_ladder_coefficients_of_the_linear_field(self):
@@ -781,7 +808,7 @@ def assert_reduced_equal(got, want):
 
 
 class TestExactStep:
-    """The steps against the Fraction chain: ``_picard_step``, which takes
+    """The steps against the Fraction chain: ``_step_function``, which takes
     every field, and ``_polynomial_step`` for the const, linear and poly
     fields at an exact state."""
 
@@ -790,7 +817,7 @@ class TestExactStep:
         nums, den = Scaled.of(elt.value.terms)
         want = fraction_step(field, y, level, elt)
         # the same type and value: a Fraction for an exact state and field
-        assert same_samples([(0, _picard_step(field, y, level, nums, den))], [(0, want)])
+        assert same_samples([(0, _step_function(field, level)(y, nums, den))], [(0, want)])
         plan = _polynomial_plan(field, level)
         assert (plan is None) == (field.components[0].name == "sin")
         if plan is not None and not isinstance(y, float):
@@ -811,7 +838,7 @@ class TestExactStep:
         level = min(level, 3)  # keeps the Fraction reference fast on 10^4-bit states
         self.check(field, y, level, data.draw(lift_windows(field.dim, level)))
 
-    def test_float_state_float_derivative_and_float_lift_keep_todays_samples(self):
+    def test_float_state_and_float_derivative_keep_todays_samples(self):
         square = VectorField.from_spec("poly:0,0,1", 1)
         lift = branched_lift_fn(LINE, 4)
         # a float state from the start
@@ -827,18 +854,6 @@ class TestExactStep:
             want = reference_solve(LINE, field, Fraction(1, 2), Fraction(3, 10), 4,
                                    Fraction(1, 20), lift)
             assert same_samples(got, want) and isinstance(got[1][1], float)
-        # a hand-made lift with float coefficients, from an exact state
-        def evaluate(s, t):
-            elt = lift.eval(s, t)
-            floats = LinComb({b: float(c) for b, c in elt.value})
-            return TruncatedElement(floats, elt.level, elt.algebra)
-
-        float_lift = RoughLift("branched", 1, 4, evaluate)
-        got = picard_solve(LINE, square, Fraction(1, 2), Fraction(3, 10), 4, Fraction(1, 20),
-                           lift=float_lift)
-        want = reference_solve(LINE, square, Fraction(1, 2), Fraction(3, 10), 4,
-                               Fraction(1, 20), float_lift)
-        assert same_samples(got, want) and isinstance(got[1][1], float)
 
     def test_exact_solves_match_the_fraction_chain(self):
         # 1 + y^2 from 0: c([.]) = f'(0) c(.) = 0, while its parent [[.] .] has f''(0) != 0
@@ -1158,18 +1173,13 @@ class TestPolynomialDerivatives:
             assert got.hex() == want.hex() if type(want) is float else got == want
 
 
-def float_valued(elt):
-    """A lift value with every coefficient turned into a float."""
-    return TruncatedElement(LinComb({b: float(c) for b, c in elt.value}), elt.level, elt.algebra)
-
-
 @st.composite
 def solve_cases(draw):
     """A const, sin, linear or quadratic field with small coefficients, d in
     1..2, level in 1..4, an exact or float start, a random exact path on
     [0, 1] with up to 3 inner knots, a step of 1/3 to 1/7, and a lift of one
-    of three kinds: the branched lift, a hand-made lift around its ``eval``
-    (no scaled evaluator), or a hand-made lift with float values."""
+    of two kinds: the branched lift, or a hand-made lift around its ``eval``
+    (no scaled evaluator)."""
     small = st.fractions(min_value=-1, max_value=1, max_denominator=4)
     spec = draw(st.sampled_from(("const", "sin", "linear", "poly")))
     if spec == "const":
@@ -1187,13 +1197,8 @@ def solve_cases(draw):
     )
     step = Fraction(1, draw(st.integers(min_value=3, max_value=7)))
     base = branched_lift_fn(path, level)
-    kind = draw(st.sampled_from(("scaled", "wrapped", "float")))
-    if kind == "scaled":
-        lift = base
-    elif kind == "wrapped":
-        lift = RoughLift("branched", d, level, base.eval)
-    else:
-        lift = RoughLift("branched", d, level, lambda s, t: float_valued(base.eval(s, t)))
+    wrapped = draw(st.booleans())
+    lift = RoughLift("branched", d, level, base.eval) if wrapped else base
     return path, VectorField.from_spec(spec, d), level, y0, step, lift
 
 
@@ -1214,13 +1219,12 @@ class TestScaledSolve:
         assert same_samples(got, want)
 
     def test_each_kind_of_step(self):
-        # float and exact states; const and sin at exact and float y; the three lifts
+        # float and exact states; const and sin at exact and float y; both lifts
         path = PiecewiseLinearPath.from_knots(
             [(0, (0, 0)), (Fraction(1, 3), (Fraction(1, 2), Fraction(-1, 4))), (1, (1, 1))]
         )
         base = branched_lift_fn(path, 4)
-        lifts = (base, RoughLift("branched", 2, 4, base.eval),
-                 RoughLift("branched", 2, 4, lambda s, t: float_valued(base.eval(s, t))))
+        lifts = (base, RoughLift("branched", 2, 4, base.eval))
         for spec in ("const:2/3", "sin", "linear", "poly:1,-1/2,1/3"):
             field = VectorField.from_spec(spec, 2)
             for y0 in (Fraction(1, 3), 0.3):
@@ -1230,7 +1234,7 @@ class TestScaledSolve:
                     want = reference_solve(path, field, y0, Fraction(3, 10), 4,
                                            Fraction(1, 5), lift)
                     assert same_samples(got, want), (spec, y0)
-                    exact = spec != "sin" and lift is not lifts[2] and isinstance(y0, Fraction)
+                    exact = spec != "sin" and isinstance(y0, Fraction)
                     assert type(got[1][1]) is (Fraction if exact else float)
 
     def test_without_a_scaled_evaluator_the_lift_is_read_once_per_step(self):
