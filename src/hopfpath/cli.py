@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import work
 from .hopf_core import check_axioms, get_instance
-from .hopf_ck import enumerate_cuts, phi_hat_lin, phi_lin, psi_lin
+from .hopf_ck import enumerate_cuts, phi, phi_hat, psi
 from .linalg import (
     Combination,
     LinComb,
@@ -95,6 +95,21 @@ def _emit_report(args, report, text: str) -> int:
 
 def _gamma(args) -> Fraction:
     return to_fraction(args.gamma)
+
+
+def _config(args, flavor: str) -> RoughPathConfig:
+    """The config of --gamma for the flavor; an unset --level becomes its level."""
+    cfg = RoughPathConfig.make(_gamma(args), flavor)
+    if args.level is None:
+        args.level = cfg.level
+    return cfg
+
+
+def _window(args, path: PiecewiseLinearPath) -> tuple[Fraction, Fraction]:
+    """--from and --to, the path's first and last times when unset."""
+    s = path.times[0] if args.t_from is None else to_fraction(args.t_from)
+    t = path.times[-1] if args.t_to is None else to_fraction(args.t_to)
+    return s, t
 
 
 def _grid(path: PiecewiseLinearPath, points: int) -> list[Fraction]:
@@ -310,7 +325,6 @@ def main(argv=None) -> int:
     p.add_argument("--level", type=int, default=4)
     p.add_argument("--step", type=str, default="1/100")
     p.add_argument("--T", type=str, default=None)
-    p.add_argument("--out", choices=["csv"], default="csv")
 
     args = parser.parse_args(argv)
     try:
@@ -380,38 +394,31 @@ def _dispatch(args) -> int:
                 print(f"{row['crown']} | {row['trunk']} | {row['multiplicity']}")
         return 0
     if cmd == "convert":
-        if args.via == "phi":
-            out = phi_lin(parse_expr(args.x, "forest", args.dim))
-        elif args.via == "phihat":
-            out = phi_hat_lin(parse_expr(args.x, "word", args.dim))
+        if args.via == "phihat":
+            x, fn = parse_expr(args.x, "word", args.dim), lambda w: LinComb.term(phi_hat(w))
         else:
-            out = psi_lin(parse_expr(args.x, "forest", args.dim))
-        _emit(args, out)
+            x, fn = parse_expr(args.x, "forest", args.dim), phi if args.via == "phi" else psi
+        _emit(args, x.map_basis(fn))
         return 0
     if cmd in ("signature", "branched-lift"):
         path = PiecewiseLinearPath.from_csv(args.path)
         _check_level(args.level, path.dim, "geometric" if cmd == "signature" else "branched")
         make = signature_lift if cmd == "signature" else branched_lift_fn
-        lift = make(path, args.level)
-        s = to_fraction(args.t_from) if args.t_from is not None else path.times[0]
-        t = to_fraction(args.t_to) if args.t_to is not None else path.times[-1]
-        _emit(args, lift.eval(s, t).value)
+        _emit(args, make(path, args.level).eval(*_window(args, path)).value)
         return 0
     if cmd == "check-rough":
         path = PiecewiseLinearPath.from_csv(args.path)
-        cfg = RoughPathConfig.make(_gamma(args), args.flavor)
-        level = args.level = args.level if args.level is not None else cfg.level
-        _check_level(level, path.dim, args.flavor)
+        cfg = _config(args, args.flavor)
+        _check_level(args.level, path.dim, args.flavor)
         make = signature_lift if args.flavor == "geometric" else branched_lift_fn
-        lift = make(path, level)
+        lift = make(path, args.level)
         report = check_rough_axioms(lift, cfg, _grid(path, args.grid))
         return _emit_report(args, report, report.summary())
     if cmd == "check-model":
         path = PiecewiseLinearPath.from_csv(args.path)
-        cfg = RoughPathConfig.make(_gamma(args), "branched")
-        level = args.level = args.level if args.level is not None else cfg.level
-        _check_level(level, path.dim, "branched")
-        report = check_model(model_from_lift(branched_lift_fn(path, level), cfg.gamma),
+        cfg = _config(args, "branched")
+        _check_level(args.level, path.dim, "branched")
+        report = check_model(model_from_lift(branched_lift_fn(path, args.level), cfg.gamma),
                              _grid(path, args.grid))
         return _emit_report(args, report, report.summary())
     if cmd == "qgamma":
@@ -421,8 +428,7 @@ def _dispatch(args) -> int:
     if cmd == "convert-lift":
         path = PiecewiseLinearPath.from_csv(args.path)
         _check_level(args.level, path.dim, "geometric", "branched")
-        s = to_fraction(args.t_from) if args.t_from is not None else path.times[0]
-        t = to_fraction(args.t_to) if args.t_to is not None else path.times[-1]
+        s, t = _window(args, path)
         if args.direction == "g2b":
             out = geo_to_branched(signature_lift(path, args.level))
         else:

@@ -261,10 +261,6 @@ gl_product = structure_map(LinComb, _gl_row)
 forest_deconcat = structure_map(TensorComb, _sub_forest_row)
 
 
-def gl_product_lin(x: LinComb, y: LinComb) -> LinComb:
-    return LinComb(bilinear(x, y, gl_product), _clean=True)
-
-
 def _gl_antipode_factory(d: int):
     @functools.lru_cache(maxsize=None)
     def columns(g: int) -> dict:
@@ -356,16 +352,19 @@ def treeword_shuffle(u: TreeWord, v: TreeWord) -> LinComb:
 # morphisms between words and forests
 
 
+def _appended(x: LinComb, letter) -> LinComb:
+    """x with ``letter`` appended to each word: appending is injective, so
+    this is its ``map_basis``, term order included, charged as ``linear``."""
+    charge(64 * len(x))
+    return LinComb({w.concat(letter): c for w, c in x}, _clean=True)
+
+
 @multiplicative(
     LinComb.term(EMPTY_WORD), lambda a, b: LinComb(bilinear(a, b, shuffle), _clean=True)
 )
 def phi(tree: Tree) -> LinComb:
     """Forest-to-word Hopf homomorphism: graft becomes append, product shuffle."""
-    return phi(tree.children).map_basis(lambda w: LinComb.term(w.concat(Word((tree.label,)))))
-
-
-def phi_lin(x: LinComb) -> LinComb:
-    return x.map_basis(phi)
+    return _appended(phi(tree.children), Word((tree.label,)))
 
 
 def phi_hat(w: Word) -> Forest:
@@ -376,10 +375,6 @@ def phi_hat(w: Word) -> Forest:
     return f
 
 
-def phi_hat_lin(x: LinComb) -> LinComb:
-    return x.map_basis(lambda w: LinComb.term(phi_hat(w)))
-
-
 @multiplicative(
     LinComb.term(EMPTY_TREEWORD),
     lambda a, b: LinComb(bilinear(a, b, treeword_shuffle), _clean=True),
@@ -388,14 +383,9 @@ def psi(tree: Tree) -> LinComb:
     """Hopf monomorphism into shuffle words over the tree alphabet."""
 
     def term(l: Forest, r: Forest) -> LinComb:
-        letter = TreeWord((r.graft(tree.label),))
-        return psi(l).map_basis(lambda u: LinComb.term(u.concat(letter)))
+        return _appended(psi(l), TreeWord((r.graft(tree.label),)))
 
     return ck_coproduct(tree.children).fold(term)
-
-
-def psi_lin(x: LinComb) -> LinComb:
-    return x.map_basis(psi)
 
 
 def phi_kernel_basis(d: int, max_grade: int) -> list[LinComb]:

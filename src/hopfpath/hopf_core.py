@@ -121,9 +121,6 @@ class HopfInstance:
     def counit(self, b) -> Fraction:
         return Fraction(1) if b.grade == 0 else Fraction(0)
 
-    def counit_lin(self, x: LinComb) -> Fraction:
-        return x.coeff(self.unit)
-
     def one(self) -> LinComb:
         return LinComb.term(self.unit)
 
@@ -145,44 +142,38 @@ class HopfInstance:
 
         return read
 
-    def product_row(self, a, b) -> tuple:
-        """The terms of ``product_basis(a, b)`` as (basis, c) pairs, with an
-        integral c as an int, read from the map's rows (``rows_of``); the
-        rows or the map are called once per pair of arguments."""
-        return self._product_rows(a, b)
-
     @functools.cached_property
-    def _product_rows(self) -> Callable[[object, object], tuple]:
-        """``product_row`` with its memo looked up once per instance, for loops."""
+    def product_row(self) -> Callable[[object, object], tuple]:
+        """product_row(a, b): the terms of ``product_basis(a, b)`` as (basis, c)
+        pairs, with an integral c as an int, read from the map's rows
+        (``rows_of``); the rows or the map are called once per pair of
+        arguments."""
         return self._reader("product_rows", rows_of(self.product_basis), 32)
 
-    def coproduct_row(self, b) -> tuple:
-        """The terms of ``coproduct_basis(b)`` as ((left, right), c) pairs, with
-        an integral c as an int, read from the map's rows (``rows_of``); the
-        rows or the map are called once per argument."""
-        return self._coproduct_rows(b)
-
     @functools.cached_property
-    def _coproduct_rows(self) -> Callable[[object], tuple]:
-        """``coproduct_row`` with its memo looked up once per instance, for loops."""
+    def coproduct_row(self) -> Callable[[object], tuple]:
+        """coproduct_row(b): the terms of ``coproduct_basis(b)`` as
+        ((left, right), c) pairs, with an integral c as an int, read from the
+        map's rows (``rows_of``); the rows or the map are called once per
+        argument."""
         return self._reader("coproduct_rows", rows_of(self.coproduct_basis), 24)
 
     def product(self, x: LinComb, y: LinComb, max_grade: int | None = None) -> LinComb:
         """Bilinear product; pairs beyond max_grade are skipped (grading)."""
-        return LinComb(bilinear(x, y, self._product_rows, max_grade), _clean=True)
+        return LinComb(bilinear(x, y, self.product_row, max_grade), _clean=True)
 
     def scaled_product(self, x: Scaled, y: Scaled, max_grade: int | None = None) -> Scaled:
         """``product`` on integer numerators over one denominator, as the same
         form."""
-        return bilinear_scaled(x, y, self._product_rows, max_grade)
+        return bilinear_scaled(x, y, self.product_row, max_grade)
 
     def coproduct(self, x: LinComb) -> TensorComb:
-        return TensorComb(linear(x, self._coproduct_rows), _clean=True)
+        return TensorComb(linear(x, self.coproduct_row), _clean=True)
 
     def scaled_coproduct(self, x: Scaled) -> Scaled:
         """``coproduct`` on integer numerators over one denominator, as the
         same form keyed by (left, right)."""
-        return linear_scaled(x, self._coproduct_rows)
+        return linear_scaled(x, self.coproduct_row)
 
     def reduced_coproduct(self, x: LinComb) -> TensorComb:
         return self.coproduct(x) - TensorComb.of(self.one(), x) - TensorComb.of(x, self.one())
@@ -190,7 +181,7 @@ class HopfInstance:
     def multiply_tensors(self, a: Scaled, b: Scaled) -> Scaled:
         """Slot-wise product on scaled tensors, (x1 (x) x2)(y1 (x) y2) =
         x1y1 (x) x2y2."""
-        row = self._product_rows
+        row = self.product_row
 
         def pair_product(x: tuple, y: tuple):
             right = row(x[1], y[1])
@@ -203,22 +194,16 @@ class HopfInstance:
     # -- antipodes ---------------------------------------------------------
 
     def antipode_basis(self, b, side: str = "right") -> LinComb:
-        """The recursive antipode of b as a LinComb: ``antipode_row(b, side)``
-        with its ints as Fractions, memoized per basis element and side.  The
-        recursion itself runs on integer rows (see ``antipode_row``)."""
-        memo = self.memo("antipode")
-        out = memo.get((b, side))
-        if out is None:
-            row = self.antipode_row(b, side)
-            out = memo[b, side] = LinComb(
-                {k: Fraction(c) if type(c) is int else c for k, c in row}, _clean=True
-            )
-        return out
+        """The recursive antipode of b as a LinComb: the view of
+        ``antipode_row(b, side)``, one Fraction per term."""
+        return LinComb({k: Fraction(c) for k, c in self.antipode_row(b, side)}, _clean=True)
 
-    def antipode_row(self, b, side: str = "right") -> tuple:
-        """The recursive antipode of b as (basis, c) pairs, with an integral c
-        as an int; memoized per basis element and side, and a side other
-        than "left" or "right" raises ValueError.
+    @functools.cached_property
+    def antipode_row(self) -> Callable[[object, str], tuple]:
+        """antipode_row(b, side): the recursive antipode of b as (basis, c)
+        pairs, with an integral c as an int, memoized per basis element and
+        side; a side other than "left" or "right" raises ValueError and is
+        never memoized.
 
         The reduced-coproduct recursion runs on integer rows: S 1 = 1 and
         S h = -h - sum c h' S(h'') over the terms c h' (x) h'' of
@@ -228,15 +213,7 @@ class HopfInstance:
         each other and of ``antipode_closed_basis``.  A non-integral structure
         constant makes coefficients Fractions.
         """
-        if side not in ("left", "right"):
-            raise ValueError(f"unknown antipode side {side!r}")
-        return self._antipode_rows(b, side)
-
-    @functools.cached_property
-    def _antipode_rows(self) -> Callable[[object, str], tuple]:
-        """``antipode_row`` as read(b, side) with its memos looked up once per
-        instance, for loops; the recursion reads its smaller rows through it."""
-        product_row, coproduct_row, unit = self._product_rows, self._coproduct_rows, self.unit
+        product_row, coproduct_row, unit = self.product_row, self.coproduct_row, self.unit
 
         def product(l, r, side: str):
             """l S(r) (right) or S(l) r (left), summed before it is scaled."""
@@ -250,6 +227,8 @@ class HopfInstance:
         def recursion(b, side: str) -> tuple:
             """The row of b from the rows of the smaller basis elements,
             summed by the one accumulation loop of ``linalg``."""
+            if side not in ("left", "right"):
+                raise ValueError(f"unknown antipode side {side!r}")
             if b.grade == 0:
                 return ((b, 1),)
             # the coproduct less exactly one 1 (x) b and one b (x) 1
@@ -263,7 +242,7 @@ class HopfInstance:
         return antipode
 
     def antipode(self, x: LinComb, side: str = "right") -> LinComb:
-        return x.map_basis(lambda b: self.antipode_basis(b, side))
+        return LinComb(linear(x, lambda b: self.antipode_row(b, side)), _clean=True)
 
     def antipode_closed(self, x: LinComb) -> LinComb:
         if self.antipode_closed_basis is None:
@@ -450,11 +429,11 @@ def shuffle_deconcat_instance(d: int) -> HopfInstance:
 
 def get_instance(name: str, d: int) -> HopfInstance:
     """Look up an instance by CLI name: poly, shuffle, concat, ck, gl."""
-    if name in ("poly",):
+    if name == "poly":
         return poly_instance(d)
-    if name in ("shuffle", "shuffle_deconcat"):
+    if name == "shuffle":
         return shuffle_deconcat_instance(d)
-    if name in ("concat", "concat_deshuffle"):
+    if name == "concat":
         return concat_deshuffle_instance(d)
     if name in ("ck", "gl"):
         from . import hopf_ck
@@ -531,7 +510,7 @@ class CheckReport:
 
 def _triple_left(instance: HopfInstance, x: Scaled) -> Scaled:
     """(Delta (x) id) Delta x, keyed by basis triples."""
-    cop = instance._coproduct_rows
+    cop = instance.coproduct_row
     return linear_scaled(
         instance.scaled_coproduct(x),
         lambda lr: (((l1, l2, lr[1]), c) for (l1, l2), c in cop(lr[0])),
@@ -540,7 +519,7 @@ def _triple_left(instance: HopfInstance, x: Scaled) -> Scaled:
 
 def _triple_right(instance: HopfInstance, x: Scaled) -> Scaled:
     """(id (x) Delta) Delta x, keyed by basis triples."""
-    cop = instance._coproduct_rows
+    cop = instance.coproduct_row
     return linear_scaled(
         instance.scaled_coproduct(x),
         lambda lr: (((lr[0], r1, r2), c) for (r1, r2), c in cop(lr[1])),
@@ -550,7 +529,7 @@ def _triple_right(instance: HopfInstance, x: Scaled) -> Scaled:
 def _antipode_convolution(instance: HopfInstance, cop: Scaled, side: str) -> Scaled:
     """m (S (x) id) on a scaled tensor when side is "left", m (id (x) S) when
     it is "right", with S the recursive right antipode."""
-    row, antipode = instance._product_rows, instance._antipode_rows
+    row, antipode = instance.product_row, instance.antipode_row
     if side == "left":
         return linear_scaled(cop, lambda lr: (
             (k, u * v) for p, u in antipode(lr[0], "right") for k, v in row(p, lr[1])))
@@ -573,11 +552,6 @@ def random_scaled(rng: random.Random, basis_pool: tuple, max_terms: int = 3) -> 
             den = lcm
         nums[b] = nums.get(b, 0) + n * (lcm // q)
     return Scaled.of({k: v for k, v in nums.items() if v}, den)
-
-
-def random_lincomb(rng: random.Random, basis_pool: tuple, max_terms: int = 3) -> LinComb:
-    """``random_scaled`` from the same draws, as a LinComb."""
-    return random_scaled(rng, basis_pool, max_terms).lincomb()
 
 
 def check_axioms(
@@ -609,7 +583,7 @@ def check_axioms(
     rng = random.Random(seed)
     term, unit = Scaled.term, instance.unit
     one, zero = term(unit), Scaled({}, 1)
-    rows, coproduct = instance._product_rows, instance.scaled_coproduct
+    rows, coproduct = instance.product_row, instance.scaled_coproduct
 
     def product(x: Scaled, y: Scaled) -> Scaled:
         return bilinear_scaled(x, y, rows)
@@ -649,7 +623,7 @@ def check_axioms(
             right = linear_scaled(cop, lambda lr: () if lr[1].grade else ((lr[0], 1),))
             if left != x or right != x:
                 yield f"counit property fails on {b}"
-        if instance.counit_lin(instance.one()) != 1:
+        if instance.counit(unit) != 1:
             yield "counit(1) != 1"
 
     report.run("counit", counit_failures())
@@ -711,11 +685,11 @@ def check_axioms(
             right = _antipode_convolution(instance, cop, "right")
             if left != target or right != target:
                 yield f"antipode law fails on {b}"
-            if dict(instance.antipode_row(b, "left")) != dict(instance.antipode_row(b)):
+            if dict(instance.antipode_row(b, "left")) != dict(instance.antipode_row(b, "right")):
                 yield f"left/right antipode recursions disagree on {b}"
             if instance.antipode_closed_basis is not None:
                 closed = linear_scaled(x, instance.antipode_closed_basis)
-                if closed != linear_scaled(x, instance.antipode_row):
+                if closed != linear_scaled(x, lambda b: instance.antipode_row(b, "right")):
                     yield f"closed-form antipode disagrees on {b}"
 
     report.run("antipode", antipode_failures())

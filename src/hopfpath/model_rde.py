@@ -315,7 +315,7 @@ def _gamma_table(lift: RoughLift, grid: list) -> tuple[list, Callable]:
     off the group or for a grade past the lift level with no value.
     """
     level, algebra, unit = lift.level, lift.algebra, lift.algebra.unit
-    cop = ck_instance(lift.dim)._coproduct_rows
+    cop = ck_instance(lift.dim).coproduct_row
     X = lift.scaled_grid(grid)
     grouplike = [[False] * len(grid) for _ in grid]
     rows = [[{} for _ in grid] for _ in grid]
@@ -364,7 +364,7 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
     grid = [to_fraction(u) for u in grid]
     max_grade = model.level if max_grade is None else max_grade
     basis = forests_up_to(model.lift.dim, max_grade)
-    cop = ck_instance(model.lift.dim)._coproduct_rows
+    cop = ck_instance(model.lift.dim).coproduct_row
     X, row = _gamma_table(model.lift, grid)
     points = list(enumerate(grid))
     report = CheckReport("model check")
@@ -467,24 +467,19 @@ class ScalarField:
                  coeffs: Sequence | None = None):
         if callable(derivatives):
             self._maker = derivatives
-            self._order = order
         else:
             stack = list(derivatives)
             self._maker = lambda n: stack[n]
-            self._order = len(stack) - 1 if order is None else order
+            order = len(stack) - 1 if order is None else order
+        self.order = order  # the highest derivative order, None for unlimited
         self.name = name
         self.coeffs = None if coeffs is None else tuple(coeffs)
 
-    @property
-    def order(self) -> int | None:
-        """Highest available derivative order, None for unlimited."""
-        return self._order
-
     def derivative(self, n: int) -> Callable:
-        if self._order is not None and n > self._order:
+        if self.order is not None and n > self.order:
             raise ModelError(
                 f"vector field {self.name!r} offers derivatives up to order "
-                f"{self._order}, needed {n}"
+                f"{self.order}, needed {n}"
             )
         return self._maker(n)
 
@@ -642,7 +637,7 @@ def picard_solve(
     (``ScalarField.coeffs``: the const, linear and poly fields) through a plan
     made once per solve (``_polynomial_plan``): each step is one integer
     polynomial in the state, evaluated by Horner and reduced by one gcd with
-    a small operand (``_polynomial_step``), the Fraction of the sum of
+    a small operand (``_exact_step``), the Fraction of the sum of
     Fraction products.  Every other step, exact or float, has the value and
     bits of that sum, with floats as they come; it runs from one plan per
     solve (``_step_function``), which takes each component's derivatives
@@ -895,25 +890,19 @@ def _step_polynomial(plan: tuple, nums: dict) -> list:
     return a
 
 
-def _polynomial_step(plan: tuple, y, nums: dict, den: int) -> Fraction:
-    """The step sum_tau c(tau) X_st(tau) of a polynomial field at an exact
-    state y = p/q, as one integer polynomial in the state.
-
-    With X_st given as integer numerators over den and c(tau) from
-    ``_polynomial_plan``, the step is A(y) / (C den) with small integer
-    coefficients a_j (``_step_polynomial``), trimmed to the true degree K, so
-    it is M / (C den q^K) with M = sum_j a_j p^j q^(K-j) by homogeneous
-    Horner (``_exact_step``).
-    """
-    return _exact_step(_step_polynomial(plan, nums), plan[0] * den, y)
-
-
 def _exact_step(a: list, scale: int, y) -> Fraction:
-    """A(y) / scale for an exact y = p/q, as M / (scale q^K) with M by
-    homogeneous Horner.  M = a_K p^K mod q and gcd(p, q) = 1 give
-    gcd(M, q^K) at any prime of q as that of gcd(a_K, q)^K (M = 0 makes q
-    divide a_K), so the gcd that reduces the fraction has one small operand,
-    and the Fraction is built from coprime ints with no second gcd."""
+    """A(y) / scale for an exact y = p/q, as M / (scale q^K) with
+    M = sum_j a_j p^j q^(K-j) by homogeneous Horner.
+
+    For a polynomial field this is the step sum_tau c(tau) X_st(tau) at y:
+    with X_st given as integer numerators over den and c(tau) from
+    ``_polynomial_plan``, the step is A(y) / (C den), with the small integer
+    coefficients a_j of ``_step_polynomial`` trimmed to the true degree K.
+
+    M = a_K p^K mod q and gcd(p, q) = 1 give gcd(M, q^K) at any prime of q
+    as that of gcd(a_K, q)^K (M = 0 makes q divide a_K), so the gcd that
+    reduces the fraction has one small operand, and the Fraction is built
+    from coprime ints with no second gcd."""
     p, q = y.numerator, y.denominator
     K = len(a) - 1
     M, qk = a[K], 1

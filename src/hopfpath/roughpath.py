@@ -35,7 +35,7 @@ from .hopf_ck import (
     phi_kernel_basis,
 )
 from .linalg import LinComb, Scaled, bilinear_scaled, linear_scaled, numerators, outer, pair
-from .series import TruncatedElement, homog_norm, trunc_one
+from .series import TruncatedElement, homog_norm
 from .symbols import (
     EMPTY_WORD,
     Forest,
@@ -161,17 +161,20 @@ class RoughPathConfig:
 class RoughLift:
     """A two-parameter family of truncated group-likes with exact evaluation.
 
-    ``evaluate(s, t)`` gives the value as a TruncatedElement.  A lift that
-    can give it as a ``Scaled`` form directly passes ``evaluate_scaled``;
-    otherwise ``eval_scaled`` reads that form off ``eval``, and
-    ``scaled_grid`` reads it on a grid for the exact checks.  A lift that can
-    serve a run of equal steps faster than window by window passes ``walk``,
-    which ``steps`` then calls; it must yield what the window-by-window loop
-    yields.
+    A lift passes ``evaluate``, ``evaluate_scaled`` or both, and TypeError
+    names a lift given neither.  ``evaluate(s, t)`` gives the value as a
+    TruncatedElement, ``evaluate_scaled(s, t)`` as a ``Scaled`` form.  Without
+    the one, ``eval`` is the view of ``eval_scaled``; without the other,
+    ``eval_scaled`` reads that form off ``eval``, and ``scaled_grid`` reads it
+    on a grid for the exact checks.  A lift that can serve a run of equal
+    steps faster than window by window passes ``walk``, which ``steps`` then
+    calls; it must yield what the window-by-window loop yields.
     """
 
-    def __init__(self, flavor: str, dim: int, level: int, evaluate: Callable,
+    def __init__(self, flavor: str, dim: int, level: int, evaluate: Callable | None = None,
                  evaluate_scaled: Callable | None = None, walk: Callable | None = None):
+        if evaluate is None and evaluate_scaled is None:
+            raise TypeError("a RoughLift needs evaluate or evaluate_scaled")
         self.flavor = flavor
         self.dim = dim
         self.level = level
@@ -187,9 +190,12 @@ class RoughLift:
         return gl_instance(self.dim)
 
     def eval(self, s, t) -> TruncatedElement:
+        """The value at (s, t), cached per (s, t): without ``evaluate``,
+        the view of ``eval_scaled``."""
         key = (to_fraction(s), to_fraction(t))
         if key not in self._cache:
-            self._cache[key] = self._evaluate(*key)
+            self._cache[key] = self._evaluate(*key) if self._evaluate else TruncatedElement(
+                self._evaluate_scaled(*key).lincomb(), self.level, self.algebra)
         return self._cache[key]
 
     def eval_scaled(self, s, t) -> Scaled:
@@ -471,7 +477,7 @@ class _LiftTable:
         from ``starts[i]`` to ``ends[i]``; per number of trees past one, the
         indices in that order of each forest less its last tree and of that
         tree; and per table position, its index in that order."""
-        cop, index, keys = ck_instance(self.dim)._coproduct_rows, self.index, self.keys
+        cop, index, keys = ck_instance(self.dim).coproduct_row, self.index, self.keys
         by_count = [[] for _ in range(self.level + 1)]
         for p, f in enumerate(keys):
             by_count[f.tree_count()].append(p)
@@ -567,13 +573,8 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
                tuple(tail * v for v in slopes[last])]
         return out if s < t else [tuple(-x for x in rise) for rise in reversed(out)]
 
-    # memoized per lift by increment: equal steps on one linear piece share
-    # the positions, and a window inside one piece returns one element
+    # memoized per lift by increment: equal steps on one piece share the positions
     closed_form = functools.lru_cache(maxsize=None)(table.closed_form)
-
-    @functools.lru_cache(maxsize=None)
-    def closed_element(increment: tuple[Fraction, ...]) -> TruncatedElement:
-        return TruncatedElement(table.scaled(closed_form(increment)).lincomb(), level, algebra)
 
     # every operand of a chain is a closed form or a product of them, so a
     # character: the branched flavor multiplies by admissible cuts
@@ -591,15 +592,6 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
     def evaluate_scaled(s: Fraction, t: Fraction) -> Scaled:
         pieces = increments(s, t)
         return chain(pieces) if pieces else one
-
-    def evaluate(s: Fraction, t: Fraction) -> TruncatedElement:
-        """The scaled value with one Fraction per output term."""
-        pieces = increments(s, t)
-        if not pieces:
-            return trunc_one(level, algebra)
-        if len(pieces) == 1:
-            return closed_element(pieces[0])
-        return TruncatedElement(chain(pieces).lincomb(), level, algebra)
 
     def walk(start: Fraction, step: Fraction, end: Fraction):
         """``RoughLift.steps`` with the knots walked once: the times as ints
@@ -632,7 +624,7 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
             yield Fraction(t, den), value
             s = t
 
-    return RoughLift(flavor, d, level, evaluate, evaluate_scaled, walk)
+    return RoughLift(flavor, d, level, evaluate_scaled=evaluate_scaled, walk=walk)
 
 
 def signature_lift(path: PiecewiseLinearPath, level: int) -> RoughLift:
@@ -759,7 +751,7 @@ def check_rough_axioms(
     report.run("chen", chen_failures())
 
     # the antipode is graded, so terms past the level map past it
-    antipode = algebra._antipode_rows
+    antipode = algebra.antipode_row
 
     def inverse_failures():
         for i, s in points:

@@ -182,18 +182,7 @@ def is_grouplike(g: TruncatedElement) -> tuple[bool, TensorComb]:
 
 
 def primitive_basis(instance: HopfInstance, k: int) -> list[LinComb]:
-    """Exact basis of the primitives of grade k, by a nullspace computation.
-
-    Memoized per (instance, k); each call returns a fresh list.
-    """
-    memo = instance.memo("primitive_basis")
-    out = memo.get(k)
-    if out is None:
-        out = memo[k] = _primitive_basis(instance, k)
-    return list(out)
-
-
-def _primitive_basis(instance: HopfInstance, k: int) -> list[LinComb]:
+    """Exact basis of the primitives of grade k, by a nullspace computation."""
     basis = instance.basis(k)
     if k == 0 or not basis:
         return []
@@ -339,8 +328,9 @@ def branched_norm_constants(d: int, n: int) -> NormConstants:
     The grade-k product norms are computed with exact Grossman-Larson products
     and only then rounded to float.
     """
-    from .hopf_ck import gl_product_lin
+    from .hopf_ck import gl_instance
 
+    product = gl_instance(d).product
     tree_pool = {k: trees(d, k) for k in range(1, n + 1)}
     forest_pool = {k: tuple(f for f in forests(d, k)) for k in range(1, n + 1)}
 
@@ -359,7 +349,7 @@ def branched_norm_constants(d: int, n: int) -> NormConstants:
                 )
                 for item in combo[1:]:
                     nxt = item if isinstance(item, Forest) else item.as_forest()
-                    prod = gl_product_lin(prod, LinComb.term(nxt))
+                    prod = product(prod, LinComb.term(nxt))
                 best = max(best, grade_norm(prod, k))
         return count, best
 

@@ -571,15 +571,12 @@ def _looks_like_rational(sc: _Scanner, kind: str) -> bool:
 def parse_expr(text: str, kind: str, dim: int):
     """Parse a linear combination (or bare atom) into a LinComb.
 
-    ``kind`` selects the atom grammar: word, forest, multiindex; ``lincomb``
-    is accepted as an alias for forest atoms.  A bare top-level "1" for
-    kind="forest" is the empty forest.
+    ``kind`` selects the atom grammar: word, forest, multiindex.  A bare
+    top-level "1" for kind="forest" is the empty forest.
     """
     from .linalg import LinComb
 
     check_dimension(dim)
-    if kind == "lincomb":
-        kind = "forest"
     if kind not in _ATOM_PARSERS:
         raise ValueError(f"unknown parse kind {kind!r}")
     atom = _ATOM_PARSERS[kind]

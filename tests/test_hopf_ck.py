@@ -19,7 +19,6 @@ from hopfpath.hopf_ck import (
     phi,
     phi_hat,
     phi_kernel_basis,
-    phi_lin,
     psi,
     splits,
     symmetry_factor,
@@ -504,13 +503,13 @@ class TestPhi:
 
         words_inst = shuffle_deconcat_instance(2)
         for f in forests_up_to(2, 4):
-            assert phi_lin(ck_antipode(f)) == words_inst.antipode_closed(phi(f))
+            assert ck_antipode(f).map_basis(phi) == words_inst.antipode_closed(phi(f))
 
     def test_kernel_basis_annihilated(self):
         kernel = phi_kernel_basis(2, 3)
         assert kernel, "kernel must be nontrivial"
         for x in kernel:
-            assert phi_lin(x).is_zero()
+            assert x.map_basis(phi).is_zero()
 
     def test_kernel_dimensions(self):
         by_grade = {}

@@ -18,11 +18,11 @@ from hopfpath.model_rde import (
     _EXACT_STATE_BITS,
     _coprime_fraction,
     _demote_if_huge,
+    _exact_step,
     _float_past_cap,
     _gamma_table,
     _picard_step_coefficients,
     _polynomial_plan,
-    _polynomial_step,
     _step_function,
     _step_polynomial,
     abstract_integration,
@@ -809,8 +809,8 @@ def assert_reduced_equal(got, want):
 
 class TestExactStep:
     """The steps against the Fraction chain: ``_step_function``, which takes
-    every field, and ``_polynomial_step`` for the const, linear and poly
-    fields at an exact state."""
+    every field, and ``_exact_step`` of ``_step_polynomial`` for the const,
+    linear and poly fields at an exact state."""
 
     @staticmethod
     def check(field, y, level, elt):
@@ -821,7 +821,7 @@ class TestExactStep:
         plan = _polynomial_plan(field, level)
         assert (plan is None) == (field.components[0].name == "sin")
         if plan is not None and not isinstance(y, float):
-            assert_reduced_equal(_polynomial_step(plan, y, nums, den), want)
+            assert_reduced_equal(_exact_step(_step_polynomial(plan, nums), plan[0] * den, y), want)
 
     @given(picard_cases(), st.data())
     @settings(max_examples=80, deadline=None)
@@ -928,13 +928,14 @@ decimal_states = st.builds(
 
 
 class TestPolynomialStep:
-    """``_polynomial_step`` against the Fraction chain, and the gcd identity
-    it reduces with."""
+    """``_exact_step`` of ``_step_polynomial`` against the Fraction chain, and
+    the gcd identity it reduces with."""
 
     @staticmethod
     def check(field, level, y, elt):
         nums, den = Scaled.of(elt.value.terms)
-        got = _polynomial_step(_polynomial_plan(field, level), y, nums, den)
+        plan = _polynomial_plan(field, level)
+        got = _exact_step(_step_polynomial(plan, nums), plan[0] * den, y)
         assert_reduced_equal(got, fraction_step(field, y, level, elt))
 
     @given(polynomial_cases(st.integers(-5, 5) | st.fractions(-3, 3, max_denominator=50)))
@@ -1024,10 +1025,11 @@ class TestPolynomialStep:
 
 
 def demoted(plan, y, nums, den):
-    """``_demote_if_huge(_polynomial_step(...))`` as ("exact", the Fraction),
-    ("float", its hex) or ("error", the ModelError's text)."""
+    """The demoted polynomial step, ``_demote_if_huge(_exact_step(...))``, as
+    ("exact", the Fraction), ("float", its hex) or ("error", the ModelError's
+    text)."""
     try:
-        z = _demote_if_huge(_polynomial_step(plan, y, nums, den))
+        z = _demote_if_huge(_exact_step(_step_polynomial(plan, nums), plan[0] * den, y))
     except ModelError as exc:
         return "error", str(exc)
     return ("float", z.hex()) if type(z) is float else ("exact", z)
@@ -1120,7 +1122,8 @@ class TestFloatPastCap:
             m = _EXACT_STATE_BITS + over - q.bit_length() - 3
             p = next(2**m + k for k in range(1, 30) if math.gcd(2**m + k, 30) == 1)
             y = Fraction(p, q)
-            exact = _polynomial_step(self.LINEAR, y, *self.HALF)
+            nums, den = self.HALF
+            exact = _exact_step(_step_polynomial(self.LINEAR, nums), self.LINEAR[0] * den, y)
             assert exact.numerator.bit_length() + exact.denominator.bit_length() == (
                 _EXACT_STATE_BITS + over)
             got, want = self.linear(y)

@@ -498,16 +498,28 @@ class TestSegmentMemo:
     def test_one_piece_windows_share_one_element(self, make, segment):
         path = PiecewiseLinearPath.from_knots(self.KNOTS)
         lift = make(path, 3)
-        first = lift.eval(0, Fraction(1, 4))
-        # an equal increment in the same piece, and in reverse order of evaluation
-        assert lift.eval(Fraction(1, 4), Fraction(1, 2)) is first
-        assert lift.eval(Fraction(1, 2), Fraction(1, 4)) is lift.eval(Fraction(1, 4), 0)
         increment = tuple(x / 2 for x in path.values[1])
-        assert list(first.value) == list(segment(increment, 3, 2))
-        assert first == TruncatedElement.make(segment(increment, 3, 2), 3, lift.algebra)
-        # a window across a knot is a Chen product, built for that window
-        across = lift.eval(Fraction(1, 4), Fraction(3, 4))
-        assert across is not lift.eval(Fraction(1, 2), 1)
+        back = tuple(-x for x in increment)
+        quarter, half = Fraction(1, 4), Fraction(1, 2)
+        # equal increments in the same piece, forward and back, each window
+        # the closed form's values in its term order
+        for s, t, v in ((0, quarter, increment), (quarter, half, increment),
+                        (half, quarter, back), (quarter, 0, back)):
+            got = lift.eval(s, t)
+            assert list(got.value) == list(segment(v, 3, 2))
+            assert got == TruncatedElement.make(segment(v, 3, 2), 3, lift.algebra)
+
+    @pytest.mark.parametrize("make", [branched_lift_fn, signature_lift])
+    def test_factory_eval_is_cached_per_window(self, make):
+        lift = make(PiecewiseLinearPath.from_knots(self.KNOTS), 3)
+        for s, t in ((0, Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 4)), (1, 1)):
+            first = lift.eval(s, t)
+            assert lift.eval(s, t) is first
+            assert first.value == lift.eval_scaled(s, t).lincomb()
+
+    def test_a_lift_needs_an_evaluator(self):
+        with pytest.raises(TypeError, match="evaluate or evaluate_scaled"):
+            RoughLift("geometric", 2, 2)
 
 
 class TestScaledChecks:

@@ -152,10 +152,6 @@ class TestParsing:
             parse_expr("[[]_1", "forest", 2)
         assert err.value.offset == 5
 
-    def test_lincomb_kind_alias(self):
-        x = parse_expr("2*[]_1", "lincomb", 2)
-        assert x == LinComb.term(t(1).as_forest(), 2)
-
 
 class TestEnumeration:
     def test_word_counts(self):
