@@ -62,20 +62,50 @@ def shuffle_permutations(i: int, n: int) -> list[tuple[int, ...]]:
 
 
 def shuffle_tuples(u: tuple, v: tuple) -> dict[tuple, int]:
-    """Multiset of interleavings of u and v preserving both orders."""
-    out: dict[tuple, int] = {}
+    """Multiset of interleavings of u and v preserving both orders, keyed in
+    the order of the placements of u's letters, taken lexicographically.
+
+    Charged C(n, |u|) (8 + n // 3) units, n = |u| + |v|, on every call
+    before the memo of ``_shuffle_items`` is read; the dict returned is the
+    caller's own.
+    """
     n = len(u) + len(v)
     charge(math.comb(n, len(u)) * (8 + n // 3))
-    for positions in itertools.combinations(range(n), len(u)):
-        word: list = [None] * n
-        for letter, p in zip(u, positions):
-            word[p] = letter
-        rest = iter(v)
-        for p in range(n):
-            if word[p] is None:
-                word[p] = next(rest)
-        accum(out, tuple(word), 1)
-    return out
+    if not u or not v:
+        return {u + v: 1}
+    return dict(_shuffle_items(u, v))
+
+
+@functools.lru_cache(maxsize=None)
+def _shuffle_items(u: tuple, v: tuple) -> tuple:
+    """The (word, multiplicity) items of shuffle_tuples(u, v), u and v
+    nonempty, by a memoized prefix recursion.
+
+    sh(a u', b v') = a sh(u', b v') + b sh(a u', v'), unrolled along the
+    shorter word, so the recursion is only as deep as that word is long:
+    for v = b v' no longer than u, sh(u, v) is the sum over q = |u|, ..., 0
+    of u[:q] b sh(u[q:], v'), and otherwise, for u = a u', the sum over
+    k = 0, ..., |v| of v[:k] a sh(u', v[k:]).  Either sum meets the words in
+    the order of the placements of u's letters; a word met again keeps its
+    first place and adds to its multiplicity.
+    """
+    out: dict = {}
+    get = out.get
+    if len(v) <= len(u):
+        b, rest = v[0], v[1:]
+        splits = ((u[:q] + (b,), u[q:], rest) for q in range(len(u), -1, -1))
+    else:
+        a, rest = u[0], u[1:]
+        splits = ((v[:k] + (a,), rest, v[k:]) for k in range(len(v) + 1))
+    for head, l, r in splits:
+        if l and r:
+            for w, m in _shuffle_items(l, r):
+                w = head + w
+                out[w] = get(w, 0) + m
+        else:  # one word is used up: one interleaving
+            w = head + l + r
+            out[w] = get(w, 0) + 1
+    return tuple(out.items())
 
 
 def deshuffle_tuples(w: tuple) -> dict[tuple[tuple, tuple], int]:
@@ -539,13 +569,22 @@ def _antipode_convolution(instance: HopfInstance, cop: Scaled, side: str) -> Sca
 
 def random_scaled(rng: random.Random, basis_pool: tuple, max_terms: int = 3) -> Scaled:
     """A sum of 1 to max_terms terms n/q * b, with b drawn from the pool, n
-    from -9..9 and q from 1..9, summed in integers over the lcm of the q."""
+    from -9..9 and q from 1..9, summed in integers over the lcm of the q.
+
+    The draws are those of ``rng.randint(1, max_terms)``, then per term
+    ``rng.choice(basis_pool)``, ``rng.randint(-9, 9)`` and
+    ``rng.randint(1, 9)``, each made by one call of ``rng._randbelow``, the
+    primitive those methods end in; a test pins the stream against them.
+    """
+    if max_terms < 1 or not basis_pool:
+        raise ValueError("random_scaled needs max_terms >= 1 and a nonempty pool")
     charge(40)
+    below, size = rng._randbelow, len(basis_pool)
     nums: dict = {}
     den = 1
-    for _ in range(rng.randint(1, max_terms)):
-        b = rng.choice(basis_pool)
-        n, q = rng.randint(-9, 9), rng.randint(1, 9)
+    for _ in range(1 + below(max_terms)):
+        b = basis_pool[below(size)]
+        n, q = below(19) - 9, below(9) + 1
         lcm = math.lcm(den, q)
         if lcm != den:
             nums = {k: v * (lcm // den) for k, v in nums.items()}
@@ -562,9 +601,12 @@ def check_axioms(
     Deterministic part: every law on all basis tuples whose total grade stays
     within ``max_grade`` (products and coproducts are graded, so the laws are
     grade-local).  Randomized part: ``samples`` seeded random combinations
-    of basis elements of grade <= max(1, max_grade // 2), multiplied with no
-    grade cap: the triple products reach grade 3 max(1, max_grade // 2), 6
-    at ``max_grade`` 4, past ``max_grade`` for every bound but 3.
+    of basis elements of grade <= max(1, max_grade // 2), three per sample
+    from ``random_scaled``, multiplied with no grade cap: the triple
+    products reach grade 3 max(1, max_grade // 2), 6 at ``max_grade`` 4,
+    past ``max_grade`` for every bound but 3.  Every product of the check is
+    uncapped, so ``bilinear_scaled`` runs its plain double loop over the
+    operands' terms.
     Both sides of each law are computed as ``Scaled`` forms, integer
     numerators over one denominator with the content divided out, so they
     are equal exactly when their canonical forms are.  Each basis pair is

@@ -263,6 +263,17 @@ def linear(x, fn: Callable) -> dict:
     return _extend(lambda nums: zip(map(fn, keys), nums), [c for _, c in x])
 
 
+def _all_pairs(xs, ys, fn: Callable):
+    """parts for _accumulate with no grade bound: (fn(b1, b2), u * v) over
+    (b1, u) in xs and (b2, v) in ys, the plain double loop, charged as
+    ``_pairs`` charges, 6 units per y term before each x term's pairs."""
+    units = 6 * len(ys)
+    for b1, u in xs:
+        charge(units)
+        for b2, v in ys:
+            yield fn(b1, b2), u * v
+
+
 def _pairs(xkeys: list, ykeys: list, fn: Callable, max_grade: int | None) -> Callable:
     """parts(xc, yc) for _accumulate: (fn(b1, b2), u * v) over the pairs of
     keys with coefficients u in xc and v in yc, skipping pairs whose grades
@@ -271,9 +282,8 @@ def _pairs(xkeys: list, ykeys: list, fn: Callable, max_grade: int | None) -> Cal
     the pairs kept.  Terms are visited in the operands' order whatever their
     grades, so the result is that of the plain double loop."""
     if max_grade is None:  # every pair fits; tensor keys have no grade
-        xgrades, ygrades, max_grade = [0] * len(xkeys), [0] * len(ykeys), 0
-    else:
-        xgrades, ygrades = [b.grade for b in xkeys], [b.grade for b in ykeys]
+        return lambda xc, yc: _all_pairs(zip(xkeys, xc), list(zip(ykeys, yc)), fn)
+    xgrades, ygrades = [b.grade for b in xkeys], [b.grade for b in ykeys]
     # stop[r]: one past the last y term of grade <= r, for r up to the top y
     # grade that fits, so a long truncation costs nothing past y's grades
     top = min(max_grade, max(ygrades, default=0))
@@ -321,8 +331,11 @@ def bilinear_scaled(x: Scaled, y: Scaled, fn: Callable, max_grade: int | None = 
     """``bilinear`` on scaled operands, as a scaled result: the same loop,
     with the integer sums kept over x.den * y.den and the content divided
     out, not turned into Fractions."""
-    parts = _pairs(list(x.nums), list(y.nums), fn, max_grade)
-    return Scaled.of(_accumulate(parts(x.nums.values(), y.nums.values())), x.den * y.den)
+    if max_grade is None:  # the operands' items, with no key or grade list built
+        parts = _all_pairs(x.nums.items(), y.nums.items(), fn)
+    else:
+        parts = _pairs(list(x.nums), list(y.nums), fn, max_grade)(x.nums.values(), y.nums.values())
+    return Scaled.of(_accumulate(parts), x.den * y.den)
 
 
 def scaled_sum(terms) -> Scaled:

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 from hopfpath.hopf_ck import _graft_counts, _sub_forests, symmetry_factor
-from hopfpath.hopf_core import deconcat_tuples, deshuffle_tuples, shuffle_tuples
+from hopfpath.hopf_core import deconcat_tuples, deshuffle_tuples
 from hopfpath.linalg import LinComb, TensorComb, accum
 from hopfpath.symbols import (
     EMPTY_FOREST,
@@ -49,9 +49,26 @@ def deshuffle(w: Word) -> TensorComb:
     )
 
 
+def shuffle_placements(u: tuple, v: tuple) -> dict[tuple, int]:
+    """The interleavings of u and v with multiplicities, one per placement of
+    u's letters, the placements taken in ``itertools.combinations`` order."""
+    out: dict[tuple, int] = {}
+    n = len(u) + len(v)
+    for positions in itertools.combinations(range(n), len(u)):
+        word: list = [None] * n
+        for letter, p in zip(u, positions):
+            word[p] = letter
+        rest = iter(v)
+        for p in range(n):
+            if word[p] is None:
+                word[p] = next(rest)
+        accum(out, tuple(word), 1)
+    return out
+
+
 def shuffle(u: Word, v: Word) -> LinComb:
     return LinComb(
-        {Word(w): Fraction(m) for w, m in shuffle_tuples(u.letters, v.letters).items()},
+        {Word(w): Fraction(m) for w, m in shuffle_placements(u.letters, v.letters).items()},
         _clean=True,
     )
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from hopfpath.symbols import (
     forests,
     forests_up_to,
 )
+from reference_maps import shuffle_placements
 
 
 def t(label, *children):
@@ -556,6 +558,19 @@ class TestPsi:
                     for v, c2 in psi(b):
                         rhs = rhs + treeword_shuffle(u, v).scale(c1 * c2)
                 assert lhs == rhs
+
+    def test_treeword_shuffle_in_placement_order(self):
+        # tree words of total length <= 5 over four trees, repeated letters
+        # included: the terms of the placement enumeration, in its order
+        letters = (t(1), t(2), t(1, t(1)), t(2, t(1)))
+        for n in range(6):
+            for w in itertools.product(letters, repeat=n):
+                for i in range(n + 1):
+                    u, v = w[:i], w[i:]
+                    want = [(TreeWord(x), Fraction(m))
+                            for x, m in shuffle_placements(u, v).items()]
+                    got = treeword_shuffle(TreeWord(u), TreeWord(v))
+                    assert list(got.terms.items()) == want
 
     def test_injective_on_low_grades(self):
         seen = {}

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hopfpath.hopf_core import (
     HopfInstance,
     _row,
+    _shuffle_items,
     check_axioms,
     concat_deshuffle_instance,
     convolution,
@@ -28,6 +29,7 @@ from hopfpath.hopf_core import (
     shuffle,
     shuffle_deconcat_instance,
     shuffle_permutations,
+    shuffle_tuples,
     unit_counit_map,
 )
 from hopfpath.linalg import (
@@ -40,7 +42,7 @@ from hopfpath.linalg import (
     pair_tensor,
 )
 from hopfpath.symbols import MultiIndex, Word, words, words_up_to
-from reference_maps import MAPS as REFERENCE_MAPS
+from reference_maps import MAPS as REFERENCE_MAPS, shuffle_placements
 
 
 W = lambda *ls: Word(ls)
@@ -101,6 +103,36 @@ class TestShuffle:
 
     def test_symmetric(self):
         assert shuffle(W(1, 2), W(3)) == shuffle(W(3), W(1, 2))
+
+    def test_placement_order_on_every_short_pair(self):
+        # every pair of words of total length <= 8 over three letters, so over one
+        # and two as well, repeated letters included: the recursion's items are the
+        # placement enumeration's, in its order; the memo is emptied after each
+        # word, so the recursion also runs cold and the test holds no 200 MB memo
+        for n in range(9):
+            for w in itertools.product((1, 2, 3), repeat=n):
+                for i in range(n + 1):
+                    u, v = w[:i], w[i:]
+                    assert list(shuffle_tuples(u, v).items()) == list(
+                        shuffle_placements(u, v).items()), (u, v)
+                _shuffle_items.cache_clear()
+
+    def test_long_word_does_not_recurse_per_letter(self):
+        # the recursion runs along the shorter word, whichever side it is on
+        long = (1,) * 1500
+        for u, v in ((long, (2,)), ((2,), long)):
+            got = shuffle_tuples(u, v)
+            assert len(got) == 1501 and set(got.values()) == {1}
+            assert list(got) == list(shuffle_placements(u, v))
+
+    def test_returned_dict_is_the_callers(self):
+        u, v = (1, 2), (2, 1)
+        want = list(shuffle_tuples(u, v).items())
+        got = shuffle_tuples(u, v)
+        got[(9,)] = 1
+        got[(1, 2, 2, 1)] += 5
+        del got[(2, 1, 1, 2)]
+        assert list(shuffle_tuples(u, v).items()) == want
 
 
 class TestDeshuffle:
@@ -369,6 +401,28 @@ class TestCheckAxioms:
         with pytest.raises(ValueError, match="samples must be >= 0"):
             check_axioms(poly_instance(2), 2, samples=-5)
         assert check_axioms(poly_instance(2), 2, samples=0).passed
+
+    @pytest.mark.parametrize("name,d,units", [
+        ("poly", 3, 222_302), ("shuffle", 3, 671_217), ("concat", 3, 477_295),
+        ("ck", 2, 435_994), ("gl", 2, 981_046),
+    ])
+    def test_cold_units_pinned(self, name, d, units):
+        # the work units a cold check at grade 4 charges, in a fresh process: a
+        # faster loop or memo that charged otherwise would move commands across
+        # the CLI's work budget
+        script = (
+            "import sys\n"
+            "from hopfpath import hopf_core, work\n"
+            "instance = hopf_core.get_instance(sys.argv[1], int(sys.argv[2]))\n"
+            "with work.limit(10**9) as budget:\n"
+            "    report = hopf_core.check_axioms(instance, 4)\n"
+            "assert report.passed\n"
+            "print(10**9 - budget.left)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script, name, str(d)],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) == units
 
     def test_corrupted_coproduct_detected(self):
         base = shuffle_deconcat_instance(2)
@@ -720,6 +774,41 @@ class TestScaledLaws:
                 assert_canonical(x)
                 assert x.lincomb() == want and list(x.lincomb()) == list(want)
             assert rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("size", [1, 13, 100])
+    def test_draw_stream_pinned(self, size):
+        # random_scaled draws through rng._randbelow, the primitive randint and
+        # choice end in: its values, term orders and the generator's state after
+        # each draw are those of the calls below, on every CPython the CI runs
+        def reference(rng, pool, max_terms):
+            nums, den = {}, 1
+            for _ in range(rng.randint(1, max_terms)):
+                b = rng.choice(pool)
+                n, q = rng.randint(-9, 9), rng.randint(1, 9)
+                lcm = math.lcm(den, q)
+                nums = {k: v * (lcm // den) for k, v in nums.items()}
+                den = lcm
+                nums[b] = nums.get(b, 0) + n * (lcm // q)
+            return Scaled.of({k: v for k, v in nums.items() if v}, den)
+
+        pool = words_up_to(3, 4)[:size]
+        assert len(pool) == size
+        for seed in range(21):
+            want_rng, rng = random.Random(seed), random.Random(seed)
+            for max_terms in (1, 3, 7) * 10:
+                want = reference(want_rng, pool, max_terms)
+                x = random_scaled(rng, pool, max_terms)
+                assert x == want and list(x.nums) == list(want.nums)
+                assert rng.getstate() == want_rng.getstate()
+
+    def test_draws_need_a_pool_and_a_term(self):
+        # _randbelow(0) would never return: both are refused before any draw
+        rng = random.Random(0)
+        state = rng.getstate()
+        for pool, max_terms in (((), 3), ((W(1),), 0)):
+            with pytest.raises(ValueError, match="max_terms >= 1 and a nonempty pool"):
+                random_scaled(rng, pool, max_terms)
+        assert rng.getstate() == state
 
     @pytest.mark.parametrize("name", ALGEBRAS)
     def test_float_constant_raises(self, name):

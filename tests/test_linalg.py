@@ -17,6 +17,7 @@ from hopfpath.linalg import (
     bilinear_scaled,
     format_lincomb,
     linear,
+    linear_scaled,
     lincomb_to_json,
     nullspace,
     numerators,
@@ -370,13 +371,28 @@ class TestAccumulator:
     @given(operands())
     @settings(max_examples=200, deadline=None)
     def test_scaled_product(self, case):
+        # the capped loop and the uncapped one, on integer rows and on a map
+        # with Fraction constants: the reference's values in its term order, in
+        # canonical form
         inst, level, x, y = case
         sx, sy = Scaled.of(x.terms), Scaled.of(y.terms)
         assert sx.lincomb() == x and math.gcd(sx.den, *sx.nums.values()) == 1
         halves = lambda a, b: [(k, c * Fraction(1, 2)) for k, c in inst.product_basis(a, b)]
-        for fn in (inst.product_basis, halves):
-            got = bilinear_scaled(sx, sy, fn, level)
-            assert exactly(got.lincomb().terms) == exactly(ref_bilinear(x, y, fn, level))
+        for fn in (inst.product_basis, inst.product_row, halves):
+            for bound in (level, None):
+                got = bilinear_scaled(sx, sy, fn, bound)
+                assert exactly(got.lincomb().terms) == exactly(ref_bilinear(x, y, fn, bound))
+                assert got.den > 0 and math.gcd(got.den, *got.nums.values()) == 1
+
+    @given(operands())
+    @settings(max_examples=200, deadline=None)
+    def test_scaled_linear(self, case):
+        inst, _, x, _ = case
+        sx = Scaled.of(x.terms)
+        halves = lambda b: [(k, c * Fraction(1, 2)) for k, c in inst.coproduct_row(b)]
+        for fn in (inst.coproduct_row, halves):
+            got = linear_scaled(sx, fn)
+            assert exactly(got.lincomb().terms) == exactly(ref_linear(x, fn))
             assert got.den > 0 and math.gcd(got.den, *got.nums.values()) == 1
 
     @given(operands())
