@@ -8,7 +8,6 @@ p/q, floats with 12 significant digits.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -151,56 +150,10 @@ def _single_forest(args, text: str):
     return next(iter(comb))[0]
 
 
-# largest basis, over all grades up to the truncation level, a command will build
-_BASIS_CAP = 10**6
 # most Picard steps rde will take, each sample kept in memory
 _STEP_CAP = 10**5
 # units of work (see hopfpath.work) one command may charge
 _WORK_BUDGET = 3 * 10**6
-
-
-def _grade_sizes(kind: str, d: int):
-    """The number of basis elements of grade 0, 1, 2, ..., counted without
-    enumerating them; every grade has at least one."""
-    forests, trees, divisor_sums = [1], [0], [0]
-    for n in itertools.count():
-        if kind == "multiindex":
-            yield math.comb(n + d - 1, d - 1)
-        elif kind == "word":
-            yield d**n
-        elif n == 0:
-            yield 1
-        else:
-            # t_n = d f_{n-1}; f by the Euler transform n f_n = sum_k c_k f_{n-k},
-            # with c_k = sum_{j | k} j t_j
-            trees.append(d * forests[n - 1])
-            divisor_sums.append(sum(j * trees[j] for j in range(1, n + 1) if n % j == 0))
-            forests.append(sum(divisor_sums[k] * forests[n - k] for k in range(1, n + 1)) // n)
-            yield forests[n]
-
-
-def _basis_size(kind: str, d: int, level: int) -> int:
-    """Basis elements of grade <= level, counted without enumerating them.
-
-    The count stops once it passes _BASIS_CAP.
-    """
-    if level >= _BASIS_CAP:
-        return level + 1  # every grade has an element
-    total = 0
-    for size in itertools.islice(_grade_sizes(kind, d), level + 1):
-        total += size
-        if total > _BASIS_CAP:
-            break
-    return total
-
-
-def _check_size(option: str, level: int, basis: str, kind: str, d: int):
-    """Raise ValueError (exit 2) before building a basis of more than _BASIS_CAP elements."""
-    if level >= 0 and _basis_size(kind, d, level) > _BASIS_CAP:
-        raise ValueError(
-            f"{option} {level} is too large: the {basis} basis up to that grade "
-            f"has more than {_BASIS_CAP} elements"
-        )
 
 
 def _check_steps(step: Fraction, start: Fraction, end: Fraction):
@@ -213,16 +166,7 @@ def _check_steps(step: Fraction, start: Fraction, end: Fraction):
 
 
 def _truncated(args, x: LinComb) -> TruncatedElement:
-    _check_size("truncation", args.truncation, args.algebra, _KIND_BY_ALGEBRA[args.algebra],
-                args.dim)
     return TruncatedElement.make(x, args.truncation, get_instance(args.algebra, args.dim))
-
-
-def _check_level(level: int, d: int, *flavors: str):
-    """Guard --level for lifts of the given flavors over a d-dimensional path."""
-    for flavor in flavors:
-        kind = "word" if flavor == "geometric" else "forest"
-        _check_size("level", level, f"{flavor} ({kind})", kind, d)
 
 
 def _emit_samples(samples):
@@ -364,8 +308,6 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "check-axioms":
         inst = get_instance(args.algebra, args.dim)  # rejects a dimension below 1
-        _check_size("max-grade", args.max_grade, args.algebra, _KIND_BY_ALGEBRA[args.algebra],
-                    args.dim)
         report = check_axioms(inst, args.max_grade, args.samples, args.seed)
         return _emit_report(args, report, "OK" if report.passed else report.summary())
     if cmd == "exp":
@@ -402,14 +344,12 @@ def _dispatch(args) -> int:
         return 0
     if cmd in ("signature", "branched-lift"):
         path = PiecewiseLinearPath.from_csv(args.path)
-        _check_level(args.level, path.dim, "geometric" if cmd == "signature" else "branched")
         make = signature_lift if cmd == "signature" else branched_lift_fn
         _emit(args, make(path, args.level).eval(*_window(args, path)).value)
         return 0
     if cmd == "check-rough":
         path = PiecewiseLinearPath.from_csv(args.path)
         cfg = _config(args, args.flavor)
-        _check_level(args.level, path.dim, args.flavor)
         make = signature_lift if args.flavor == "geometric" else branched_lift_fn
         lift = make(path, args.level)
         report = check_rough_axioms(lift, cfg, _grid(path, args.grid))
@@ -417,7 +357,6 @@ def _dispatch(args) -> int:
     if cmd == "check-model":
         path = PiecewiseLinearPath.from_csv(args.path)
         cfg = _config(args, "branched")
-        _check_level(args.level, path.dim, "branched")
         report = check_model(model_from_lift(branched_lift_fn(path, args.level), cfg.gamma),
                              _grid(path, args.grid))
         return _emit_report(args, report, report.summary())
@@ -427,7 +366,6 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "convert-lift":
         path = PiecewiseLinearPath.from_csv(args.path)
-        _check_level(args.level, path.dim, "geometric", "branched")
         s, t = _window(args, path)
         if args.direction == "g2b":
             out = geo_to_branched(signature_lift(path, args.level))
@@ -437,7 +375,6 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "rde":
         path = PiecewiseLinearPath.from_csv(args.path)
-        _check_level(args.level, path.dim, "branched")
         field = VectorField.from_spec(args.field, path.dim)
         end = to_fraction(args.T) if args.T is not None else None
         step = to_fraction(args.step)

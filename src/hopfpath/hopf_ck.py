@@ -1,7 +1,7 @@
 """Connes-Kreimer Hopf algebra on decorated forests and its Grossman-Larson dual.
 
-The coproduct comes from the structural recursion; the admissible-cut and
-split representations are independent code paths used to cross-check it and
+The coproduct comes from the structural recursion; ``enumerate_cuts`` lists
+its rows as admissible cuts, and the independent split recursion cross-checks
 the antipode.  The dual product counts graftings: the coefficient of z in the
 Grossman-Larson product a * b is the coefficient n(z) of a (x) b in Delta z,
 and n(z) = M(z) sigma(z) / (sigma(a) sigma(b)), where M(z) counts the ways to
@@ -95,22 +95,12 @@ class Cut:
     multiplicity: int
 
 
-@multiplicative(
-    (((EMPTY_FOREST, EMPTY_FOREST), 1),),
-    lambda a, b: tuple(_pair_product(a, b).items()),
-)
-def _cuts_dict(tree: Tree) -> tuple[tuple[tuple[Forest, Forest], int], ...]:
-    """The cut family and multiplicities, by their own recursion (not Delta)."""
-    grafted = tuple(
-        ((c, t.graft(tree.label).as_forest()), m) for (c, t), m in _cuts_dict(tree.children)
-    )
-    return grafted + (((tree.as_forest(), EMPTY_FOREST), 1),)
-
-
 def enumerate_cuts(f: Forest) -> list[Cut]:
-    """All admissible cuts (crown, trunk) of f with planar multiplicities."""
-    charge(8 * f.grade * len(_cuts_dict(f)))
-    out = [Cut(c, t, m) for (c, t), m in _cuts_dict(f)]
+    """All admissible cuts (crown, trunk) of f with planar multiplicities:
+    the coproduct's rows, sorted by crown and trunk."""
+    rows = _ck_coproduct_row(f)
+    charge(8 * f.grade * len(rows))
+    out = [Cut(c, t, m) for (c, t), m in rows]
     out.sort(key=lambda cut: (cut.crown.sort_key(), cut.trunk.sort_key()))
     return out
 
@@ -134,7 +124,7 @@ def splits(tree: Tree) -> tuple[tuple[Forest, int], ...]:
     """The split family with integer coefficients, by its own recursion."""
     f = tree.as_forest()
     acc: dict = {}
-    for (c, t), m in _cuts_dict(f):
+    for (c, t), m in _ck_coproduct_row(f):
         if t != f:
             below = splits(t)
             charge(24 * len(below))

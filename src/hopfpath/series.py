@@ -158,11 +158,7 @@ def group_inverse(g: TruncatedElement) -> TruncatedElement:
 
 
 def primitive_defect(x: TruncatedElement) -> TensorComb:
-    alg = x.algebra
-    cop = alg.coproduct(x.value)
-    cop = cop - TensorComb.of(alg.one(), x.value)
-    cop = cop - TensorComb.of(x.value, alg.one())
-    return cop
+    return x.algebra.reduced_coproduct(x.value)
 
 
 def is_primitive(x: TruncatedElement) -> tuple[bool, TensorComb]:

@@ -3,7 +3,8 @@ recursions, kept as test references for the integer rows the library reads.
 
 Each map builds its combination of Fractions term by term, in the order the
 library's rows promise: ``_row`` of a reference value must equal the row,
-term for term.
+term for term.  ``admissible_cuts`` counts the cuts of a forest by brute
+force, an oracle independent of the coproduct's recursion.
 """
 from __future__ import annotations
 
@@ -99,6 +100,47 @@ def ck_coproduct(tree: Tree) -> TensorComb:
         lambda z: LinComb.term(z.graft(tree.label).as_forest())
     )
     return lifted + TensorComb.term(tree.as_forest(), EMPTY_FOREST)
+
+
+def admissible_cuts(f: Forest) -> dict[tuple[Forest, Forest], int]:
+    """The (crown, trunk) pairs of f's admissible cuts with their counts, by
+    brute force: f's vertices are made distinct, each set of them, at most one
+    on every root-to-leaf path, is cut off above (a root's cut is the one
+    above it), and equal (crown, trunk) pairs are counted."""
+    labels, parents = [], []
+
+    def expand(tree: Tree, parent):
+        labels.append(tree.label)
+        parents.append(parent)
+        me = len(labels) - 1
+        for child, mult in tree.children.items:
+            for _ in range(mult):
+                expand(child, me)
+
+    for tree, mult in f.items:
+        for _ in range(mult):
+            expand(tree, None)
+
+    def above(v: int):
+        while parents[v] is not None:
+            v = parents[v]
+            yield v
+
+    def subtree(v: int, cut) -> Tree:
+        kids = (subtree(c, cut) for c, p in enumerate(parents) if p == v and c not in cut)
+        return Tree(labels[v], Forest.of(*kids))
+
+    counts: dict = {}
+    vertices = range(len(labels))
+    for k in range(len(labels) + 1):
+        for cut in itertools.combinations(vertices, k):
+            if any(a in cut for v in cut for a in above(v)):
+                continue
+            crown = Forest.of(*(subtree(v, cut) for v in cut))
+            trunk = Forest.of(*(subtree(r, cut) for r in vertices
+                                if parents[r] is None and r not in cut))
+            counts[crown, trunk] = counts.get((crown, trunk), 0) + 1
+    return counts
 
 
 @functools.lru_cache(maxsize=None)

@@ -368,28 +368,37 @@ class TestCheckJson:
 
 class TestSizeGuard:
     def test_huge_truncation_exits_at_once(self, capsys):
-        code, out, err = run(capsys, "exp", "--algebra", "concat", "--truncation", "100000000", "1")
-        assert code == 2 and out == ""
-        assert "truncation 100000000 is too large" in err and "1000000" in err
+        err = refused(capsys, "exp", "--algebra", "concat", "--truncation", "100000000", "1")
+        assert err == budget_error("--truncation 100000000 is too large at x 1, --dim 2", "exp")
 
     @pytest.mark.parametrize("algebra, dim, level", [
         ("concat", "1", "2000000"), ("shuffle", "2", "20"), ("ck", "2", "12"),
         ("gl", "1", "100000000"), ("poly", "3", "200"),
     ])
     def test_each_basis_kind_guarded(self, capsys, algebra, dim, level):
+        # the work done, not the basis size, decides: a dense power series is
+        # refused, while the sparse exp(x) = sum_k x^k/k! of one letter, dot or
+        # variable runs
         x = "(1,0,0)" if algebra == "poly" else ("1" if algebra in ("concat", "shuffle") else "[]_1")
-        code, _, err = run(capsys, "exp", "--algebra", algebra, "--dim", dim,
-                           "--truncation", level, x)
-        assert code == 2 and "too large" in err
+        argv = ["exp", "--algebra", algebra, "--dim", dim, "--truncation", level, x]
+        if algebra in ("concat", "gl"):
+            err = refused(capsys, *argv)
+            assert err == budget_error(f"--truncation {level} is too large at x {x}, --dim {dim}",
+                                       "exp")
+            return
+        # the k-th shuffle power of a letter is k! times its k-letter word
+        power = {"shuffle": lambda k: "1" * k or "ε",
+                 "ck": lambda k: " ".join(["[]_1"] * k) or "1",
+                 "poly": lambda k: f"({k},0,0)"}[algebra]
+        scale = (lambda k: 1) if algebra == "shuffle" else math.factorial
+        terms = [power(k) if scale(k) == 1 else f"1/{scale(k)}*{power(k)}"
+                 for k in range(int(level) + 1)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, " + ".join(terms) + "\n", "")
 
     def test_signature_level_30_exits_at_once(self, capsys, path_csv):
-        import time
-
-        start = time.process_time()
-        code, out, err = run(capsys, "signature", path_csv, "--level", "30")
-        assert code == 2 and out == ""
-        assert "level 30 is too large" in err and "1000000" in err
-        assert time.process_time() - start < 2
+        err = refused(capsys, "signature", path_csv, "--level", "30")
+        assert err == budget_error("--level 30 is too large", "signature")
 
     def test_rde_step_count_exits_at_once(self, capsys, line_csv, path_csv):
         # 10^8 steps: without the guard this solve runs until memory runs out
@@ -414,7 +423,7 @@ class TestSizeGuard:
         assert code == 0 and len(out.splitlines()) == 102
 
     def test_check_axioms_sized_by_work(self, capsys):
-        # 29,524 words, under the basis cap: the work budget stops the check on the way
+        # 29,524 words: the work budget stops the check on the way
         err = refused(capsys, "check-axioms", "--algebra", "shuffle", "--dim", "3",
                       "--max-grade", "9")
         assert err == budget_error("--max-grade 9 is too large at --samples 500, --dim 3",
@@ -501,22 +510,29 @@ class TestSizeGuard:
         ["check-rough", "{path}", "--flavor", "branched", "--level", "13"],
         ["check-axioms", "--algebra", "gl", "--max-grade", "13"],
         ["rde", "{path}", "--level", "12"],
+        ["check-model", "{path}", "--level", "13"],
+        ["check-axioms", "--algebra", "poly", "--dim", "1", "--max-grade", "100000000"],
     ])
     def test_level_and_max_grade_guarded(self, capsys, path_csv, argv):
-        code, out, err = run(capsys, *(a.format(path=path_csv) for a in argv))
-        assert code == 2 and out == "" and "too large" in err
+        err = refused(capsys, *(a.format(path=path_csv) for a in argv))
+        size, dim = argv[-1], argv[argv.index("--dim") + 1] if "--dim" in argv else "2"
+        first = {
+            "check-rough": f"--grid 9 is too large at --level {size}",
+            "check-model": f"--grid 4 is too large at --level {size}",
+            "check-axioms": f"--max-grade {size} is too large at --samples 500, --dim {dim}",
+            "rde": f"--level {size} is too large at --step 1/100",
+        }.get(argv[0], f"--level {size} is too large")
+        assert err == budget_error(first, argv[0])
 
     def test_sizes_below_the_cap_run(self, capsys):
-        from hopfpath.cli import _basis_size
-        from hopfpath.symbols import forests_up_to, multi_indices_up_to, words_up_to
-
-        for d in (1, 2, 3):
-            for n in range(6):
-                assert _basis_size("forest", d, n) == len(forests_up_to(d, n))
-                assert _basis_size("word", d, n) == len(words_up_to(d, n))
-                assert _basis_size("multiindex", d, n) == len(multi_indices_up_to(d, n))
+        # small sizes of dense inputs, and a sparse log at a truncation whose
+        # basis has 2^26 - 1 words: log(1 + x) = sum_k (-1)^(k+1) x^k/k for x = 1
         code, out, _ = run(capsys, "exp", "--algebra", "ck", "--dim", "1", "--truncation", "2", "[]_1")
         assert code == 0 and out.strip() == "1 + []_1 + 1/2*[]_1 []_1"
+        code, out, err = run(capsys, "log", "--algebra", "concat", "--dim", "2",
+                             "--truncation", "25", "ε+1")
+        terms = ["1"] + [f"{'-' if k % 2 == 0 else ''}1/{k}*{'1' * k}" for k in range(2, 26)]
+        assert (code, out, err) == (0, " + ".join(terms) + "\n", "")
 
 
     @pytest.mark.parametrize("argv", [
@@ -580,7 +596,7 @@ class TestSizeGuard:
                                    "check-axioms")
 
     def test_branched_lift_level_8_refused(self, capsys):
-        # 57,104 forests, under the basis cap: 5-10 s of work
+        # 57,104 forests: 5-10 s of work
         err = refused(capsys, "branched-lift", str(GOLDEN_CLI / "path2.csv"), "--level", "8")
         assert err == budget_error("--level 8 is too large", "branched-lift")
 

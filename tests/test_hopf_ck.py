@@ -34,7 +34,7 @@ from hopfpath.symbols import (
     forests,
     forests_up_to,
 )
-from reference_maps import shuffle_placements
+from reference_maps import admissible_cuts, shuffle_placements
 
 
 def t(label, *children):
@@ -126,13 +126,16 @@ class TestCuts:
         got = {(c.crown, c.trunk): c.multiplicity for c in enumerate_cuts(dots2)}
         assert got[(dot, dot)] == 2
 
-    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
     def test_cut_sum_reproduces_coproduct(self, k):
-        for f in forests(2, k):
-            total = TensorComb(
-                {(c.crown, c.trunk): Fraction(c.multiplicity) for c in enumerate_cuts(f)}
-            )
-            assert total == ck_coproduct(f)
+        # the cuts and the coproduct against the brute-force count of cuts
+        for d in (1, 2, 3):
+            for f in forests(d, k):
+                cuts = admissible_cuts(f)
+                assert {(c.crown, c.trunk): c.multiplicity for c in enumerate_cuts(f)} == cuts
+                assert ck_coproduct(f) == TensorComb(
+                    {key: Fraction(m) for key, m in cuts.items()}
+                )
 
     def test_crown_trunk_grades(self):
         for f in forests_up_to(2, 4):
@@ -369,16 +372,19 @@ def forest_pairs_to_six(draw):
 
 
 class TestRowOracles:
-    """The ck and gl rows against the oracles of their own: the admissible
-    cuts, and the read-back of each coefficient from the cut coproduct."""
+    """The ck and gl rows against the oracles of their own: the brute-force
+    count of admissible cuts, and the read-back of each coefficient from the
+    cut coproduct."""
 
     @given(forest_pairs_to_six())
     @settings(max_examples=150, deadline=None)
     def test_ck_rows_are_the_cuts(self, case):
         _, f, _ = case
         by_keys = lambda lrc: (lrc[0].sort_key(), lrc[1].sort_key())
+        cuts = sorted(((l, r, c) for (l, r), c in admissible_cuts(f).items()), key=by_keys)
         rows = sorted(((l, r, c) for (l, r), c in ck_coproduct.row(f)), key=by_keys)
-        assert rows == [(cut.crown, cut.trunk, cut.multiplicity) for cut in enumerate_cuts(f)]
+        assert rows == cuts
+        assert [(cut.crown, cut.trunk, cut.multiplicity) for cut in enumerate_cuts(f)] == cuts
 
     @given(forest_pairs_to_six())
     @settings(max_examples=100, deadline=None)

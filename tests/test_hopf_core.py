@@ -404,7 +404,7 @@ class TestCheckAxioms:
 
     @pytest.mark.parametrize("name,d,units", [
         ("poly", 3, 222_302), ("shuffle", 3, 671_217), ("concat", 3, 477_295),
-        ("ck", 2, 435_994), ("gl", 2, 981_046),
+        ("ck", 2, 431_866), ("gl", 2, 981_046),
     ])
     def test_cold_units_pinned(self, name, d, units):
         # the work units a cold check at grade 4 charges, in a fresh process: a
