@@ -269,12 +269,13 @@ def homog_norm(g: TruncatedElement) -> float:
     x = log_trunc(g)
     if g.algebra.name == "gl":
         return sum(abs(float(c)) ** (1.0 / b.grade) for b, c in x.value.sorted_terms())
-    # one sort, each grade's squares summed in basis order as grade_norm sums them
-    squares: list[list[float]] = [[] for _ in range(g.level + 1)]
+    # one sort, each grade's squares summed in basis order as grade_norm sums
+    # them; keyed by the grades present, since an absent grade adds exactly 0.0
+    squares: dict[int, list[float]] = {}
     for b, c in x.value.sorted_terms():
-        squares[b.grade].append(float(c) ** 2)
+        squares.setdefault(b.grade, []).append(float(c) ** 2)
     total = 0.0
-    for m in range(1, g.level + 1):
+    for m in sorted(squares):
         total += math.sqrt(sum(squares[m])) ** (1.0 / m)
     return total
 

@@ -396,6 +396,26 @@ class TestSizeGuard:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (0, " + ".join(terms) + "\n", "")
 
+    def test_norm_of_the_unit_at_a_huge_truncation(self, capsys):
+        # log(ε) = 0 costs almost nothing, so the norm must not walk every grade
+        # up to the truncation: the grades of log(g) are the only ones it reads
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "norm", "--algebra", "concat", "--truncation",
+                                 "1000000", "ε")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (0, "0\n", "")
+        assert peak < 4 * 2**20
+        start = time.process_time()
+        code, out, err = run(capsys, "norm", "--algebra", "concat", "--truncation",
+                             "1000000000", "ε")
+        assert (code, out, err) == (0, "0\n", "")
+        assert time.process_time() - start < 2
+
     def test_signature_level_30_exits_at_once(self, capsys, path_csv):
         err = refused(capsys, "signature", path_csv, "--level", "30")
         assert err == budget_error("--level 30 is too large", "signature")
