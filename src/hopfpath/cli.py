@@ -121,7 +121,7 @@ def _grid(path: PiecewiseLinearPath, points: int) -> list[Fraction]:
     return [lo + (hi - lo) * Fraction(i, points - 1) for i in range(points)]
 
 
-# per command, what sizes its work; a refusal calls the first too large
+# per command, what sizes its work; a refusal calls the first given too large
 _SIZED_BY = {
     "check-axioms": ("max_grade", "samples", "dim"), "check-rough": ("grid", "level"),
     "check-model": ("grid", "level"), "signature": ("level",), "branched-lift": ("level",),
@@ -131,14 +131,23 @@ _SIZED_BY = {
 
 
 def _too_large(args) -> str:
-    """The start of a refusal: the first size of the command's work, called
-    too large, at the others, each as "--option value" or "operand value"."""
+    """The start of a refusal: a size of the command's work, called too
+    large, at the others, each as "--option value" or "operand value".  The
+    size called too large is the first in ``_SIZED_BY`` order that the
+    command line gives, operands included, or the first of all when it
+    gives none; the others follow in that order."""
     names = _SIZED_BY.get(args.command, ("forest", "x", "y", "dim"))
     if args.command == "convert-lift":
         names = ("grid", "level") if args.direction == "b2g" else ("level",)
+    names = [n for n in names if hasattr(args, n)]
+    options = [a.split("=", 1)[0] for a in args.argv if a.startswith("--") and len(a) > 2]
+    given = [n for n in names if n in ("forest", "x", "y")
+             or any(f"--{n.replace('_', '-')}".startswith(o) for o in options)]
+    if given:
+        names.remove(given[0])
+        names.insert(0, given[0])
     first, *rest = [f"{n} {getattr(args, n)}" if n in ("forest", "x", "y")
-                    else f"--{n.replace('_', '-')} {getattr(args, n)}"
-                    for n in names if hasattr(args, n)]
+                    else f"--{n.replace('_', '-')} {getattr(args, n)}" for n in names]
     at = f" at {', '.join(rest)}" if rest else ""
     return f"{first} is too large{at}"
 
@@ -271,6 +280,7 @@ def main(argv=None) -> int:
     p.add_argument("--T", type=str, default=None)
 
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)  # what _too_large calls given
     try:
         with work.limit(_WORK_BUDGET):
             return _dispatch(args)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .hopf_core import HopfInstance, shuffle, shuffle_tuples, structure_map
-from .linalg import LinComb, TensorComb, accum, bilinear
+from .linalg import LinComb, TensorComb, _accumulate, _all_pairs
 from .symbols import (
     EMPTY_FOREST,
     EMPTY_WORD,
@@ -50,16 +50,17 @@ def _juxtapose(a: Forest, b: Forest) -> tuple:
 def _pair_product(a, b) -> dict:
     """Slot-wise juxtaposition of two families of forest pairs, as a dict."""
     charge(48 * len(a) * len(b))
-    acc: dict = {}
+    acc: dict = {}  # the multiplicities are positive, so no sum cancels
     for (l1, r1), c1 in a:
         for (l2, r2), c2 in b:
-            accum(acc, (l1.mul(l2), r1.mul(r2)), c1 * c2)
+            key = (l1.mul(l2), r1.mul(r2))
+            acc[key] = acc.get(key, 0) + c1 * c2
     return acc
 
 
 def forest_product(x: LinComb, y: LinComb, max_grade: int | None = None) -> LinComb:
     """Commutative product of forest combinations; pairs past max_grade are skipped."""
-    return LinComb(bilinear(x, y, _juxtapose, max_grade), _clean=True)
+    return LinComb.bilinear(x, y, _juxtapose, max_grade)
 
 
 @multiplicative(
@@ -119,7 +120,8 @@ def _ck_antipode_rec(tree: Tree) -> LinComb:
     )
 
 
-@multiplicative(((EMPTY_FOREST, 1),), lambda a, b: tuple(bilinear(a, b, _juxtapose).items()))
+@multiplicative(((EMPTY_FOREST, 1),),
+                lambda a, b: tuple(_accumulate(_all_pairs(a, b, _juxtapose)).items()))
 def splits(tree: Tree) -> tuple[tuple[Forest, int], ...]:
     """The split family with integer coefficients, by its own recursion."""
     f = tree.as_forest()
@@ -140,7 +142,7 @@ def ck_antipode(f: Forest, engine: str = "recursion") -> LinComb:
     if engine == "recursion":
         return _ck_antipode_rec(f)
     if engine == "splits":
-        return LinComb({s: Fraction(e) for s, e in splits(f)})
+        return LinComb.from_nums({s: e for s, e in splits(f) if e})
     raise ValueError(f"unknown antipode engine {engine!r}")
 
 
@@ -260,8 +262,8 @@ def _gl_antipode_factory(d: int):
         for z in forests(d, g):
             for s, e in splits(z):
                 if e:
-                    cols[s][z] = Fraction(e)
-        return {f: LinComb(terms, _clean=True) for f, terms in cols.items()}
+                    cols[s][z] = e
+        return {f: LinComb.from_nums(terms) for f, terms in cols.items()}
 
     def gl_antipode(f: Forest) -> LinComb:
         return columns(f.grade).get(f, LinComb.zero())
@@ -333,8 +335,8 @@ EMPTY_TREEWORD = TreeWord()
 
 
 def treeword_shuffle(u: TreeWord, v: TreeWord) -> LinComb:
-    return LinComb(
-        {TreeWord(w): Fraction(m) for w, m in shuffle_tuples(u.letters, v.letters).items()}
+    return LinComb.from_nums(
+        {TreeWord(w): m for w, m in shuffle_tuples(u.letters, v.letters).items()}
     )
 
 
@@ -345,12 +347,12 @@ def treeword_shuffle(u: TreeWord, v: TreeWord) -> LinComb:
 def _appended(x: LinComb, letter) -> LinComb:
     """x with ``letter`` appended to each word: appending is injective, so
     this is its ``map_basis``, term order included, charged as ``linear``."""
-    charge(64 * len(x))
-    return LinComb({w.concat(letter): c for w, c in x}, _clean=True)
+    charge(16 * len(x))
+    return LinComb._make({w.concat(letter): n for w, n in x.nums.items()}, x.den)
 
 
 @multiplicative(
-    LinComb.term(EMPTY_WORD), lambda a, b: LinComb(bilinear(a, b, shuffle), _clean=True)
+    LinComb.term(EMPTY_WORD), lambda a, b: LinComb.bilinear(a, b, shuffle)
 )
 def phi(tree: Tree) -> LinComb:
     """Forest-to-word Hopf homomorphism: graft becomes append, product shuffle."""
@@ -367,7 +369,7 @@ def phi_hat(w: Word) -> Forest:
 
 @multiplicative(
     LinComb.term(EMPTY_TREEWORD),
-    lambda a, b: LinComb(bilinear(a, b, treeword_shuffle), _clean=True),
+    lambda a, b: LinComb.bilinear(a, b, treeword_shuffle),
 )
 def psi(tree: Tree) -> LinComb:
     """Hopf monomorphism into shuffle words over the tree alphabet."""

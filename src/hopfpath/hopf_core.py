@@ -3,9 +3,11 @@
 An instance bundles a product and coproduct on a canonical basis together with
 the counit, unit, grading and basis enumeration.  The built-in structure maps
 yield integer rows from their combinatorics, and the maps an instance holds
-are ``LinComb``/``TensorComb`` views of them (``structure_map``).  Antipodes
-come either from a closed form or from the generic recursion on the reduced
-coproduct, which is total on connected graded instances.
+are ``LinComb``/``TensorComb`` views of them (``structure_map``); the
+instance's ``product`` and ``coproduct`` extend the rows over combinations in
+integers.  Antipodes come either from a closed form or from the generic
+recursion on the reduced coproduct, which is total on connected graded
+instances.
 """
 from __future__ import annotations
 
@@ -17,17 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .linalg import (
-    LinComb,
-    Scaled,
-    TensorComb,
-    _accumulate,
-    accum,
-    bilinear,
-    bilinear_scaled,
-    linear,
-    linear_scaled,
-)
+from .linalg import Combination, LinComb, TensorComb, _accumulate
 from .symbols import (
     EMPTY_WORD,
     MultiIndex,
@@ -118,7 +110,7 @@ def deshuffle_tuples(w: tuple) -> dict[tuple[tuple, tuple], int]:
             chosen = frozenset(subset)
             left = tuple(w[i] for i in range(n) if i in chosen)
             right = tuple(w[i] for i in range(n) if i not in chosen)
-            accum(out, (left, right), 1)
+            out[left, right] = out.get((left, right), 0) + 1
     return out
 
 
@@ -190,27 +182,16 @@ class HopfInstance:
 
     def product(self, x: LinComb, y: LinComb, max_grade: int | None = None) -> LinComb:
         """Bilinear product; pairs beyond max_grade are skipped (grading)."""
-        return LinComb(bilinear(x, y, self.product_row, max_grade), _clean=True)
-
-    def scaled_product(self, x: Scaled, y: Scaled, max_grade: int | None = None) -> Scaled:
-        """``product`` on integer numerators over one denominator, as the same
-        form."""
-        return bilinear_scaled(x, y, self.product_row, max_grade)
+        return LinComb.bilinear(x, y, self.product_row, max_grade)
 
     def coproduct(self, x: LinComb) -> TensorComb:
-        return TensorComb(linear(x, self.coproduct_row), _clean=True)
-
-    def scaled_coproduct(self, x: Scaled) -> Scaled:
-        """``coproduct`` on integer numerators over one denominator, as the
-        same form keyed by (left, right)."""
-        return linear_scaled(x, self.coproduct_row)
+        return TensorComb.linear(x, self.coproduct_row)
 
     def reduced_coproduct(self, x: LinComb) -> TensorComb:
         return self.coproduct(x) - TensorComb.of(self.one(), x) - TensorComb.of(x, self.one())
 
-    def multiply_tensors(self, a: Scaled, b: Scaled) -> Scaled:
-        """Slot-wise product on scaled tensors, (x1 (x) x2)(y1 (x) y2) =
-        x1y1 (x) x2y2."""
+    def multiply_tensors(self, a: TensorComb, b: TensorComb) -> TensorComb:
+        """Slot-wise product on tensors, (x1 (x) x2)(y1 (x) y2) = x1y1 (x) x2y2."""
         row = self.product_row
 
         def pair_product(x: tuple, y: tuple):
@@ -219,14 +200,14 @@ class HopfInstance:
                 for q, v in right:
                     yield (p, q), u * v
 
-        return bilinear_scaled(a, b, pair_product)
+        return TensorComb.bilinear(a, b, pair_product)
 
     # -- antipodes ---------------------------------------------------------
 
     def antipode_basis(self, b, side: str = "right") -> LinComb:
         """The recursive antipode of b as a LinComb: the view of
-        ``antipode_row(b, side)``, one Fraction per term."""
-        return LinComb({k: Fraction(c) for k, c in self.antipode_row(b, side)}, _clean=True)
+        ``antipode_row(b, side)``."""
+        return LinComb.from_nums(dict(self.antipode_row(b, side)))
 
     @functools.cached_property
     def antipode_row(self) -> Callable[[object, str], tuple]:
@@ -272,7 +253,7 @@ class HopfInstance:
         return antipode
 
     def antipode(self, x: LinComb, side: str = "right") -> LinComb:
-        return LinComb(linear(x, lambda b: self.antipode_row(b, side)), _clean=True)
+        return LinComb.linear(x, lambda b: self.antipode_row(b, side))
 
     def antipode_closed(self, x: LinComb) -> LinComb:
         if self.antipode_closed_basis is None:
@@ -339,14 +320,14 @@ def structure_map(comb: type, row: Callable) -> Callable:
     """The public form of a structure map given by its integer rows.
 
     Called on basis elements, the map returns ``row(*args)`` as a ``comb``
-    (LinComb or TensorComb) of Fractions in the row's term order, memoized;
-    it carries ``row`` as its ``row`` attribute, which ``rows_of`` reads, so
-    instances and lift tables take the ints without the Fractions.
+    (LinComb or TensorComb) in the row's term order, memoized; it carries
+    ``row`` as its ``row`` attribute, which ``rows_of`` reads, so instances
+    and lift tables take the rows without building a combination.
     """
     @functools.lru_cache(maxsize=None)
     @functools.wraps(row)
     def view(*args):
-        return comb({k: Fraction(c) for k, c in row(*args)}, _clean=True)
+        return comb.from_nums(dict(row(*args)))
 
     view.row = row
     return view
@@ -538,36 +519,36 @@ class CheckReport:
         return out
 
 
-def _triple_left(instance: HopfInstance, x: Scaled) -> Scaled:
+def _triple_left(instance: HopfInstance, x: LinComb) -> Combination:
     """(Delta (x) id) Delta x, keyed by basis triples."""
     cop = instance.coproduct_row
-    return linear_scaled(
-        instance.scaled_coproduct(x),
+    return Combination.linear(
+        instance.coproduct(x),
         lambda lr: (((l1, l2, lr[1]), c) for (l1, l2), c in cop(lr[0])),
     )
 
 
-def _triple_right(instance: HopfInstance, x: Scaled) -> Scaled:
+def _triple_right(instance: HopfInstance, x: LinComb) -> Combination:
     """(id (x) Delta) Delta x, keyed by basis triples."""
     cop = instance.coproduct_row
-    return linear_scaled(
-        instance.scaled_coproduct(x),
+    return Combination.linear(
+        instance.coproduct(x),
         lambda lr: (((lr[0], r1, r2), c) for (r1, r2), c in cop(lr[1])),
     )
 
 
-def _antipode_convolution(instance: HopfInstance, cop: Scaled, side: str) -> Scaled:
-    """m (S (x) id) on a scaled tensor when side is "left", m (id (x) S) when
-    it is "right", with S the recursive right antipode."""
+def _antipode_convolution(instance: HopfInstance, cop: TensorComb, side: str) -> LinComb:
+    """m (S (x) id) on a tensor when side is "left", m (id (x) S) when it is
+    "right", with S the recursive right antipode."""
     row, antipode = instance.product_row, instance.antipode_row
     if side == "left":
-        return linear_scaled(cop, lambda lr: (
+        return LinComb.linear(cop, lambda lr: (
             (k, u * v) for p, u in antipode(lr[0], "right") for k, v in row(p, lr[1])))
-    return linear_scaled(cop, lambda lr: (
+    return LinComb.linear(cop, lambda lr: (
         (k, u * v) for q, v in antipode(lr[1], "right") for k, u in row(lr[0], q)))
 
 
-def random_scaled(rng: random.Random, basis_pool: tuple, max_terms: int = 3) -> Scaled:
+def random_combination(rng: random.Random, basis_pool: tuple, max_terms: int = 3) -> LinComb:
     """A sum of 1 to max_terms terms n/q * b, with b drawn from the pool, n
     from -9..9 and q from 1..9, summed in integers over the lcm of the q.
 
@@ -577,7 +558,7 @@ def random_scaled(rng: random.Random, basis_pool: tuple, max_terms: int = 3) -> 
     primitive those methods end in; a test pins the stream against them.
     """
     if max_terms < 1 or not basis_pool:
-        raise ValueError("random_scaled needs max_terms >= 1 and a nonempty pool")
+        raise ValueError("random_combination needs max_terms >= 1 and a nonempty pool")
     charge(40)
     below, size = rng._randbelow, len(basis_pool)
     nums: dict = {}
@@ -590,7 +571,7 @@ def random_scaled(rng: random.Random, basis_pool: tuple, max_terms: int = 3) -> 
             nums = {k: v * (lcm // den) for k, v in nums.items()}
             den = lcm
         nums[b] = nums.get(b, 0) + n * (lcm // q)
-    return Scaled.of({k: v for k, v in nums.items() if v}, den)
+    return LinComb.from_nums({k: v for k, v in nums.items() if v}, den)
 
 
 def check_axioms(
@@ -602,12 +583,12 @@ def check_axioms(
     within ``max_grade`` (products and coproducts are graded, so the laws are
     grade-local).  Randomized part: ``samples`` seeded random combinations
     of basis elements of grade <= max(1, max_grade // 2), three per sample
-    from ``random_scaled``, multiplied with no grade cap: the triple
+    from ``random_combination``, multiplied with no grade cap: the triple
     products reach grade 3 max(1, max_grade // 2), 6 at ``max_grade`` 4,
     past ``max_grade`` for every bound but 3.  Every product of the check is
-    uncapped, so ``bilinear_scaled`` runs its plain double loop over the
-    operands' terms.
-    Both sides of each law are computed as ``Scaled`` forms, integer
+    uncapped, so ``bilinear`` runs its plain double loop over the operands'
+    terms.
+    Both sides of each law are combinations of one class, integer
     numerators over one denominator with the content divided out, so they
     are equal exactly when their canonical forms are.  Each basis pair is
     multiplied once per check: the unit, associativity and compatibility
@@ -623,25 +604,25 @@ def check_axioms(
         raise ValueError(f"samples must be >= 0, got {samples}")
     report = CheckReport(f"axiom check: {instance.name}, grade <= {max_grade}")
     rng = random.Random(seed)
-    term, unit = Scaled.term, instance.unit
-    one, zero = term(unit), Scaled({}, 1)
-    rows, coproduct = instance.product_row, instance.scaled_coproduct
+    term, unit = LinComb.term, instance.unit
+    one, zero = term(unit), LinComb.zero()
+    rows, coproduct = instance.product_row, instance.coproduct
 
-    def product(x: Scaled, y: Scaled) -> Scaled:
-        return bilinear_scaled(x, y, rows)
+    def product(x: LinComb, y: LinComb) -> LinComb:
+        return LinComb.bilinear(x, y, rows)
 
     by_grade = {k: instance.basis(k) for k in range(max_grade + 1)}
     all_basis = [b for k in range(max_grade + 1) for b in by_grade[k]]
     coproducts: dict = {}
     pairs: dict = {}  # this check's basis pair products, gone when it returns
 
-    def pair(b1, b2) -> Scaled:
+    def pair(b1, b2) -> LinComb:
         out = pairs.get((b1, b2))
         if out is None:
             out = pairs[b1, b2] = product(term(b1), term(b2))
         return out
 
-    def basis_coproduct(b) -> Scaled:
+    def basis_coproduct(b) -> TensorComb:
         out = coproducts.get(b)
         if out is None:
             out = coproducts[b] = coproduct(term(b))
@@ -661,8 +642,8 @@ def check_axioms(
         for b in all_basis:
             x = term(b)
             cop = basis_coproduct(b)
-            left = linear_scaled(cop, lambda lr: () if lr[0].grade else ((lr[1], 1),))
-            right = linear_scaled(cop, lambda lr: () if lr[1].grade else ((lr[0], 1),))
+            left = LinComb.linear(cop, lambda lr: () if lr[0].grade else ((lr[1], 1),))
+            right = LinComb.linear(cop, lambda lr: () if lr[1].grade else ((lr[0], 1),))
             if left != x or right != x:
                 yield f"counit property fails on {b}"
         if instance.counit(unit) != 1:
@@ -688,8 +669,8 @@ def check_axioms(
     def assoc_failures():
         # (b1 b2) b3 and b1 (b2 b3), each a pair product times one basis element
         for b1, b2, b3 in _bounded_triples(by_grade, max_grade):
-            left = linear_scaled(pair(b1, b2), lambda k: rows(k, b3))
-            if left != linear_scaled(pair(b2, b3), lambda k: rows(b1, k)):
+            left = LinComb.linear(pair(b1, b2), lambda k: rows(k, b3))
+            if left != LinComb.linear(pair(b2, b3), lambda k: rows(b1, k)):
                 yield f"associativity fails on ({b1}, {b2}, {b3})"
 
     report.run("associativity", assoc_failures())
@@ -704,7 +685,7 @@ def check_axioms(
 
     # compatibility 1-3
     def compat_failures():
-        if coproduct(one) != term((unit, unit)):
+        if coproduct(one) != TensorComb.term(unit, unit):
             yield "Delta(1) != 1 (x) 1"
         for b1, b2 in _bounded_pairs(by_grade, max_grade):
             lhs = coproduct(pair(b1, b2))
@@ -730,8 +711,8 @@ def check_axioms(
             if dict(instance.antipode_row(b, "left")) != dict(instance.antipode_row(b, "right")):
                 yield f"left/right antipode recursions disagree on {b}"
             if instance.antipode_closed_basis is not None:
-                closed = linear_scaled(x, instance.antipode_closed_basis)
-                if closed != linear_scaled(x, lambda b: instance.antipode_row(b, "right")):
+                closed = LinComb.linear(x, instance.antipode_closed_basis)
+                if closed != LinComb.linear(x, lambda b: instance.antipode_row(b, "right")):
                     yield f"closed-form antipode disagrees on {b}"
 
     report.run("antipode", antipode_failures())
@@ -740,7 +721,7 @@ def check_axioms(
     def random_failures():
         pool = tuple(b for b in all_basis if b.grade <= max(1, max_grade // 2))
         for i in range(samples):
-            x, y, z = (random_scaled(rng, pool) for _ in range(3))
+            x, y, z = (random_combination(rng, pool) for _ in range(3))
             which = i % 3
             if which == 0:
                 if product(product(x, y), z) != product(x, product(y, z)):
@@ -751,8 +732,7 @@ def check_axioms(
                     yield f"random compatibility failure (sample {i})"
             else:
                 left = _antipode_convolution(instance, coproduct(x), "left")
-                c = x.nums.get(unit)
-                if left != Scaled.of({unit: c} if c else {}, x.den):
+                if left != term(unit, x.coeff(unit)):
                     yield f"random antipode failure (sample {i})"
 
     report.run("random-combinations", random_failures())

@@ -1,24 +1,35 @@
 """Free vector spaces over basis elements with exact rational scalars.
 
-LinComb and TensorComb are sparse maps from basis elements (resp. pairs) to
-``fractions.Fraction``, the one scalar mode: a float given to a combination
-raises TypeError.  Their shared algebra lives in ``Combination``, and
-one pairing loop, one formatter and one JSON form serve both.  Zero
-coefficients are never stored, so equality is structural.  All basis
-elements of one combination must be of one kind, and so must each slot of
-a tensor: the left slot may hold forests and the right words, say.
-``Scaled`` is the exact form products chain in: integer numerators over one
-denominator, turned into Fractions only where a caller reads them.
+A ``Combination`` is an immutable sparse combination of keys with exact
+coefficients, stored as integer numerators over one positive denominator
+(``nums`` and ``den``) with their common content divided out, so each value
+has one form and equality is structural.  ``terms``, iteration, ``coeff``
+and the text and JSON forms read it as ``fractions.Fraction``s, the one
+scalar mode: a float given to a combination raises TypeError.  LinComb
+holds basis elements and TensorComb pairs of them; all basis elements of
+one LinComb must be of one kind, and so must each slot of a tensor (the
+left slot may hold forests and the right words, say).  ``linear`` and
+``bilinear`` extend a map on keys over combinations in integers, and one
+accumulation loop (``_accumulate``), one formatter and one JSON form serve
+every class.
 """
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .work import charge
 
-_ONE = Fraction(1)  # the default coefficient, built once
+# n / d from coprime ints with d > 0, without the normalising gcd where Python allows
+if hasattr(Fraction, "_from_coprime_ints"):  # 3.12+
+    _coprime_fraction = Fraction._from_coprime_ints
+elif sys.version_info < (3, 12):
+    _coprime_fraction = functools.partial(Fraction, _normalize=False)
+else:
+    _coprime_fraction = Fraction
 
 
 class KindMismatchError(TypeError):
@@ -43,47 +54,104 @@ def _check_kinds(*basis):
         raise KindMismatchError(f"cannot mix basis kinds {', '.join(names)}")
 
 
-class Combination:
-    """The algebra LinComb and TensorComb share: an immutable sparse map from
-    keys to nonzero scalars, with sums, differences, scaling and equality.
+def _fraction(n: int, den: int) -> Fraction:
+    """n / den as a Fraction, for den > 0."""
+    g = math.gcd(n, den)
+    return _coprime_fraction(n // g, den // g)
 
-    A subclass says how its terms sort (``_order``), how its keys print
-    (``_label``) and which keys may share a combination (``_check_keys``,
-    run on every key at construction and on one key of each operand of a
-    sum or difference).
+
+class Combination:
+    """An immutable sparse combination: nums[k] / den is the coefficient of
+    the key k, with no zero numerator, den > 0 and gcd(den, *nums) = 1.
+
+    The base class holds keys of no basis kind, such as the basis triples of
+    a coassociativity law; equality is per class.  A subclass says how its
+    terms sort (``_order``), how its keys print (``_label``) and which keys
+    may share a combination (``_check_keys``, run on every key a public
+    constructor is given and on one key of each operand of a sum or
+    difference).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms: dict | None = None, _clean: bool = False):
+        """The combination of terms, key -> exact scalar: zeros are dropped
+        and the keys checked, unless _clean says the values are nonzero
+        Fractions or ints on checked keys."""
         if terms is None:
             terms = {}
         if not _clean:
-            terms = {k: as_scalar(c) for k, c in terms.items() if c != 0}
+            terms = {k: c for k, c in zip(terms, map(as_scalar, terms.values())) if c}
             self._check_keys(*terms)
-        object.__setattr__(self, "terms", terms)
+        nums, den = numerators(list(terms.values()))
+        _set_nums(self, dict(zip(terms, nums)))
+        _set_den(self, den)
+
+    @classmethod
+    def _make(cls, nums: dict, den: int):
+        """The combination of a form that is already canonical."""
+        self = object.__new__(cls)
+        _set_nums(self, nums)
+        _set_den(self, den)
+        return self
+
+    @classmethod
+    def from_nums(cls, nums: dict, den: int = 1):
+        """The combination nums[k] / den, for nonzero int or Fraction values,
+        with the content divided out; the dict becomes the combination's own.
+        Any other value raises TypeError naming it."""
+        try:  # int values, as the accumulation loop leaves them
+            g = math.gcd(den, *nums.values())
+        except TypeError:  # Fraction values: over the lcm of their denominators
+            values, q = numerators([as_scalar(v) for v in nums.values()])
+            nums, den = dict(zip(nums, values)), den * q
+            g = math.gcd(den, *values)
+        if g != 1:
+            nums = {k: n // g for k, n in nums.items()}
+            den //= g
+        return cls._make(nums, den)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @staticmethod
+    def _check_keys(*keys):
+        """Any keys may share a combination of the base class."""
+
+    @classmethod
+    def _term(cls, key, coeff):
+        """The key with an exact coefficient; an int takes no Fraction."""
+        if type(coeff) is int:
+            return cls._make({key: coeff} if coeff else {}, 1)
+        c = as_scalar(coeff)
+        return cls._make({key: c.numerator} if c else {}, c.denominator)
+
     @classmethod
     def zero(cls):
-        return cls({}, _clean=True)
+        return cls._make({}, 1)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
+
+    @property
+    def terms(self) -> dict:
+        """key -> Fraction coefficient, in term order: a new dict each read."""
+        den = self.den
+        if den == 1:
+            return {k: _coprime_fraction(n, 1) for k, n in self.nums.items()}
+        return {k: _fraction(n, den) for k, n in self.nums.items()}
 
     def sorted_terms(self) -> list[tuple[object, Fraction]]:
-        charge(24 * len(self.terms))  # the sort, and the printing most callers do
+        charge(24 * len(self.nums))  # the sort, and the printing most callers do
         return sorted(self.terms.items(), key=self._order)
 
     def _plus(self, other, sign: int):
-        if self.terms and other.terms:
-            self._check_keys(next(iter(self.terms)), next(iter(other.terms)))
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            accum(acc, k, c if sign > 0 else -c)
-        return type(self)(acc, _clean=True)
+        if self.nums and other.nums:
+            self._check_keys(next(iter(self.nums)), next(iter(other.nums)))
+        den = math.lcm(self.den, other.den)
+        parts = ((self.nums.items(), den // self.den),
+                 (other.nums.items(), sign * (den // other.den)))
+        return type(self).from_nums(_accumulate(parts), den)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -92,34 +160,72 @@ class Combination:
         return self._plus(other, -1)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()}, _clean=True)
+        return self._make({k: -n for k, n in self.nums.items()}, self.den)
 
     def scale(self, s):
         s = as_scalar(s)
         if s == 0:
             return self.zero()
-        return type(self)({k: s * c for k, c in self.terms.items()}, _clean=True)
+        p = s.numerator
+        return self.from_nums({k: p * n for k, n in self.nums.items()}, self.den * s.denominator)
 
     __mul__ = scale
     __rmul__ = scale
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.terms == other.terms
+        return type(other) is type(self) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __iter__(self) -> Iterator[tuple[object, Fraction]]:
         return iter(self.terms.items())
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.nums)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.terms!r})"
 
     def __str__(self) -> str:
         return format_lincomb(self)
+
+    @classmethod
+    def linear(cls, x: "Combination", fn: Callable):
+        """The linear extension of fn: key -> (key, coeff) pairs on x, as a
+        cls: the integer sums of ``_accumulate`` over x.den, with the content
+        divided out once."""
+        charge(16 * len(x.nums))
+        return cls.from_nums(_accumulate(zip(map(fn, x.nums), x.nums.values())), x.den)
+
+    @classmethod
+    def bilinear(cls, x: "Combination", y: "Combination", fn: Callable,
+                 max_grade: int | None = None):
+        """The bilinear extension of fn: (key, key) -> (key, coeff) pairs on
+        x and y, as a cls: the plain double loop over the pairs kept (see
+        ``_pairs``), term order included, with the integer sums over
+        x.den * y.den and the content divided out once."""
+        if max_grade is None:  # the operands' items, with no key or grade list built
+            parts = _all_pairs(x.nums.items(), y.nums.items(), fn)
+        else:
+            parts = _pairs(list(x.nums), list(y.nums), fn, max_grade)(x.nums.values(),
+                                                                     y.nums.values())
+        return cls.from_nums(_accumulate(parts), x.den * y.den)
+
+    @classmethod
+    def weighted_sum(cls, terms):
+        """sum_i w_i x_i over (w_i, x_i) in terms, for exact weights w_i and
+        combinations x_i, as a cls: one accumulation in integers over the lcm
+        of the w_i and x_i denominators, keys added in the order the sum of
+        the w_i x_i adds them."""
+        terms = [(w, x) for w, x in terms if w]
+        lcm = math.lcm(*(w.denominator * x.den for w, x in terms))
+        parts = ((x.nums.items(), w.numerator * (lcm // (w.denominator * x.den))) for w, x in terms)
+        return cls.from_nums(_accumulate(parts), lcm)
+
+
+_set_nums = Combination.nums.__set__
+_set_den = Combination.den.__set__
 
 
 class LinComb(Combination):
@@ -137,34 +243,26 @@ class LinComb(Combination):
         return str(b)
 
     @classmethod
-    def term(cls, basis, coeff=_ONE) -> "LinComb":
-        c = as_scalar(coeff)
-        return cls({basis: c} if c else {}, _clean=True)
+    def term(cls, basis, coeff=1) -> "LinComb":
+        return cls._term(basis, coeff)
 
     def coeff(self, basis) -> Fraction:
-        return self.terms.get(basis, Fraction(0))
+        n = self.nums.get(basis)
+        return _fraction(n, self.den) if n else Fraction(0)
 
     def support(self):
-        return self.terms.keys()
+        return self.nums.keys()
 
     def max_grade(self) -> int:
-        return max((b.grade for b in self.terms), default=0)
+        return max((b.grade for b in self.nums), default=0)
 
     def truncate(self, max_grade: int) -> "LinComb":
-        return LinComb({b: c for b, c in self.terms.items() if b.grade <= max_grade}, _clean=True)
+        kept = {b: n for b, n in self.nums.items() if b.grade <= max_grade}
+        return self if len(kept) == len(self.nums) else LinComb.from_nums(kept, self.den)
 
     def map_basis(self, fn: Callable[[object], "LinComb"]) -> "LinComb":
         """Linear extension of a basis map fn: basis -> LinComb."""
-        return LinComb(linear(self, fn), _clean=True)
-
-
-def accum(acc: dict, key, value):
-    """Add value to acc[key] in place, dropping the key when the sum is zero."""
-    new = acc.get(key, 0) + value
-    if new:
-        acc[key] = new
-    else:
-        acc.pop(key, None)
+        return LinComb.linear(self, fn)
 
 
 def numerators(coeffs: list) -> tuple[list[int], int]:
@@ -178,13 +276,14 @@ def numerators(coeffs: list) -> tuple[list[int], int]:
 
 
 def _accumulate(parts) -> dict:
-    """The one accumulation loop behind every linear extension.
+    """The one accumulation loop: sums u * c over (terms, u) in parts and
+    (key, c) in terms into one dict, adding a key where it first appears and
+    dropping it when its sum is zero, and returns the sums.
 
-    Sums u * c over (terms, u) in parts and (key, c) in terms, adding and
-    dropping keys as ``accum`` does, and returns the sums.  Operands arrive
-    scaled, as integer numerators over a denominator the caller keeps, so
-    integral structure constants keep the sums in ints; a non-integral
-    constant (a character value, say) multiplies in as a Fraction.
+    Operands arrive as integer numerators over a denominator the caller
+    keeps, so integral structure constants keep the sums in ints; a
+    non-integral constant (a character value, say) multiplies in as a
+    Fraction.
     """
     acc: dict = {}
     get, pop = acc.get, acc.pop
@@ -200,69 +299,6 @@ def _accumulate(parts) -> dict:
     return acc
 
 
-def _divide(acc: dict, den: int) -> dict:
-    """The sums of _accumulate over den, one Fraction per integer sum."""
-    if den == 1:
-        return {k: Fraction(v) if type(v) is int else v for k, v in acc.items()}
-    return {k: Fraction(v, den) if type(v) is int else v / den for k, v in acc.items()}
-
-
-def _extend(parts: Callable, *operands: list) -> dict:
-    """Run _accumulate on parts(*numerators) over the product of the operands'
-    denominators."""
-    scaled = [numerators(coeffs) for coeffs in operands]
-    den = math.prod(den for _, den in scaled)
-    return _divide(_accumulate(parts(*(nums for nums, _ in scaled))), den)
-
-
-class Scaled(NamedTuple):
-    """An exact combination as integer numerators over one positive
-    denominator: the coefficient of key k is nums[k] / den.
-
-    Built by ``of``, the gcd of the numerators and the denominator (the
-    content) is 1, so each form is unique.  A chain of ``bilinear_scaled``
-    products stays in ints and divides out the content once per product;
-    ``lincomb`` makes the Fractions a caller sees.
-    """
-
-    nums: dict
-    den: int
-
-    @classmethod
-    def of(cls, values: dict, den: int = 1) -> "Scaled":
-        """The combination values[k] / den, for int or Fraction values, with
-        its content divided out; any other value raises TypeError naming it."""
-        try:  # int values, as the accumulation loop leaves them
-            g = math.gcd(den, *values.values())
-        except TypeError:  # Fraction values: over the lcm of their denominators
-            nums, q = numerators([as_scalar(v) for v in values.values()])
-            values, den = dict(zip(values, nums)), den * q
-            g = math.gcd(den, *nums)
-        if g == 1:
-            return cls(dict(values), den)
-        return cls({k: n // g for k, n in values.items()}, den // g)
-
-    @classmethod
-    def term(cls, key) -> "Scaled":
-        """The basis element key with coefficient 1."""
-        return cls({key: 1}, 1)
-
-    def lincomb(self) -> "LinComb":
-        return LinComb(_divide(self.nums, self.den), _clean=True)
-
-
-def linear(x, fn: Callable) -> dict:
-    """Linear extension of fn: basis -> (basis, coeff) pairs.
-
-    x iterates as (basis, coeff) pairs; the result is the accumulated
-    coefficient dict.
-    """
-    x = list(x)
-    keys = [b for b, _ in x]
-    charge(64 * len(keys))
-    return _extend(lambda nums: zip(map(fn, keys), nums), [c for _, c in x])
-
-
 def _all_pairs(xs, ys, fn: Callable):
     """parts for _accumulate with no grade bound: (fn(b1, b2), u * v) over
     (b1, u) in xs and (b2, v) in ys, the plain double loop, charged as
@@ -274,15 +310,13 @@ def _all_pairs(xs, ys, fn: Callable):
             yield fn(b1, b2), u * v
 
 
-def _pairs(xkeys: list, ykeys: list, fn: Callable, max_grade: int | None) -> Callable:
+def _pairs(xkeys: list, ykeys: list, fn: Callable, max_grade: int) -> Callable:
     """parts(xc, yc) for _accumulate: (fn(b1, b2), u * v) over the pairs of
     keys with coefficients u in xc and v in yc, skipping pairs whose grades
     sum past max_grade.  Each y grade is read once, and the loop over y stops
     after the last term that can still fit, so y sorted by grade visits only
     the pairs kept.  Terms are visited in the operands' order whatever their
     grades, so the result is that of the plain double loop."""
-    if max_grade is None:  # every pair fits; tensor keys have no grade
-        return lambda xc, yc: _all_pairs(zip(xkeys, xc), list(zip(ykeys, yc)), fn)
     xgrades, ygrades = [b.grade for b in xkeys], [b.grade for b in ykeys]
     # stop[r]: one past the last y term of grade <= r, for r up to the top y
     # grade that fits, so a long truncation costs nothing past y's grades
@@ -306,47 +340,6 @@ def _pairs(xkeys: list, ykeys: list, fn: Callable, max_grade: int | None) -> Cal
                         yield fn(b1, b2), u * v
 
     return parts
-
-
-def bilinear(x, y, fn: Callable, max_grade: int | None = None) -> dict:
-    """Bilinear extension of fn: (basis, basis) -> (basis, coeff) pairs.
-
-    x and y iterate as (basis, coeff) pairs; the result is the accumulated
-    coefficient dict of the plain double loop over the pairs kept (see
-    ``_pairs``), term order included.
-    """
-    x, y = list(x), list(y)
-    parts = _pairs([b for b, _ in x], [b for b, _ in y], fn, max_grade)
-    return _extend(parts, [c for _, c in x], [c for _, c in y])
-
-
-def linear_scaled(x: Scaled, fn: Callable) -> Scaled:
-    """``linear`` on a scaled operand, as a scaled result: the same loop,
-    with the integer sums kept over x.den and the content divided out once."""
-    charge(16 * len(x.nums))
-    return Scaled.of(_accumulate(zip(map(fn, x.nums), x.nums.values())), x.den)
-
-
-def bilinear_scaled(x: Scaled, y: Scaled, fn: Callable, max_grade: int | None = None) -> Scaled:
-    """``bilinear`` on scaled operands, as a scaled result: the same loop,
-    with the integer sums kept over x.den * y.den and the content divided
-    out, not turned into Fractions."""
-    if max_grade is None:  # the operands' items, with no key or grade list built
-        parts = _all_pairs(x.nums.items(), y.nums.items(), fn)
-    else:
-        parts = _pairs(list(x.nums), list(y.nums), fn, max_grade)(x.nums.values(), y.nums.values())
-    return Scaled.of(_accumulate(parts), x.den * y.den)
-
-
-def scaled_sum(terms) -> Scaled:
-    """sum_i w_i x_i over (w_i, x_i) in terms, for exact weights w_i and
-    scaled x_i, as a scaled form: the one accumulation loop, with the
-    integer sums kept over the lcm of the w_i and x_i denominators, keys
-    added in the order a LinComb sum of the w_i x_i would add them."""
-    terms = [(w, x) for w, x in terms if w]
-    lcm = math.lcm(*(w.denominator * x.den for w, x in terms))
-    parts = ((x.nums.items(), w.numerator * (lcm // (w.denominator * x.den))) for w, x in terms)
-    return Scaled.of(_accumulate(parts), lcm)
 
 
 def outer(l, r):
@@ -377,40 +370,36 @@ class TensorComb(Combination):
         return f"{lr[0]}{sep}{lr[1]}"
 
     @classmethod
-    def term(cls, left, right, coeff=_ONE) -> "TensorComb":
-        c = as_scalar(coeff)
-        return cls({(left, right): c} if c else {}, _clean=True)
+    def term(cls, left, right, coeff=1) -> "TensorComb":
+        return cls._term((left, right), coeff)
 
     @classmethod
     def of(cls, a: LinComb, b: LinComb, max_grade: int | None = None) -> "TensorComb":
         """The outer product a (x) b; pairs beyond max_grade total are skipped."""
-        return cls(bilinear(a, b, outer, max_grade), _clean=True)
+        return cls.bilinear(a, b, outer, max_grade)
 
     def coeff(self, left, right) -> Fraction:
-        return self.terms.get((left, right), Fraction(0))
+        n = self.nums.get((left, right))
+        return _fraction(n, self.den) if n else Fraction(0)
 
     def flip(self) -> "TensorComb":
-        return TensorComb({(r, l): c for (l, r), c in self.terms.items()}, _clean=True)
+        return TensorComb._make({(r, l): n for (l, r), n in self.nums.items()}, self.den)
 
     def truncate_total(self, max_grade: int) -> "TensorComb":
-        return TensorComb(
-            {lr: c for lr, c in self.terms.items() if lr[0].grade + lr[1].grade <= max_grade},
-            _clean=True,
+        return TensorComb.from_nums(
+            {lr: n for lr, n in self.nums.items() if lr[0].grade + lr[1].grade <= max_grade},
+            self.den,
         )
 
     def map_left(self, fn: Callable[[object], LinComb]) -> "TensorComb":
-        return TensorComb(
-            linear(self, lambda lr: (((l, lr[1]), c) for l, c in fn(lr[0]))), _clean=True
-        )
+        return TensorComb.linear(self, lambda lr: (((l, lr[1]), c) for l, c in fn(lr[0])))
 
     def map_right(self, fn: Callable[[object], LinComb]) -> "TensorComb":
-        return TensorComb(
-            linear(self, lambda lr: (((lr[0], r), c) for r, c in fn(lr[1]))), _clean=True
-        )
+        return TensorComb.linear(self, lambda lr: (((lr[0], r), c) for r, c in fn(lr[1])))
 
     def fold(self, fn: Callable[[object, object], LinComb]) -> LinComb:
         """Apply a bilinear-on-basis map m: (l, r) -> LinComb and sum."""
-        return LinComb(linear(self, lambda lr: fn(*lr)), _clean=True)
+        return LinComb.linear(self, lambda lr: fn(*lr))
 
 
 def pair(a: LinComb, b: LinComb) -> Fraction:
@@ -419,27 +408,25 @@ def pair(a: LinComb, b: LinComb) -> Fraction:
     For the multi-index kind the left slot is read in the normalized dual
     basis, so <D^n, X^m> = delta_{n,m} with the same code path.
     """
-    if a.terms and b.terms:
-        _check_kinds(next(iter(a.terms)), next(iter(b.terms)))
-    return _dot(a.terms, b.terms)
+    if a.nums and b.nums:
+        _check_kinds(next(iter(a.nums)), next(iter(b.nums)))
+    return _dot(a, b)
 
 
 def pair_tensor(a: TensorComb, b: TensorComb) -> Fraction:
     """Induced pairing <x1 (x) x2, y1 (x) y2> = <x1,y1><x2,y2>, bilinearly."""
-    if a.terms and b.terms:
-        _check_slots(next(iter(a.terms)), next(iter(b.terms)))
-    return _dot(a.terms, b.terms)
+    if a.nums and b.nums:
+        _check_slots(next(iter(a.nums)), next(iter(b.nums)))
+    return _dot(a, b)
 
 
-def _dot(a: dict, b: dict) -> Fraction:
-    """sum_k a[k] b[k], looking the smaller dict's keys up in the larger."""
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    total = Fraction(0)
-    for k, c in small.items():
-        c2 = large.get(k)
-        if c2 is not None:
-            total += c * c2
-    return total
+def _dot(a: Combination, b: Combination) -> Fraction:
+    """sum_k a_k b_k: the integer dot product of the numerators, looking the
+    smaller side's keys up in the larger, over a.den * b.den."""
+    small, large = (a.nums, b.nums) if len(a.nums) <= len(b.nums) else (b.nums, a.nums)
+    get = large.get
+    total = sum(n * get(k, 0) for k, n in small.items())
+    return Fraction(total, a.den * b.den)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .hopf_core import CheckReport
 from .hopf_ck import ck_coproduct, ck_instance, forest_product
-from .linalg import LinComb, Scaled, TensorComb, accum, bilinear, bilinear_scaled, linear, outer
+from .linalg import LinComb, TensorComb, _accumulate, _coprime_fraction
 from .roughpath import PiecewiseLinearPath, RoughLift, branched_lift_fn, to_fraction
 from .series import TruncatedElement, is_grouplike
 from .symbols import EMPTY_FOREST, Forest, Interned, forests_up_to, trees
@@ -64,7 +64,7 @@ class DottedForest(Interned):
 
 
 def homogeneity(b, gamma) -> Fraction:
-    """Scaled homogeneity: gamma * grade on forests, gamma*(|z|+1) - 1 on dotted."""
+    """Homogeneity: gamma * grade on forests, gamma*(|z|+1) - 1 on dotted."""
     gamma = to_fraction(gamma)
     if isinstance(b, Forest):
         return gamma * b.grade
@@ -115,7 +115,7 @@ def comodule_coproduct(x: LinComb) -> TensorComb:
             return (((l, DottedForest(r, b.letter)), m) for (l, r), m in ck_coproduct(b.forest))
         raise SectorError(f"not a model-space symbol: {b!r}")
 
-    return TensorComb(linear(x, part), _clean=True)
+    return TensorComb.linear(x, part)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +134,7 @@ class Character:
         ok, _ = is_grouplike(g)
         if not ok:
             raise ModelError("characters come from group-like elements")
-        return cls(dict(g.value.terms), g.level)
+        return cls(g.value.terms, g.level)
 
     @classmethod
     def counit(cls) -> "Character":
@@ -226,10 +226,10 @@ def structure_map_witness(
             lhs = gamma_map(prod)
             ga = gamma_map(LinComb.term(a))
             gb = gamma_map(LinComb.term(b))
-            rhs = bilinear(
+            rhs = LinComb.bilinear(
                 ga, gb, lambda fa, db: ((DottedForest(fa.mul(db.forest), db.letter), 1),)
             )
-            if lhs != LinComb(rhs, _clean=True):
+            if lhs != rhs:
                 return f"(iv) fails: Gamma not multiplicative on ({a}, {b})"
     return None
 
@@ -268,7 +268,7 @@ class Model:
             if not isinstance(b, Forest):
                 raise SectorError("struct_action acts on forest combinations")
             g = self.character(t, s)
-            image = LinComb(linear(ck_coproduct(b), lambda lr: ((lr[1], g(lr[0])),)), _clean=True)
+            image = LinComb.linear(ck_coproduct(b), lambda lr: ((lr[1], g(lr[0])),))
             rows[b] = image
         return image
 
@@ -304,28 +304,26 @@ def _gamma_table(lift: RoughLift, grid: list) -> tuple[list, Callable]:
     """The lift's values on the grid and the structure-group rows they give,
     in integers.
 
-    X[i][j] is the value at (grid[i], grid[j]) as a ``Scaled`` form, read once
-    by ``RoughLift.scaled_grid``, which raises ValueError naming (s, t) for a
+    X[i][j] is the value at (grid[i], grid[j]), read once by
+    ``RoughLift.grid_values``, which raises ValueError naming (s, t) for a
     value outside the lift's algebra.  row(i, j, b) is
     Gamma_st(b) = (X_ts (x) id) Delta b for (s, t) = (grid[i], grid[j]), as
     unreduced integer numerators over X[j][i].den, built on first use and
-    kept per grid index.  Building it
-    checks X_ts group-like at its first use as a character, as
+    kept per grid index.  Building it checks X_ts group-like
+    (``series.is_grouplike``) at its first use as a character, as
     ``Model.character`` does, and raises ModelError as that does for a value
     off the group or for a grade past the lift level with no value.
     """
-    level, algebra, unit = lift.level, lift.algebra, lift.algebra.unit
+    level, algebra = lift.level, lift.algebra
     cop = ck_instance(lift.dim).coproduct_row
-    X = lift.scaled_grid(grid)
+    X = lift.grid_values(grid)
     grouplike = [[False] * len(grid) for _ in grid]
     rows = [[{} for _ in grid] for _ in grid]
 
     def character(i: int, j: int) -> dict:
         x = X[i][j]
         if not grouplike[i][j]:
-            if x.nums.get(unit) != x.den or (
-                algebra.scaled_coproduct(x) != bilinear_scaled(x, x, outer, level)
-            ):
+            if not is_grouplike(TruncatedElement(x, level, algebra))[0]:
                 raise ModelError("characters come from group-like elements")
             grouplike[i][j] = True
         return x.nums
@@ -333,14 +331,13 @@ def _gamma_table(lift: RoughLift, grid: list) -> tuple[list, Callable]:
     def row(i: int, j: int, b: Forest) -> dict:
         image = rows[i][j].get(b)
         if image is None:
-            g, image = character(j, i), {}
+            g = character(j, i)
             charge(8 * len(cop(b)))
-            for (l, r), c in cop(b):
-                if l in g:
-                    accum(image, r, c * g[l])
-                elif l.grade > level:
+            for (l, _), _ in cop(b):
+                if l not in g and l.grade > level:
                     raise ModelError(f"character table has no entry for grade {l.grade}")
-            rows[i][j][b] = image
+            image = rows[i][j][b] = _accumulate(
+                (((r, c),), g[l]) for (l, r), c in cop(b) if l in g)
         return image
 
     return X, row
@@ -355,7 +352,7 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
     index; the Model's LinComb caches are not read.  Unit evaluation reads
     the unit's numerator, translation is one integer dot product
     cross-multiplied with X_st, the cocycle composes rows in integers and
-    compares canonical ``Scaled`` forms, intertwining compares two tensor
+    compares canonical forms, intertwining compares two tensor
     dicts over one denominator, and grade lowering reads a row's keys and its
     own coefficient.  A lift value is checked group-like at its first use as
     a character, so a value off the group raises ModelError; a lift value
@@ -371,8 +368,7 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
 
     def evaluation_failures():
         for i, s in points:
-            nums, den = X[i][0]
-            if nums.get(EMPTY_FOREST) != den:
+            if X[i][0].nums.get(EMPTY_FOREST) != X[i][0].den:
                 yield f"Pi_s 1 != 1 at s={s}"
 
     report.run("unit-evaluation", evaluation_failures())
@@ -384,8 +380,8 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
             for k, u in points:
                 for j, t in points:
                     charge(8 * len(basis))
-                    (ut, den_ut), (st, den_st) = X[k][j], X[i][j]
-                    scale = X[i][k].den * den_ut
+                    ut, st, den_st = X[k][j].nums, X[i][j].nums, X[i][j].den
+                    scale = X[i][k].den * X[k][j].den
                     for b in basis:
                         lhs = sum(c * ut.get(f, 0) for f, c in row(k, i, b).items())
                         if lhs * den_st != st.get(b, 0) * scale:
@@ -402,11 +398,9 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
                     charge(24 * len(basis))
                     scale, den = X[k][i].den * X[j][k].den, X[j][i].den
                     for b in basis:
-                        lhs: dict = {}
-                        for f, c in row(k, j, b).items():
-                            for f2, c2 in row(i, k, f).items():
-                                accum(lhs, f2, c * c2)
-                        if Scaled.of(lhs, scale) != Scaled.of(row(i, j, b), den):
+                        lhs = _accumulate((row(i, k, f).items(), c)
+                                          for f, c in row(k, j, b).items())
+                        if LinComb.from_nums(lhs, scale) != LinComb.from_nums(row(i, j, b), den):
                             yield f"cocycle fails at ({s},{u},{t}) on {b}"
                             return
 
@@ -418,14 +412,9 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
             for j, t in points:
                 charge(24 * len(basis))
                 for b in basis:
-                    lhs: dict = {}
-                    for f, c in row(i, j, b).items():
-                        for lr, c2 in cop(f):
-                            accum(lhs, lr, c * c2)
-                    rhs: dict = {}
-                    for (l, r), c in cop(b):
-                        for f, c2 in row(i, j, l).items():
-                            accum(rhs, (f, r), c * c2)
+                    lhs = _accumulate((cop(f), c) for f, c in row(i, j, b).items())
+                    rhs = _accumulate(((((f, r), c2) for f, c2 in row(i, j, l).items()), c)
+                                      for (l, r), c in cop(b))
                     if lhs != rhs:
                         yield f"intertwining fails at ({s},{t}) on {b}"
                         return
@@ -590,7 +579,9 @@ def compose_with_function(
     max_grade = max((k for k in range(order + 1) if gamma * k < alpha), default=0)
     y0 = Y.coeff(EMPTY_FOREST)
     pure = Y - LinComb.term(EMPTY_FOREST, y0) if y0 else Y
-    acc = dict(LinComb.term(EMPTY_FOREST, f.derivative(0)(y0)).terms)
+    # sum_n f^(n)(y0) / n! pure^n, each power's numerators weighted by its
+    # coefficient over its denominator
+    parts = [(((EMPTY_FOREST, f.derivative(0)(y0)),), 1)]
     power = LinComb.term(EMPTY_FOREST)
     factorial = 1
     for n in range(1, order + 1):
@@ -598,13 +589,11 @@ def compose_with_function(
         if power.is_zero():
             break
         factorial *= n
-        coeff = f.derivative(n)(y0) * Fraction(1, factorial)
-        for b, c in power:
-            accum(acc, b, c * coeff)
-    out = LinComb(acc, _clean=True).truncate(max_grade)
+        parts.append((power.nums.items(), f.derivative(n)(y0) * Fraction(1, factorial * power.den)))
+    out = LinComb.from_nums(_accumulate(parts)).truncate(max_grade)
     if xi is None:
         return out
-    return LinComb({DottedForest(b, xi): c for b, c in out.terms.items()}, _clean=True)
+    return LinComb._make({DottedForest(b, xi): n for b, n in out.nums.items()}, out.den)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +620,7 @@ def picard_solve(
     integer numerators over one denominator from ``RoughLift.steps``: a
     factory lift walks the knots once, with one value per linear piece and
     step length, and any other lift is read window by window through
-    ``RoughLift.eval_scaled``.  A lift that is not branched, of another
+    ``RoughLift.eval``.  A lift that is not branched, of another
     dimension than the path or below ``level`` raises ValueError.
     An exact state meets a field with exact polynomial components
     (``ScalarField.coeffs``: the const, linear and poly fields) through a plan
@@ -687,13 +676,12 @@ def picard_solve(
     try:
         if isinstance(y, float) and not math.isfinite(y):
             raise ModelError(f"non-finite state at t={float(start)}")
-        for t, scaled in lift.steps(start, step, end):
+        for t, value in lift.steps(start, step, end):
             try:
                 if plan is not None and isinstance(y, (int, Fraction)):
                     bits = y.numerator.bit_length() + y.denominator.bit_length()
                     charge(len(plan[1]) + bits // 32)  # a term per plan row, Horner on the bits
-                    nums, den = scaled
-                    a, scale = _step_polynomial(plan, nums), plan[0] * den
+                    a, scale = _step_polynomial(plan, value.nums), plan[0] * value.den
                     y_next = None
                     if bits > small:
                         y_next = _float_past_cap(a, scale, y)
@@ -701,7 +689,7 @@ def picard_solve(
                         y_next = _exact_step(a, scale, y)
                 else:
                     charge(3 * step_trees)
-                    y_next = picard_step(y, *scaled)
+                    y_next = picard_step(y, value.nums, value.den)
             except OverflowError:
                 raise ModelError(f"non-finite state at t={float(t)}") from None
             if isinstance(y_next, float) and not math.isfinite(y_next):
@@ -970,11 +958,3 @@ def _float_past_cap(a: list, scale: int, y) -> float | None:
         return None
     return low if low == high else None
 
-
-# n / d from coprime ints with d > 0, without the normalising gcd where Python allows
-if hasattr(Fraction, "_from_coprime_ints"):  # 3.12+
-    _coprime_fraction = Fraction._from_coprime_ints
-elif sys.version_info < (3, 12):
-    _coprime_fraction = functools.partial(Fraction, _normalize=False)
-else:
-    _coprime_fraction = Fraction

@@ -34,8 +34,8 @@ from .hopf_ck import (
     phi_hat,
     phi_kernel_basis,
 )
-from .linalg import LinComb, Scaled, bilinear_scaled, linear_scaled, numerators, outer, pair
-from .series import TruncatedElement, homog_norm
+from .linalg import LinComb, numerators, pair
+from .series import TruncatedElement, homog_norm, is_grouplike
 from .symbols import (
     EMPTY_WORD,
     Forest,
@@ -161,25 +161,19 @@ class RoughPathConfig:
 class RoughLift:
     """A two-parameter family of truncated group-likes with exact evaluation.
 
-    A lift passes ``evaluate``, ``evaluate_scaled`` or both, and TypeError
-    names a lift given neither.  ``evaluate(s, t)`` gives the value as a
-    TruncatedElement, ``evaluate_scaled(s, t)`` as a ``Scaled`` form.  Without
-    the one, ``eval`` is the view of ``eval_scaled``; without the other,
-    ``eval_scaled`` reads that form off ``eval``, and ``scaled_grid`` reads it
-    on a grid for the exact checks.  A lift that can serve a run of equal
-    steps faster than window by window passes ``walk``, which ``steps`` then
-    calls; it must yield what the window-by-window loop yields.
+    ``evaluate(s, t)`` gives the value at (s, t) as a TruncatedElement, which
+    ``eval`` checks and caches and ``grid_values`` reads on a grid for the
+    exact checks.  A lift that can serve a run of equal steps faster than
+    window by window passes ``walk``, which ``steps`` then calls; it must
+    yield what the window-by-window loop yields.
     """
 
-    def __init__(self, flavor: str, dim: int, level: int, evaluate: Callable | None = None,
-                 evaluate_scaled: Callable | None = None, walk: Callable | None = None):
-        if evaluate is None and evaluate_scaled is None:
-            raise TypeError("a RoughLift needs evaluate or evaluate_scaled")
+    def __init__(self, flavor: str, dim: int, level: int, evaluate: Callable,
+                 walk: Callable | None = None):
         self.flavor = flavor
         self.dim = dim
         self.level = level
         self._evaluate = evaluate
-        self._evaluate_scaled = evaluate_scaled
         self._walk = walk
         self._cache: dict = {}
 
@@ -190,39 +184,29 @@ class RoughLift:
         return gl_instance(self.dim)
 
     def eval(self, s, t) -> TruncatedElement:
-        """The value at (s, t), cached per (s, t): without ``evaluate``,
-        the view of ``eval_scaled``."""
+        """The value at (s, t), cached per (s, t); a value outside the lift's
+        algebra at its level raises ValueError naming (s, t)."""
         key = (to_fraction(s), to_fraction(t))
-        if key not in self._cache:
-            self._cache[key] = self._evaluate(*key) if self._evaluate else TruncatedElement(
-                self._evaluate_scaled(*key).lincomb(), self.level, self.algebra)
-        return self._cache[key]
+        elt = self._cache.get(key)
+        if elt is None:
+            elt = self._evaluate(*key)
+            if elt.level != self.level or elt.algebra is not self.algebra:
+                raise ValueError(f"the lift value at (s,t)=({key[0]},{key[1]}) is not in the "
+                                 f"lift's algebra at level {self.level}")
+            self._cache[key] = elt
+        return elt
 
-    def eval_scaled(self, s, t) -> Scaled:
-        """The value at (s, t) as integer numerators over one denominator,
-        not cached.  Without a scaled evaluator it is read off ``eval``, and
-        a value outside the lift's algebra at its level raises ValueError
-        naming (s, t)."""
-        s, t = to_fraction(s), to_fraction(t)
-        if self._evaluate_scaled is not None:
-            return self._evaluate_scaled(s, t)
-        elt = self.eval(s, t)
-        if elt.level != self.level or elt.algebra is not self.algebra:
-            raise ValueError(f"the lift value at (s,t)=({s},{t}) is not in the lift's "
-                             f"algebra at level {self.level}")
-        return Scaled.of(elt.value.terms)
+    def grid_values(self, grid: Sequence[Fraction]) -> list[list[LinComb]]:
+        """X[i][j], the value at (grid[i], grid[j]) from ``eval``, read once
+        per pair."""
+        return [[self.eval(s, t).value for t in grid] for s in grid]
 
-    def scaled_grid(self, grid: Sequence[Fraction]) -> list[list[Scaled]]:
-        """X[i][j], the value at (grid[i], grid[j]) from ``eval_scaled``, read
-        once per pair."""
-        return [[self.eval_scaled(s, t) for t in grid] for s in grid]
-
-    def steps(self, start, step, end) -> Iterator[tuple[Fraction, Scaled]]:
+    def steps(self, start, step, end) -> Iterator[tuple[Fraction, LinComb]]:
         """The windows of equal steps from start to end, lazily: (t, value)
         for t = min(start + k step, end), k = 1, 2, ..., with value the
-        window's ``eval_scaled`` form from the previous t (start for the
-        first) to t.  Without a walker the windows are read one at a time and
-        in order through ``eval_scaled``.
+        window's value from the previous t (start for the first) to t.
+        Without a walker the windows are read one at a time and in order
+        through ``eval``.
         """
         start, step, end = to_fraction(start), to_fraction(step), to_fraction(end)
         if step <= 0:
@@ -234,7 +218,7 @@ class RoughLift:
     def _windows(self, s: Fraction, step: Fraction, end: Fraction):
         while s < end:
             t = min(s + step, end)
-            yield t, self.eval_scaled(s, t)
+            yield t, self.eval(s, t).value
             s = t
 
     def coeff(self, s, t, basis) -> Fraction:
@@ -517,20 +501,18 @@ class _LiftTable:
             out[p] = u
         return out
 
-    def scaled(self, x: _Positions) -> Scaled:
-        """x as a Scaled form, keyed by basis elements in table order."""
+    def comb(self, x: _Positions) -> LinComb:
+        """x as a LinComb, keyed by basis elements in table order."""
         charge(len(x.pos))
-        return Scaled(dict(zip(map(self.keys.__getitem__, x.pos), x.nums)), x.den)
+        return LinComb._make(dict(zip(map(self.keys.__getitem__, x.pos), x.nums)), x.den)
 
-    def positions(self, x: Scaled) -> _Positions | None:
+    def positions(self, x: LinComb) -> _Positions | None:
         """x on the table's positions, as it is; None when x holds a key
-        outside the table (past the level, or not in the basis) or a zero."""
+        outside the table (past the level, or not in the basis)."""
         index = self.index
         try:
             terms = sorted((index[b], n) for b, n in x.nums.items())
         except KeyError:
-            return None
-        if not all(n for _, n in terms):
             return None
         return _Positions(tuple(p for p, _ in terms), [n for _, n in terms], x.den)
 
@@ -550,7 +532,7 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
     d = path.dim
     algebra = concat_deshuffle_instance(d) if flavor == "geometric" else gl_instance(d)
     table = _lift_table(algebra, level)
-    one = Scaled.term(algebra.unit)
+    one = algebra.one()
     times, values = path.times, path.values
     # per linear piece: the increment over all of it, and its slope
     rises = [tuple(x1 - x0 for x0, x1 in zip(v0, v1)) for v0, v1 in zip(values, values[1:])]
@@ -580,18 +562,18 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
     # character: the branched flavor multiplies by admissible cuts
     product = table.product if flavor == "geometric" else table.cut_product
 
-    def chain(pieces: list[tuple[Fraction, ...]]) -> Scaled:
+    def chain(pieces: list[tuple[Fraction, ...]]) -> LinComb:
         """The Chen product of the pieces' closed forms, on the table's
-        positions, with one Scaled form built at the end."""
+        positions, with one LinComb built at the end."""
         charge(20 * len(pieces))
         acc = closed_form(pieces[0])
         for increment in pieces[1:]:
             acc = product(acc, closed_form(increment))
-        return table.scaled(acc)
+        return table.comb(acc)
 
-    def evaluate_scaled(s: Fraction, t: Fraction) -> Scaled:
+    def evaluate(s: Fraction, t: Fraction) -> TruncatedElement:
         pieces = increments(s, t)
-        return chain(pieces) if pieces else one
+        return TruncatedElement(chain(pieces) if pieces else one, level, algebra)
 
     def walk(start: Fraction, step: Fraction, end: Fraction):
         """``RoughLift.steps`` with the knots walked once: the times as ints
@@ -624,7 +606,7 @@ def _lift_factory(path: PiecewiseLinearPath, level: int, flavor: str) -> RoughLi
             yield Fraction(t, den), value
             s = t
 
-    return RoughLift(flavor, d, level, evaluate_scaled=evaluate_scaled, walk=walk)
+    return RoughLift(flavor, d, level, evaluate, walk=walk)
 
 
 def signature_lift(path: PiecewiseLinearPath, level: int) -> RoughLift:
@@ -658,16 +640,17 @@ def check_rough_axioms(
 ) -> CheckReport:
     """Exact character/Chen/inverse verification plus empirical Hölder ratios.
 
-    Every exact law works on the ``Scaled`` forms of the lift's values,
-    read once per (s, t) by ``RoughLift.scaled_grid``, which raises
-    ValueError naming (s, t) for a value outside the lift's algebra: the
-    identity, group-like, Chen and inverse laws compare canonical forms of
-    both sides, and the character law compares integer numerators.  The
-    Chen products run on the product rows of the lifts' table
-    (``_LiftTable.product``), not on the admissible cuts a branched lift's
-    chain takes, so the law cross-checks that chain; a value holding a key
-    outside the table is multiplied by ``scaled_product``.  The Hölder
-    ratios read the same forms, one float per coefficient.
+    Every exact law works on the lift's values, read once per (s, t) by
+    ``RoughLift.grid_values``, which raises ValueError naming (s, t) for a
+    value outside the lift's algebra: the identity, Chen and inverse laws
+    compare canonical forms of both sides, the group-like law is
+    ``series.is_grouplike``, whose witness is the first term of its defect,
+    and the character law compares integer numerators.  The Chen products
+    run on the product rows of the lifts' table (``_LiftTable.product``), not
+    on the admissible cuts a branched lift's chain takes, so the law
+    cross-checks that chain; a value holding a key outside the table is
+    multiplied by the algebra's ``product``.  The Hölder ratios read the
+    same numerators, one float per coefficient.
     """
     grid = [to_fraction(u) for u in grid]
     if len(grid) < 3:
@@ -678,9 +661,9 @@ def check_rough_axioms(
     )
     basis = _nonunit_basis(lift)
     algebra = lift.algebra
-    one = Scaled.term(algebra.unit)
+    one = algebra.one()
 
-    X = lift.scaled_grid(grid)
+    X = lift.grid_values(grid)
     points = list(enumerate(grid))
 
     def identity_failures():
@@ -693,15 +676,12 @@ def check_rough_axioms(
     def grouplike_failures():
         for i, s in points:
             for j, t in points:
-                g = X[i][j]
-                cop = algebra.scaled_coproduct(g)
-                square = bilinear_scaled(g, g, outer, level)
-                if cop != square or g.nums.get(algebra.unit) != g.den:
-                    first = _first_difference(cop, square)
-                    if first is None:  # only X_st = 0 has no defect term, and counit 0
+                ok, defect = is_grouplike(TruncatedElement(X[i][j], level, algebra))
+                if not ok:
+                    if defect.is_zero():  # only X_st = 0 has no defect term, and counit 0
                         yield f"not group-like at (s,t)=({s},{t}); counit 0"
                     else:
-                        left, right = first
+                        left, right = next(iter(defect.nums))
                         yield f"not group-like at (s,t)=({s},{t}); defect term {left} (x) {right}"
                     return
 
@@ -721,7 +701,7 @@ def check_rough_axioms(
         for i, s in points:
             for j, t in points:
                 charge(2 * len(pairs))
-                nums, den = X[i][j]
+                nums, den = X[i][j].nums, X[i][j].den
                 for b1, b2, row in pairs:
                     lhs = den * sum(c * nums.get(w, 0) for w, c in row)
                     if lhs != nums.get(b1, 0) * nums.get(b2, 0):
@@ -731,13 +711,13 @@ def check_rough_axioms(
     report.run("character", character_failures())
 
     # a value holding a key outside the table has no positions: its
-    # products go through scaled_product
+    # products go through the algebra's product
     table = _lift_table(algebra, level)
     P = [[table.positions(x) for x in row] for row in X]
 
     def chen_holds(i: int, j: int, k: int) -> bool:
         if P[i][j] is None or P[j][k] is None:
-            return algebra.scaled_product(X[i][j], X[j][k], level) == X[i][k]
+            return algebra.product(X[i][j], X[j][k], level) == X[i][k]
         return table.product(P[i][j], P[j][k]) == P[i][k]
 
     def chen_failures():
@@ -756,7 +736,7 @@ def check_rough_axioms(
     def inverse_failures():
         for i, s in points:
             for j, t in points:
-                inverse = linear_scaled(
+                inverse = LinComb.linear(
                     X[i][j], lambda b: antipode(b, "right") if b.grade <= level else ())
                 if X[j][i] != inverse:
                     yield f"inverse law fails on (s,t)=({s},{t})"
@@ -773,7 +753,7 @@ def check_rough_axioms(
             if dt == 0:
                 continue
             charge(2 * len(basis))
-            nums, den = X[i][j]
+            nums, den = X[i][j].nums, X[i][j].den
             for b in basis:
                 c = abs(nums.get(b, 0) / den)  # rounds as float(Fraction) does
                 ratios[b] = max(ratios[b], c / dt ** (gamma * b.grade))
@@ -785,15 +765,6 @@ def check_rough_axioms(
         )
     )
     return report
-
-
-def _first_difference(x: Scaled, y: Scaled):
-    """The first key where x and y differ, in the term order of x - y: the
-    keys of x in order, then those only y has; None when x == y."""
-    for k, n in x.nums.items():
-        if n * y.den != y.nums.get(k, 0) * x.den:
-            return k
-    return next((k for k in y.nums if k not in x.nums), None)
 
 
 def holder_norm_estimate(lift: RoughLift, grid: Sequence, gamma) -> float:
@@ -885,13 +856,12 @@ def kernel_condition_witness(lift: RoughLift, grid: Sequence):
     # whether <x, X_st> is zero does not depend on the scale of x or X_st, so
     # the scan tests integer dot products and builds the Fraction of the
     # witness only
-    kernel_nums = [dict(zip(x.terms, numerators(list(x.terms.values()))[0])) for x in kernel]
     for s in grid:
         for t in grid:
-            charge(2 * sum(map(len, kernel_nums)))
-            value = lift.eval_scaled(s, t)
-            for x, x_nums in zip(kernel, kernel_nums):
-                if sum(c * value.nums.get(f, 0) for f, c in x_nums.items()):
+            charge(2 * sum(map(len, kernel)))
+            value = lift.eval(s, t).value.nums
+            for x in kernel:
+                if sum(c * value.get(f, 0) for f, c in x.nums.items()):
                     return (x, s, t, lift.value(s, t, x))
     return None
 

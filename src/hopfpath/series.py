@@ -3,7 +3,9 @@
 Products discard all terms above the truncation level, i.e. everything lives
 in the quotient by the ideal of high grades.  exp and log are mutually inverse
 at every level in exact rational arithmetic; group-likes and primitives are
-recognized with an explicit defect witness.
+recognized with an explicit defect witness.  Elements are LinCombs, integer
+numerators over one denominator, and products and power series run on that
+form.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .hopf_core import HopfInstance, concat_deshuffle_instance
-from .linalg import LinComb, Scaled, TensorComb, accum, nullspace, scaled_sum
+from .linalg import LinComb, TensorComb, _accumulate, nullspace
 from .symbols import Forest, Word, forests, trees
 from .work import charge
 
@@ -101,26 +103,25 @@ def _power_series(x: TruncatedElement, weights: Iterator[Fraction]) -> Truncated
     """sum_k w_k x^k over the weights w_0, w_1, ... for k = 0..level, x^0
     the unit, up to the first power that vanishes.
 
-    The powers chain as ``Scaled`` forms, each product cut at the level, and
-    ``scaled_sum`` adds them once, in integers over the lcm of the weights'
-    and the powers' denominators, in the order of the LinComb sum.  Each
-    weight is read as the chain reaches its power, and each power x^k is
-    charged k units a term, as its keys have grade k or more, and by its
-    bits and its weight's, which that sum multiplies.
+    The powers chain, each product cut at the level, and
+    ``LinComb.weighted_sum`` adds them once, in integers over the lcm of the
+    weights' and the powers' denominators.  Each weight is read as the chain
+    reaches its power, and each power x^k is charged k units a term, as its
+    keys have grade k or more, and by its bits and its weight's, which that
+    sum multiplies.
     """
     level, algebra = x.level, x.algebra
-    u = Scaled.of(x.value.terms)
-    power = Scaled.term(algebra.unit)
+    power = algebra.one()
     powers = []
     for k, w in zip(range(level + 1), weights):
         if k:
-            power = algebra.scaled_product(power, u, level)
+            power = algebra.product(power, x.value, level)
             if not power.nums:
                 break
         bits = w.numerator.bit_length() + w.denominator.bit_length() + power.den.bit_length()
         charge(len(power.nums) * (k + bits // 8) + sum(map(int.bit_length, power.nums.values())) // 8)
         powers.append((w, power))
-    return TruncatedElement(scaled_sum(powers).lincomb(), level, algebra)
+    return TruncatedElement(LinComb.weighted_sum(powers), level, algebra)
 
 
 def exp_trunc(x: TruncatedElement) -> TruncatedElement:
@@ -167,14 +168,19 @@ def is_primitive(x: TruncatedElement) -> tuple[bool, TensorComb]:
 
 
 def grouplike_defect(g: TruncatedElement) -> TensorComb:
-    return g.algebra.coproduct(g.value) - TensorComb.of(g.value, g.value, max_grade=g.level)
+    """Delta g - g (x) g, the square cut at g's level: the one group-like
+    test, whose first term is the witness of a failure.  Equal sides, the
+    common case, are compared before any difference is taken."""
+    cop = g.algebra.coproduct(g.value)
+    square = TensorComb.of(g.value, g.value, max_grade=g.level)
+    return TensorComb.zero() if cop == square else cop - square
 
 
 def is_grouplike(g: TruncatedElement) -> tuple[bool, TensorComb]:
-    if g.counit() != 1:
-        return False, grouplike_defect(g)
+    """Whether g is group-like at its level (counit 1, zero defect), and the
+    defect."""
     defect = grouplike_defect(g)
-    return defect.is_zero(), defect
+    return g.counit() == 1 and defect.is_zero(), defect
 
 
 def primitive_basis(instance: HopfInstance, k: int) -> list[LinComb]:
@@ -208,12 +214,10 @@ def _rnb_word(w: Word) -> LinComb:
         return LinComb.zero()
     if w.grade == 1:
         return LinComb.term(w)
-    head = Word(w.letters[:1])
-    acc: dict = {}
-    for u, c in _rnb_word(Word(w.letters[1:])):
-        accum(acc, head.concat(u), c)
-        accum(acc, u.concat(head), -c)
-    return LinComb(acc, _clean=True)
+    head, rest = Word(w.letters[:1]), _rnb_word(Word(w.letters[1:]))
+    # head u - u head per term of the rest, the two words added in that order
+    parts = ((((head.concat(u), n), (u.concat(head), -n)), 1) for u, n in rest.nums.items())
+    return LinComb.from_nums(_accumulate(parts), rest.den)
 
 
 def right_norm_bracketing(x: LinComb) -> LinComb:

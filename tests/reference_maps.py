@@ -1,10 +1,11 @@
 """The structure maps of the five built-in algebras as LinComb/TensorComb
 recursions, kept as test references for the integer rows the library reads.
 
-Each map builds its combination of Fractions term by term, in the order the
-library's rows promise: ``_row`` of a reference value must equal the row,
-term for term.  ``admissible_cuts`` counts the cuts of a forest by brute
-force, an oracle independent of the coproduct's recursion.
+Each map builds its combination term by term, in the order the library's
+rows promise: ``_row`` of a reference value must equal the row, term for
+term.  ``admissible_cuts`` counts the cuts of a forest by brute force, an
+oracle independent of the coproduct's recursion.  ``FractionComb`` is the
+reference for the combination type itself: one Fraction per term in a dict.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from hopfpath.hopf_ck import _graft_counts, _sub_forests, symmetry_factor
 from hopfpath.hopf_core import deconcat_tuples, deshuffle_tuples
-from hopfpath.linalg import LinComb, TensorComb, accum
+from hopfpath.linalg import LinComb, TensorComb, format_scalar
 from hopfpath.symbols import (
     EMPTY_FOREST,
     Forest,
@@ -24,6 +25,13 @@ from hopfpath.symbols import (
     multiindex_binomial,
     multiplicative,
 )
+
+
+def accum(acc: dict, key, value):
+    """Add value to acc[key] in place, dropping the key when the sum is zero."""
+    acc[key] = acc.get(key, 0) + value
+    if not acc[key]:
+        del acc[key]
 
 
 def poly_product(n: MultiIndex, m: MultiIndex) -> LinComb:
@@ -170,3 +178,60 @@ MAPS = {
     "ck": (ck_product, ck_coproduct),
     "gl": (gl_product, forest_deconcat),
 }
+
+
+class FractionComb:
+    """A combination as a dict of nonzero Fractions, one per key, with the
+    sums, scaling, truncation, term order, text and JSON of LinComb (keys
+    that are basis elements) or TensorComb (pairs of them, ``tensor``)."""
+
+    def __init__(self, terms: dict, tensor: bool = False):
+        self.terms = {k: Fraction(c) for k, c in terms.items() if c}
+        self.tensor = tensor
+
+    def _new(self, terms: dict) -> "FractionComb":
+        return FractionComb(terms, self.tensor)
+
+    def __add__(self, other: "FractionComb") -> "FractionComb":
+        acc = dict(self.terms)
+        for k, c in other.terms.items():
+            accum(acc, k, c)
+        return self._new(acc)
+
+    def __neg__(self) -> "FractionComb":
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "FractionComb") -> "FractionComb":
+        return self + -other
+
+    def scale(self, s) -> "FractionComb":
+        s = Fraction(s)
+        return self._new({k: s * c for k, c in self.terms.items()} if s else {})
+
+    def __eq__(self, other) -> bool:
+        return self.terms == other.terms
+
+    def coeff(self, key) -> Fraction:
+        return self.terms.get(key, Fraction(0))
+
+    def truncate(self, max_grade: int) -> "FractionComb":
+        grade = (lambda k: k[0].grade + k[1].grade) if self.tensor else (lambda k: k.grade)
+        return self._new({k: c for k, c in self.terms.items() if grade(k) <= max_grade})
+
+    def sorted_terms(self) -> list:
+        if self.tensor:
+            return sorted(self.terms.items(), key=lambda kc: (kc[0][0].sort_key(),
+                                                              kc[0][1].sort_key()))
+        return sorted(self.terms.items(), key=lambda kc: kc[0].sort_key())
+
+    def label(self, key, sep: str) -> str:
+        return f"{key[0]}{sep}{key[1]}" if self.tensor else str(key)
+
+    def text(self, float_mode: bool = False) -> str:
+        parts = [self.label(k, " (x) ") if c == 1
+                 else f"{format_scalar(c, float_mode)}*{self.label(k, ' (x) ')}"
+                 for k, c in self.sorted_terms()]
+        return " + ".join(parts) or "0"
+
+    def to_json(self, float_mode: bool = False) -> dict:
+        return {self.label(k, "⊗"): format_scalar(c, float_mode) for k, c in self.sorted_terms()}

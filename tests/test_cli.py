@@ -537,8 +537,8 @@ class TestSizeGuard:
         err = refused(capsys, *(a.format(path=path_csv) for a in argv))
         size, dim = argv[-1], argv[argv.index("--dim") + 1] if "--dim" in argv else "2"
         first = {
-            "check-rough": f"--grid 9 is too large at --level {size}",
-            "check-model": f"--grid 4 is too large at --level {size}",
+            "check-rough": f"--level {size} is too large at --grid 9",
+            "check-model": f"--level {size} is too large at --grid 4",
             "check-axioms": f"--max-grade {size} is too large at --samples 500, --dim {dim}",
             "rde": f"--level {size} is too large at --step 1/100",
         }.get(argv[0], f"--level {size} is too large")
@@ -612,7 +612,7 @@ class TestSizeGuard:
     def test_samples_refused(self, capsys):
         # about 88 us a sample: 10^8 samples would take hours
         err = refused(capsys, "check-axioms", "--samples", "100000000")
-        assert err == budget_error("--max-grade 4 is too large at --samples 100000000, --dim 2",
+        assert err == budget_error("--samples 100000000 is too large at --max-grade 4, --dim 2",
                                    "check-axioms")
 
     def test_branched_lift_level_8_refused(self, capsys):

@@ -24,7 +24,7 @@ from hopfpath.hopf_core import (
     get_instance,
     identity_map,
     poly_instance,
-    random_scaled,
+    random_combination,
     rows_of,
     shuffle,
     shuffle_deconcat_instance,
@@ -32,15 +32,7 @@ from hopfpath.hopf_core import (
     shuffle_tuples,
     unit_counit_map,
 )
-from hopfpath.linalg import (
-    LinComb,
-    Scaled,
-    TensorComb,
-    linear,
-    linear_scaled,
-    pair,
-    pair_tensor,
-)
+from hopfpath.linalg import LinComb, TensorComb, pair, pair_tensor
 from hopfpath.symbols import MultiIndex, Word, words, words_up_to
 from reference_maps import MAPS as REFERENCE_MAPS, shuffle_placements
 
@@ -264,8 +256,8 @@ class TestAntipode:
         inst = concat_deshuffle_instance(2)
         pool = words_up_to(2, 2)
         for _ in range(25):
-            x = random_scaled(rng, pool).lincomb()
-            y = random_scaled(rng, pool).lincomb()
+            x = random_combination(rng, pool)
+            y = random_combination(rng, pool)
             lhs = inst.antipode(inst.product(x, y))
             rhs = inst.product(inst.antipode(y), inst.antipode(x))
             assert lhs == rhs
@@ -300,7 +292,7 @@ class TestConvolution:
         pool = words_up_to(2, 3)
 
         def rand_table():
-            return {w: random_scaled(rng, pool).lincomb().truncate(3) for w in pool}
+            return {w: random_combination(rng, pool).truncate(3) for w in pool}
 
         for _ in range(5):
             S, T, V = rand_table(), rand_table(), rand_table()
@@ -687,7 +679,7 @@ def test_check_axioms_calls_each_map_once_per_argument(name):
     assert coproducts and max(coproducts.values()) == 1
 
 
-def assert_canonical(x: Scaled):
+def assert_canonical(x: LinComb):
     """Content 1, a positive denominator and no zero numerator."""
     assert type(x.den) is int and x.den > 0
     assert all(type(n) is int and n for n in x.nums.values())
@@ -709,6 +701,23 @@ def scaled_operands(draw):
     return instance, element(), element()
 
 
+def linear_reference(x: LinComb, fn) -> dict:
+    """The linear extension of fn on x, one Fraction per term, summed term
+    by term in the order the terms come."""
+    acc: dict = {}
+    for b, c in x:
+        for k, c2 in fn(b):
+            acc[k] = acc.get(k, 0) + c * c2
+            if not acc[k]:
+                del acc[k]
+    return acc
+
+
+def coproduct_reference(instance: HopfInstance, x: LinComb) -> dict:
+    """Delta x from the instance's coproduct rows, by ``linear_reference``."""
+    return linear_reference(x, instance.coproduct_row)
+
+
 def tensor_product_reference(instance: HopfInstance, a: TensorComb, b: TensorComb) -> dict:
     """(x1 (x) x2)(y1 (x) y2) = x1y1 (x) x2y2 by LinComb products, term pair by term pair."""
     out = TensorComb.zero()
@@ -721,21 +730,20 @@ def tensor_product_reference(instance: HopfInstance, a: TensorComb, b: TensorCom
 
 
 class TestScaledLaws:
-    """The scaled helpers of the exact laws against their LinComb references."""
+    """The helpers of the exact laws against their Fraction references."""
 
     @given(scaled_operands())
     @settings(max_examples=150, deadline=None)
     def test_linear_scaled_and_coproduct(self, case):
         instance, x, _ = case
-        sx = Scaled.of(x.terms)
-        cop = instance.scaled_coproduct(sx)
-        assert cop.lincomb().terms == instance.coproduct(x).terms
-        antipode = linear_scaled(sx, lambda b: instance.antipode_row(b, "right"))
-        closed = linear_scaled(sx, instance.antipode_closed_basis)
-        assert antipode.lincomb() == instance.antipode(x) == closed.lincomb()
+        cop = instance.coproduct(x)
+        assert cop.terms == coproduct_reference(instance, x)
+        antipode = LinComb.linear(x, lambda b: instance.antipode_row(b, "right"))
+        closed = LinComb.linear(x, instance.antipode_closed_basis)
+        assert antipode == instance.antipode(x) == closed
         thirds = lambda b: LinComb.term(b, Fraction(b.grade + 1, 3))  # non-integral constants
-        assert linear_scaled(sx, thirds).lincomb().terms == linear(x, thirds)
-        for y in (cop, antipode, closed, linear_scaled(sx, thirds)):
+        assert LinComb.linear(x, thirds).terms == linear_reference(x, thirds)
+        for y in (cop, antipode, closed, LinComb.linear(x, thirds)):
             assert_canonical(y)
 
     @given(scaled_operands())
@@ -743,8 +751,8 @@ class TestScaledLaws:
     def test_multiply_tensors(self, case):
         instance, x, y = case
         a, b = instance.coproduct(x), instance.coproduct(y)
-        got = instance.multiply_tensors(Scaled.of(a.terms), Scaled.of(b.terms))
-        assert got.lincomb().terms == tensor_product_reference(instance, a, b)
+        got = instance.multiply_tensors(a, b)
+        assert got.terms == tensor_product_reference(instance, a, b)
         assert_canonical(got)
 
     @given(basis_tuples(1))
@@ -756,7 +764,7 @@ class TestScaledLaws:
             assert instance.antipode_row(b, side) is instance.antipode_row(b, side)
 
     def test_random_draws_unchanged(self):
-        # the Fraction sums the seeded draws made before they were scaled forms
+        # the Fraction sums the seeded draws made before they were integer forms
         def reference(rng, pool, max_terms=3):
             terms = {}
             for _ in range(rng.randint(1, max_terms)):
@@ -770,14 +778,14 @@ class TestScaledLaws:
             want_rng, rng = random.Random(seed), random.Random(seed)
             for _ in range(30):
                 want = reference(want_rng, pool)
-                x = random_scaled(rng, pool)
+                x = random_combination(rng, pool)
                 assert_canonical(x)
-                assert x.lincomb() == want and list(x.lincomb()) == list(want)
+                assert x == want and list(x) == list(want)
             assert rng.random() == want_rng.random()
 
     @pytest.mark.parametrize("size", [1, 13, 100])
     def test_draw_stream_pinned(self, size):
-        # random_scaled draws through rng._randbelow, the primitive randint and
+        # random_combination draws through rng._randbelow, the primitive randint and
         # choice end in: its values, term orders and the generator's state after
         # each draw are those of the calls below, on every CPython the CI runs
         def reference(rng, pool, max_terms):
@@ -789,7 +797,7 @@ class TestScaledLaws:
                 nums = {k: v * (lcm // den) for k, v in nums.items()}
                 den = lcm
                 nums[b] = nums.get(b, 0) + n * (lcm // q)
-            return Scaled.of({k: v for k, v in nums.items() if v}, den)
+            return LinComb.from_nums({k: v for k, v in nums.items() if v}, den)
 
         pool = words_up_to(3, 4)[:size]
         assert len(pool) == size
@@ -797,7 +805,7 @@ class TestScaledLaws:
             want_rng, rng = random.Random(seed), random.Random(seed)
             for max_terms in (1, 3, 7) * 10:
                 want = reference(want_rng, pool, max_terms)
-                x = random_scaled(rng, pool, max_terms)
+                x = random_combination(rng, pool, max_terms)
                 assert x == want and list(x.nums) == list(want.nums)
                 assert rng.getstate() == want_rng.getstate()
 
@@ -807,7 +815,7 @@ class TestScaledLaws:
         state = rng.getstate()
         for pool, max_terms in (((), 3), ((W(1),), 0)):
             with pytest.raises(ValueError, match="max_terms >= 1 and a nonempty pool"):
-                random_scaled(rng, pool, max_terms)
+                random_combination(rng, pool, max_terms)
         assert rng.getstate() == state
 
     @pytest.mark.parametrize("name", ALGEBRAS)
@@ -823,11 +831,11 @@ class TestScaledLaws:
         closed = dataclasses.replace(base, antipode_closed_basis=lambda b: LinComb({b: 0.5}))
         with pytest.raises(TypeError, match="not an exact scalar: 0.5"):
             check_axioms(closed, 2, samples=0)
-        sx = Scaled.of({base.unit: 1})
+        one = LinComb.term(base.unit)
         with pytest.raises(TypeError, match="not an exact scalar: 1.5"):
-            linear_scaled(sx, lambda b: (((b, b), 1.5),))
+            TensorComb.linear(one, lambda b: (((b, b), 1.5),))
         with pytest.raises(TypeError, match="not an exact scalar: 1.0"):
-            floaty.scaled_product(sx, sx)
+            floaty.product(one, one)
 
 
 # ---------------------------------------------------------------------------

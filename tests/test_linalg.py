@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -9,21 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from hopfpath.hopf_core import get_instance
 from hopfpath.linalg import (
+    Combination,
     KindMismatchError,
     LinComb,
-    Scaled,
     TensorComb,
-    bilinear,
-    bilinear_scaled,
     format_lincomb,
-    linear,
-    linear_scaled,
     lincomb_to_json,
     nullspace,
     numerators,
     pair,
     pair_tensor,
-    scaled_sum,
 )
 from hopfpath.symbols import MultiIndex, Tree, Word
 
@@ -70,8 +66,8 @@ class TestArithmetic:
         lambda c: TensorComb.term(W(1), dot, c),
         lambda c: LinComb.term(W(1)).scale(c),
         lambda c: c * TensorComb.term(W(1), dot),
-        lambda c: Scaled.of({W(1): Fraction(1, 2), W(2): c}),
-    ], ids=["LinComb", "LinComb.term", "TensorComb.term", "scale", "rmul", "Scaled.of"])
+        lambda c: LinComb.from_nums({W(1): Fraction(1, 2), W(2): c}),
+    ], ids=["LinComb", "LinComb.term", "TensorComb.term", "scale", "rmul", "from_nums"])
     def test_a_float_is_refused_by_name(self, make):
         # exact scalars are the only scalars: a float is neither rounded nor kept
         with pytest.raises(TypeError, match=re.escape("0.1")):
@@ -361,8 +357,8 @@ class TestAccumulator:
     @settings(max_examples=300, deadline=None)
     def test_product_and_coproduct(self, case):
         inst, level, x, y = case
-        got = bilinear(x, y, inst.product_basis, level)
-        assert exactly(got) == exactly(ref_bilinear(x, y, inst.product_basis, level))
+        got = LinComb.bilinear(x, y, inst.product_basis, level)
+        assert exactly(got.terms) == exactly(ref_bilinear(x, y, inst.product_basis, level))
         assert exactly(inst.product(x, y).terms) == exactly(
             ref_bilinear(x, y, inst.product_basis)
         )
@@ -375,24 +371,22 @@ class TestAccumulator:
         # with Fraction constants: the reference's values in its term order, in
         # canonical form
         inst, level, x, y = case
-        sx, sy = Scaled.of(x.terms), Scaled.of(y.terms)
-        assert sx.lincomb() == x and math.gcd(sx.den, *sx.nums.values()) == 1
+        assert LinComb(x.terms) == x and math.gcd(x.den, *x.nums.values()) == 1
         halves = lambda a, b: [(k, c * Fraction(1, 2)) for k, c in inst.product_basis(a, b)]
         for fn in (inst.product_basis, inst.product_row, halves):
             for bound in (level, None):
-                got = bilinear_scaled(sx, sy, fn, bound)
-                assert exactly(got.lincomb().terms) == exactly(ref_bilinear(x, y, fn, bound))
+                got = LinComb.bilinear(x, y, fn, bound)
+                assert exactly(got.terms) == exactly(ref_bilinear(x, y, fn, bound))
                 assert got.den > 0 and math.gcd(got.den, *got.nums.values()) == 1
 
     @given(operands())
     @settings(max_examples=200, deadline=None)
     def test_scaled_linear(self, case):
         inst, _, x, _ = case
-        sx = Scaled.of(x.terms)
         halves = lambda b: [(k, c * Fraction(1, 2)) for k, c in inst.coproduct_row(b)]
         for fn in (inst.coproduct_row, halves):
-            got = linear_scaled(sx, fn)
-            assert exactly(got.lincomb().terms) == exactly(ref_linear(x, fn))
+            got = TensorComb.linear(x, fn)
+            assert exactly(got.terms) == exactly(ref_linear(x, fn))
             assert got.den > 0 and math.gcd(got.den, *got.nums.values()) == 1
 
     @given(operands())
@@ -417,7 +411,7 @@ class TestAccumulator:
         # non-integral constants give the reference's Fractions, whatever the operands
         tenths = lambda b: LinComb({b: Fraction(b.grade + 1, 10), inst.unit: Fraction(1, 3)})
         assert exactly(x.map_basis(tenths).terms) == exactly(ref_linear(x, tenths))
-        assert exactly(bilinear(x, y, lambda a, b: tenths(a), level)) == exactly(
+        assert exactly(LinComb.bilinear(x, y, lambda a, b: tenths(a), level).terms) == exactly(
             ref_bilinear(x, y, lambda a, b: tenths(a), level)
         )
 
@@ -427,18 +421,18 @@ class TestAccumulator:
         zero = LinComb.zero()
         assert inst.product(x, zero).is_zero() and inst.product(zero, x).is_zero()
         assert inst.coproduct(zero).is_zero() and TensorComb.of(x, zero).is_zero()
-        assert linear([], inst.coproduct_basis) == {}
-        # zero coefficients in a raw operand leave no key behind
+        assert TensorComb.linear(zero, inst.coproduct_basis) == TensorComb.zero()
+        # a zero coefficient is dropped as the operand is built, so it leaves no key behind
         raw = [(W(1), Fraction(0)), (W(2), Fraction(2, 3))]
-        got = bilinear(raw, x, inst.product_basis)
-        assert exactly(got) == exactly(ref_bilinear(raw, x, inst.product_basis))
+        got = LinComb.bilinear(LinComb(dict(raw)), x, inst.product_basis)
+        assert exactly(got.terms) == exactly(ref_bilinear(raw, x, inst.product_basis))
 
     def test_cancellation_drops_and_reinserts_keys(self):
         # the running sum of k hits zero and k comes back at the end
         fn = lambda b: [("k", b), ("m", 1)]
         x = [(1, Fraction(1, 2)), (-1, Fraction(1, 2)), (2, Fraction(1, 3))]
-        got = linear(x, fn)
-        assert list(got) == ["m", "k"] and exactly(got) == exactly(ref_linear(x, fn))
+        got = Combination.linear(Combination(dict(x)), fn)
+        assert list(got.nums) == ["m", "k"] and exactly(got.terms) == exactly(ref_linear(x, fn))
 
     @pytest.mark.parametrize("order", ["descending", "interleaved"])
     @pytest.mark.parametrize("mode", ["exact"])
@@ -456,8 +450,8 @@ class TestAccumulator:
         tenths = lambda a, b: [(a.concat(b), Fraction(a.grade + 1, 10)), (b, Fraction(1, 3))]
         for fn in (inst.product_basis, tenths):
             for level in (-1, 0, 1, 2, 3, 4, 6):
-                got = bilinear(x, y, fn, level)
-                assert exactly(got) == exactly(ref_bilinear(x, y, fn, level))
+                got = LinComb.bilinear(LinComb(dict(x)), LinComb(dict(y)), fn, level)
+                assert exactly(got.terms) == exactly(ref_bilinear(x, y, fn, level))
 
     def test_numerators(self):
         assert numerators([Fraction(1, 2), Fraction(-2, 3), 4]) == ([3, -4, 24], 6)
@@ -472,14 +466,14 @@ class TestAccumulator:
     @settings(max_examples=200, deadline=None)
     def test_scaled_sum(self, terms):
         # against the LinComb sum of the scaled terms: value, term order and canonical form
-        terms = [(Fraction(p, q), Scaled.of({k: Fraction(*c) for k, c in x.items() if c[0]}))
+        terms = [(Fraction(p, q), LinComb({k: Fraction(*c) for k, c in x.items() if c[0]}))
                  for p, q, x in terms]
         want = LinComb.zero()
         for w, x in terms:
-            want = want + x.lincomb().scale(w)
-        got = scaled_sum(terms)
-        assert list(got.lincomb()) == list(want)
-        assert got == Scaled.of(want.terms)
+            want = want + x.scale(w)
+        got = LinComb.weighted_sum(terms)
+        assert list(got) == list(want)
+        assert got == LinComb(want.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -557,3 +551,96 @@ class TestSparseNullspace:
     def test_int_and_text_entries(self):
         rows = [[1, 2, "1/2"], [0, "3", 1]]
         assert nullspace(rows) == gauss_jordan_nullspace(rows)
+
+
+# ---------------------------------------------------------------------------
+# the combination type against a dict of Fractions, one per term
+
+
+WORD_KEYS = [Word(()), W(1), W(2), W(1, 2), W(2, 1), W(1, 1, 2), W(2, 2, 2, 1)]
+PAIR_KEYS = [(a, b) for a in WORD_KEYS[:4] for b in WORD_KEYS[:4]]
+# small, cancelling and large-denominator coefficients
+COEFFS = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**15),
+)
+
+
+@st.composite
+def combination_cases(draw):
+    """Word or pair keys, three coefficient dicts, the second cancelling some
+    of the first's terms, a scalar (zero included) and a grade bound."""
+    tensor = draw(st.booleans())
+    keys = st.sampled_from(PAIR_KEYS if tensor else WORD_KEYS)
+    a = draw(st.dictionaries(keys, COEFFS, max_size=6))
+    b = draw(st.dictionaries(keys, COEFFS, max_size=6))
+    for k in draw(st.lists(st.sampled_from(sorted(a, key=str)), unique=True)) if a else ():
+        b[k] = -a[k]
+    c = draw(st.dictionaries(keys, COEFFS, max_size=6))
+    return tensor, a, b, c, draw(COEFFS | st.just(Fraction(0))), draw(st.integers(0, 5))
+
+
+def assert_canonical_form(x):
+    """No zero numerator, a positive denominator, content 1."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(n) is int and n for n in x.nums.values())
+    assert math.gcd(x.den, *x.nums.values()) == 1
+
+
+def assert_same(got, want):
+    """got, a LinComb or TensorComb, reads as the reference want does:
+    terms, their order, coefficients, sorted terms, text, JSON and repr."""
+    assert_canonical_form(got)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert list(got) == list(want.terms.items()) and len(got) == len(want.terms)
+    for k in (PAIR_KEYS if want.tensor else WORD_KEYS):
+        assert (got.coeff(*k) if want.tensor else got.coeff(k)) == want.coeff(k)
+    assert got.sorted_terms() == want.sorted_terms()
+    for float_mode in (False, True):
+        assert format_lincomb(got, float_mode) == want.text(float_mode)
+        assert list(lincomb_to_json(got, float_mode).items()) == list(
+            want.to_json(float_mode).items())
+    assert str(got) == want.text()
+    assert repr(got) == f"{type(got).__name__}({want.terms!r})"
+
+
+class TestCombinationForm:
+    """Integer numerators over one denominator read as one Fraction per term."""
+
+    @given(combination_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_against_the_fraction_dicts(self, case):
+        from reference_maps import FractionComb
+
+        tensor, *dicts, s, bound = case
+        comb = TensorComb if tensor else LinComb
+        (a, b, c), (ra, rb, rc) = ([comb(d) for d in dicts],
+                                   [FractionComb(d, tensor) for d in dicts])
+        truncate = (lambda x, m: x.truncate_total(m)) if tensor else (lambda x, m: x.truncate(m))
+        pairs = [(a, ra), (a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
+                 (a.scale(s), ra.scale(s)), (s * (a + b - c), (ra + rb - rc).scale(s)),
+                 (truncate(a, bound), ra.truncate(bound)),
+                 (truncate(a + b, bound) - c, (ra + rb).truncate(bound) - rc)]
+        for got, want in pairs:
+            assert_same(got, want)
+        # equality is structural, with equal hashes for equal values
+        for (x, rx), (y, ry) in itertools.product(pairs, repeat=2):
+            assert (x == y) == (rx == ry)
+            if x == y:
+                assert hash(x) == hash(y)
+        assert a + b - b == a and hash(a + b - b) == hash(a)
+        assert comb(dict(reversed(list(a.terms.items())))) == a
+        assert (a.scale(s) == comb.zero()) == (s == 0 or a.is_zero())
+
+    @given(combination_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_a_float_raises(self, case):
+        tensor, a, *_ = case
+        comb = TensorComb if tensor else LinComb
+        key = PAIR_KEYS[1] if tensor else W(1)
+        for make in (lambda: comb({**a, key: 0.5}), lambda: comb(a).scale(0.5),
+                     lambda: comb.from_nums({key: 0.5}), lambda: comb(a) + comb({key: 1.0})):
+            with pytest.raises(TypeError, match="not an exact scalar"):
+                make()

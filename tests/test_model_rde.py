@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from hopfpath.hopf_core import CheckReport
 from hopfpath.hopf_ck import ck_coproduct, ck_instance
-from hopfpath.linalg import LinComb, Scaled, TensorComb, accum
+from hopfpath.linalg import LinComb, TensorComb
 from hopfpath.model_rde import (
     Character,
     DottedForest,
@@ -469,7 +469,7 @@ class TestIntegerModelCheck:
         s, t = GRID[i], GRID[j]
         g = model.character(t, s)
         for b in forests_up_to(2, 3):
-            back = Scaled(row(i, j, b), X[j][i].den).lincomb()
+            back = LinComb.from_nums(dict(row(i, j, b)), X[j][i].den)
             assert back == model.gamma_row(s, t, b) == struct_action(g, LinComb.term(b), "left")
 
     @given(broken_lifts(), st.sampled_from((None, 1, 2, 3, 4)))
@@ -719,6 +719,18 @@ def reference_solve(path, field, y0, gamma, level, step, lift):
     return samples
 
 
+def accum(acc: dict, key, value):
+    """Add value to acc[key] in place, dropping the key when the sum is zero."""
+    acc[key] = acc.get(key, 0) + value
+    if not acc[key]:
+        del acc[key]
+
+
+def form(elt) -> tuple:
+    """A lift value's integer numerators and denominator."""
+    return elt.value.nums, elt.value.den
+
+
 def picard_image(field, coeffs: dict, level: int) -> dict:
     """y 1 + sum_i I(f_i(Y) Xi_i), Y being coeffs cut at grade level - 1, on
     plain dicts of Fractions or floats: ``compose_with_function`` and
@@ -814,7 +826,7 @@ class TestExactStep:
 
     @staticmethod
     def check(field, y, level, elt):
-        nums, den = Scaled.of(elt.value.terms)
+        nums, den = form(elt)
         want = fraction_step(field, y, level, elt)
         # the same type and value: a Fraction for an exact state and field
         assert same_samples([(0, _step_function(field, level)(y, nums, den))], [(0, want)])
@@ -933,7 +945,7 @@ class TestPolynomialStep:
 
     @staticmethod
     def check(field, level, y, elt):
-        nums, den = Scaled.of(elt.value.terms)
+        nums, den = form(elt)
         plan = _polynomial_plan(field, level)
         got = _exact_step(_step_polynomial(plan, nums), plan[0] * den, y)
         assert_reduced_equal(got, fraction_step(field, y, level, elt))
@@ -1058,7 +1070,7 @@ class TestFloatPastCap:
 
     # y' = y (level 1) over (0, 1/2): A(y) = 3y/2, so the step is 3p / 2q
     LINEAR = _polynomial_plan(VectorField.from_spec("linear", 1), 1)
-    HALF = Scaled.of(branched_lift_fn(LINE, 1).eval(0, Fraction(1, 2)).value.terms)
+    HALF = form(branched_lift_fn(LINE, 1).eval(0, Fraction(1, 2)))
 
     @classmethod
     def linear(cls, y):
@@ -1069,14 +1081,14 @@ class TestFloatPastCap:
     @settings(max_examples=60, deadline=None)
     def test_the_float_is_the_demoted_exact_step(self, case):
         field, level, y, elt = case
-        plan, (nums, den) = _polynomial_plan(field, level), Scaled.of(elt.value.terms)
+        plan, (nums, den) = _polynomial_plan(field, level), form(elt)
         got = past_cap(plan, y, nums, den)
         assert got is None or got == demoted(plan, y, nums, den)
 
     def test_integer_states_take_the_exact_step(self):
         # q = 1: one shift from the smaller bit length keeps q whole
         square = _polynomial_plan(VectorField.from_spec("poly:0,0,1", 1), 4)
-        window = Scaled.of(branched_lift_fn(LINE, 4).eval(0, Fraction(1, 100)).value.terms)
+        window = form(branched_lift_fn(LINE, 4).eval(0, Fraction(1, 100)))
         for y in (Fraction(2), Fraction(3**20000), Fraction(-(3**20000))):
             assert past_cap(square, y, *window) is None
         assert demoted(square, Fraction(3**20000), *window) == (
@@ -1094,7 +1106,7 @@ class TestFloatPastCap:
         # is -0.0 below the root and 0.0 above it
         plan = _polynomial_plan(VectorField.from_spec("poly:1,-1", 1), 1)
         for h, sign in ((Fraction(1, 2), -1), (Fraction(1, 2**1100), 1)):
-            window = Scaled.of(branched_lift_fn(LINE, 1).eval(0, h).value.terms)
+            window = form(branched_lift_fn(LINE, 1).eval(0, h))
             y = -h / (1 - h) + sign * Fraction(1, 2**70000 + 1)
             assert past_cap(plan, y, *window) is None
             assert demoted(plan, y, *window) == ("float", "0x0.0p+0" if sign > 0 else "-0x0.0p+0")
@@ -1134,7 +1146,7 @@ class TestFloatPastCap:
         # y' = y (level 1) over (0, 2^-1000) is (2^1000 + 1) y / 2^1000, and a
         # numerator p that 2^1000 divides cancels the window's denominator:
         # M and D together pass the cap by about 1500 bits, the result not
-        window = Scaled.of(branched_lift_fn(LINE, 1).eval(0, Fraction(1, 2**1000)).value.terms)
+        window = form(branched_lift_fn(LINE, 1).eval(0, Fraction(1, 2**1000)))
         q = 3**20000 + 2
         y = Fraction(2**1000 * (2 ** (_EXACT_STATE_BITS - 1500 - q.bit_length()) + 1), q)
         M, D = (2**1000 + 1) * y.numerator, 2**1000 * y.denominator

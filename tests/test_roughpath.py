@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hopfpath import roughpath
 from hopfpath.hopf_core import concat_deshuffle_instance
 from hopfpath.hopf_ck import gl_instance, phi_hat, phi_kernel_basis
-from hopfpath.linalg import LinComb, Scaled
+from hopfpath.linalg import LinComb
 from hopfpath.model_rde import VectorField, check_model, model_from_lift, picard_solve
 from hopfpath.roughpath import (
     KernelConditionError,
@@ -515,10 +515,10 @@ class TestSegmentMemo:
         for s, t in ((0, Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 4)), (1, 1)):
             first = lift.eval(s, t)
             assert lift.eval(s, t) is first
-            assert first.value == lift.eval_scaled(s, t).lincomb()
+            assert first.value == lift._evaluate(Fraction(s), Fraction(t)).value
 
     def test_a_lift_needs_an_evaluator(self):
-        with pytest.raises(TypeError, match="evaluate or evaluate_scaled"):
+        with pytest.raises(TypeError, match="evaluate"):
             RoughLift("geometric", 2, 2)
 
 
@@ -555,16 +555,12 @@ class TestScaledChecks:
 
     @pytest.mark.parametrize("make", [signature_lift, branched_lift_fn])
     def test_scaled_evaluator_gives_the_report_eval_gives(self, make):
-        # a lift with a scaled evaluator is read through it, not through eval
+        # a factory lift, read through its own evaluator, and a hand-made lift
+        # around another one's eval give one report
         lift = make(PATH_2D, 3)
         cfg = RoughPathConfig.make(Fraction(2, 5), lift.flavor)
-
-        def unread(s, t):
-            raise AssertionError(f"eval read at ({s},{t})")
-
-        scaled_only = RoughLift(lift.flavor, 2, 3, unread, lift.eval_scaled)
-        report = check_rough_axioms(scaled_only, cfg, GRID)
-        via_eval = RoughLift(lift.flavor, 2, 3, lift.eval)
+        report = check_rough_axioms(lift, cfg, GRID)
+        via_eval = RoughLift(lift.flavor, 2, 3, make(PATH_2D, 3).eval)
         assert report.to_json() == check_rough_axioms(via_eval, cfg, GRID).to_json()
 
     def test_value_outside_the_lift_algebra_raises(self):
@@ -574,7 +570,7 @@ class TestScaledChecks:
             check_rough_axioms(RoughLift("geometric", 2, 2, lift.eval), cfg, GRID)
 
     def test_every_grid_reader_raises_for_a_value_outside_the_lift_algebra(self):
-        # eval_scaled holds the guard, so the model check and the kernel scan
+        # eval holds the guard, so the model check and the kernel scan
         # raise what check_rough_axioms raises
         lift = branched_lift_fn(PATH_2D, 3)
         wrong = RoughLift("branched", 2, 2, lift.eval)
@@ -664,7 +660,7 @@ class TestScaledLifts:
         make_algebra, segment = FLAVORS[flavor]
         increment = tuple(data.draw(SCALARS) for _ in range(d))
         table = roughpath._lift_table(make_algebra(d), level)
-        got = table.scaled(table.closed_form(increment)).lincomb()
+        got = table.comb(table.closed_form(increment))
         want = segment(increment, level, d)
         assert list(got) == list(want)
         assert all(type(c) is Fraction for _, c in got)
@@ -708,14 +704,15 @@ class TestScaledLifts:
 
 
 class TestEvalScaled:
-    """``eval_scaled`` gives the value ``eval`` gives, as integer numerators
-    over one denominator."""
+    """``eval`` gives its value as integer numerators over one denominator,
+    in the canonical form of its Fractions."""
 
     @staticmethod
     def check(lift, s, t):
-        got, elt = lift.eval_scaled(s, t), lift.eval(s, t)
-        assert got == Scaled.of(elt.value.terms)  # one canonical form, terms and denominator
-        assert list(got.lincomb()) == list(elt.value)
+        got = lift.eval(s, t).value
+        want = LinComb(got.terms)
+        assert got == want  # one canonical form, terms and denominator
+        assert list(got.nums.items()) == list(want.nums.items())
 
     @given(paths_and_windows())
     @settings(max_examples=100, deadline=None)
@@ -741,13 +738,13 @@ class TestEvalScaled:
         ]
         for s, t in windows:
             self.check(lift, s, t)
-        assert lift.eval_scaled(-2, -1) == Scaled.term(lift.algebra.unit)
+        assert lift.eval(-2, -1).value == lift.algebra.one()
 
     def test_a_lift_without_a_scaled_evaluator_reads_eval(self):
         base = branched_lift_fn(PATH_2D, 2)
         lift = RoughLift("branched", 2, 2, base.eval)
         for s, t in ((0, 1), (Fraction(3, 4), Fraction(1, 8)), (Fraction(1, 3), Fraction(1, 3))):
-            assert lift.eval_scaled(s, t) == base.eval_scaled(s, t)
+            assert lift.eval(s, t).value == base.eval(s, t).value
 
 
 @st.composite
@@ -801,7 +798,7 @@ class TestSteps:
         flavor, d, level, times, values, start, step, end = case
         path = PiecewiseLinearPath.from_knots(zip(times, values))
         lift = (signature_lift if flavor == "geometric" else branched_lift_fn)(path, level)
-        plain = RoughLift(flavor, d, level, lift._evaluate, lift._evaluate_scaled)
+        plain = RoughLift(flavor, d, level, lift._evaluate)
         got, want = list(lift.steps(start, step, end)), list(plain.steps(start, step, end))
         assert [t for t, _ in got] == [t for t, _ in want]
         assert all(type(t) is Fraction for t, _ in got)
@@ -811,16 +808,16 @@ class TestSteps:
             u = min(u + step, end)
             ends.append(u)
         assert [t for t, _ in want] == ends
-        assert want[0][1] == lift.eval_scaled(start, ends[0])
+        assert want[0][1] == lift.eval(start, ends[0]).value
 
     def test_windows_at_knots_across_knots_and_past_the_path(self):
         lift = branched_lift_fn(PATH_2D, 3)
-        plain = RoughLift("branched", 2, 3, lift._evaluate, lift._evaluate_scaled)
+        plain = RoughLift("branched", 2, 3, lift._evaluate)
         for start, step, end in ((0, Fraction(1, 4), 1), (0, Fraction(3, 8), Fraction(7, 8)),
                                  (-1, Fraction(1, 2), 2), (0, 5, 1), (-3, 1, -1)):
             assert list(lift.steps(start, step, end)) == list(plain.steps(start, step, end))
         assert list(lift.steps(1, Fraction(1, 4), 1)) == []
-        one = Scaled.term(lift.algebra.unit)
+        one = lift.algebra.one()
         assert list(lift.steps(2, 1, 3)) == [(Fraction(3), one)]
 
     @pytest.mark.parametrize("step", [0, Fraction(-1, 4)])
@@ -831,15 +828,15 @@ class TestSteps:
                 lifted.steps(0, step, 1)
 
 
-def scaled_chain_reference(times, values, flavor, level, s, t) -> Scaled:
-    """A fold of ``scaled_product`` over the reference closed forms of the
-    window's pieces."""
+def product_fold_reference(times, values, flavor, level, s, t) -> LinComb:
+    """A fold of the algebra's ``product`` over the reference closed forms of
+    the window's pieces."""
     make_algebra, segment = FLAVORS[flavor]
     d = len(values[0])
     algebra = make_algebra(d)
-    acc = Scaled.term(algebra.unit)
+    acc = algebra.one()
     for increment in window_increments(times, values, s, t):
-        acc = algebra.scaled_product(acc, Scaled.of(segment(increment, level, d).terms), level)
+        acc = algebra.product(acc, segment(increment, level, d), level)
     return acc
 
 
@@ -879,7 +876,7 @@ class TestCutChain:
                 assert not any(cut_remainders(table, by_cuts, y))
                 by_cuts, by_rows = table.cut_product(by_cuts, y), table.product(by_rows, y)
                 assert by_cuts == by_rows
-            got, want = lift.eval_scaled(a, b), table.scaled(by_rows)
+            got, want = lift.eval(a, b).value, table.comb(by_rows)
             assert list(got.nums.items()) == list(want.nums.items()) and got.den == want.den
 
     @given(axis_paths(flavors=("branched",), max_level=5))
@@ -926,14 +923,13 @@ class TestChenPlan:
         path = PiecewiseLinearPath.from_knots(zip(times, values))
         lift = (signature_lift if flavor == "geometric" else branched_lift_fn)(path, level)
         for a, b in ((s, t), (t, s)):
-            want = scaled_chain_reference(times, values, flavor, level, a, b)
-            assert lift.eval_scaled(a, b) == want
-            assert lift.eval(a, b).value == want.lincomb()
+            want = product_fold_reference(times, values, flavor, level, a, b)
+            assert lift.eval(a, b).value == want
 
     @pytest.mark.parametrize("make", [signature_lift, branched_lift_fn])
     def test_term_order_does_not_depend_on_earlier_evaluations(self, make, fresh_algebras):
         window = (Fraction(1, 8), Fraction(7, 8))
-        first = list(make(PATH_2D, 3).eval_scaled(*window).nums)  # on a cold plan
+        first = list(make(PATH_2D, 3).eval(*window).value.nums)  # on a cold plan
         fresh_algebras()
         # other paths and levels first: rows for other supports and grades
         make(AXIS_PATH, 3).eval(0, 1)
@@ -941,7 +937,7 @@ class TestChenPlan:
         make(PATH_2D, 4).eval(*window)
         make(PATH_2D, 2).eval(*window)
         lift = make(PATH_2D, 3)
-        again = list(lift.eval_scaled(*window).nums)
+        again = list(lift.eval(*window).value.nums)
         keys = roughpath._lift_table(lift.algebra, 3).keys
         assert again == first == [k for k in keys if k in first]
         assert list(lift.eval(*window).value.terms) == first
@@ -966,7 +962,7 @@ class TestChenPlan:
         windows = [(0, 1), (1, 0), (Fraction(1, 8), Fraction(7, 8))]
         visited = set()  # the pairs of nonzero terms whose grades fit the level
         for s, u in windows:
-            lift.eval_scaled(s, u)
+            lift.eval(s, u)
             acc = LinComb.term(base.unit)
             for increment in window_increments(times, values, s, u):
                 piece = segment(increment, level, 3)
@@ -1000,7 +996,7 @@ class TestChenPlan:
         grid = [0, Fraction(1, 8), Fraction(7, 8), 1]
         cfg = RoughPathConfig.make(Fraction(1, level + 1), "branched")
         assert check_rough_axioms(lift, cfg, grid).passed
-        X = [[lift.eval_scaled(s, u).nums for u in grid] for s in grid]
+        X = [[lift.eval(s, u).value.nums for u in grid] for s in grid]
         visited = {(a, b) for i in range(len(grid)) for j in range(len(grid))
                    for k in range(len(grid)) for a in X[i][j] for b in X[j][k]
                    if a.grade + b.grade <= level}

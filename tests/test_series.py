@@ -178,7 +178,7 @@ class TestProductKernel:
 
 
 def reference_exp(x):
-    """exp as a chain of LinComb products and sums, one Fraction per term."""
+    """exp as a chain of LinComb products, scalings and sums."""
     acc = power = trunc_one(x.level, x.algebra)
     factorial = 1
     for k in range(1, x.level + 1):
@@ -191,7 +191,7 @@ def reference_exp(x):
 
 
 def reference_log(g):
-    """log as a chain of LinComb products and sums, one Fraction per term."""
+    """log as a chain of LinComb products, scalings and sums."""
     u = g.sub(trunc_one(g.level, g.algebra))
     acc = TruncatedElement(LinComb.zero(), g.level, g.algebra)
     power = trunc_one(g.level, g.algebra)
@@ -212,7 +212,8 @@ def same_element(got, want) -> bool:
 
 
 class TestScaledSeries:
-    """exp and log of exact elements chain their powers as Scaled forms."""
+    """exp and log of exact elements chain their powers as integer numerators
+    over one denominator."""
 
     @given(sparse_elements(counit_free=True))
     @settings(max_examples=100, deadline=None)
