@@ -57,21 +57,20 @@ def shuffle_tuples(u: tuple, v: tuple) -> dict[tuple, int]:
     """Multiset of interleavings of u and v preserving both orders, keyed in
     the order of the placements of u's letters, taken lexicographically.
 
-    Charged C(n, |u|) (8 + n // 3) units, n = |u| + |v|, on every call
-    before the memo of ``_shuffle_items`` is read; the dict returned is the
-    caller's own.
+    Charged C(n, |u|) (8 + n // 3) units, n = |u| + |v|, on every call; the
+    items come from ``_shuffle_items`` on a memo that lives for this call
+    only, so nothing is kept between calls.
     """
     n = len(u) + len(v)
     charge(math.comb(n, len(u)) * (8 + n // 3))
     if not u or not v:
         return {u + v: 1}
-    return dict(_shuffle_items(u, v))
+    return dict(_shuffle_items(u, v, 0, 0, {}))
 
 
-@functools.lru_cache(maxsize=None)
-def _shuffle_items(u: tuple, v: tuple) -> tuple:
-    """The (word, multiplicity) items of shuffle_tuples(u, v), u and v
-    nonempty, by a memoized prefix recursion.
+def _shuffle_items(u: tuple, v: tuple, i: int, j: int, memo: dict) -> tuple:
+    """The (word, multiplicity) items of the shuffle of u[i:] and v[j:], both
+    nonempty, by a prefix recursion memoized in memo by (i, j).
 
     sh(a u', b v') = a sh(u', b v') + b sh(a u', v'), unrolled along the
     shorter word, so the recursion is only as deep as that word is long:
@@ -79,25 +78,30 @@ def _shuffle_items(u: tuple, v: tuple) -> tuple:
     of u[:q] b sh(u[q:], v'), and otherwise, for u = a u', the sum over
     k = 0, ..., |v| of v[:k] a sh(u', v[k:]).  Either sum meets the words in
     the order of the placements of u's letters; a word met again keeps its
-    first place and adds to its multiplicity.
+    first place and adds to its multiplicity.  Every pair it recurses on is
+    a pair of suffixes of u and v, so (i, j) names it.
     """
+    found = memo.get((i, j))
+    if found is not None:
+        return found
     out: dict = {}
     get = out.get
-    if len(v) <= len(u):
-        b, rest = v[0], v[1:]
-        splits = ((u[:q] + (b,), u[q:], rest) for q in range(len(u), -1, -1))
+    if len(v) - j <= len(u) - i:
+        b = v[j]
+        splits = ((u[i:q] + (b,), q, j + 1) for q in range(len(u), i - 1, -1))
     else:
-        a, rest = u[0], u[1:]
-        splits = ((v[:k] + (a,), rest, v[k:]) for k in range(len(v) + 1))
+        a = u[i]
+        splits = ((v[j:k] + (a,), i + 1, k) for k in range(j, len(v) + 1))
     for head, l, r in splits:
-        if l and r:
-            for w, m in _shuffle_items(l, r):
+        if l < len(u) and r < len(v):
+            for w, m in _shuffle_items(u, v, l, r, memo):
                 w = head + w
                 out[w] = get(w, 0) + m
         else:  # one word is used up: one interleaving
-            w = head + l + r
+            w = head + u[l:] + v[r:]
             out[w] = get(w, 0) + 1
-    return tuple(out.items())
+    found = memo[i, j] = tuple(out.items())
+    return found
 
 
 def deshuffle_tuples(w: tuple) -> dict[tuple[tuple, tuple], int]:

@@ -74,15 +74,13 @@ class Combination:
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, terms: dict | None = None, _clean: bool = False):
+    def __init__(self, terms: dict | None = None):
         """The combination of terms, key -> exact scalar: zeros are dropped
-        and the keys checked, unless _clean says the values are nonzero
-        Fractions or ints on checked keys."""
+        and the keys checked."""
         if terms is None:
             terms = {}
-        if not _clean:
-            terms = {k: c for k, c in zip(terms, map(as_scalar, terms.values())) if c}
-            self._check_keys(*terms)
+        terms = {k: c for k, c in zip(terms, map(as_scalar, terms.values())) if c}
+        self._check_keys(*terms)
         nums, den = numerators(list(terms.values()))
         _set_nums(self, dict(zip(terms, nums)))
         _set_den(self, den)
@@ -381,21 +379,6 @@ class TensorComb(Combination):
     def coeff(self, left, right) -> Fraction:
         n = self.nums.get((left, right))
         return _fraction(n, self.den) if n else Fraction(0)
-
-    def flip(self) -> "TensorComb":
-        return TensorComb._make({(r, l): n for (l, r), n in self.nums.items()}, self.den)
-
-    def truncate_total(self, max_grade: int) -> "TensorComb":
-        return TensorComb.from_nums(
-            {lr: n for lr, n in self.nums.items() if lr[0].grade + lr[1].grade <= max_grade},
-            self.den,
-        )
-
-    def map_left(self, fn: Callable[[object], LinComb]) -> "TensorComb":
-        return TensorComb.linear(self, lambda lr: (((l, lr[1]), c) for l, c in fn(lr[0])))
-
-    def map_right(self, fn: Callable[[object], LinComb]) -> "TensorComb":
-        return TensorComb.linear(self, lambda lr: (((lr[0], r), c) for r, c in fn(lr[1])))
 
     def fold(self, fn: Callable[[object, object], LinComb]) -> LinComb:
         """Apply a bilinear-on-basis map m: (l, r) -> LinComb and sum."""

@@ -17,11 +17,11 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .hopf_core import CheckReport
-from .hopf_ck import ck_coproduct, ck_instance, forest_product
+from .hopf_ck import ck_coproduct, ck_instance
 from .linalg import LinComb, TensorComb, _accumulate, _coprime_fraction
 from .roughpath import PiecewiseLinearPath, RoughLift, branched_lift_fn, to_fraction
 from .series import TruncatedElement, is_grouplike
-from .symbols import EMPTY_FOREST, Forest, Interned, forests_up_to, trees
+from .symbols import EMPTY_FOREST, Forest, Interned, trees
 from .work import charge
 
 
@@ -63,21 +63,6 @@ class DottedForest(Interned):
         return f"{self.forest}*Xi_{self.letter}"
 
 
-def homogeneity(b, gamma) -> Fraction:
-    """Homogeneity: gamma * grade on forests, gamma*(|z|+1) - 1 on dotted."""
-    gamma = to_fraction(gamma)
-    if isinstance(b, Forest):
-        return gamma * b.grade
-    if isinstance(b, DottedForest):
-        return gamma * (b.forest.grade + 1) - 1
-    raise SectorError(f"no homogeneity for {type(b).__name__}")
-
-
-def in_function_sector(x: LinComb) -> bool:
-    """True if supported on the unit and single trees."""
-    return all(isinstance(b, Forest) and b.tree_count() <= 1 for b in x.support())
-
-
 def in_dotted_sector(x: LinComb) -> bool:
     return all(isinstance(b, DottedForest) for b in x.support())
 
@@ -89,20 +74,6 @@ def abstract_integration(x: LinComb) -> LinComb:
     return x.map_basis(
         lambda b: LinComb.term(b.forest.graft(b.letter).as_forest())
     )
-
-
-def derivative_map(x: LinComb) -> LinComb:
-    """Left inverse of integration: the unit dies, |z|_i goes to z*Xi_i."""
-    if not in_function_sector(x):
-        raise SectorError("the derivative map is defined on the function-like sector")
-
-    def on_basis(b: Forest) -> LinComb:
-        if b.is_empty():
-            return LinComb.zero()
-        tree = b.items[0][0]
-        return LinComb.term(DottedForest(tree.children, tree.label))
-
-    return x.map_basis(on_basis)
 
 
 def comodule_coproduct(x: LinComb) -> TensorComb:
@@ -148,90 +119,10 @@ class Character:
             raise ModelError(f"character table has no entry for grade {x.grade}")
         return self.values.get(x, Fraction(0))
 
-    def multiplicativity_witness(self, d: int, max_grade: int):
-        if self(EMPTY_FOREST) != 1:
-            return "g(1) != 1"
-        pool = forests_up_to(d, max_grade)
-        for a in pool:
-            for b in pool:
-                if a.grade + b.grade > max_grade:
-                    continue
-                if self(a.mul(b)) != self(a) * self(b):
-                    return f"g not multiplicative on ({a}, {b})"
-        return None
-
-
-def struct_action(g: Character, x: LinComb, flavor: str = "left") -> LinComb:
-    """(g (x) id) Delta (left) or (id (x) g) Delta (right) on forests."""
-
-    def on_basis(b) -> LinComb:
-        if not isinstance(b, Forest):
-            raise SectorError("struct_action acts on forest combinations")
-        if flavor == "left":
-            return ck_coproduct(b).fold(lambda l, r: LinComb.term(r, g(l)))
-        if flavor == "right":
-            return ck_coproduct(b).fold(lambda l, r: LinComb.term(l, g(r)))
-        raise ValueError(f"unknown flavor {flavor!r}")
-
-    return x.map_basis(on_basis)
-
 
 def comodule_action(g: Character, x: LinComb) -> LinComb:
     """(g (x) id) applied to the comodule coproduct; acts on the full model space."""
     return comodule_coproduct(x).fold(lambda l, r: LinComb.term(r, g(l)))
-
-
-def structure_map_witness(
-    gamma_map: Callable[[LinComb], LinComb], d: int, max_grade: int, gamma
-) -> str | None:
-    """Check the four structure-group properties of an endomap of the model space.
-
-    Returns a witness string on the first violation, else None.  The map is
-    applied to basis combinations of the function-like and dotted sectors.
-    """
-    gamma = to_fraction(gamma)
-    y_basis = [EMPTY_FOREST] + [
-        t.as_forest() for k in range(1, max_grade + 1) for t in trees(d, k)
-    ]
-    dot_basis = [
-        DottedForest(f, i)
-        for f in forests_up_to(d, max_grade - 1)
-        for i in range(1, d + 1)
-    ]
-
-    def lowered(b, image: LinComb) -> bool:
-        delta = image - LinComb.term(b)
-        return all(homogeneity(b2, gamma) < homogeneity(b, gamma) for b2 in delta.support())
-
-    for b in y_basis + dot_basis:
-        image = gamma_map(LinComb.term(b))
-        if not lowered(b, image):
-            return f"(i) fails: Gamma {b} - {b} does not lower homogeneity"
-    for b in y_basis:
-        if not in_function_sector(gamma_map(LinComb.term(b))):
-            return f"(ii) fails: function-like sector not preserved at {b}"
-    for b in dot_basis:
-        if not in_dotted_sector(gamma_map(LinComb.term(b))):
-            return f"(ii) fails: dotted sector not preserved at {b}"
-    for b in dot_basis:
-        x = LinComb.term(b)
-        defect = abstract_integration(gamma_map(x)) - gamma_map(abstract_integration(x))
-        if any(not bb.is_empty() for bb in defect.support()):
-            return f"(iii) fails: integration commutator not a multiple of 1 at {b}"
-    for a in y_basis:
-        for b in dot_basis:
-            if a.grade + b.forest.grade > max_grade - 1:
-                continue
-            prod = LinComb.term(DottedForest(a.mul(b.forest), b.letter))
-            lhs = gamma_map(prod)
-            ga = gamma_map(LinComb.term(a))
-            gb = gamma_map(LinComb.term(b))
-            rhs = LinComb.bilinear(
-                ga, gb, lambda fa, db: ((DottedForest(fa.mul(db.forest), db.letter), 1),)
-            )
-            if lhs != rhs:
-                return f"(iv) fails: Gamma not multiplicative on ({a}, {b})"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +157,7 @@ class Model:
         image = rows.get(b)
         if image is None:
             if not isinstance(b, Forest):
-                raise SectorError("struct_action acts on forest combinations")
+                raise SectorError("Gamma_st acts on forest combinations")
             g = self.character(t, s)
             image = LinComb.linear(ck_coproduct(b), lambda lr: ((lr[1], g(lr[0])),))
             rows[b] = image
@@ -274,7 +165,8 @@ class Model:
 
     def gamma_st(self, s, t) -> Callable[[LinComb], LinComb]:
         """The left structure action of g_ts, applied through the cached rows;
-        ``struct_action`` is the reference it is tested against."""
+        ``struct_action`` in tests/reference_maps.py is the reference it is
+        tested against."""
         self.character(t, s)  # a lift value that is not group-like raises here
         return lambda x: x.map_basis(lambda b: self.gamma_row(s, t, b))
 
@@ -360,7 +252,7 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
     """
     grid = [to_fraction(u) for u in grid]
     max_grade = model.level if max_grade is None else max_grade
-    basis = forests_up_to(model.lift.dim, max_grade)
+    basis = model.lift.algebra.basis_up_to(max_grade)
     cop = ck_instance(model.lift.dim).coproduct_row
     X, row = _gamma_table(model.lift, grid)
     points = list(enumerate(grid))
@@ -555,48 +447,6 @@ class VectorField:
 
 
 # ---------------------------------------------------------------------------
-# composition with a function (truncated Taylor series in the sector)
-
-
-def compose_with_function(
-    Y: LinComb, f: ScalarField, alpha, gamma, xi: int | None = None
-) -> LinComb:
-    """Truncated Taylor composition f(Y) on the function-like sector.
-
-    The output keeps coefficients of homogeneity below alpha; with ``xi``
-    given, the result is multiplied by the noise symbol (homogeneity below
-    alpha + gamma - 1).  The coefficients are exact, so a field whose
-    derivatives are floats (``sine_field``) raises TypeError.
-    """
-    alpha, gamma = to_fraction(alpha), to_fraction(gamma)
-    if not in_function_sector(Y):
-        raise SectorError("composition needs a function-like argument")
-    order = int(alpha / gamma)
-    if f.order is not None and f.order < order:
-        raise ModelError(
-            f"insufficient derivative order: need {order}, have {f.order}"
-        )
-    max_grade = max((k for k in range(order + 1) if gamma * k < alpha), default=0)
-    y0 = Y.coeff(EMPTY_FOREST)
-    pure = Y - LinComb.term(EMPTY_FOREST, y0) if y0 else Y
-    # sum_n f^(n)(y0) / n! pure^n, each power's numerators weighted by its
-    # coefficient over its denominator
-    parts = [(((EMPTY_FOREST, f.derivative(0)(y0)),), 1)]
-    power = LinComb.term(EMPTY_FOREST)
-    factorial = 1
-    for n in range(1, order + 1):
-        power = forest_product(power, pure, max_grade)
-        if power.is_zero():
-            break
-        factorial *= n
-        parts.append((power.nums.items(), f.derivative(n)(y0) * Fraction(1, factorial * power.den)))
-    out = LinComb.from_nums(_accumulate(parts)).truncate(max_grade)
-    if xi is None:
-        return out
-    return LinComb._make({DottedForest(b, xi): n for b, n in out.nums.items()}, out.den)
-
-
-# ---------------------------------------------------------------------------
 # Picard solver
 
 
@@ -613,8 +463,8 @@ def picard_solve(
     """Step-local Picard solve of dy = sum_i f_i(y) dx^i.
 
     Each step takes the fixed point of the abstract Picard map at the step
-    base in closed form (``_picard_step_coefficients``: one pass over trees up
-    to ``level``) and advances the state by evaluating those coefficients
+    base in closed form (``_step_function``: one pass over trees up to
+    ``level``) and advances the state by evaluating those coefficients
     against the exact branched lift over the step, which realizes the kernel
     convolution without quadrature.  The steps read the lift values as
     integer numerators over one denominator from ``RoughLift.steps``: a
@@ -739,36 +589,6 @@ def _step_plan(d: int, level: int) -> tuple:
     )
 
 
-def _picard_step_coefficients(field: VectorField, y, level: int) -> dict:
-    """Fixed point of Y = y 1 + sum_i I(f_i(Y) Xi_i), in one pass over trees.
-
-    Its coefficients are the elementary differentials of branched rough paths
-    (Gubinelli, "Ramification of rough paths", JDE 2010; Hairer and Kelly,
-    "Geometric versus non-geometric rough paths", 2015), with k = m_1+...+m_r:
-
-        c(|t_1^m_1 ... t_r^m_r|_i) = f_i^(k)(y) * prod_j c(t_j)^m_j / m_j!
-
-    Trees come in grade order (``_step_plan``), so children precede parents.
-    Returns EMPTY_FOREST -> y plus every single-tree forest with non-zero
-    coefficient.  The solve's steps run ``_step_function`` and
-    ``_polynomial_plan``; this is the reference they are tested against.
-    """
-    derivs = [[comp.derivative(n)(y) for n in range(level)] for comp in field.components]
-    on_tree: dict = {}
-    coeffs: dict = {EMPTY_FOREST: y}
-    for tree, forest, i, k, children in _step_plan(field.dim, level):
-        c = derivs[i][k]
-        for child, m, fact in children:
-            if not c:
-                break
-            c_child = on_tree.get(child, 0)
-            c = c * c_child if m == 1 else c * c_child**m / fact
-        if c:
-            on_tree[tree] = c
-            coeffs[forest] = c
-    return coeffs
-
-
 def _step_function(field: VectorField, level: int) -> Callable:
     """The step sum_tau c(tau) X_st(tau) as a function of (y, nums, den),
     made once per solve, with X_st given as integer numerators over den and
@@ -777,11 +597,20 @@ def _step_function(field: VectorField, level: int) -> Callable:
     does, and an exact c meets that Fraction, so an exact state and field
     give that chain's Fraction.
 
+    The coefficients c(tau) are the fixed point of
+    Y = y 1 + sum_i I(f_i(Y) Xi_i), the elementary differentials of branched
+    rough paths (Gubinelli, "Ramification of rough paths", JDE 2010; Hairer
+    and Kelly, "Geometric versus non-geometric rough paths", 2015), with
+    k = m_1+...+m_r:
+
+        c(|t_1^m_1 ... t_r^m_r|_i) = f_i^(k)(y) * prod_j c(t_j)^m_j / m_j!
+
     Each component's derivative callables are taken once, and the recursion
-    of ``_picard_step_coefficients`` walks ``_step_plan`` with each child
-    read by its index there, with the same operations in the same order.
-    The step sums the same terms in the same order with ``sum``, so it has
-    the value and the bits of the sum over ``_picard_step_coefficients``.
+    walks ``_step_plan``, children before parents, with each child read by
+    its index there.  ``_picard_step_coefficients`` in
+    tests/reference_maps.py is the per-tree reference: the step sums the
+    terms it gives, in its order and with its operations, so it has the
+    value and the bits of the sum over that reference.
     """
     derivatives = [[comp.derivative(n) for n in range(level)] for comp in field.components]
     plan = _step_plan(field.dim, level)
@@ -815,7 +644,7 @@ def _polynomial_plan(field: VectorField, level: int) -> tuple | None:
     components, as integer polynomials in the state over one common
     denominator.
 
-    The recursion of ``_picard_step_coefficients`` runs once on integer
+    The recursion of ``_step_function`` runs once on integer
     coefficient lists over unreduced denominators, the derivatives read off
     ``ScalarField.coeffs``.  Returns (C, rows, top): rows of
     (forest, ((j, n_j), ...)) with c(forest)(y) = sum_j n_j y^j / C,

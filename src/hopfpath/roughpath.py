@@ -35,13 +35,11 @@ from .hopf_ck import (
     phi_kernel_basis,
 )
 from .linalg import LinComb, numerators, pair
-from .series import TruncatedElement, homog_norm, is_grouplike
+from .series import TruncatedElement, is_grouplike
 from .symbols import (
-    EMPTY_WORD,
     Forest,
     Tree,
     Word,
-    forests,
     forests_up_to,
     multiplicative,
     words_up_to,
@@ -131,13 +129,6 @@ class PiecewiseLinearPath:
         return tuple(
             a + lam * (b - a) for a, b in zip(self.values[idx], self.values[idx + 1])
         )
-
-    def breakpoints_between(self, s: Fraction, t: Fraction) -> list[Fraction]:
-        lo, hi = (s, t) if s <= t else (t, s)
-        times = self.times
-        inner = list(times[bisect.bisect_right(times, lo) : bisect.bisect_left(times, hi)])
-        return inner if s <= t else inner[::-1]
-
 
 @dataclass(frozen=True)
 class RoughPathConfig:
@@ -238,47 +229,9 @@ class RoughLift:
 # product of Butcher's tree factorials gamma(t) = |t| gamma(children of t)
 # over the trees of f (Hairer, Lubich & Wanner, Geometric Numerical
 # Integration, ch. III).  A word is the case f! = k!.  The lifts read these
-# from a table (``_LiftTable``) in integer form; the two per-term
-# Fraction recursions below are the references the tests compare it with.
-
-
-def _word_segment(increment: tuple[Fraction, ...], level: int, d: int) -> LinComb:
-    """Reference: the signature of a line, one Fraction per term."""
-    terms = {EMPTY_WORD: Fraction(1)}
-    frontier = {(): Fraction(1)}
-    for k in range(1, level + 1):
-        nxt: dict = {}
-        for letters, c in frontier.items():
-            for i in range(1, d + 1):
-                v = increment[i - 1]
-                if v == 0:
-                    continue
-                nxt[letters + (i,)] = c * v
-        frontier = nxt
-        fact = Fraction(1, math.factorial(k))
-        for letters, c in frontier.items():
-            terms[Word(letters)] = c * fact
-    return LinComb(terms)
-
-
-def _forest_segment(increment: tuple[Fraction, ...], level: int, d: int) -> LinComb:
-    """Reference: the branched lift of a line, one Fraction per term, by the
-    recursion a(|z|_i) = a(z) v_i / (|z| + 1), multiplicative on forests."""
-
-    @multiplicative(Fraction(1), operator.mul)
-    def coefficient(tree: Tree) -> Fraction:
-        v = increment[tree.label - 1]
-        if v == 0:
-            return Fraction(0)
-        return coefficient(tree.children) * v / tree.grade
-
-    terms = {}
-    for k in range(level + 1):
-        for f in forests(d, k):
-            c = coefficient(f)
-            if c:
-                terms[f] = c
-    return LinComb(terms)
+# from a table (``_LiftTable``) in integer form; the per-term Fraction
+# recursions ``_word_segment`` and ``_forest_segment`` in
+# tests/reference_maps.py are the references the tests compare it with.
 
 
 @multiplicative(1, operator.mul)
@@ -349,7 +302,7 @@ class _LiftTable:
     def __init__(self, algebra: HopfInstance, level: int):
         self.dim = algebra.dim
         self.level = level
-        self.keys = tuple(b for k in range(level + 1) for b in algebra.basis(k))
+        self.keys = algebra.basis_up_to(level)
         charge(16 * len(self.keys))
         self.index = {b: i for i, b in enumerate(self.keys)}
         grades = [b.grade for b in self.keys]
@@ -619,20 +572,8 @@ def branched_lift_fn(path: PiecewiseLinearPath, level: int) -> RoughLift:
     return _lift_factory(path, level, "branched")
 
 
-def signature(path: PiecewiseLinearPath, s, t, level: int) -> TruncatedElement:
-    return signature_lift(path, level).eval(s, t)
-
-
 # ---------------------------------------------------------------------------
 # axiom checking
-
-
-def _nonunit_basis(lift: RoughLift) -> list:
-    if lift.flavor == "geometric":
-        pool = words_up_to(lift.dim, lift.level)
-    else:
-        pool = forests_up_to(lift.dim, lift.level)
-    return [b for b in pool if b.grade >= 1]
 
 
 def check_rough_axioms(
@@ -659,8 +600,8 @@ def check_rough_axioms(
     report = CheckReport(
         f"rough-path check: {lift.flavor}, gamma={float(config.gamma)}, level={level}"
     )
-    basis = _nonunit_basis(lift)
     algebra = lift.algebra
+    basis = [b for b in algebra.basis_up_to(level) if b.grade >= 1]
     one = algebra.one()
 
     X = lift.grid_values(grid)
@@ -765,20 +706,6 @@ def check_rough_axioms(
         )
     )
     return report
-
-
-def holder_norm_estimate(lift: RoughLift, grid: Sequence, gamma) -> float:
-    """sup over grid pairs of ||X_st|| / |t-s|^gamma (empirical, float)."""
-    grid = [to_fraction(u) for u in grid]
-    gamma = float(to_fraction(gamma))
-    best = 0.0
-    for i, s in enumerate(grid):
-        for t in grid[i + 1 :]:
-            dt = abs(float(t - s))
-            if dt == 0:
-                continue
-            best = max(best, homog_norm(lift.eval(s, t)) / dt**gamma)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -121,24 +121,7 @@ class MultiIndex(Interned):
 
 def multiindex_binomial(n: MultiIndex, m: MultiIndex) -> int:
     """binom(n, m) coordinate-wise; requires m <= n."""
-    out = 1
-    for a, b in zip(n.entries, m.entries):
-        out *= _binomial(a, b)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _binomial(a: int, b: int) -> int:
-    if b < 0 or b > a:
-        return 0
-    return _factorial(a) // (_factorial(b) * _factorial(a - b))
+    return math.prod(map(math.comb, n.entries, m.entries))
 
 
 class Word(Interned):

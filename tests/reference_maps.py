@@ -6,22 +6,34 @@ rows promise: ``_row`` of a reference value must equal the row, term for
 term.  ``admissible_cuts`` counts the cuts of a forest by brute force, an
 oracle independent of the coproduct's recursion.  ``FractionComb`` is the
 reference for the combination type itself: one Fraction per term in a dict.
+
+The references of the lifts and the model follow, one Fraction per term:
+the segment closed forms ``_word_segment`` and ``_forest_segment`` (against
+``roughpath._LiftTable``), the structure action ``struct_action`` (against
+``Model.gamma_row`` and ``check_model``'s integer rows) and the Picard
+step coefficients ``_picard_step_coefficients`` (against
+``model_rde._step_function`` and ``_polynomial_plan``).
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 from hopfpath.hopf_ck import _graft_counts, _sub_forests, symmetry_factor
 from hopfpath.hopf_core import deconcat_tuples, deshuffle_tuples
 from hopfpath.linalg import LinComb, TensorComb, format_scalar
+from hopfpath.model_rde import Character, SectorError, VectorField, _step_plan
 from hopfpath.symbols import (
     EMPTY_FOREST,
+    EMPTY_WORD,
     Forest,
     MultiIndex,
     Tree,
     Word,
+    forests,
     multiindex_binomial,
     multiplicative,
 )
@@ -44,7 +56,7 @@ def poly_coproduct(n: MultiIndex) -> TensorComb:
     for m_entries in itertools.product(*ranges):
         m = MultiIndex(m_entries)
         terms[(m, n - m)] = Fraction(multiindex_binomial(n, m))
-    return TensorComb(terms, _clean=True)
+    return TensorComb(terms)
 
 
 def concat(u: Word, v: Word) -> LinComb:
@@ -53,8 +65,7 @@ def concat(u: Word, v: Word) -> LinComb:
 
 def deshuffle(w: Word) -> TensorComb:
     return TensorComb(
-        {(Word(l), Word(r)): Fraction(m) for (l, r), m in deshuffle_tuples(w.letters).items()},
-        _clean=True,
+        {(Word(l), Word(r)): Fraction(m) for (l, r), m in deshuffle_tuples(w.letters).items()}
     )
 
 
@@ -77,15 +88,12 @@ def shuffle_placements(u: tuple, v: tuple) -> dict[tuple, int]:
 
 def shuffle(u: Word, v: Word) -> LinComb:
     return LinComb(
-        {Word(w): Fraction(m) for w, m in shuffle_placements(u.letters, v.letters).items()},
-        _clean=True,
+        {Word(w): Fraction(m) for w, m in shuffle_placements(u.letters, v.letters).items()}
     )
 
 
 def deconcat(w: Word) -> TensorComb:
-    return TensorComb(
-        {(Word(l), Word(r)): Fraction(1) for l, r in deconcat_tuples(w.letters)}, _clean=True
-    )
+    return TensorComb({(Word(l), Word(r)): Fraction(1) for l, r in deconcat_tuples(w.letters)})
 
 
 def ck_product(a: Forest, b: Forest) -> LinComb:
@@ -98,14 +106,14 @@ def _pair_product(a: TensorComb, b: TensorComb) -> TensorComb:
     for (l1, r1), c1 in a:
         for (l2, r2), c2 in b:
             accum(acc, (l1.mul(l2), r1.mul(r2)), c1 * c2)
-    return TensorComb(acc, _clean=True)
+    return TensorComb(acc)
 
 
 @multiplicative(TensorComb.term(EMPTY_FOREST, EMPTY_FOREST), _pair_product)
 def ck_coproduct(tree: Tree) -> TensorComb:
     """Admissible-cut coproduct, by the defining recursion."""
-    lifted = ck_coproduct(tree.children).map_right(
-        lambda z: LinComb.term(z.graft(tree.label).as_forest())
+    lifted = TensorComb.linear(
+        ck_coproduct(tree.children), lambda lr: (((lr[0], lr[1].graft(tree.label).as_forest()), 1),)
     )
     return lifted + TensorComb.term(tree.as_forest(), EMPTY_FOREST)
 
@@ -163,11 +171,11 @@ def gl_product(a: Forest, b: Forest) -> LinComb:
         if rest:
             raise ValueError(f"non-integer Grossman-Larson coefficient of {z} in {a} * {b}")
         terms[z] = Fraction(n)
-    return LinComb(terms, _clean=True)
+    return LinComb(terms)
 
 
 def forest_deconcat(f: Forest) -> TensorComb:
-    return TensorComb({(l, r): Fraction(1) for l, r, _ in _sub_forests(f)}, _clean=True)
+    return TensorComb({(l, r): Fraction(1) for l, r, _ in _sub_forests(f)})
 
 
 # the reference (product, coproduct) of each algebra, by CLI name
@@ -235,3 +243,91 @@ class FractionComb:
 
     def to_json(self, float_mode: bool = False) -> dict:
         return {self.label(k, "⊗"): format_scalar(c, float_mode) for k, c in self.sorted_terms()}
+
+
+# ---------------------------------------------------------------------------
+# lifts and the model
+#
+# On a segment with increment v the signature is v^{(x) k} / k! at level k,
+# and the branched lift gives a forest f the coefficient prod_i v_i^{n_i} / f!
+# (see the closed-form comment in ``roughpath``).
+
+
+def _word_segment(increment: tuple[Fraction, ...], level: int, d: int) -> LinComb:
+    """The signature of a line, one Fraction per term."""
+    terms = {EMPTY_WORD: Fraction(1)}
+    frontier = {(): Fraction(1)}
+    for k in range(1, level + 1):
+        nxt: dict = {}
+        for letters, c in frontier.items():
+            for i in range(1, d + 1):
+                v = increment[i - 1]
+                if v == 0:
+                    continue
+                nxt[letters + (i,)] = c * v
+        frontier = nxt
+        fact = Fraction(1, math.factorial(k))
+        for letters, c in frontier.items():
+            terms[Word(letters)] = c * fact
+    return LinComb(terms)
+
+
+def _forest_segment(increment: tuple[Fraction, ...], level: int, d: int) -> LinComb:
+    """The branched lift of a line, one Fraction per term, by the recursion
+    a(|z|_i) = a(z) v_i / (|z| + 1), multiplicative on forests."""
+
+    @multiplicative(Fraction(1), operator.mul)
+    def coefficient(tree: Tree) -> Fraction:
+        v = increment[tree.label - 1]
+        if v == 0:
+            return Fraction(0)
+        return coefficient(tree.children) * v / tree.grade
+
+    terms = {}
+    for k in range(level + 1):
+        for f in forests(d, k):
+            c = coefficient(f)
+            if c:
+                terms[f] = c
+    return LinComb(terms)
+
+
+def struct_action(g: Character, x: LinComb, flavor: str = "left") -> LinComb:
+    """(g (x) id) Delta (left) or (id (x) g) Delta (right) on forests, with
+    the cut coproduct of the defining recursion."""
+
+    def on_basis(b) -> LinComb:
+        if not isinstance(b, Forest):
+            raise SectorError("struct_action acts on forest combinations")
+        if flavor == "left":
+            return ck_coproduct(b).fold(lambda l, r: LinComb.term(r, g(l)))
+        if flavor == "right":
+            return ck_coproduct(b).fold(lambda l, r: LinComb.term(l, g(r)))
+        raise ValueError(f"unknown flavor {flavor!r}")
+
+    return x.map_basis(on_basis)
+
+
+def _picard_step_coefficients(field: VectorField, y, level: int) -> dict:
+    """Fixed point of Y = y 1 + sum_i I(f_i(Y) Xi_i), in one pass over trees:
+    c(|t_1^m_1 ... t_r^m_r|_i) = f_i^(k)(y) * prod_j c(t_j)^m_j / m_j!, with
+    k = m_1+...+m_r, the elementary differentials.
+
+    Trees come in grade order (``_step_plan``), so children precede parents.
+    Returns EMPTY_FOREST -> y plus every single-tree forest with non-zero
+    coefficient, as Fractions or floats.
+    """
+    derivs = [[comp.derivative(n)(y) for n in range(level)] for comp in field.components]
+    on_tree: dict = {}
+    coeffs: dict = {EMPTY_FOREST: y}
+    for tree, forest, i, k, children in _step_plan(field.dim, level):
+        c = derivs[i][k]
+        for child, m, fact in children:
+            if not c:
+                break
+            c_child = on_tree.get(child, 0)
+            c = c * c_child if m == 1 else c * c_child**m / fact
+        if c:
+            on_tree[tree] = c
+            coeffs[forest] = c
+    return coeffs

@@ -63,7 +63,7 @@ def dropped_coproduct(base, grade: int):
         if b.grade == grade:
             inner = [lr for lr, _ in out.sorted_terms() if lr[0].grade and lr[1].grade]
             if inner:
-                out = TensorComb({lr: c for lr, c in out if lr != inner[0]}, _clean=True)
+                out = TensorComb({lr: c for lr, c in out if lr != inner[0]})
         return out
 
     return coproduct

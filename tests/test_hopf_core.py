@@ -6,6 +6,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from hopfpath.hopf_core import (
     HopfInstance,
     _row,
-    _shuffle_items,
     check_axioms,
     concat_deshuffle_instance,
     convolution,
@@ -99,15 +99,13 @@ class TestShuffle:
     def test_placement_order_on_every_short_pair(self):
         # every pair of words of total length <= 8 over three letters, so over one
         # and two as well, repeated letters included: the recursion's items are the
-        # placement enumeration's, in its order; the memo is emptied after each
-        # word, so the recursion also runs cold and the test holds no 200 MB memo
+        # placement enumeration's, in its order
         for n in range(9):
             for w in itertools.product((1, 2, 3), repeat=n):
                 for i in range(n + 1):
                     u, v = w[:i], w[i:]
                     assert list(shuffle_tuples(u, v).items()) == list(
                         shuffle_placements(u, v).items()), (u, v)
-                _shuffle_items.cache_clear()
 
     def test_long_word_does_not_recurse_per_letter(self):
         # the recursion runs along the shorter word, whichever side it is on
@@ -116,6 +114,17 @@ class TestShuffle:
             got = shuffle_tuples(u, v)
             assert len(got) == 1501 and set(got.values()) == {1}
             assert list(got) == list(shuffle_placements(u, v))
+
+    def test_a_call_keeps_no_memo(self):
+        # the 1,501 words of 1,501 letters are the caller's, gone with the result
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            shuffle_tuples((1,) * 1500, (2,))
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert left < 1 << 20, left
 
     def test_returned_dict_is_the_callers(self):
         u, v = (1, 2), (2, 1)
@@ -263,9 +272,9 @@ class TestAntipode:
             assert lhs == rhs
         for w in words_up_to(2, 4):
             lhs = inst.coproduct(inst.antipode(LinComb.term(w)))
-            rhs = inst.coproduct_basis(w).flip().map_left(
-                lambda l: inst.antipode(LinComb.term(l))
-            ).map_right(lambda r: inst.antipode(LinComb.term(r)))
+            # Delta S = (S (x) S) tau Delta, tau the flip of the two factors
+            rhs = TensorComb.linear(inst.coproduct_basis(w), lambda lr: TensorComb.of(
+                inst.antipode(LinComb.term(lr[1])), inst.antipode(LinComb.term(lr[0]))))
             assert lhs == rhs
 
 

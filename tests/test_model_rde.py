@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hopfpath.hopf_core import CheckReport
-from hopfpath.hopf_ck import ck_coproduct, ck_instance
-from hopfpath.linalg import LinComb, TensorComb
+from hopfpath.hopf_ck import ck_coproduct, ck_instance, forest_product
+from hopfpath.linalg import LinComb, TensorComb, _accumulate
 from hopfpath.model_rde import (
     Character,
     DottedForest,
@@ -21,7 +21,6 @@ from hopfpath.model_rde import (
     _exact_step,
     _float_past_cap,
     _gamma_table,
-    _picard_step_coefficients,
     _polynomial_plan,
     _step_function,
     _step_polynomial,
@@ -29,21 +28,25 @@ from hopfpath.model_rde import (
     check_model,
     comodule_coproduct,
     comodule_action,
-    compose_with_function,
     constant_field,
-    derivative_map,
-    homogeneity,
     identity_field,
+    in_dotted_sector,
     model_from_lift,
     picard_solve,
     polynomial_field,
     sine_field,
-    struct_action,
-    structure_map_witness,
 )
-from hopfpath.roughpath import PiecewiseLinearPath, RoughLift, branched_lift_fn, signature_lift
+from hopfpath.roughpath import (
+    PiecewiseLinearPath,
+    RoughLift,
+    branched_lift_fn,
+    signature_lift,
+    to_fraction,
+)
 from hopfpath.series import TruncatedElement
 from hopfpath.symbols import EMPTY_FOREST, Forest, Tree, forests_up_to, trees
+
+from reference_maps import _picard_step_coefficients, struct_action
 
 
 def t(label, *children):
@@ -60,6 +63,143 @@ GRID = [Fraction(i, 4) for i in range(5)]
 LIFT = branched_lift_fn(PATH, 3)
 MODEL = model_from_lift(LIFT, Fraction(3, 10), GRID)
 LINE = PiecewiseLinearPath.from_knots([(0, (0,)), (1, (1,))])
+
+
+# ---------------------------------------------------------------------------
+# checkers of the model space's sectors, grading and structure group
+
+
+def homogeneity(b, gamma) -> Fraction:
+    """Homogeneity: gamma * grade on forests, gamma*(|z|+1) - 1 on dotted."""
+    gamma = to_fraction(gamma)
+    if isinstance(b, Forest):
+        return gamma * b.grade
+    if isinstance(b, DottedForest):
+        return gamma * (b.forest.grade + 1) - 1
+    raise SectorError(f"no homogeneity for {type(b).__name__}")
+
+
+def in_function_sector(x: LinComb) -> bool:
+    """True if supported on the unit and single trees."""
+    return all(isinstance(b, Forest) and b.tree_count() <= 1 for b in x.support())
+
+
+def derivative_map(x: LinComb) -> LinComb:
+    """Left inverse of integration: the unit dies, |z|_i goes to z*Xi_i."""
+    if not in_function_sector(x):
+        raise SectorError("the derivative map is defined on the function-like sector")
+
+    def on_basis(b: Forest) -> LinComb:
+        if b.is_empty():
+            return LinComb.zero()
+        tree = b.items[0][0]
+        return LinComb.term(DottedForest(tree.children, tree.label))
+
+    return x.map_basis(on_basis)
+
+
+def multiplicativity_witness(g: Character, d: int, max_grade: int):
+    """The first failure of g(1) = 1 and g(ab) = g(a) g(b) on forests of
+    total grade <= max_grade, or None."""
+    if g(EMPTY_FOREST) != 1:
+        return "g(1) != 1"
+    pool = forests_up_to(d, max_grade)
+    for a in pool:
+        for b in pool:
+            if a.grade + b.grade > max_grade:
+                continue
+            if g(a.mul(b)) != g(a) * g(b):
+                return f"g not multiplicative on ({a}, {b})"
+    return None
+
+
+def structure_map_witness(gamma_map, d: int, max_grade: int, gamma) -> str | None:
+    """Check the four structure-group properties of an endomap of the model space.
+
+    Returns a witness string on the first violation, else None.  The map is
+    applied to basis combinations of the function-like and dotted sectors.
+    """
+    gamma = to_fraction(gamma)
+    y_basis = [EMPTY_FOREST] + [
+        t.as_forest() for k in range(1, max_grade + 1) for t in trees(d, k)
+    ]
+    dot_basis = [
+        DottedForest(f, i)
+        for f in forests_up_to(d, max_grade - 1)
+        for i in range(1, d + 1)
+    ]
+
+    def lowered(b, image: LinComb) -> bool:
+        delta = image - LinComb.term(b)
+        return all(homogeneity(b2, gamma) < homogeneity(b, gamma) for b2 in delta.support())
+
+    for b in y_basis + dot_basis:
+        image = gamma_map(LinComb.term(b))
+        if not lowered(b, image):
+            return f"(i) fails: Gamma {b} - {b} does not lower homogeneity"
+    for b in y_basis:
+        if not in_function_sector(gamma_map(LinComb.term(b))):
+            return f"(ii) fails: function-like sector not preserved at {b}"
+    for b in dot_basis:
+        if not in_dotted_sector(gamma_map(LinComb.term(b))):
+            return f"(ii) fails: dotted sector not preserved at {b}"
+    for b in dot_basis:
+        x = LinComb.term(b)
+        defect = abstract_integration(gamma_map(x)) - gamma_map(abstract_integration(x))
+        if any(not bb.is_empty() for bb in defect.support()):
+            return f"(iii) fails: integration commutator not a multiple of 1 at {b}"
+    for a in y_basis:
+        for b in dot_basis:
+            if a.grade + b.forest.grade > max_grade - 1:
+                continue
+            prod = LinComb.term(DottedForest(a.mul(b.forest), b.letter))
+            lhs = gamma_map(prod)
+            ga = gamma_map(LinComb.term(a))
+            gb = gamma_map(LinComb.term(b))
+            rhs = LinComb.bilinear(
+                ga, gb, lambda fa, db: ((DottedForest(fa.mul(db.forest), db.letter), 1),)
+            )
+            if lhs != rhs:
+                return f"(iv) fails: Gamma not multiplicative on ({a}, {b})"
+    return None
+
+
+def compose_with_function(
+    Y: LinComb, f: ScalarField, alpha, gamma, xi: int | None = None
+) -> LinComb:
+    """Truncated Taylor composition f(Y) on the function-like sector.
+
+    The output keeps coefficients of homogeneity below alpha; with ``xi``
+    given, the result is multiplied by the noise symbol (homogeneity below
+    alpha + gamma - 1).  The coefficients are exact, so a field whose
+    derivatives are floats (``sine_field``) raises TypeError.
+    """
+    alpha, gamma = to_fraction(alpha), to_fraction(gamma)
+    if not in_function_sector(Y):
+        raise SectorError("composition needs a function-like argument")
+    order = int(alpha / gamma)
+    if f.order is not None and f.order < order:
+        raise ModelError(
+            f"insufficient derivative order: need {order}, have {f.order}"
+        )
+    max_grade = max((k for k in range(order + 1) if gamma * k < alpha), default=0)
+    y0 = Y.coeff(EMPTY_FOREST)
+    pure = Y - LinComb.term(EMPTY_FOREST, y0) if y0 else Y
+    # sum_n f^(n)(y0) / n! pure^n, each power's numerators weighted by its
+    # coefficient over its denominator
+    parts = [(((EMPTY_FOREST, f.derivative(0)(y0)),), 1)]
+    power = LinComb.term(EMPTY_FOREST)
+    factorial = 1
+    for n in range(1, order + 1):
+        power = forest_product(power, pure, max_grade)
+        if power.is_zero():
+            break
+        factorial *= n
+        parts.append((power.nums.items(), f.derivative(n)(y0) * Fraction(1, factorial * power.den)))
+    out = LinComb.from_nums(_accumulate(parts)).truncate(max_grade)
+    if xi is None:
+        return out
+    return LinComb._make({DottedForest(b, xi): n for b, n in out.nums.items()}, out.den)
 
 
 class TestSymbols:
@@ -207,7 +347,7 @@ class TestStructAction:
 
     def test_multiplicativity_witness(self):
         g = MODEL.character(0, 1)
-        assert g.multiplicativity_witness(2, 3) is None
+        assert multiplicativity_witness(g, 2, 3) is None
 
 
 class TestCharacterization:
@@ -403,7 +543,8 @@ def reference_check_model(model, grid, max_grade=None) -> CheckReport:
             for t in grid:
                 for b in basis:
                     lhs = ck.coproduct(model.gamma_row(s, t, b))
-                    rhs = ck_coproduct(b).map_left(lambda l: model.gamma_row(s, t, l))
+                    rhs = TensorComb.linear(ck_coproduct(b), lambda lr: TensorComb.of(
+                        model.gamma_row(s, t, lr[0]), LinComb.term(lr[1])))
                     if lhs != rhs:
                         yield f"intertwining fails at ({s},{t}) on {b}"
                         return

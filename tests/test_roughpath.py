@@ -22,14 +22,15 @@ from hopfpath.roughpath import (
     branched_to_geo,
     check_rough_axioms,
     geo_to_branched,
-    holder_norm_estimate,
     kernel_condition_witness,
     q_gamma,
-    signature,
     signature_lift,
+    to_fraction,
 )
-from hopfpath.series import TruncatedElement, is_grouplike, trunc_one
+from hopfpath.series import TruncatedElement, homog_norm, is_grouplike, trunc_one
 from hopfpath.symbols import EMPTY_FOREST, Forest, Tree, Word, forests, words_up_to
+
+from reference_maps import _forest_segment, _word_segment
 
 
 W = lambda *ls: Word(ls)
@@ -77,10 +78,24 @@ class TestPath:
             PiecewiseLinearPath.from_csv(io.StringIO("a,b\n1,2\n"))
 
 
+def holder_norm_estimate(lift: RoughLift, grid, gamma) -> float:
+    """sup over grid pairs of ||X_st|| / |t-s|^gamma (empirical, float)."""
+    grid = [to_fraction(u) for u in grid]
+    gamma = float(to_fraction(gamma))
+    best = 0.0
+    for i, s in enumerate(grid):
+        for t in grid[i + 1 :]:
+            dt = abs(float(t - s))
+            if dt == 0:
+                continue
+            best = max(best, homog_norm(lift.eval(s, t)) / dt**gamma)
+    return best
+
+
 def quadrature_level2(path, s, t, i, j, pieces=4) -> float:
     """Midpoint quadrature of int (x_i(r) - x_i(s)) dx_j(r); exact per linear piece."""
     s, t = path.clamp(s), path.clamp(t)
-    stops = [s, *path.breakpoints_between(s, t), t]
+    stops = [s, *(u for u in path.times if s < u < t), t]
     total = 0.0
     xi_s = float(path.position(s)[i - 1])
     for a, b in zip(stops, stops[1:]):
@@ -97,14 +112,14 @@ def quadrature_level2(path, s, t, i, j, pieces=4) -> float:
 
 class TestSignature:
     def test_point_increment(self):
-        elt = signature(PATH_2D, 0, 1, 2)
+        elt = signature_lift(PATH_2D, 2).eval(0, 1)
         inc = tuple(b - a for a, b in zip(PATH_2D.values[0], PATH_2D.values[-1]))
         assert elt.coeff(W(1)) == inc[0]
         assert elt.coeff(W(2)) == inc[1]
 
     def test_linear_segment_closed_form(self):
         p = PiecewiseLinearPath.from_knots([(0, (2, -1)), (1, (3, 1))])
-        elt = signature(p, 0, 1, 2)
+        elt = signature_lift(p, 2).eval(0, 1)
         v = (Fraction(1), Fraction(2))
         assert elt.coeff(EMPTY_FOREST if False else W()) == 1
         for i in (1, 2):
@@ -114,7 +129,7 @@ class TestSignature:
 
     def test_level2_against_quadrature(self):
         for (s, tt) in [(0, 1), (Fraction(1, 8), Fraction(3, 4))]:
-            elt = signature(PATH_2D, s, tt, 2)
+            elt = signature_lift(PATH_2D, 2).eval(s, tt)
             for i in (1, 2):
                 for j in (1, 2):
                     approx = quadrature_level2(PATH_2D, s, tt, i, j)
@@ -140,7 +155,7 @@ class TestSignature:
 
     def test_grouplike_all_levels(self):
         for level in range(1, 6):
-            elt = signature(PATH_2D, 0, 1, level)
+            elt = signature_lift(PATH_2D, level).eval(0, 1)
             assert is_grouplike(elt)[0]
 
 
@@ -468,8 +483,8 @@ class TestSegmentMemo:
         assert all(value is windows[0][1] for _, value in windows)
 
     @pytest.mark.parametrize("make, segment", [
-        (branched_lift_fn, roughpath._forest_segment),
-        (signature_lift, roughpath._word_segment),
+        (branched_lift_fn, _forest_segment),
+        (signature_lift, _word_segment),
     ])
     def test_memo_matches_unmemoized_segments(self, segment_calls, make, segment):
         path = PiecewiseLinearPath.from_knots(self.KNOTS)
@@ -492,8 +507,8 @@ class TestSegmentMemo:
 
 
     @pytest.mark.parametrize("make, segment", [
-        (branched_lift_fn, roughpath._forest_segment),
-        (signature_lift, roughpath._word_segment),
+        (branched_lift_fn, _forest_segment),
+        (signature_lift, _word_segment),
     ])
     def test_one_piece_windows_share_one_element(self, make, segment):
         path = PiecewiseLinearPath.from_knots(self.KNOTS)
@@ -591,8 +606,8 @@ SCALARS = st.one_of(
     st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**15),
 )
 FLAVORS = {
-    "geometric": (concat_deshuffle_instance, roughpath._word_segment),
-    "branched": (gl_instance, roughpath._forest_segment),
+    "geometric": (concat_deshuffle_instance, _word_segment),
+    "branched": (gl_instance, _forest_segment),
 }
 
 
