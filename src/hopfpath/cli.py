@@ -1,7 +1,9 @@
 """Command-line interface: one subcommand per library operation.
 
 Exit codes: 0 on success, 1 when a check reports violations, 2 on usage or
-parse errors and on work past the command's budget (``hopfpath.work``).
+parse errors and on work past the command's budget (``hopfpath.work``).  Each
+command accepts only the flags its run reads: any other flag is a usage error
+and exits 2, as does ``convert-lift --direction g2b`` with a ``--grid``.
 Output is deterministic for fixed flags and seed; exact scalars print as
 p/q, floats with 12 significant digits.
 """
@@ -49,19 +51,40 @@ _KIND_BY_ALGEBRA = {
 }
 
 
-def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--dim", type=int, default=2, help="alphabet size d (default 2)")
-    parser.add_argument(
-        "--algebra",
-        choices=sorted(_KIND_BY_ALGEBRA),
-        default="shuffle",
-        help="Hopf algebra instance",
-    )
-    parser.add_argument("--truncation", type=int, default=4, help="truncation level")
-    parser.add_argument("--gamma", type=str, default="1/3", help="Hölder exponent")
-    parser.add_argument("--seed", type=int, default=0, help="PRNG seed for checks")
-    parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--float", action="store_true", help="print scalars as floats")
+# the flags that several commands share, each given only to those that read it
+_FLAGS = {
+    "dim": dict(type=int, default=2, help="alphabet size d (default 2)"),
+    "algebra": dict(choices=sorted(_KIND_BY_ALGEBRA), default="shuffle",
+                    help="Hopf algebra instance"),
+    "truncation": dict(type=int, default=4, help="truncation level"),
+    "gamma": dict(type=str, default="1/3", help="Hölder exponent"),
+    "seed": dict(type=int, default=0, help="PRNG seed for checks"),
+    "format": dict(choices=["text", "json"], default="text"),
+    "float": dict(action="store_true", help="print scalars as floats"),
+}
+
+# per command, the _FLAGS its run reads, then what sizes its work: a budget
+# refusal calls the first size the command line gives too large
+_COMMANDS = {
+    "product": ("dim algebra format float", "x y dim"),
+    "coproduct": ("dim algebra format float", "x dim"),
+    "antipode": ("dim algebra format float", "x dim"),
+    "pair": ("dim algebra float", "x y dim"),
+    "check-axioms": ("dim algebra seed format", "max_grade samples dim"),
+    "exp": ("dim algebra truncation format float", "truncation x dim"),
+    "log": ("dim algebra truncation format float", "truncation x dim"),
+    "bch": ("dim algebra truncation format float", "truncation x y dim"),
+    "norm": ("dim algebra truncation", "truncation x dim"),
+    "cuts": ("dim format", "forest dim"),
+    "convert": ("dim format float", "x dim"),
+    "qgamma": ("dim gamma", "forest dim"),
+    "signature": ("format float", "level"),
+    "branched-lift": ("format float", "level"),
+    "convert-lift": ("format float", "grid level"),  # no grid with --direction g2b
+    "check-rough": ("gamma format", "grid level"),
+    "check-model": ("gamma format", "grid level"),
+    "rde": ("gamma", "level step"),
+}
 
 
 def _parse(args, text: str) -> LinComb:
@@ -121,28 +144,23 @@ def _grid(path: PiecewiseLinearPath, points: int) -> list[Fraction]:
     return [lo + (hi - lo) * Fraction(i, points - 1) for i in range(points)]
 
 
-# per command, what sizes its work; a refusal calls the first given too large
-_SIZED_BY = {
-    "check-axioms": ("max_grade", "samples", "dim"), "check-rough": ("grid", "level"),
-    "check-model": ("grid", "level"), "signature": ("level",), "branched-lift": ("level",),
-    "rde": ("level", "step"), **dict.fromkeys(("exp", "log", "bch", "norm"),
-                                              ("truncation", "x", "y", "dim")),
-}
+def _given(args, name: str) -> bool:
+    """Whether the command line gives the option of ``name``, whole or abbreviated."""
+    flag = f"--{name.replace('_', '-')}"
+    return any(flag.startswith(a.split("=", 1)[0]) for a in args.argv
+               if a.startswith("--") and len(a) > 2)
 
 
 def _too_large(args) -> str:
     """The start of a refusal: a size of the command's work, called too
     large, at the others, each as "--option value" or "operand value".  The
-    size called too large is the first in ``_SIZED_BY`` order that the
+    size called too large is the first in ``_COMMANDS`` order that the
     command line gives, operands included, or the first of all when it
     gives none; the others follow in that order."""
-    names = _SIZED_BY.get(args.command, ("forest", "x", "y", "dim"))
-    if args.command == "convert-lift":
-        names = ("grid", "level") if args.direction == "b2g" else ("level",)
-    names = [n for n in names if hasattr(args, n)]
-    options = [a.split("=", 1)[0] for a in args.argv if a.startswith("--") and len(a) > 2]
-    given = [n for n in names if n in ("forest", "x", "y")
-             or any(f"--{n.replace('_', '-')}".startswith(o) for o in options)]
+    names = _COMMANDS[args.command][1].split()
+    if args.command == "convert-lift" and args.direction == "g2b":
+        names.remove("grid")
+    given = [n for n in names if n in ("forest", "x", "y") or _given(args, n)]
     if given:
         names.remove(given[0])
         names.insert(0, given[0])
@@ -205,7 +223,8 @@ def main(argv=None) -> int:
 
     def add(name: str, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
-        _common_flags(p)
+        for flag in _COMMANDS[name][0].split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         return p
 
     p = add("product", help="product of two elements")
@@ -375,6 +394,8 @@ def _dispatch(args) -> int:
         print(f"{q_gamma(forest, _gamma(args)):.12g}")
         return 0
     if cmd == "convert-lift":
+        if args.direction == "g2b" and _given(args, "grid"):
+            raise ValueError("convert-lift --direction g2b takes no --grid")
         path = PiecewiseLinearPath.from_csv(args.path)
         s, t = _window(args, path)
         if args.direction == "g2b":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -106,11 +105,6 @@ class Character:
         if not ok:
             raise ModelError("characters come from group-like elements")
         return cls(g.value.terms, g.level)
-
-    @classmethod
-    def counit(cls) -> "Character":
-        # total on every grade: 1 on the unit, 0 elsewhere
-        return cls({EMPTY_FOREST: Fraction(1)}, sys.maxsize)
 
     def __call__(self, x) -> Fraction:
         if isinstance(x, LinComb):
@@ -278,7 +272,6 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
                         lhs = sum(c * ut.get(f, 0) for f, c in row(k, i, b).items())
                         if lhs * den_st != st.get(b, 0) * scale:
                             yield f"Pi_u Gamma_us != Pi_s at (s,u,t)=({s},{u},{t}), {b}"
-                            return
 
     report.run("evaluation-translation", translation_failures())
 
@@ -294,7 +287,6 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
                                           for f, c in row(k, j, b).items())
                         if LinComb.from_nums(lhs, scale) != LinComb.from_nums(row(i, j, b), den):
                             yield f"cocycle fails at ({s},{u},{t}) on {b}"
-                            return
 
     report.run("cocycle", cocycle_failures())
 
@@ -309,7 +301,6 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
                                       for (l, r), c in cop(b))
                     if lhs != rhs:
                         yield f"intertwining fails at ({s},{t}) on {b}"
-                        return
 
     report.run("coproduct-intertwining", intertwining_failures())
 
@@ -323,7 +314,6 @@ def check_model(model: Model, grid: Sequence, max_grade: int | None = None) -> C
                     if b.grade and (image.get(b) != den
                                     or any(f.grade >= b.grade for f in image if f is not b)):
                         yield f"Gamma does not lower grade at ({s},{t}) on {b}"
-                        return
 
     report.run("grade-lowering", grading_failures())
     return report

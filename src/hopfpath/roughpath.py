@@ -624,7 +624,6 @@ def check_rough_axioms(
                     else:
                         left, right = next(iter(defect.nums))
                         yield f"not group-like at (s,t)=({s},{t}); defect term {left} (x) {right}"
-                    return
 
     report.run("group-like", grouplike_failures())
 
@@ -647,7 +646,6 @@ def check_rough_axioms(
                     lhs = den * sum(c * nums.get(w, 0) for w, c in row)
                     if lhs != nums.get(b1, 0) * nums.get(b2, 0):
                         yield f"character fails at ({s},{t}) on ({b1}, {b2})"
-                        return
 
     report.run("character", character_failures())
 
@@ -667,7 +665,6 @@ def check_rough_axioms(
                 for k, t in points:
                     if not chen_holds(i, j, k):
                         yield f"Chen fails on (s,u,t)=({s},{u},{t})"
-                        return
 
     report.run("chen", chen_failures())
 
@@ -681,7 +678,6 @@ def check_rough_axioms(
                     X[i][j], lambda b: antipode(b, "right") if b.grade <= level else ())
                 if X[j][i] != inverse:
                     yield f"inverse law fails on (s,t)=({s},{t})"
-                    return
 
     report.run("inverse", inverse_failures())
 

@@ -54,16 +54,9 @@ class TruncatedElement:
         prod = self.algebra.product(self.value, other.value, max_grade=self.level)
         return TruncatedElement(prod, self.level, self.algebra)
 
-    def add(self, other: "TruncatedElement") -> "TruncatedElement":
-        self._check_compatible(other)
-        return TruncatedElement(self.value + other.value, self.level, self.algebra)
-
     def sub(self, other: "TruncatedElement") -> "TruncatedElement":
         self._check_compatible(other)
         return TruncatedElement(self.value - other.value, self.level, self.algebra)
-
-    def scale(self, s) -> "TruncatedElement":
-        return TruncatedElement(self.value.scale(s), self.level, self.algebra)
 
     def coeff(self, basis) -> Fraction:
         return self.value.coeff(basis)
@@ -309,8 +302,6 @@ def geo_norm_constants(d: int, n: int) -> NormConstants:
     """Constants from counting tuples of nonempty words with given total length."""
 
     def count_tuples(m: int, k: int) -> int:
-        if m > k:
-            return 0
         return math.comb(k - 1, m - 1) * d**k
 
     upper = {}
@@ -340,10 +331,7 @@ def branched_norm_constants(d: int, n: int) -> NormConstants:
         count = 0
         best = 0.0
         for comp in _compositions(k, m):
-            groups = [pool[c] for c in comp]
-            if any(not g for g in groups):
-                continue
-            for combo in itertools.product(*groups):
+            for combo in itertools.product(*(pool[c] for c in comp)):
                 count += 1
                 prod = LinComb.term(
                     combo[0] if isinstance(combo[0], Forest) else combo[0].as_forest()

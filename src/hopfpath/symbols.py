@@ -89,10 +89,6 @@ class MultiIndex(Interned):
             )
         return self
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
     def sort_key(self):
         return (self.grade, self.entries)
 

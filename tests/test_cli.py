@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import time
@@ -222,7 +223,7 @@ class TestRoughCommands:
         assert out.strip() == "ε + 1 + 1/3*2"
 
     def test_branched_lift(self, capsys, line_csv):
-        code, out, _ = run(capsys, "branched-lift", line_csv, "--level", "2", "--dim", "1")
+        code, out, _ = run(capsys, "branched-lift", line_csv, "--level", "2")
         assert code == 0
         assert "[]_1" in out and "1/2*[[]_1]_1" in out
 
@@ -629,6 +630,116 @@ class TestSizeGuard:
                      ["check-model", path_csv, "--grid", "5"]):
             code, _, _ = run(capsys, *argv)
             assert code == 0, argv
+
+
+# the flags that several commands read, with a value for each that takes one
+COMMON_FLAGS = {"--dim": "2", "--algebra": "shuffle", "--truncation": "3", "--gamma": "1/3",
+                "--seed": "1", "--format": "text", "--float": None}
+# which of them each command reads
+READS = {
+    **dict.fromkeys(("product", "coproduct", "antipode"), "--dim --algebra --float --format"),
+    **dict.fromkeys(("exp", "log", "bch"), "--dim --algebra --float --format --truncation"),
+    "norm": "--dim --algebra --truncation",
+    "pair": "--dim --algebra --float",
+    "check-axioms": "--dim --algebra --format --seed",
+    "convert": "--dim --float --format",
+    "cuts": "--dim --format",
+    "qgamma": "--dim --gamma",
+    **dict.fromkeys(("signature", "branched-lift", "convert-lift"), "--float --format"),
+    **dict.fromkeys(("check-rough", "check-model"), "--format --gamma"),
+    "rde": "--gamma",
+}
+UNREAD = [(command, flag) for command, flags in READS.items()
+          for flag in COMMON_FLAGS if flag not in flags.split()]
+# a run of each command with every flag it accepts given; "{path2}" and
+# "{line}" as in GOLDEN_CASES
+FULL_CASES = {
+    "product": ["product", "--dim", "2", "--algebra", "ck", "--format", "json", "--float",
+                "[]_1", "[]_2"],
+    "coproduct": ["coproduct", "--dim", "2", "--algebra", "ck", "--format", "json", "--float",
+                  "[[]_1]_2"],
+    "antipode": ["antipode", "--dim", "2", "--algebra", "ck", "--engine", "closed",
+                 "--format", "json", "--float", "[[]_1]_2"],
+    "pair": ["pair", "--dim", "2", "--algebra", "gl", "--float", "[]_1", "1/3*[]_1"],
+    "check-axioms": ["check-axioms", "--dim", "1", "--algebra", "gl", "--max-grade", "2",
+                     "--samples", "3", "--seed", "1", "--format", "json"],
+    "exp": ["exp", "--dim", "2", "--algebra", "concat", "--truncation", "2", "--format", "json",
+            "--float", "1"],
+    "log": ["log", "--dim", "2", "--algebra", "concat", "--truncation", "2", "--format", "json",
+            "--float", "ε + 1"],
+    "bch": ["bch", "--dim", "2", "--algebra", "concat", "--truncation", "2", "--format", "json",
+            "--float", "1", "2"],
+    "norm": ["norm", "--dim", "2", "--algebra", "concat", "--truncation", "2", "ε + 1 + 1/2*11"],
+    "cuts": ["cuts", "--dim", "2", "--format", "json", "[[]_1]_2"],
+    "convert": ["convert", "--dim", "2", "--via", "psi", "--format", "json", "--float",
+                "[[]_1]_2"],
+    "qgamma": ["qgamma", "--dim", "1", "--gamma", "2/5", "[[]_1]_1"],
+    "signature": ["signature", "{path2}", "--level", "2", "--from", "0", "--to", "1/2",
+                  "--format", "json", "--float"],
+    "branched-lift": ["branched-lift", "{path2}", "--level", "2", "--from", "0", "--to", "1/2",
+                      "--format", "json", "--float"],
+    "convert-lift": ["convert-lift", "{line}", "--direction", "b2g", "--level", "2", "--grid",
+                     "3", "--from", "0", "--to", "1", "--format", "json", "--float"],
+    "check-rough": ["check-rough", "{path2}", "--flavor", "branched", "--level", "2", "--grid",
+                    "3", "--gamma", "2/5", "--format", "json"],
+    "check-model": ["check-model", "{path2}", "--level", "2", "--grid", "3", "--gamma", "2/5",
+                    "--format", "json"],
+    "rde": ["rde", "{line}", "--f", "linear", "--y0", "1", "--gamma", "1/3", "--level", "2",
+            "--step", "1/2", "--T", "1"],
+}
+
+
+class TestFlags:
+    """Each command accepts only the options its run reads."""
+
+    def test_the_tables_cover_every_command(self):
+        assert set(READS) == set(FULL_CASES) == {argv[0] for argv, _ in GOLDEN_CASES.values()} | {
+            "norm", "qgamma", "rde"}
+        assert len(UNREAD) == 71 and sum(len(f.split()) for f in READS.values()) == 55
+
+    @pytest.mark.parametrize("command", sorted(FULL_CASES))
+    def test_every_option_is_read(self, capsys, monkeypatch, command):
+        # record the attributes each run reads on its parsed namespace, over the
+        # golden cases of the command and its run with every flag given
+        parse_args, parsers, reads = argparse.ArgumentParser.parse_args, [], set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                if parsers:  # parsing is done
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        def recording(parser, args=None, namespace=None):
+            parsers.clear()
+            out = parse_args(parser, args, Recording())
+            parsers.append(parser)
+            return out
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        for argv, _ in GOLDEN_CASES.values():
+            if argv[0] == command:
+                main(_golden_argv(argv))
+        assert main(_golden_argv(FULL_CASES[command])) == 0
+        capsys.readouterr()
+        sub = next(a for a in parsers[0]._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+        assert accepted - reads == set()
+
+    @pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}{f}" for c, f in UNREAD])
+    def test_a_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):
+        extra = [flag] + ([COMMON_FLAGS[flag]] if COMMON_FLAGS[flag] else [])
+        with pytest.raises(SystemExit) as exc:
+            main(_golden_argv(FULL_CASES[command]) + extra)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"error: unrecognized arguments: {' '.join(extra)}\n" in err
+
+    def test_convert_lift_g2b_takes_no_grid(self, capsys):
+        for grid in ("5", "1"):
+            code, out, err = run(capsys, "convert-lift", str(GOLDEN_CLI / "path2.csv"),
+                                 "--direction", "g2b", "--grid", grid)
+            assert (code, out) == (2, "")
+            assert err == "error: convert-lift --direction g2b takes no --grid\n"
 
 
 class TestJsonRoundTrip:

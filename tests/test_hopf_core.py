@@ -321,6 +321,15 @@ class TestConvolution:
         with pytest.raises(GradeBoundExceeded):
             conv(LinComb.term(W(1, 2)))
 
+    def test_input_grade_past_the_bound(self):
+        from hopfpath.hopf_core import GradeBoundExceeded
+
+        inst = shuffle_deconcat_instance(2)
+        conv = convolution(identity_map, identity_map, inst, grade_bound=1)
+        assert conv(LinComb.term(W(2))) == LinComb.term(W(2), 2)
+        with pytest.raises(GradeBoundExceeded, match="^input grade 2 exceeds bound 1$"):
+            conv(LinComb.term(W(1)) + LinComb.term(W(1, 2)))
+
 
 class TestReducedCoproduct:
     def test_primitive_letter(self):
@@ -458,6 +467,66 @@ def doubled_product(base: HopfInstance):
         return out.scale(2) if u.grade and v.grade else out
 
     return product
+
+
+def perturbed_map(basis_map, changes: dict):
+    """basis_map with the value at each key of changes passed through its function."""
+
+    def perturbed(*key):
+        out = basis_map(*key)
+        key = key if len(key) > 1 else key[0]
+        return changes[key](out) if key in changes else out
+
+    return perturbed
+
+
+_E = W()
+# each perturbation of shuffle_deconcat_instance(2) reaches one witness as the
+# first of its law: name -> (fields replaced, max_grade, law, witness)
+WITNESSES = {
+    "unit": ({"product_basis": {(_E, W(1)): lambda out: out.scale(2)}}, 2,
+             "unit", "unit law fails on 1"),
+    "counit": ({"coproduct_basis": {W(1): lambda out: out - TensorComb.term(W(1), _E)}}, 2,
+               "counit", "counit property fails on 1"),
+    # a unit of positive grade, whose counit is 0
+    "counit-of-the-unit": ({"unit": W(1)}, 2, "counit", "counit(1) != 1"),
+    "product-grading": ({"product_basis": {(W(1), W(2)): lambda out: out + LinComb.term(W(1))}},
+                        2, "grading", "product not graded on (1, 2)"),
+    "coproduct-grading": (
+        {"coproduct_basis": {W(1, 2): lambda out: out + TensorComb.term(W(1), W(2, 1))}}, 3,
+        "grading", "coproduct not graded on 12"),
+    "associativity": (
+        {"product_basis": {(W(1, 1), W(2)): lambda out: out + LinComb.term(W(2, 2, 2))}}, 3,
+        "associativity", "associativity fails on (1, 1, 2)"),
+    "coproduct-of-the-unit": ({"coproduct_basis": {_E: lambda out: out.scale(2)}}, 2,
+                              "compatibility", "Delta(1) != 1 (x) 1"),
+    # 1 1 = 0 keeps Delta(1 1) = Delta(1) Delta(1), both 0
+    "counit-multiplicativity": ({"product_basis": {(_E, _E): lambda out: out.scale(0)}}, 2,
+                                "compatibility", "counit is not multiplicative on (ε, ε)"),
+    # 11 2 gains 222 and 211 1 twice that: the left recursion reads 11 2, the
+    # right one does not, and both antipode laws still hold on 112
+    "left-right-recursions": (
+        {"product_basis": {(W(1, 1), W(2)): lambda out: out + LinComb.term(W(2, 2, 2)),
+                           (W(2, 1, 1), _E): lambda out: out + LinComb.term(W(2, 2, 2), 2)}},
+        3, "antipode", "left/right antipode recursions disagree on 112"),
+    # a product doubled at grade 3 only, past the bounded laws' grade 2
+    "random-associativity": (
+        {"product_basis": {(u, v): lambda out: out.scale(2) for u in words(2, 2)
+                           for v in words(2, 1)}}, 2,
+        "random-combinations", "random associativity failure (sample 3)"),
+    "random-antipode": ({"unit": W(1)}, 2, "random-combinations",
+                        "random antipode failure (sample 2)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+def test_each_axiom_witness_is_reached(name):
+    changes, max_grade, law, witness = WITNESSES[name]
+    base = shuffle_deconcat_instance(2)
+    fields = {f: value if f == "unit" else perturbed_map(getattr(base, f), value)
+              for f, value in changes.items()}
+    report = check_axioms(dataclasses.replace(base, **fields), max_grade, samples=9)
+    assert {e.law: e.witness for e in report.failures()}[law] == witness
 
 
 class TestReplacedInstance:

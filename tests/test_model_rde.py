@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -307,7 +308,7 @@ class TestComodule:
 
 class TestStructAction:
     def test_counit_character_is_identity(self):
-        eps = Character.counit()
+        eps = Character({EMPTY_FOREST: Fraction(1)}, sys.maxsize)  # the counit, on every grade
         for f in forests_up_to(2, 3):
             assert struct_action(eps, LinComb.term(f)) == LinComb.term(f)
 
@@ -637,6 +638,48 @@ class TestIntegerModelCheck:
         # the value cannot even be built: a float is not a scalar
         with pytest.raises(TypeError, match="not an exact scalar: 1.0"):
             check_model(model, GRID)
+
+
+class TestModelWitnesses:
+    """Witnesses that no lift reaches: check_model refuses a value off the
+    group, a group-like value has counit 1, so every Gamma row keeps its
+    forest once, and the rows of any character intertwine the coproduct
+    because it is coassociative."""
+
+    def test_unit_evaluation(self):
+        # a value of counit 2 is off the group, and the laws that read Gamma
+        # refuse it, so only a check of no basis element reports it
+        base = branched_lift_fn(PATH, 2)
+
+        def evaluate(s, t):
+            elt = base.eval(s, t)
+            if (s, t) == (GRID[1], GRID[0]):
+                return TruncatedElement(elt.value + LinComb.term(EMPTY_FOREST), 2, elt.algebra)
+            return elt
+
+        model = model_from_lift(RoughLift("branched", 2, 2, evaluate), Fraction(3, 10))
+        report = check_model(model, GRID[:3], max_grade=-1)
+        assert {e.law: e.witness for e in report.failures()} == {
+            "unit-evaluation": "Pi_s 1 != 1 at s=1/4"}
+        with pytest.raises(ModelError, match="characters come from group-like elements"):
+            check_model(model, GRID[:3])
+
+    def test_intertwining_and_grade_lowering(self, monkeypatch):
+        # the check's Connes-Kreimer coproduct less its 1 (x) [[]_1]_1 term
+        from hopfpath import model_rde
+
+        base, tree = ck_instance(2), t(1, t(1)).as_forest()
+
+        def coproduct(b):
+            out = base.coproduct_basis(b)
+            return out - TensorComb.term(EMPTY_FOREST, b) if b is tree else out
+
+        broken = dataclasses.replace(base, coproduct_basis=coproduct)
+        monkeypatch.setattr(model_rde, "ck_instance", lambda d: broken)
+        report = check_model(MODEL, GRID[:3])
+        failing = {e.law: e.witness for e in report.failures()}
+        assert failing["coproduct-intertwining"] == "intertwining fails at (0,0) on [[]_1]_1"
+        assert failing["grade-lowering"] == "Gamma does not lower grade at (0,0) on [[]_1]_1"
 
 
 class TestCompose:

@@ -216,12 +216,8 @@ class TestAxiomChecks:
         def tampered(s, u):
             elt = base.eval(s, u)
             if (s, u) == (Fraction(0), Fraction(1, 2)):
-                return elt.add(
-                    trunc_one(2, base.algebra).scale(0)
-                ).add(
-                    # shift one coefficient; breaks Chen but keeps counit
-                    type(elt).make(LinComb.term(W(1, 2), 1), 2, base.algebra)
-                )
+                # shift one coefficient; breaks Chen but keeps counit
+                return TruncatedElement(elt.value + LinComb.term(W(1, 2)), 2, base.algebra)
             return elt
 
         broken = RoughLift("geometric", 2, 2, tampered)
@@ -231,6 +227,20 @@ class TestAxiomChecks:
         failing = {e.law: e.witness for e in report.entries if not e.ok}
         assert "chen" in failing
         assert "(s,u,t)" in failing["chen"]
+
+    def test_lift_off_the_unit_on_the_diagonal_reports_identity_witness(self):
+        base = signature_lift(PATH_2D, 2)
+
+        def tampered(s, u):
+            elt = base.eval(s, u)
+            if s == u == Fraction(1, 2):
+                return TruncatedElement(elt.value + LinComb.term(W(1, 2)), 2, base.algebra)
+            return elt
+
+        cfg = RoughPathConfig.make(Fraction(2, 5), "geometric")
+        report = check_rough_axioms(RoughLift("geometric", 2, 2, tampered), cfg, GRID)
+        failing = {e.law: e.witness for e in report.failures()}
+        assert failing["identity"] == "X_tt != 1 at t=1/2"
 
     def test_passing_summary_text(self):
         cfg = RoughPathConfig.make(Fraction(2, 5), "geometric")

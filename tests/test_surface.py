@@ -3,7 +3,9 @@ reason outside it to stay; every import is used; the README stays scannable.
 
 The scan is by name, with stdlib ``ast``: a definition counts as referenced
 when its name appears as a name or an attribute anywhere in src/ outside its
-own body.  Dunder methods are called by the interpreter and are not scanned.
+own body.  A name that src/ defines more than once cannot tell its
+definitions apart, so each of those is listed with a use of its own.  Dunder
+methods are called by the interpreter and are not scanned.
 """
 import ast
 import collections
@@ -35,6 +37,82 @@ ALLOWED = {
     "model_rde.Model.pi": ("README.md", "evaluation/translation pairs"),
     "model_rde.Model.gamma_st_model": ("README.md", "noise comodule"),
     "model_rde.abstract_integration": ("README.md", "abstract integration"),
+}
+
+
+# the definitions whose name src/ defines more than once, each with the file
+# that uses it and a line of that use, outside the definition itself
+SHARED = {
+    # how a combination's terms sort and print
+    "linalg.LinComb._label": ("src/hopfpath/linalg.py", 'x._label(key, " (x) ")'),
+    "linalg.TensorComb._label": ("src/hopfpath/linalg.py", 'x._label(key, " (x) ")'),
+    "linalg.LinComb._order": ("src/hopfpath/linalg.py", "key=self._order"),
+    "linalg.TensorComb._order": ("src/hopfpath/linalg.py", "key=self._order"),
+    "hopf_ck.TreeWord.sort_key": ("src/hopfpath/linalg.py", "bc[0].sort_key()"),
+    "model_rde.DottedForest.sort_key": ("src/hopfpath/linalg.py", "bc[0].sort_key()"),
+    "symbols.MultiIndex.sort_key": ("src/hopfpath/linalg.py", "bc[0].sort_key()"),
+    "symbols.Word.sort_key": ("src/hopfpath/linalg.py", "bc[0].sort_key()"),
+    "symbols.Tree.sort_key": ("src/hopfpath/linalg.py", "bc[0].sort_key()"),
+    "symbols.Forest.sort_key": ("src/hopfpath/linalg.py", "bc[0].sort_key()"),
+    "hopf_core._row": ("src/hopfpath/hopf_core.py", "return _row(out.items())"),
+    "roughpath._LiftTable._row": ("src/hopfpath/roughpath.py", "self._row(p, fit)"),
+    "linalg.LinComb.term": ("src/hopfpath/cli.py", "LinComb.term(phi_hat(w))"),
+    "linalg.TensorComb.term": ("src/hopfpath/hopf_core.py", "TensorComb.term(unit, unit)"),
+    "hopf_ck.psi.term": ("src/hopfpath/hopf_ck.py", "ck_coproduct(tree.children).fold(term)"),
+    "linalg.LinComb.coeff": ("src/hopfpath/hopf_core.py", "x.coeff(unit)"),
+    "linalg.TensorComb.coeff": ("tests/test_acceptance.py", "grouped.coeff(W(2), W(1, 2, 1))"),
+    "roughpath.RoughLift.coeff": ("src/hopfpath/roughpath.py", "lift.coeff(s, t, phi_hat(w))"),
+    "series.TruncatedElement.coeff": ("src/hopfpath/roughpath.py",
+                                      "self.eval(s, t).coeff(basis)"),
+    "linalg.TensorComb.of": ("src/hopfpath/hopf_core.py", "TensorComb.of(self.one(), x)"),
+    "symbols.Forest.of": ("src/hopfpath/symbols.py", "return Forest.of(*acc)"),
+    "linalg.pair": ("src/hopfpath/cli.py", "value = pair(_parse(args, args.x)"),
+    "hopf_core.check_axioms.pair": ("src/hopfpath/hopf_core.py", "pair(unit, b)"),
+    # the algebras' structure maps and their words and forests
+    "hopf_core.HopfInstance.product": ("src/hopfpath/cli.py", "inst.product(_parse(args"),
+    "hopf_core.HopfInstance.antipode_row.product": ("src/hopfpath/hopf_core.py",
+                                                    "product(l, r, side)"),
+    "hopf_core.check_axioms.product": ("src/hopfpath/hopf_core.py",
+                                       "product(product(x, y), z)"),
+    "roughpath._LiftTable.product": ("src/hopfpath/roughpath.py",
+                                     "table.product(P[i][j], P[j][k])"),
+    "hopf_core.HopfInstance.antipode": ("src/hopfpath/cli.py", "inst.antipode(x)"),
+    "hopf_core.poly_instance.antipode": ("src/hopfpath/hopf_core.py",
+                                         "antipode_closed_basis=antipode"),
+    "series.TruncatedElement.antipode": ("src/hopfpath/series.py", "g.antipode()"),
+    "hopf_core.HopfInstance.counit": ("src/hopfpath/hopf_core.py", "instance.counit(unit)"),
+    "series.TruncatedElement.counit": ("src/hopfpath/series.py", "g.counit() != 1"),
+    "series.TruncatedElement.make": ("src/hopfpath/cli.py", "TruncatedElement.make(x, args"),
+    "series.TruncatedElement.mul": ("src/hopfpath/series.py", "a.mul(b)"),
+    "symbols.Forest.mul": ("src/hopfpath/hopf_ck.py", "l1.mul(l2)"),
+    "symbols.Word.concat": ("src/hopfpath/hopf_core.py", "u.concat(v)"),
+    "hopf_ck.TreeWord.concat": ("src/hopfpath/hopf_ck.py", "w.concat(letter)"),
+    "symbols.Forest.trees": ("src/hopfpath/symbols.py", "self.trees()"),
+    "symbols.trees": ("src/hopfpath/model_rde.py", "trees(d, g)"),
+    # checks, lifts, models and fields
+    "hopf_core.check_axioms.grading_failures": ("src/hopfpath/hopf_core.py",
+                                                'report.run("grading", grading_failures())'),
+    "model_rde.check_model.grading_failures": (
+        "src/hopfpath/model_rde.py", 'report.run("grade-lowering", grading_failures())'),
+    "roughpath.RoughPathConfig.make": ("src/hopfpath/cli.py", "RoughPathConfig.make(_gamma"),
+    "roughpath._lift_factory.evaluate": ("src/hopfpath/roughpath.py",
+                                         "RoughLift(flavor, d, level, evaluate, walk=walk)"),
+    "roughpath.geo_to_branched.evaluate": ("src/hopfpath/roughpath.py",
+                                           'RoughLift("branched", d, level, evaluate)'),
+    "roughpath.branched_to_geo.evaluate": ("src/hopfpath/roughpath.py",
+                                           'RoughLift("geometric", d, level, evaluate)'),
+    "roughpath.PiecewiseLinearPath.dim": ("src/hopfpath/cli.py", "path.dim"),
+    "model_rde.Model.character": ("src/hopfpath/model_rde.py", "self.character(t, s)"),
+    "model_rde._gamma_table.character": ("src/hopfpath/model_rde.py", "g = character(j, i)"),
+    "model_rde._polynomial_plan.mul": ("src/hopfpath/model_rde.py", "c = mul(c, c_child)"),
+    "model_rde.VectorField.dim": ("src/hopfpath/model_rde.py", "_step_plan(field.dim, level)"),
+    "model_rde.constant_field.deriv": ("src/hopfpath/model_rde.py",
+                                       'ScalarField(deriv, name=f"const:{c}"'),
+    "model_rde.identity_field.deriv": ("src/hopfpath/model_rde.py",
+                                       'ScalarField(deriv, name="linear"'),
+    "model_rde.polynomial_field.deriv": ("src/hopfpath/model_rde.py",
+                                         'ScalarField(deriv, name="poly:"'),
+    "model_rde.sine_field.deriv": ("src/hopfpath/model_rde.py", 'ScalarField(deriv, name="sin")'),
 }
 
 
@@ -96,6 +174,34 @@ def test_each_reason_holds():
             for source in [f.read_text(encoding="utf-8")]
         )
         assert found, f"{qualname}: {text!r} does not occur in {where}"
+
+
+def test_each_shared_name_is_listed_per_definition():
+    by_name = collections.defaultdict(list)
+    for module, tree in _modules().items():
+        for qualname, node in _definitions(tree, module):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                by_name[node.name].append(qualname)
+    shared = {q for qualnames in by_name.values() if len(qualnames) > 1 for q in qualnames}
+    unexplained = sorted(shared - set(SHARED))
+    assert not unexplained, f"a name defined more than once in src/, unlisted: {unexplained}"
+    stale = sorted(set(SHARED) - shared)
+    assert not stale, f"listed as shared but defined once in src/ (or gone): {stale}"
+
+
+def test_each_shared_use_holds():
+    # the line names the definition and occurs in the file, outside the
+    # definition's own lines
+    definitions = {q: (module, node) for module, tree in _modules().items()
+                   for q, node in _definitions(tree, module)}
+    for qualname, (where, text) in SHARED.items():
+        module, node = definitions[qualname]
+        assert node.name in text, f"{qualname}: {text!r} does not name it"
+        own = (range(node.lineno, node.end_lineno + 1) if where == f"src/hopfpath/{module}.py"
+               else range(0))
+        lines = (ROOT / where).read_text(encoding="utf-8").splitlines()
+        assert any(text in line for i, line in enumerate(lines, 1) if i not in own), (
+            f"{qualname}: {text!r} does not occur in {where} outside it")
 
 
 def test_every_import_is_used():

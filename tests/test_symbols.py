@@ -152,6 +152,19 @@ class TestParsing:
             parse_expr("[[]_1", "forest", 2)
         assert err.value.offset == 5
 
+    def test_difference_of_terms(self):
+        x = parse_expr("[]_1 - 3/2*[]_2 - [[]_1]_2", "forest", 2)
+        assert x == LinComb({t(1).as_forest(): 1, t(2).as_forest(): Fraction(-3, 2),
+                             t(2, t(1)).as_forest(): -1})
+
+    @pytest.mark.parametrize("text, kind, offset", [
+        ("12 21", "word", 3), ("(1,0) (0,1)", "multiindex", 6), ("[]_1 ]", "forest", 5),
+    ])
+    def test_junk_after_a_term(self, text, kind, offset):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, kind, 2)
+        assert str(err.value) == f"expected '+', '-' or end of input (byte offset {offset})"
+
 
 class TestEnumeration:
     def test_word_counts(self):
